@@ -1,8 +1,9 @@
 """Higher-order Taylor approximation of re-weighted M-estimator solutions.
 
-Solve once, factorize once, then approximate the re-fit for any weighting of
-the data (leave-out CV, k-fold, bootstrap) by an arbitrary-order expansion
-in the weights, with exact re-fit oracles and computable error bounds.
+Solve once, factorize once, differentiate once, then approximate the re-fit
+for any weighting of the data (leave-out CV, k-fold, bootstrap) by an
+arbitrary-order expansion in the weights, with exact re-fit oracles and
+computable error bounds.
 """
 
 from .bounds import (
@@ -39,6 +40,7 @@ from .forward_ad import (
     TaylorScalar,
     directional_derivative,
     g_theta_derivative,
+    g_theta_tensor,
     g_weight_derivative,
 )
 from .models import (
@@ -61,6 +63,7 @@ from .resampling import (
     ScalingReport,
     bootstrap_linear_samples,
     ij_linear_covariance,
+    linear_covariance,
     run_cv,
     sandwich_covariance,
     scaling_study,

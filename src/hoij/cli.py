@@ -128,7 +128,14 @@ def _load_problem(args):
     return models.make_problem(args.model, data)
 
 
+def _validate_draws(draws: int):
+    if draws < 1:
+        raise UsageError(f"--draws must be >= 1, got {draws}")
+
+
 def _weight_stream(args, n):
+    if args.scheme in ("kappa", "bootstrap"):
+        _validate_draws(args.draws)
     if args.scheme == "loo":
         return models.loo_weights(n)
     if args.scheme == "kfold":
@@ -177,11 +184,12 @@ def _cmd_expand(args):
     if args.order < 1:
         raise UsageError("--order must be >= 1 for expand")
     problem = _load_problem(args)
+    weights = _weight_stream(args, problem.n_terms)
     theta_hat = solve_base(problem)
     hfac = factorize_hessian(problem, theta_hat)
     table = term_tables(args.order)
     records = []
-    for w in _weight_stream(args, problem.n_terms):
+    for w in weights:
         expn = evaluate_theta_ij(problem, theta_hat, hfac, table, w.delta, args.order)
         records.append({
             "label": w.label,
@@ -200,13 +208,14 @@ def _cmd_expand(args):
 def _cmd_cv(args):
     _validate_order(args.order)
     problem = _load_problem(args)
+    weights = _weight_stream(args, problem.n_terms)
     sampler = None
     if args.radius is not None:
         theta_hat = solve_base(problem)
         sampler = bnd.DomainSampler(theta_hat, args.radius,
                                     n_samples=args.samples, seed=args.seed)
     report = resampling.run_cv(
-        problem, _weight_stream(args, problem.n_terms), args.order,
+        problem, weights, args.order,
         with_bounds=args.with_bounds, rho=args.rho, sampler=sampler,
         epsilon=args.epsilon_term, workers=args.workers,
         metadata={"scheme": args.scheme, "seed": args.seed},
@@ -218,11 +227,12 @@ def _cmd_cv(args):
 
 def _cmd_bootstrap(args):
     _validate_order(args.order)
+    _validate_draws(args.draws)
     problem = _load_problem(args)
     theta_hat = solve_base(problem)
     hfac = factorize_hessian(problem, theta_hat)
     sandwich = resampling.sandwich_covariance(problem, theta_hat, hfac)
-    linear = resampling.ij_linear_covariance(problem, theta_hat, hfac)
+    linear = resampling.linear_covariance(problem, theta_hat, hfac)
     samples = resampling.bootstrap_linear_samples(problem, theta_hat, hfac,
                                                   args.draws, seed=args.seed)
     empirical = np.cov(samples, rowvar=False, bias=True).reshape(

@@ -1,20 +1,22 @@
 """Base solves and the Taylor expansion of the solution in the weights.
 
-The expansion around the all-ones weights needs one Newton solve and one
-dense factorization of the Jacobian H = dG/dtheta at the base fit.  After
-that, every weight vector costs only derivative contractions and triangular
+The expansion around the all-ones weights needs one Newton solve, one
+dense factorization of the Jacobian H = dG/dtheta at the base fit, and the
+derivative tensors of G there, each computed once on first use.  After that,
+every weight vector costs only derivative contractions and triangular
 solves: the order-k coefficient solves
 
     H * d_k = -(sum of table terms of order k),
 
 where each table term is a G-derivative contracted against lower-order
-coefficients (weight-direction derivative when the term's flag is set).
+coefficients.  Terms without the weight derivative contract the cached
+tensors; weight-direction terms sweep only the rows the weights change.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -71,11 +73,8 @@ def _as_weights(w, n: int) -> np.ndarray:
 
 
 def assemble_jacobian(problem: EstimatingProblem, theta, w) -> np.ndarray:
-    """H(theta, w) = dG/dtheta, one forward-mode pass per basis direction."""
-    dim = problem.dim_theta
-    eye = np.eye(dim)
-    cols = [fad.g_theta_derivative(problem, theta, w, (eye[j],)) for j in range(dim)]
-    return np.column_stack(cols)
+    """H(theta, w) = dG/dtheta from one direction-batched forward pass."""
+    return fad.g_theta_tensor(problem, theta, w, 1)
 
 
 def solve_base(problem: EstimatingProblem, w=None,
@@ -132,14 +131,37 @@ def exact_refit(problem: EstimatingProblem, w, theta_hat,
 
 @dataclass(frozen=True, eq=False)
 class HessianFactor:
-    """Dense LU factorization of the base Jacobian for repeated solves."""
+    """Dense LU factorization of the base Jacobian for repeated solves.
+
+    It also keeps the base fit ``theta_hat`` it was built at, and memoizes
+    the derivative tensors of G there (all-ones weights) on first use.
+    """
 
     matrix: np.ndarray
     lu: tuple
     cond_estimate: float
+    problem: EstimatingProblem
+    theta_hat: np.ndarray
+    _tensors: dict = field(default_factory=dict, repr=False)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return scipy.linalg.lu_solve(self.lu, b)
+
+    def tensor(self, k: int) -> np.ndarray:
+        """The order-k derivative array of G at theta_hat, shape (D, D**k)."""
+        t = self._tensors.get(k)
+        if t is None:
+            t = fad.g_theta_tensor(self.problem, self.theta_hat,
+                                   np.ones(self.problem.n_terms), k)
+            self._tensors[k] = t
+        return t
+
+    def contract(self, directions) -> np.ndarray:
+        """The order-len(directions) tensor applied to each direction."""
+        out = self.tensor(len(directions))
+        for v in directions:
+            out = out.reshape(-1, v.size) @ v
+        return out
 
 
 def factorize_hessian(problem: EstimatingProblem, theta_hat,
@@ -159,7 +181,18 @@ def factorize_hessian(problem: EstimatingProblem, theta_hat,
             "the expansion requires it to be strongly positive definite",
         )
     lu = scipy.linalg.lu_factor(h)
-    return HessianFactor(matrix=h, lu=lu, cond_estimate=rcond)
+    return HessianFactor(matrix=h, lu=lu, cond_estimate=rcond, problem=problem,
+                         theta_hat=np.array(theta_hat, dtype=float))
+
+
+def _term_directions(term: DerivativeTerm, dset: dict) -> tuple:
+    try:
+        return tuple(dset[j] for j in term.kset)
+    except KeyError as err:
+        raise KeyError(
+            f"term {term} needs derivative of order {err.args[0]}, "
+            f"but only orders {sorted(dset)} are available"
+        ) from None
 
 
 def evaluate_term(problem: EstimatingProblem, theta_hat, term: DerivativeTerm,
@@ -168,15 +201,11 @@ def evaluate_term(problem: EstimatingProblem, theta_hat, term: DerivativeTerm,
 
     ``dset`` maps order j to the already computed coefficient vector d_j.
     Flag 0 contracts the theta-derivative of G at the all-ones weights;
-    flag 1 contracts the weight-direction derivative along delta_w.
+    flag 1 contracts the weight-direction derivative along delta_w.  Both
+    sweep the data; :func:`evaluate_dtheta` instead contracts the tensors
+    cached on the Hessian factor for flag 0.
     """
-    try:
-        dirs = tuple(dset[j] for j in term.kset)
-    except KeyError as err:
-        raise KeyError(
-            f"term {term} needs derivative of order {err.args[0]}, "
-            f"but only orders {sorted(dset)} are available"
-        ) from None
+    dirs = _term_directions(term, dset)
     if term.omega == 0:
         return fad.g_theta_derivative(
             problem, theta_hat, np.ones(problem.n_terms), dirs
@@ -187,10 +216,22 @@ def evaluate_term(problem: EstimatingProblem, theta_hat, term: DerivativeTerm,
 def evaluate_dtheta(problem: EstimatingProblem, theta_hat, hfac: HessianFactor,
                     order_terms: Sequence[DerivativeTerm], dset: dict,
                     delta_w) -> np.ndarray:
-    """One expansion coefficient: -H^{-1} (sum of coefficient-weighted terms)."""
+    """One expansion coefficient: -H^{-1} (sum of coefficient-weighted terms).
+
+    Terms without the weight derivative contract the derivative tensors
+    cached on ``hfac``, so ``theta_hat`` must be the point it was built at.
+    """
+    if not np.array_equal(theta_hat, hfac.theta_hat):
+        raise ValueError("theta_hat differs from the point the Hessian factor was built at")
     d = np.zeros(problem.dim_theta)
     for t in order_terms:
-        d = d + t.coeff * evaluate_term(problem, theta_hat, t, dset, delta_w)
+        if t.omega == 1:
+            value = evaluate_term(problem, theta_hat, t, dset, delta_w)
+        else:
+            value = hfac.contract(_term_directions(t, dset))
+            if not np.all(np.isfinite(value)):
+                raise fad.NonFiniteValueError(f"non-finite contraction for term {t}")
+        d = d + t.coeff * value
     return -hfac.solve(d)
 
 

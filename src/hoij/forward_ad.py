@@ -11,17 +11,20 @@ Mixed directional derivatives are computed by nesting: each nesting level is
 an order-1 TaylorScalar (a dual number) whose coefficients may themselves be
 TaylorScalars.  Evaluating a function on inputs nested through k levels and
 reading off the coefficient of the product of all k perturbations gives the
-exact k-th mixed directional derivative.  No derivative tensor is ever
-materialized; evaluating a D-dimensional function costs O(2^k) scalar work
-per input regardless of D.
+exact k-th mixed directional derivative; evaluating a D-dimensional function
+costs O(2^k) scalar work per input regardless of D.
 
 Coefficient leaves are floats or numpy arrays.  Array leaves let a single
 evaluation carry every data row of an estimating problem at once, which is
-how the weighted-sum helpers below stay fast for large N.
+how the weighted-sum helpers below stay fast for large N.  A leading leaf
+axis can also carry many direction tuples at once: :func:`g_theta_tensor`
+uses it to build the small summed derivative tensor of G in one pass.
+Per-datum derivative tensors are never formed.
 """
 
 from __future__ import annotations
 
+import itertools
 import numbers
 
 import numpy as np
@@ -30,6 +33,11 @@ from scipy.special import expit
 # Hard ceiling on the nesting depth (and hence on expansion order).  Term
 # tables and acceptance targets use K <= 4; 6 leaves headroom.
 K_MAX = 6
+
+# Leaves of a direction-batched pass (direction multisets x data rows) hold at
+# most this many elements; more rows are swept in blocks, so the pass's
+# memory does not grow with N.
+BLOCK_ELEMENTS = 4096
 
 
 class NonFiniteValueError(ArithmeticError):
@@ -306,14 +314,19 @@ def directional_derivative(f, theta0, directions):
 
 
 def _reduce_leaves(x, coeffs, coeff_total):
-    # Contract a scalar-like carrying per-row array leaves against a
-    # coefficient vector.  Float leaves are constant across rows.
+    # Contract the row axis (the last) of a scalar-like's array leaves
+    # against a coefficient vector.  Float leaves, and the (P, 1) leaves of
+    # a direction-batched pass, are constant across rows.
     if isinstance(x, TaylorScalar):
         return TaylorScalar(
             [_reduce_leaves(c, coeffs, coeff_total) for c in x.coeffs]
         )
     if isinstance(x, np.ndarray):
-        return float(coeffs @ x)
+        if x.ndim == 1:
+            return float(coeffs @ x)
+        if x.shape[-1] == coeffs.size:
+            return (x @ coeffs)[..., None]
+        return x * coeff_total
     return float(x) * coeff_total
 
 
@@ -362,6 +375,68 @@ def g_theta_derivative(problem, theta, weights, directions):
     if not np.all(np.isfinite(out)):
         raise NonFiniteValueError(
             f"non-finite estimating-function derivative of order {k}"
+        )
+    return out
+
+
+def basis_multisets(dim, k):
+    """Index multisets of an order-k symmetric tensor in D = dim variables.
+
+    Returns ``(multisets, inverse)``: the C(D+k-1, k) sorted index tuples as
+    a (P, k) array, and for each of the D**k ordered tuples (row-major) the
+    position of its multiset.
+    """
+    multisets = list(itertools.combinations_with_replacement(range(dim), k))
+    position = {m: i for i, m in enumerate(multisets)}
+    inverse = [position[tuple(sorted(t))]
+               for t in itertools.product(range(dim), repeat=k)]
+    return np.array(multisets).reshape(-1, k), np.array(inverse)
+
+
+def _batched_coefficient(values, k, width):
+    # (D, width) mixed coefficients of scalar-likes with (width, 1) leaves;
+    # a component with no such leaf has a constant coefficient.
+    out = np.empty((len(values), width))
+    for i, v in enumerate(values):
+        out[i] = np.reshape(nested_coefficient(v, k), -1)
+    return out
+
+
+def g_theta_tensor(problem, theta, weights, k):
+    """The order-k derivative array of theta -> G(theta, w), shape (D, D**k).
+
+    Entry [i, j_1 D**(k-1) + ... + j_k] is the mixed partial of G_i in
+    theta_{j_1} .. theta_{j_k}.  One nested pass carries every multiset of k
+    basis directions along a leading leaf axis, so each symmetric entry is
+    computed once (Griewank, Utke & Walther 2000).  Data rows go in blocks
+    that keep each leaf within BLOCK_ELEMENTS entries.
+    """
+    weights = np.asarray(getattr(weights, "values", weights), dtype=float)
+    dim, n = problem.dim_theta, problem.n_terms
+    if weights.shape != (n,):
+        raise ValueError(f"weight length {weights.shape} does not match {n} terms")
+    if not 1 <= k <= K_MAX:
+        raise ValueError(f"derivative order {k} outside 1..{K_MAX}")
+    x = [float(t) for t in theta]
+    if len(x) != dim:
+        raise ValueError(f"theta length {len(x)} != parameter dimension {dim}")
+    multisets, inverse = basis_multisets(dim, k)
+    width = len(multisets)
+    for col in multisets.T:
+        # The tangent of theta_d at this level is 1 for the multisets whose
+        # entry here is d: a (width, 1) leaf, constant across rows.
+        x = [TaylorScalar([xi, (col == d)[:, None].astype(float)])
+             for d, xi in enumerate(x)]
+    acc = _batched_coefficient(problem.term_fn(0, x), k, width)
+    step = max(1, BLOCK_ELEMENTS // width)
+    for lo in range(0, n, step):
+        rows = np.arange(lo, min(lo + step, n))
+        acc += _batched_coefficient(
+            weighted_term_sum(problem, x, weights[rows], rows), k, width)
+    out = acc[:, inverse] / n
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteValueError(
+            f"non-finite estimating-function derivative tensor of order {k}"
         )
     return out
 

@@ -114,8 +114,17 @@ def load_dataset(path, fmt: str = "csv", header: bool = False,
             raise DatasetError(f"no rows in {path}")
         feats, resp = [], []
         for i, rec in enumerate(records):
+            if not isinstance(rec, dict):
+                raise DatasetError(f"row {i + 1} is not an object")
             if "x" not in rec:
                 raise DatasetError(f"row {i + 1} is missing the 'x' field")
+            if not isinstance(rec["x"], list):
+                raise DatasetError(f"row {i + 1}: 'x' is not a list")
+            if len(rec["x"]) != len(records[0]["x"]):
+                raise DatasetError(
+                    f"row {i + 1} has {len(rec['x'])} features, "
+                    f"expected {len(records[0]['x'])}"
+                )
             feats.append([_parse_cell(str(v), i + 1, j + 1) for j, v in enumerate(rec["x"])])
             if "y" in rec:
                 resp.append(_parse_cell(str(rec["y"]), i + 1, len(rec["x"]) + 1))
@@ -170,15 +179,17 @@ def loo_weights(n: int, subset: Optional[Sequence[int]] = None) -> Iterator[Weig
 
 
 def kfold_weights(n: int, folds: int, seed: int = 0) -> Iterator[WeightVector]:
-    """K-fold CV weights: a seeded partition into folds of size floor(n/folds)."""
-    if not 1 <= folds <= n:
-        raise ValueError(f"fold count {folds} outside 1..{n}")
+    """K-fold CV weights: a seeded partition of every row into ``folds`` folds.
+
+    Fold sizes differ by at most one.  At least two folds are required: a
+    single fold leaves every row out, where G is identically zero.
+    """
+    if not 2 <= folds <= n:
+        raise ValueError(f"fold count {folds} outside 2..{n}")
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    size = n // folds
-    for f in range(folds):
+    for f, held_out in enumerate(np.array_split(rng.permutation(n), folds)):
         values = np.ones(n)
-        values[perm[f * size:(f + 1) * size]] = 0.0
+        values[held_out] = 0.0
         yield WeightVector(values, label=f"fold:{f + 1}")
 
 

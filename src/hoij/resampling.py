@@ -229,12 +229,25 @@ def ij_linear_covariance(problem: EstimatingProblem, theta_hat, hfac) -> np.ndar
 
     The linear map is w -> theta_hat - H^{-1} (1/N) J^T (w - 1); multinomial
     weights have covariance I - (1/N) 1 1^T, and this routine applies that
-    covariance literally, as an independent route to the sandwich form.
+    covariance literally, as an independent route to the sandwich form.  It
+    forms N x N matrices; :func:`linear_covariance` is the O(N D^2) route.
     """
     n = problem.n_terms
     j = gn_matrix(problem, theta_hat)
     cov_w = np.eye(n) - np.full((n, n), 1.0 / n)
     middle = j.T @ cov_w @ j / n ** 2
+    return hfac.solve(hfac.solve(middle).T).T
+
+
+def linear_covariance(problem: EstimatingProblem, theta_hat, hfac) -> np.ndarray:
+    """:func:`ij_linear_covariance` without forming any N x N matrix.
+
+    The weight covariance I - (1/N) 1 1^T is applied to J as
+    J - 1 (1^T J) / N, which costs O(N D^2).
+    """
+    n = problem.n_terms
+    j = gn_matrix(problem, theta_hat)
+    middle = j.T @ (j - j.sum(axis=0) / n) / n ** 2
     return hfac.solve(hfac.solve(middle).T).T
 
 

@@ -61,16 +61,24 @@ def rel_err(approx, reference, floor=1e-3):
 ALL_MODELS = ["mean", "linear_regression", "logistic_regression", "exp_loss"]
 
 
-def build_problem(model_id, rng, n=12, dim=2):
+def build_problem(model_id, rng, n=12, dim=2, reg=None):
     """A well-conditioned seeded instance of a registered model."""
     x = rng.uniform(-1.0, 1.0, (n, dim))
     if model_id == "linear_regression":
         y = x @ (1.0 + np.arange(dim)) + 0.1 * rng.standard_normal(n)
-        return make_problem(model_id, Dataset(x, y))
+        return make_problem(model_id, Dataset(x, y), reg)
     if model_id == "logistic_regression":
         y = (rng.random(n) < 0.5).astype(float)
-        return make_problem(model_id, Dataset(x, y))
-    return make_problem(model_id, Dataset(x))
+        return make_problem(model_id, Dataset(x, y), reg)
+    return make_problem(model_id, Dataset(x), reg)
+
+
+def max_rel_gap(got, want):
+    """Largest entry gap relative to the largest reference entry."""
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    scale = np.max(np.abs(want))
+    gap = np.max(np.abs(got - want))
+    return gap / scale if scale > 0 else gap
 
 
 def mean_dataset_1236():

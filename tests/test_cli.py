@@ -67,6 +67,21 @@ class TestFitCommand:
         p.write_text("1\nnan\n")
         assert main(["fit", "--model", "mean", "--data", str(p)]) == 2
 
+    @pytest.mark.parametrize("rows", [
+        [[1, 2]],                       # a row that is not an object
+        [5],
+        [{"x": 3}],                     # an 'x' that is not a list
+        [{"x": "12"}],
+        [{"x": [1.0]}, {"x": [1.0, 2.0]}],
+    ])
+    def test_malformed_json_is_usage_error(self, tmp_path, capsys, rows):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(rows))
+        rc = main(["fit", "--model", "mean", "--data", str(p), "--format", "json"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("usage error: row ") and len(err.strip().splitlines()) == 1
+
 
 class TestCvCommand:
     def test_mean_loo_report(self, mean_csv, tmp_path):
@@ -94,6 +109,28 @@ class TestCvCommand:
         obj = read_json(out)
         assert obj["metadata"]["condition_satisfied"] is True
         assert obj["bound_per_k"][1] == pytest.approx(1.5)
+
+
+class TestStreamValidation:
+    """Empty or degenerate weight streams are usage errors, not NaN reports."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bootstrap", "--draws", "0"],
+        ["bootstrap", "--draws", "-3", "--order", "2"],
+        ["cv", "--scheme", "bootstrap", "--draws", "0"],
+        ["cv", "--scheme", "kappa", "--draws", "0"],
+        ["expand", "--scheme", "bootstrap", "--draws", "0"],
+        ["expand", "--scheme", "kappa", "--draws", "-1"],
+        ["cv", "--scheme", "kfold", "--folds", "1"],
+        ["expand", "--scheme", "kfold", "--folds", "1"],
+    ])
+    def test_usage_error(self, mean_csv, tmp_path, capsys, argv):
+        out = tmp_path / "o.json"
+        rc = main(argv + ["--model", "mean", "--data", mean_csv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("usage error: ") and len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
 
 class TestOtherCommands:

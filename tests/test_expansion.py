@@ -10,18 +10,22 @@ from hoij import (
     SingularHessianError,
     SolveConfig,
     SolverError,
+    bootstrap_weights,
     evaluate_dtheta,
     evaluate_term,
     evaluate_theta_ij,
     exact_refit,
     factorize_hessian,
+    kfold_weights,
     loo_weights,
     make_problem,
     solve_base,
     term_tables,
 )
 
-from helpers import fd_nth_scalar, mean_dataset_1236, rel_err
+from hoij.forward_ad import NonFiniteValueError
+
+from helpers import build_problem, fd_nth_scalar, max_rel_gap, mean_dataset_1236, rel_err
 
 
 @pytest.fixture
@@ -141,6 +145,67 @@ class TestEvaluateDTheta:
         expn = evaluate_theta_ij(prob, theta_hat, hfac, table, np.zeros(4), 3)
         for d in expn.dthetas:
             np.testing.assert_array_equal(d, [0.0])
+
+
+def term_sum_expansion(prob, theta_hat, hfac, table, delta_w, order):
+    """d_1..d_order from evaluate_term over every table term (no cached tensors)."""
+    dset = {}
+    for k in range(1, order + 1):
+        rhs = sum(t.coeff * evaluate_term(prob, theta_hat, t, dset, delta_w)
+                  for t in table.for_order(k))
+        dset[k] = -hfac.solve(rhs)
+    return [dset[k] for k in range(1, order + 1)]
+
+
+class TestCachedTensorExpansion:
+    """evaluate_theta_ij contracts cached tensors; evaluate_term is the oracle."""
+
+    @pytest.mark.parametrize("model_id,dim", [("logistic_regression", 3),
+                                              ("exp_loss", 2)])
+    def test_matches_term_sum(self, model_id, dim):
+        rng = np.random.default_rng(41)
+        n = 14
+        prob = build_problem(model_id, rng, n=n, dim=dim, reg={"l2": 0.2})
+        theta_hat = solve_base(prob)
+        hfac = factorize_hessian(prob, theta_hat)
+        weights = (list(loo_weights(n, [2, 9])) + list(kfold_weights(n, 3, seed=1))
+                   + list(bootstrap_weights(n, 2, seed=2)))
+        for order in range(1, 6):
+            table = term_tables(order)
+            for w in weights:
+                got = evaluate_theta_ij(prob, theta_hat, hfac, table, w.delta, order)
+                want = term_sum_expansion(prob, theta_hat, hfac, table, w.delta, order)
+                for d_got, d_want in zip(got.dthetas, want):
+                    assert max_rel_gap(d_got, d_want) <= 1e-12
+
+    def test_first_order_builds_no_tensor(self, monkeypatch):
+        prob = build_problem("exp_loss", np.random.default_rng(42))
+        theta_hat = solve_base(prob)
+        hfac = factorize_hessian(prob, theta_hat)
+        evaluate_theta_ij(prob, theta_hat, hfac, term_tables(1),
+                          -np.eye(prob.n_terms)[0], 1)
+        assert hfac._tensors == {}
+        evaluate_theta_ij(prob, theta_hat, hfac, term_tables(3),
+                          -np.eye(prob.n_terms)[0], 3)
+        assert sorted(hfac._tensors) == [2, 3]
+
+    def test_non_finite_contraction_raises(self):
+        prob = build_problem("exp_loss", np.random.default_rng(43))
+        theta_hat = solve_base(prob)
+        hfac = factorize_hessian(prob, theta_hat)
+        huge = np.full(prob.dim_theta, 1e200)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteValueError, match="term"):
+            evaluate_dtheta(prob, theta_hat, hfac, [DerivativeTerm(1, (1, 1), 0)],
+                            {1: huge}, np.zeros(prob.n_terms))
+
+    def test_other_theta_hat_rejected(self):
+        prob = build_problem("exp_loss", np.random.default_rng(44))
+        theta_hat = solve_base(prob)
+        hfac = factorize_hessian(prob, theta_hat)
+        with pytest.raises(ValueError, match="Hessian factor"):
+            evaluate_dtheta(prob, theta_hat + 1e-9, hfac, term_tables(1).for_order(1),
+                            {}, np.zeros(prob.n_terms))
 
 
 class TestEvaluateThetaIJ:

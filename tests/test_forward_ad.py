@@ -8,7 +8,18 @@ import pytest
 from hoij import forward_ad as fad
 from hoij.forward_ad import TaylorScalar, directional_derivative
 
-from helpers import FD_STEP, build_problem, rel_err, richardson_directional, ALL_MODELS
+import itertools
+
+from hoij import EstimatingProblem
+
+from helpers import (
+    ALL_MODELS,
+    FD_STEP,
+    build_problem,
+    max_rel_gap,
+    rel_err,
+    richardson_directional,
+)
 
 
 class TestTaylorArithmetic:
@@ -204,3 +215,83 @@ class TestEstimatingFunctionDerivatives:
                     lambda t: evaluate_g(prob, t, w), theta, dirs, FD_STEP[order]
                 )
                 assert rel_err(ad, fd) < 1e-6
+
+
+def basis_oracle(prob, theta, w, k):
+    """(D, D**k) array from one g_theta_derivative call per ordered basis tuple."""
+    eye = np.eye(prob.dim_theta)
+    cols = [fad.g_theta_derivative(prob, theta, w, [eye[j] for j in tup])
+            for tup in itertools.product(range(prob.dim_theta), repeat=k)]
+    return np.column_stack(cols)
+
+
+class TestDerivativeTensor:
+    """g_theta_tensor against per-tuple directional derivatives."""
+
+    @pytest.mark.parametrize("model_id", ALL_MODELS)
+    def test_models_with_l2_term(self, model_id):
+        rng = np.random.default_rng(31)
+        prob = build_problem(model_id, rng, n=9, dim=3, reg={"l2": 0.3})
+        theta = rng.uniform(-0.5, 0.5, 3)
+        w = rng.uniform(0.2, 1.8, prob.n_terms)
+        for k in range(1, 5):
+            got = fad.g_theta_tensor(prob, theta, w, k)
+            assert got.shape == (3, 3 ** k)
+            assert max_rel_gap(got, basis_oracle(prob, theta, w, k)) <= 1e-12
+
+    def test_term_fn_only_problem(self):
+        rng = np.random.default_rng(32)
+        full = build_problem("logistic_regression", rng, n=7, dim=2, reg={"l2": 0.1})
+        prob = EstimatingProblem(full.dim_theta, full.n_terms, full.term_fn)
+        theta = rng.uniform(-0.5, 0.5, 2)
+        w = rng.uniform(0.2, 1.8, prob.n_terms)
+        for k in range(1, 5):
+            got = fad.g_theta_tensor(prob, theta, w, k)
+            assert max_rel_gap(got, basis_oracle(prob, theta, w, k)) <= 1e-12
+            np.testing.assert_allclose(got, fad.g_theta_tensor(full, theta, w, k),
+                                       rtol=1e-12, atol=0)
+
+    def test_rows_beyond_one_block(self):
+        rng = np.random.default_rng(33)
+        prob = build_problem("exp_loss", rng, n=450, dim=3)
+        k = 3  # 10 multisets x 450 rows > BLOCK_ELEMENTS
+        assert 10 * prob.n_terms > fad.BLOCK_ELEMENTS
+        theta = rng.uniform(-0.5, 0.5, 3)
+        w = rng.uniform(0.2, 1.8, prob.n_terms)
+        got = fad.g_theta_tensor(prob, theta, w, k)
+        assert max_rel_gap(got, basis_oracle(prob, theta, w, k)) <= 1e-12
+
+    def test_leaves_stay_within_block(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        prob = build_problem("logistic_regression", rng, n=40, dim=2)
+        theta = rng.uniform(-0.5, 0.5, 2)
+        w = np.ones(prob.n_terms)
+        want = fad.g_theta_tensor(prob, theta, w, 2)
+        monkeypatch.setattr(fad, "BLOCK_ELEMENTS", 12)  # 3 multisets x 4 rows
+        sizes = []
+        batch = prob.batch_fn
+
+        def spy(theta_s, rows):
+            sizes.append(len(rows))
+            return batch(theta_s, rows)
+
+        spied = EstimatingProblem(prob.dim_theta, prob.n_terms, prob.term_fn,
+                                  batch_fn=spy)
+        got = fad.g_theta_tensor(spied, theta, w, 2)
+        assert sizes == [4] * 10
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    def test_symmetric_and_non_finite(self):
+        rng = np.random.default_rng(35)
+        prob = build_problem("exp_loss", rng, n=5, dim=2)
+        t = fad.g_theta_tensor(prob, [0.1, 0.2], np.ones(5), 3).reshape(2, 2, 2, 2)
+        np.testing.assert_array_equal(t, t.transpose(0, 2, 1, 3))
+        np.testing.assert_array_equal(t, t.transpose(0, 3, 2, 1))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(fad.NonFiniteValueError):
+            fad.g_theta_tensor(prob, [900.0, 900.0], np.ones(5), 2)
+
+    def test_multisets(self):
+        multisets, inverse = fad.basis_multisets(3, 2)
+        assert multisets.tolist() == [[0, 0], [0, 1], [0, 2], [1, 1], [1, 2], [2, 2]]
+        assert inverse.tolist() == [0, 1, 2, 1, 3, 4, 2, 4, 5]

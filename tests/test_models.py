@@ -176,6 +176,17 @@ class TestWeightVectors:
     def test_kfold_bad_count(self):
         with pytest.raises(ValueError):
             list(kfold_weights(4, 5))
+        with pytest.raises(ValueError, match="fold count 1"):
+            list(kfold_weights(4, 1))
+
+    @pytest.mark.parametrize("n,folds", [(30, 4), (31, 7), (12, 12), (5, 2)])
+    def test_kfold_leaves_every_row_out_once(self, n, folds):
+        vecs = list(kfold_weights(n, folds, seed=3))
+        assert len(vecs) == folds
+        left_out = np.sum([w.values == 0.0 for w in vecs], axis=0)
+        np.testing.assert_array_equal(left_out, np.ones(n))
+        sizes = [int((w.values == 0.0).sum()) for w in vecs]
+        assert max(sizes) - min(sizes) <= 1
 
     def test_leave_kappa_out(self):
         vecs = list(leave_kappa_out_weights(10, 3, seed=2, count=4))

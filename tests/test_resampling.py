@@ -12,6 +12,7 @@ from hoij import (
     evaluate_theta_ij,
     factorize_hessian,
     ij_linear_covariance,
+    linear_covariance,
     loo_weights,
     make_problem,
     run_cv,
@@ -21,7 +22,7 @@ from hoij import (
     term_tables,
 )
 
-from helpers import ALL_MODELS, build_problem, mean_dataset_1236
+from helpers import ALL_MODELS, build_problem, max_rel_gap, mean_dataset_1236
 
 
 class TestRunCv:
@@ -151,6 +152,9 @@ class TestCovarianceIdentity:
             s = sandwich_covariance(prob, theta_hat, hfac)
             l = ij_linear_covariance(prob, theta_hat, hfac)
             np.testing.assert_allclose(s, l, atol=1e-12)
+            # the O(N D^2) route against the N x N one
+            fast = linear_covariance(prob, theta_hat, hfac)
+            assert max_rel_gap(fast, l) <= 1e-12
 
     def test_linear_samples_match_expansion(self):
         """Vectorized bootstrap samples equal per-draw order-1 expansions."""
