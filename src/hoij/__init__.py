@@ -10,14 +10,12 @@ from .bounds import (
     BoundConstants,
     ConditionCheck,
     DomainSampler,
-    LooDeltas,
     bounds_report,
     check_condition,
     default_sampler,
     derivative_norm_bounds,
     estimate_constants,
     hessian_inverse_norm_check,
-    loo_delta,
     taylor_error_bound,
     theta_difference_bound,
 )

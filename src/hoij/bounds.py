@@ -16,7 +16,6 @@ approximation is the order-(K+1) norm bound divided by K!.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -134,55 +133,37 @@ class DomainSampler:
 # -- per-datum derivative entries ---------------------------------------------
 
 
-def _broadcast_leaf(value, n: int) -> np.ndarray:
-    if isinstance(value, np.ndarray):
-        return value.astype(float)
-    return np.full(n, float(value))
+def _tuple_major(multiset_array, k: int) -> np.ndarray:
+    # (..., D, P) multiset columns -> (..., D**k * D) entries, ordered tuple
+    # major and component minor, in C order (at k = 0 the reshape alone
+    # would leave per_datum_tensor's column-major rows, and BLAS sums those
+    # in a different order).
+    dim = multiset_array.shape[-2]
+    full = multiset_array[..., fad.basis_multisets(dim, k)[1]]
+    return np.ascontiguousarray(
+        np.swapaxes(full, -1, -2).reshape(*multiset_array.shape[:-2], -1))
 
 
 def per_datum_derivative_entries(problem: EstimatingProblem, theta, k: int) -> np.ndarray:
     """All entries of the per-datum derivative arrays g_n^(k)(theta).
 
     Returns shape (N, D * D**k): row n flattens the order-k derivative array
-    of g_n.  Entries are produced one basis-direction tuple at a time, so
-    only O(N) values live at once per tuple.
+    of g_n, ordered direction tuple major and component minor.  A layout
+    view of :func:`forward_ad.per_datum_tensor`.
     """
-    dim, n = problem.dim_theta, problem.n_terms
-    eye = np.eye(dim)
-    rows = np.arange(n)
-    cols = []
-    for tup in itertools.product(range(dim), repeat=k):
-        x = fad.nested_input(theta, [eye[d] for d in tup])
-        if problem.batch_fn is not None:
-            outs = problem.batch_fn(x, rows)
-            for j in range(dim):
-                cols.append(_broadcast_leaf(fad.nested_coefficient(outs[j], k), n))
-        else:
-            vals = np.empty((n, dim))
-            for r in rows:
-                g = problem.term_fn(int(r) + 1, x)
-                vals[r] = [float(fad.nested_coefficient(gj, k)) for gj in g]
-            cols.extend(vals.T)
-    return np.column_stack(cols)
+    return _tuple_major(fad.per_datum_tensor(problem, theta, k)[1], k)
 
 
 def _g0_derivative_entries(problem: EstimatingProblem, theta, k: int) -> np.ndarray:
-    dim = problem.dim_theta
-    eye = np.eye(dim)
-    out = []
-    for tup in itertools.product(range(dim), repeat=k):
-        x = fad.nested_input(theta, [eye[d] for d in tup])
-        g = problem.term_fn(0, x)
-        out.extend(float(fad.nested_coefficient(gj, k)) for gj in g)
-    return np.array(out)
+    return _tuple_major(fad.per_datum_tensor(problem, theta, k)[0], k)
 
 
 def full_derivative_entries(problem: EstimatingProblem, theta, k: int, w=None) -> np.ndarray:
     """Flattened entries of the order-k derivative array of G(theta, w)."""
     n = problem.n_terms
     weights = np.ones(n) if w is None else np.asarray(getattr(w, "values", w), float)
-    per_datum = per_datum_derivative_entries(problem, theta, k)
-    return (_g0_derivative_entries(problem, theta, k) + weights @ per_datum) / n
+    g0, per = fad.per_datum_tensor(problem, theta, k)
+    return _tuple_major(g0 + np.tensordot(weights, per, axes=1), k) / n
 
 
 # -- constants ----------------------------------------------------------------
@@ -235,26 +216,31 @@ class _SampledStats:
 
 def _sample_stats(problem: EstimatingProblem, sampler: DomainSampler,
                   k_hi: int) -> _SampledStats:
-    n = problem.n_terms
-    ones = np.ones(n)
+    # One multiset pass per order and sampled point.  Entry norms weight
+    # each multiset column by the number of ordered tuples it stands for,
+    # so they equal the norms of the full D**(k+1) arrays.
+    n, dim = problem.n_terms, problem.dim_theta
     c_op = 0.0
     m = {k: 0.0 for k in range(k_hi + 1)}
     v = {k: 0.0 for k in range(k_hi + 1)}
     t = {k: 0.0 for k in range(k_hi + 1)}
     loo = {k: 0.0 for k in range(k_hi + 1)}
+    mults = {k: np.bincount(fad.basis_multisets(dim, k)[1]) for k in range(k_hi + 1)}
     for theta in sampler.points():
-        h = assemble_jacobian(problem, theta, ones)
-        try:
-            c_op = max(c_op, operator_norm_of_inverse(h))
-        except np.linalg.LinAlgError:
-            raise SingularSampleError(theta) from None
-        for k in range(k_hi + 1):
-            entries = per_datum_derivative_entries(problem, theta, k)
-            g0 = _g0_derivative_entries(problem, theta, k)
-            m[k] = max(m[k], array_p_norm((g0 + entries.sum(axis=0)) / n, 2))
-            sq = np.sum(entries * entries, axis=1)
+        for k, mult in mults.items():
+            g0, per = fad.per_datum_tensor(problem, theta, k)
+            summed = (g0 + per.sum(axis=0)) / n
+            if k == 1:
+                # the order-1 multisets are the D basis directions in order,
+                # so summed is the Jacobian
+                try:
+                    c_op = max(c_op, operator_norm_of_inverse(summed))
+                except np.linalg.LinAlgError:
+                    raise SingularSampleError(theta) from None
+            m[k] = max(m[k], math.sqrt(float(np.sum(summed * summed, axis=0) @ mult)))
+            sq = np.sum(per * per, axis=1) @ mult
             v[k] = max(v[k], float(sq.mean()))
-            t[k] = max(t[k], float(np.max(np.abs(entries))))
+            t[k] = max(t[k], float(np.max(np.abs(per))))
             loo[k] = max(loo[k], float(np.sqrt(sq.max())) / n)
     return _SampledStats(c_op=c_op, m=m, v=v, t=t, loo_exact=loo)
 
@@ -265,38 +251,6 @@ class SingularSampleError(np.linalg.LinAlgError):
     def __init__(self, theta):
         super().__init__(f"singular Jacobian at sampled point {np.asarray(theta)}")
         self.theta = np.asarray(theta, float)
-
-
-@dataclass(frozen=True)
-class LooDeltas:
-    """Per-order complexity estimates for the full leave-one-out weight set."""
-
-    exact: dict
-    sqrt_v: dict
-    t_over_n: dict
-    epsilon: float = 0.0
-
-
-def loo_delta(problem: EstimatingProblem, sampler: DomainSampler, order: int,
-              epsilon: float = 0.0) -> LooDeltas:
-    """Complexity series for LOO weights, orders 0..order+1.
-
-    ``exact`` is the max over data of the per-datum derivative norm over N;
-    ``sqrt_v`` and ``t_over_n`` are the two analytic relaxations
-    sqrt(V_k / N) and T_k / N.  A positive epsilon adds the enlargement
-    correction epsilon * M_k to every series.
-    """
-    k_hi = max(order + 1, 2)
-    stats = _sample_stats(problem, sampler, k_hi)
-    n = problem.n_terms
-    ks = range(order + 2)
-    eps_term = {k: epsilon * stats.m[k] for k in ks}
-    return LooDeltas(
-        exact={k: stats.loo_exact[k] + eps_term[k] for k in ks},
-        sqrt_v={k: math.sqrt(stats.v[k] / n) + eps_term[k] for k in ks},
-        t_over_n={k: stats.t[k] / n + eps_term[k] for k in ks},
-        epsilon=epsilon,
-    )
 
 
 def estimate_constants(problem: EstimatingProblem, theta_hat, sampler: DomainSampler,
@@ -310,6 +264,9 @@ def estimate_constants(problem: EstimatingProblem, theta_hat, sampler: DomainSam
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must be strictly inside (0, 1), got {rho}")
+    if not 0 <= order < fad.K_MAX:
+        raise ValueError(f"bound order {order} outside 0..{fad.K_MAX - 1}: "
+                         f"its constants need derivatives of order {order + 1}")
     k_hi = max(order + 1, 2)
     stats = _sample_stats(problem, sampler, k_hi)
     n = problem.n_terms

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -120,6 +121,12 @@ def _validate_order(order: int):
         raise UsageError(f"--order must be in 0..{K_MAX}, got {order}")
 
 
+def _validate_bounds_order(order: int):
+    # the constants of an order-K bound read derivatives of order K + 1
+    if order >= K_MAX:
+        raise UsageError(f"--order must be in 0..{K_MAX - 1} for error bounds, got {order}")
+
+
 def _load_problem(args):
     needs_response = args.model in ("linear_regression", "logistic_regression")
     data = models.load_dataset(args.data, fmt=args.format,
@@ -207,12 +214,14 @@ def _cmd_expand(args):
 
 def _cmd_cv(args):
     _validate_order(args.order)
+    if args.with_bounds:
+        _validate_bounds_order(args.order)
     problem = _load_problem(args)
     weights = _weight_stream(args, problem.n_terms)
     sampler = None
     if args.radius is not None:
-        theta_hat = solve_base(problem)
-        sampler = bnd.DomainSampler(theta_hat, args.radius,
+        # centred on the base fit that run_cv solves
+        sampler = functools.partial(bnd.DomainSampler, radius=args.radius,
                                     n_samples=args.samples, seed=args.seed)
     report = resampling.run_cv(
         problem, weights, args.order,
@@ -265,6 +274,7 @@ def _cmd_bootstrap(args):
 
 def _cmd_bounds(args):
     _validate_order(args.order)
+    _validate_bounds_order(args.order)
     problem = _load_problem(args)
     theta_hat = solve_base(problem)
     if args.radius is not None:

@@ -3,7 +3,7 @@
 A ``TaylorScalar`` of order K carries coefficients c_0..c_K of a truncated
 polynomial in one formal perturbation.  All arithmetic is exact truncated
 polynomial arithmetic ((a*b)_k = sum_{j<=k} a_j b_{k-j}), and the elementary
-functions exp/log/sigmoid/power propagate coefficients by their standard
+functions exp/log/sigmoid propagate coefficients by their standard
 recurrences, so c_k is exactly f^(k)/k! of whatever smooth expression
 produced the scalar.
 
@@ -17,9 +17,11 @@ costs O(2^k) scalar work per input regardless of D.
 Coefficient leaves are floats or numpy arrays.  Array leaves let a single
 evaluation carry every data row of an estimating problem at once, which is
 how the weighted-sum helpers below stay fast for large N.  A leading leaf
-axis can also carry many direction tuples at once: :func:`g_theta_tensor`
-uses it to build the small summed derivative tensor of G in one pass.
-Per-datum derivative tensors are never formed.
+axis can also carry every multiset of basis directions at once:
+:func:`g_theta_tensor` uses it to build the small summed derivative tensor
+of G in one pass, and :func:`per_datum_tensor` keeps the row axis to give
+the per-datum derivatives over multisets, one row block at a time, for the
+bounds layer.
 """
 
 from __future__ import annotations
@@ -215,18 +217,6 @@ def sigmoid(x):
     return expit(x)
 
 
-def power(x, p):
-    """x**p for scalar-likes; integer p stays in ring arithmetic."""
-    if isinstance(x, TaylorScalar):
-        return x ** p
-    return x ** p
-
-
-# Extensible primitive registry: models may look elementary functions up by
-# name, and new primitives can be added without touching the engine.
-ELEMENTARY = {"exp": exp, "log": log, "sigmoid": sigmoid, "power": power}
-
-
 # -- nesting, seeding, extraction --------------------------------------------
 
 
@@ -265,13 +255,6 @@ def primal(x):
     while isinstance(x, TaylorScalar):
         x = x.coeffs[0]
     return x
-
-
-def map_leaves(x, fn):
-    """Apply fn to every non-TaylorScalar leaf, preserving nesting structure."""
-    if isinstance(x, TaylorScalar):
-        return TaylorScalar([map_leaves(c, fn) for c in x.coeffs])
-    return fn(x)
 
 
 def _check_directions(directions, dim):
@@ -384,13 +367,13 @@ def basis_multisets(dim, k):
 
     Returns ``(multisets, inverse)``: the C(D+k-1, k) sorted index tuples as
     a (P, k) array, and for each of the D**k ordered tuples (row-major) the
-    position of its multiset.
+    position of its multiset.  At k = 0 the one multiset is empty.
     """
     multisets = list(itertools.combinations_with_replacement(range(dim), k))
     position = {m: i for i, m in enumerate(multisets)}
     inverse = [position[tuple(sorted(t))]
                for t in itertools.product(range(dim), repeat=k)]
-    return np.array(multisets).reshape(-1, k), np.array(inverse)
+    return np.array(multisets, dtype=int).reshape(len(multisets), k), np.array(inverse)
 
 
 def _batched_coefficient(values, k, width):
@@ -400,6 +383,19 @@ def _batched_coefficient(values, k, width):
     for i, v in enumerate(values):
         out[i] = np.reshape(nested_coefficient(v, k), -1)
     return out
+
+
+def _multiset_input(theta, dim, multisets):
+    # theta lifted through k order-1 levels that carry the (P, k) basis
+    # multisets at once.  At level i the tangent of theta_d is 1 for the
+    # multisets whose i-th index is d: a (P, 1) leaf, constant across rows.
+    x = [float(t) for t in theta]
+    if len(x) != dim:
+        raise ValueError(f"theta length {len(x)} != parameter dimension {dim}")
+    for col in multisets.T:
+        x = [TaylorScalar([xi, (col == d)[:, None].astype(float)])
+             for d, xi in enumerate(x)]
+    return x
 
 
 def g_theta_tensor(problem, theta, weights, k):
@@ -417,16 +413,9 @@ def g_theta_tensor(problem, theta, weights, k):
         raise ValueError(f"weight length {weights.shape} does not match {n} terms")
     if not 1 <= k <= K_MAX:
         raise ValueError(f"derivative order {k} outside 1..{K_MAX}")
-    x = [float(t) for t in theta]
-    if len(x) != dim:
-        raise ValueError(f"theta length {len(x)} != parameter dimension {dim}")
     multisets, inverse = basis_multisets(dim, k)
     width = len(multisets)
-    for col in multisets.T:
-        # The tangent of theta_d at this level is 1 for the multisets whose
-        # entry here is d: a (width, 1) leaf, constant across rows.
-        x = [TaylorScalar([xi, (col == d)[:, None].astype(float)])
-             for d, xi in enumerate(x)]
+    x = _multiset_input(theta, dim, multisets)
     acc = _batched_coefficient(problem.term_fn(0, x), k, width)
     step = max(1, BLOCK_ELEMENTS // width)
     for lo in range(0, n, step):
@@ -439,6 +428,45 @@ def g_theta_tensor(problem, theta, weights, k):
             f"non-finite estimating-function derivative tensor of order {k}"
         )
     return out
+
+
+def per_datum_tensor(problem, theta, k):
+    """Order-k derivatives of g_0 and of every g_n at theta, over multisets.
+
+    Returns ``(g0, per)`` with shapes (D, P) and (N, D, P), where P =
+    C(D+k-1, k) and column p is the mixed partial in the basis-direction
+    multiset ``basis_multisets(D, k)[0][p]``; ``per[:, :, inverse]`` is each
+    row's full (D, D**k) array.  At k = 0, P = 1 and the columns hold the
+    values g_n(theta).  The multisets ride one nested pass as in
+    :func:`g_theta_tensor`, but the row axis is kept rather than reduced,
+    so the rows go in blocks that keep each leaf within BLOCK_ELEMENTS
+    entries.
+    """
+    dim, n = problem.dim_theta, problem.n_terms
+    if not 0 <= k <= K_MAX:
+        raise ValueError(f"derivative order {k} outside 0..{K_MAX}")
+    multisets, _ = basis_multisets(dim, k)
+    width = len(multisets)
+    x = _multiset_input(theta, dim, multisets)
+    g0 = _batched_coefficient(problem.term_fn(0, x), k, width)
+    per = np.empty((dim, width, n))  # filled row block by row block
+    step = max(1, BLOCK_ELEMENTS // width)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        if problem.batch_fn is None:
+            for r in range(lo, hi):
+                per[:, :, r] = _batched_coefficient(problem.term_fn(r + 1, x), k, width)
+            continue
+        outs = problem.batch_fn(x, np.arange(lo, hi))
+        for j, o in enumerate(outs):
+            # leaves are (P, rows), (P, 1), (rows,) or floats
+            per[j, :, lo:hi] = nested_coefficient(o, k)
+    per = per.transpose(2, 0, 1)
+    if not (np.all(np.isfinite(g0)) and np.all(np.isfinite(per))):
+        raise NonFiniteValueError(
+            f"non-finite per-datum derivative of order {k}"
+        )
+    return g0, per
 
 
 def g_weight_derivative(problem, theta, delta_w, directions):

@@ -12,11 +12,12 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from .bounds import (
+    DomainSampler,
     check_condition,
     default_sampler,
     derivative_norm_bounds,
@@ -139,13 +140,17 @@ def _one_weight(problem, theta_hat, hfac, table, w: WeightVector, order: int,
 
 def run_cv(problem: EstimatingProblem, weights: Iterable[WeightVector], order: int,
            with_bounds: bool = False, cfg: Optional[SolveConfig] = None,
-           rho: float = 0.5, sampler=None, epsilon: float = 0.0,
+           rho: float = 0.5,
+           sampler: Optional[Callable[[np.ndarray], DomainSampler]] = None,
+           epsilon: float = 0.0,
            workers: int = 1, metadata: Optional[dict] = None) -> CvReport:
     """Approximate every weight in the stream and compare with exact re-fits.
 
     Re-fit failures are recorded per weight, not fatal.  ``with_bounds``
     additionally estimates the error-bound ladder and attaches the per-order
-    bound column (one uniform bound across the weight set).
+    bound column (one uniform bound across the weight set).  ``sampler``
+    builds the DomainSampler from the base fit theta_hat solved here; None
+    means :func:`default_sampler`.
     """
     theta_hat = solve_base(problem, cfg=cfg)
     hfac = factorize_hessian(problem, theta_hat)
@@ -180,8 +185,11 @@ def run_cv(problem: EstimatingProblem, weights: Iterable[WeightVector], order: i
     bound_per_k = None
     meta = dict(metadata or {})
     if with_bounds:
-        sampler = sampler or default_sampler(problem, theta_hat, order)
-        constants = estimate_constants(problem, theta_hat, sampler, order, rho, epsilon)
+        if sampler is None:
+            domain = default_sampler(problem, theta_hat, order)
+        else:
+            domain = sampler(theta_hat)
+        constants = estimate_constants(problem, theta_hat, domain, order, rho, epsilon)
         check = check_condition(constants, rho)
         meta["condition_satisfied"] = check.satisfied
         meta["c_set"] = check.c_set

@@ -1,12 +1,23 @@
 """Shared test oracles: finite differences and seeded problem builders.
 
 The finite-difference routines are intentionally independent of the forward
-AD path they check: they only ever call plain float evaluations.
+AD path they check: they only ever call plain float evaluations.  The
+per-tuple derivative loops are the bounds layer's reference: one nested
+forward pass per ordered basis-direction tuple, with no multiset batching.
 """
+
+import itertools
+import math
+import os
+from pathlib import Path
 
 import numpy as np
 
+import hoij
 from hoij import Dataset, make_problem
+from hoij import forward_ad as fad
+from hoij.bounds import SingularSampleError, _SampledStats, operator_norm_of_inverse
+from hoij.expansion import assemble_jacobian
 
 # Step sizes tuned per derivative order: large enough to dominate roundoff
 # after one Richardson step, small enough for the O(h^4) truncation to stay
@@ -84,3 +95,57 @@ def max_rel_gap(got, want):
 def mean_dataset_1236():
     """The 4-point running example with closed-form leave-one-out answers."""
     return Dataset(np.array([[1.0], [2.0], [3.0], [6.0]]))
+
+
+def subprocess_env():
+    """Environment for a child ``python -m hoij.cli`` that imports this hoij."""
+    src = str(Path(hoij.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def per_tuple_entries(problem, theta, k):
+    """(g_0 entries of length D * D**k, per-datum entries of shape (N, D * D**k)).
+
+    One nested pass per ordered basis tuple; entries are ordered tuple major
+    and component minor.
+    """
+    dim, n = problem.dim_theta, problem.n_terms
+    eye = np.eye(dim)
+    rows = np.arange(n)
+    g0, cols = [], []
+    for tup in itertools.product(range(dim), repeat=k):
+        x = fad.nested_input(theta, [eye[d] for d in tup])
+        g0.extend(float(fad.nested_coefficient(gj, k)) for gj in problem.term_fn(0, x))
+        if problem.batch_fn is not None:
+            for out in problem.batch_fn(x, rows):
+                leaf = fad.nested_coefficient(out, k)
+                cols.append(leaf.astype(float) if isinstance(leaf, np.ndarray)
+                            else np.full(n, float(leaf)))
+        else:
+            vals = np.array([[float(fad.nested_coefficient(gj, k))
+                              for gj in problem.term_fn(int(r) + 1, x)] for r in rows])
+            cols.extend(vals.T)
+    return np.array(g0), np.column_stack(cols)
+
+
+def per_tuple_sample_stats(problem, sampler, k_hi):
+    """Sampled statistics of the bounds layer, from the per-tuple entries."""
+    n = problem.n_terms
+    c_op = 0.0
+    m, v, t, loo = ({k: 0.0 for k in range(k_hi + 1)} for _ in range(4))
+    for theta in sampler.points():
+        h = assemble_jacobian(problem, theta, np.ones(n))
+        try:
+            c_op = max(c_op, operator_norm_of_inverse(h))
+        except np.linalg.LinAlgError:
+            raise SingularSampleError(theta) from None
+        for k in range(k_hi + 1):
+            g0, entries = per_tuple_entries(problem, theta, k)
+            m[k] = max(m[k], float(np.linalg.norm((g0 + entries.sum(axis=0)) / n)))
+            sq = np.sum(entries * entries, axis=1)
+            v[k] = max(v[k], float(sq.mean()))
+            t[k] = max(t[k], float(np.max(np.abs(entries))))
+            loo[k] = max(loo[k], math.sqrt(sq.max()) / n)
+    return _SampledStats(c_op=c_op, m=m, v=v, t=t, loo_exact=loo)

@@ -59,6 +59,7 @@ from helpers import (
     mean_dataset_1236,
     rel_err,
     richardson_directional,
+    subprocess_env,
 )
 
 
@@ -288,6 +289,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     def body():
         exe = [shutil.which("hoij")] if shutil.which("hoij") \
             else [sys.executable, "-m", "hoij.cli"]
+        env = subprocess_env()
         data = tmp_path / "x.csv"
         data.write_text("1\n2\n3\n6\n")
 
@@ -295,19 +297,19 @@ def test_criterion_10_cli_determinism(tmp_path):
         cv_args = exe + ["cv", "--model", "mean", "--data", str(data),
                          "--order", "2", "--scheme", "bootstrap", "--draws", "12",
                          "--seed", "13", "--out", str(cv_out)]
-        subprocess.run(cv_args, check=True, capture_output=True)
+        subprocess.run(cv_args, check=True, capture_output=True, env=env)
         first = cv_out.read_bytes()
         first_csv = (tmp_path / "cv.csv").read_bytes()
-        subprocess.run(cv_args, check=True, capture_output=True)
+        subprocess.run(cv_args, check=True, capture_output=True, env=env)
         assert cv_out.read_bytes() == first
         assert (tmp_path / "cv.csv").read_bytes() == first_csv
 
         sc_out = tmp_path / "scaling.json"
         sc_args = exe + ["scaling", "--model", "mean", "--grid", "40,80,160",
                          "--order", "1", "--seed", "21", "--out", str(sc_out)]
-        subprocess.run(sc_args, check=True, capture_output=True)
+        subprocess.run(sc_args, check=True, capture_output=True, env=env)
         first = sc_out.read_bytes()
-        subprocess.run(sc_args, check=True, capture_output=True)
+        subprocess.run(sc_args, check=True, capture_output=True, env=env)
         assert sc_out.read_bytes() == first
         obj = json.loads(first)
         assert obj["schema_version"] == 1 and "config" in obj

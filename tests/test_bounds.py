@@ -15,7 +15,6 @@ from hoij import (
     evaluate_theta_ij,
     factorize_hessian,
     hessian_inverse_norm_check,
-    loo_delta,
     loo_weights,
     make_problem,
     run_cv,
@@ -24,13 +23,23 @@ from hoij import (
     term_tables,
     theta_difference_bound,
 )
+from hoij import bounds
 from hoij.bounds import (
     ConditionNotSatisfiedError,
+    _g0_derivative_entries,
+    full_derivative_entries,
     operator_norm_of_inverse,
+    per_datum_derivative_entries,
     perturbed_inverse_bound,
 )
 
-from helpers import mean_dataset_1236
+from helpers import (
+    ALL_MODELS,
+    build_problem,
+    mean_dataset_1236,
+    per_tuple_entries,
+    per_tuple_sample_stats,
+)
 
 
 @pytest.fixture(scope="module")
@@ -67,34 +76,84 @@ class TestEstimateConstants:
         with pytest.raises(ValueError, match="rho"):
             estimate_constants(prob, theta_hat, DomainSampler(theta_hat, 0.0), 1, rho=1.0)
 
+    def test_order_validated(self, mean_constants):
+        # an order-K bound reads derivatives of order K + 1 <= K_MAX
+        prob, theta_hat, _ = mean_constants
+        with pytest.raises(ValueError, match="bound order 6 outside 0..5"):
+            estimate_constants(prob, theta_hat, DomainSampler(theta_hat, 0.0), 6)
+
+    @pytest.mark.parametrize("model_id, dim, order", [
+        ("exp_loss", 5, 3),
+        ("logistic_regression", 3, 2),
+    ])
+    def test_matches_per_tuple_loop(self, monkeypatch, model_id, dim, order):
+        rng = np.random.default_rng(61)
+        prob = build_problem(model_id, rng, n=30, dim=dim, reg={"l2": 0.2})
+        center = rng.uniform(-0.3, 0.3, dim)
+        sampler = DomainSampler(center, 0.4, n_samples=4, seed=2)
+        got = estimate_constants(prob, center, sampler, order, epsilon=0.05)
+        monkeypatch.setattr(bounds, "_sample_stats", per_tuple_sample_stats)
+        want = estimate_constants(prob, center, sampler, order, epsilon=0.05)
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(b, dict):
+                assert a.keys() == b.keys(), field.name
+                a, b = list(a.values()), list(b.values())
+            assert a == pytest.approx(b, rel=1e-12, abs=0), field.name
+
+
+class TestEntryLayout:
+    """The flattened entry arrays keep the per-tuple layout."""
+
+    @pytest.mark.parametrize("model_id", ["linear_regression", "exp_loss"])
+    def test_views_match_per_tuple_entries(self, model_id):
+        rng = np.random.default_rng(62)
+        prob = build_problem(model_id, rng, n=8, dim=3, reg={"l2": 0.4})
+        theta = rng.uniform(-0.5, 0.5, 3)
+        w = rng.uniform(0.2, 1.8, prob.n_terms)
+        for k in range(4):
+            g0, per = per_tuple_entries(prob, theta, k)
+            entries = per_datum_derivative_entries(prob, theta, k)
+            np.testing.assert_allclose(entries, per, rtol=1e-12, atol=1e-15)
+            # row-major like the per-tuple stack, so BLAS products over the
+            # rows (the bootstrap covariances at k = 0) sum in the same order
+            assert entries.flags.c_contiguous
+            np.testing.assert_allclose(_g0_derivative_entries(prob, theta, k),
+                                       g0, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(full_derivative_entries(prob, theta, k, w),
+                                       (g0 + w @ per) / prob.n_terms,
+                                       rtol=1e-12, atol=1e-15)
+
 
 class TestLooDelta:
+    """The LOO complexity series carried by the estimated constants."""
+
     def test_mean_model_series(self, mean_constants):
-        prob, theta_hat, _ = mean_constants
-        deltas = loo_delta(prob, DomainSampler(theta_hat, 0.0), order=2)
-        assert deltas.exact[0] == pytest.approx(0.75, rel=1e-12)
-        assert deltas.exact[1] == pytest.approx(0.25, rel=1e-12)
-        assert deltas.exact[2] == pytest.approx(0.0, abs=1e-15)
-        assert deltas.exact[3] == pytest.approx(0.0, abs=1e-15)
-        assert deltas.sqrt_v[0] == pytest.approx(np.sqrt(3.5 / 4.0), rel=1e-12)
-        assert deltas.t_over_n[0] == pytest.approx(0.75, rel=1e-12)
+        _, _, c = mean_constants
+        assert c.delta_exact[0] == pytest.approx(0.75, rel=1e-12)
+        assert c.delta_exact[1] == pytest.approx(0.25, rel=1e-12)
+        assert c.delta_exact[2] == pytest.approx(0.0, abs=1e-15)
+        assert c.delta_exact[3] == pytest.approx(0.0, abs=1e-15)
+        assert c.delta_v[0] == pytest.approx(np.sqrt(3.5 / 4.0), rel=1e-12)
+        assert c.delta_t[0] == pytest.approx(0.75, rel=1e-12)
 
     def test_exact_never_exceeds_sqrt_v(self):
         rng = np.random.default_rng(44)
-        from helpers import ALL_MODELS, build_problem
         for model_id in ALL_MODELS:
             prob = build_problem(model_id, rng)
             theta = np.zeros(prob.dim_theta)
-            deltas = loo_delta(prob, DomainSampler(theta, 0.2, n_samples=16, seed=1), 1)
-            for k in deltas.exact:
-                assert deltas.exact[k] <= deltas.sqrt_v[k] + 1e-12
+            c = estimate_constants(prob, theta,
+                                   DomainSampler(theta, 0.2, n_samples=16, seed=1), 1)
+            for k in c.delta_exact:
+                assert c.delta_exact[k] <= c.delta_v[k] + 1e-12
 
     def test_epsilon_correction(self, mean_constants):
         prob, theta_hat, _ = mean_constants
-        base = loo_delta(prob, DomainSampler(theta_hat, 0.0), 1)
-        eps = loo_delta(prob, DomainSampler(theta_hat, 0.0), 1, epsilon=0.1)
+        base = estimate_constants(prob, theta_hat, DomainSampler(theta_hat, 0.0), 1)
+        eps = estimate_constants(prob, theta_hat, DomainSampler(theta_hat, 0.0), 1,
+                                 epsilon=0.1)
         # M_1 = 1, so the order-1 level gains exactly 0.1
-        assert eps.exact[1] == pytest.approx(base.exact[1] + 0.1, rel=1e-12)
+        assert eps.delta_exact[1] == pytest.approx(base.delta_exact[1] + 0.1, rel=1e-12)
 
 
 class TestCheckCondition:

@@ -7,7 +7,19 @@ import sys
 import numpy as np
 import pytest
 
+from hoij import (
+    DomainSampler,
+    cli,
+    load_dataset,
+    loo_weights,
+    make_problem,
+    resampling,
+    run_cv,
+    solve_base,
+)
 from hoij.cli import main
+
+from helpers import subprocess_env
 
 
 @pytest.fixture
@@ -110,6 +122,31 @@ class TestCvCommand:
         assert obj["metadata"]["condition_satisfied"] is True
         assert obj["bound_per_k"][1] == pytest.approx(1.5)
 
+    def test_radius_solves_base_once(self, linreg_csv, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve_base(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_base", counting)
+        monkeypatch.setattr(resampling, "solve_base", counting)
+        out = tmp_path / "cvr.json"
+        rc = main(["cv", "--model", "linear_regression", "--data", linreg_csv,
+                   "--order", "2", "--scheme", "loo", "--with-bounds",
+                   "--radius", "0.3", "--samples", "8", "--seed", "4",
+                   "--out", str(out)])
+        assert rc == 0
+        assert len(calls) == 1
+        # same report as a sampler centred on a separately solved base fit
+        problem = make_problem("linear_regression", load_dataset(linreg_csv, response=True))
+        sampler = DomainSampler(solve_base(problem), 0.3, n_samples=8, seed=4)
+        want = run_cv(problem, loo_weights(problem.n_terms), 2, with_bounds=True,
+                      sampler=lambda _: sampler, metadata={"scheme": "loo", "seed": 4})
+        got = read_json(out)
+        for key, value in json.loads(json.dumps(want.to_json_obj())).items():
+            assert got[key] == value, key
+
 
 class TestStreamValidation:
     """Empty or degenerate weight streams are usage errors, not NaN reports."""
@@ -180,6 +217,16 @@ class TestOtherCommands:
         assert obj["condition_satisfied"] is True
         assert obj["C_set"] == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--radius", "0.0"],
+        ["cv", "--scheme", "loo", "--with-bounds", "--radius", "0.0"],
+    ])
+    def test_bounds_order_cap_usage_error(self, mean_csv, capsys, argv):
+        # the constants of an order-6 bound would need order-7 derivatives
+        rc = main(argv + ["--model", "mean", "--data", mean_csv, "--order", "6"])
+        assert rc == 2
+        assert "--order must be in 0..5 for error bounds, got 6" in capsys.readouterr().err
+
     def test_scaling(self, tmp_path):
         out = tmp_path / "scale.json"
         rc = main(["scaling", "--model", "mean", "--grid", "30,60,120",
@@ -218,12 +265,12 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "hoij.cli", "fit", "--model", "mean",
              "--data", mean_csv],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=subprocess_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["theta_hat"] == [3.0]
 
     def test_usage_exit_code(self):
         proc = subprocess.run([sys.executable, "-m", "hoij.cli", "fit"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=subprocess_env())
         assert proc.returncode == 2

@@ -295,3 +295,90 @@ class TestDerivativeTensor:
         multisets, inverse = fad.basis_multisets(3, 2)
         assert multisets.tolist() == [[0, 0], [0, 1], [0, 2], [1, 1], [1, 2], [2, 2]]
         assert inverse.tolist() == [0, 1, 2, 1, 3, 4, 2, 4, 5]
+        assert fad.basis_multisets(3, 0)[0].shape == (1, 0)
+        assert fad.basis_multisets(3, 0)[1].tolist() == [0]
+
+
+def term_oracle(prob, n, theta, k):
+    """(D, D**k) derivatives of g_n, one directional derivative per ordered basis tuple."""
+    def fn(x):
+        return prob.term_fn(n, x)
+    if k == 0:
+        return np.array([float(v) for v in fn(list(theta))])[:, None]
+    eye = np.eye(prob.dim_theta)
+    return np.column_stack([
+        directional_derivative(fn, theta, [eye[j] for j in tup])
+        for tup in itertools.product(range(prob.dim_theta), repeat=k)])
+
+
+def assert_matches_term_oracle(prob, theta, k, rows):
+    g0, per = fad.per_datum_tensor(prob, theta, k)
+    width = math.comb(prob.dim_theta + k - 1, k)
+    assert g0.shape == (prob.dim_theta, width)
+    assert per.shape == (prob.n_terms, prob.dim_theta, width)
+    inverse = fad.basis_multisets(prob.dim_theta, k)[1]
+    assert max_rel_gap(g0[:, inverse], term_oracle(prob, 0, theta, k)) <= 1e-12
+    for r in rows:
+        assert max_rel_gap(per[r][:, inverse], term_oracle(prob, r + 1, theta, k)) <= 1e-12
+    return g0, per
+
+
+class TestPerDatumTensor:
+    """per_datum_tensor against per-row, per-tuple directional derivatives."""
+
+    @pytest.mark.parametrize("model_id", ALL_MODELS)
+    def test_models_with_l2_term(self, model_id):
+        rng = np.random.default_rng(41)
+        prob = build_problem(model_id, rng, n=9, dim=3, reg={"l2": 0.3})
+        theta = rng.uniform(-0.5, 0.5, 3)
+        for k in range(5):
+            assert_matches_term_oracle(prob, theta, k, rows=(0, 4, 8))
+
+    def test_term_fn_only_problem(self):
+        rng = np.random.default_rng(42)
+        full = build_problem("logistic_regression", rng, n=7, dim=2, reg={"l2": 0.1})
+        prob = EstimatingProblem(full.dim_theta, full.n_terms, full.term_fn)
+        theta = rng.uniform(-0.5, 0.5, 2)
+        for k in range(5):
+            _, per = assert_matches_term_oracle(prob, theta, k, rows=range(7))
+            np.testing.assert_allclose(per, fad.per_datum_tensor(full, theta, k)[1],
+                                       rtol=1e-12, atol=0)
+
+    def test_rows_in_several_blocks(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        prob = build_problem("exp_loss", rng, n=40, dim=2, reg={"l2": 0.2})
+        theta = rng.uniform(-0.5, 0.5, 2)
+        monkeypatch.setattr(fad, "BLOCK_ELEMENTS", 12)  # 3 multisets x 4 rows
+        sizes = []
+        batch = prob.batch_fn
+
+        def spy(theta_s, rows):
+            sizes.append(len(rows))
+            return batch(theta_s, rows)
+
+        spied = EstimatingProblem(prob.dim_theta, prob.n_terms, prob.term_fn,
+                                  batch_fn=spy)
+        assert_matches_term_oracle(spied, theta, 2, rows=range(40))
+        assert sizes == [4] * 10
+
+    def test_row_sum_is_g_theta_tensor(self):
+        rng = np.random.default_rng(44)
+        prob = build_problem("logistic_regression", rng, n=11, dim=3, reg={"l2": 0.3})
+        theta = rng.uniform(-0.5, 0.5, 3)
+        w = rng.uniform(0.2, 1.8, prob.n_terms)
+        for k in range(1, 5):
+            g0, per = fad.per_datum_tensor(prob, theta, k)
+            summed = (g0 + np.tensordot(w, per, axes=1)) / prob.n_terms
+            inverse = fad.basis_multisets(3, k)[1]
+            assert max_rel_gap(summed[:, inverse],
+                               fad.g_theta_tensor(prob, theta, w, k)) <= 1e-12
+
+    def test_non_finite_and_order_range(self):
+        rng = np.random.default_rng(45)
+        prob = build_problem("exp_loss", rng, n=5, dim=2)
+        for k in (0, 2):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(fad.NonFiniteValueError):
+                fad.per_datum_tensor(prob, [900.0, 900.0], k)
+        with pytest.raises(ValueError, match="order"):
+            fad.per_datum_tensor(prob, [0.0, 0.0], fad.K_MAX + 1)
