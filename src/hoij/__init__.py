@@ -46,6 +46,7 @@ from .models import (
     DatasetError,
     EstimatingProblem,
     WeightVector,
+    bootstrap_weight_blocks,
     bootstrap_weights,
     evaluate_g,
     kfold_weights,
@@ -60,6 +61,7 @@ from .resampling import (
     GeneratorConfig,
     ScalingReport,
     bootstrap_linear_samples,
+    bootstrap_samples,
     ij_linear_covariance,
     linear_covariance,
     run_cv,

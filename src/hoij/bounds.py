@@ -260,8 +260,12 @@ def estimate_constants(problem: EstimatingProblem, theta_hat, sampler: DomainSam
 
     The delta series defaults to the exact LOO maximum (epsilon correction
     optional); the Jacobian Lipschitz level is the second-derivative norm
-    bound.  rho fixes the slack in the invertibility condition.
+    bound.  rho fixes the slack in the invertibility condition.  The
+    sampler must be centred on ``theta_hat``.
     """
+    if not np.array_equal(np.asarray(sampler.center, dtype=float),
+                          np.asarray(theta_hat, dtype=float)):
+        raise ValueError("the sampler is not centred on theta_hat")
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must be strictly inside (0, 1), got {rho}")
     if not 0 <= order < fad.K_MAX:

@@ -218,11 +218,10 @@ def _cmd_cv(args):
         _validate_bounds_order(args.order)
     problem = _load_problem(args)
     weights = _weight_stream(args, problem.n_terms)
-    sampler = None
-    if args.radius is not None:
-        # centred on the base fit that run_cv solves
-        sampler = functools.partial(bnd.DomainSampler, radius=args.radius,
-                                    n_samples=args.samples, seed=args.seed)
+    # centred on the base fit that run_cv solves
+    sampler = functools.partial(bnd.default_sampler, problem, order=args.order,
+                                n_samples=args.samples, seed=args.seed,
+                                radius=args.radius)
     report = resampling.run_cv(
         problem, weights, args.order,
         with_bounds=args.with_bounds, rho=args.rho, sampler=sampler,
@@ -242,8 +241,8 @@ def _cmd_bootstrap(args):
     hfac = factorize_hessian(problem, theta_hat)
     sandwich = resampling.sandwich_covariance(problem, theta_hat, hfac)
     linear = resampling.linear_covariance(problem, theta_hat, hfac)
-    samples = resampling.bootstrap_linear_samples(problem, theta_hat, hfac,
-                                                  args.draws, seed=args.seed)
+    samples, expns = resampling.bootstrap_samples(problem, theta_hat, hfac, args.draws,
+                                                  order=args.order, seed=args.seed)
     empirical = np.cov(samples, rowvar=False, bias=True).reshape(
         problem.dim_theta, problem.dim_theta)
     obj = {
@@ -257,13 +256,7 @@ def _cmd_bootstrap(args):
         # identity between the two routes is exact rather than asymptotic
         "covariance_convention": "centered outer products over N^2",
     }
-    if args.order >= 2:
-        table = term_tables(args.order)
-        boot = list(models.bootstrap_weights(problem.n_terms, args.draws, seed=args.seed))
-        expns = np.array([
-            evaluate_theta_ij(problem, theta_hat, hfac, table, w.delta, args.order).theta_ij
-            for w in boot
-        ])
+    if expns is not None:
         obj["empirical_covariance_order_k"] = np.cov(
             expns, rowvar=False, bias=True).reshape(
             problem.dim_theta, problem.dim_theta).tolist()
@@ -277,12 +270,8 @@ def _cmd_bounds(args):
     _validate_bounds_order(args.order)
     problem = _load_problem(args)
     theta_hat = solve_base(problem)
-    if args.radius is not None:
-        sampler = bnd.DomainSampler(theta_hat, args.radius,
-                                    n_samples=args.samples, seed=args.seed)
-    else:
-        sampler = bnd.default_sampler(problem, theta_hat, args.order,
-                                      n_samples=args.samples, seed=args.seed)
+    sampler = bnd.default_sampler(problem, theta_hat, args.order, n_samples=args.samples,
+                                  seed=args.seed, radius=args.radius)
     report = bnd.bounds_report(problem, theta_hat, sampler, args.order,
                                rho=args.rho, epsilon=args.epsilon_term)
     _emit(report, args)

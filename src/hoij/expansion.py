@@ -2,15 +2,16 @@
 
 The expansion around the all-ones weights needs one Newton solve, one
 dense factorization of the Jacobian H = dG/dtheta at the base fit, and the
-derivative tensors of G there, each computed once on first use.  After that,
-every weight vector costs only derivative contractions and triangular
-solves: the order-k coefficient solves
+per-datum derivative arrays of G there, one forward pass per order on first
+use.  After that, every weight vector costs only derivative contractions and
+triangular solves: the order-k coefficient solves
 
     H * d_k = -(sum of table terms of order k),
 
 where each table term is a G-derivative contracted against lower-order
-coefficients.  Terms without the weight derivative contract the cached
-tensors; weight-direction terms sweep only the rows the weights change.
+coefficients.  Terms without the weight derivative contract the row sums of
+the cached arrays; weight-direction terms contract the cached rows the
+weights change, so no forward pass runs per weight.
 """
 
 from __future__ import annotations
@@ -134,7 +135,11 @@ class HessianFactor:
     """Dense LU factorization of the base Jacobian for repeated solves.
 
     It also keeps the base fit ``theta_hat`` it was built at, and memoizes
-    the derivative tensors of G there (all-ones weights) on first use.
+    the derivatives of G there (all-ones weights) on first use: the
+    per-datum arrays of :func:`forward_ad.per_datum_tensor` for the orders
+    that :meth:`rows` is asked for, and the summed tensors of :meth:`tensor`,
+    read off cached rows when there are some and otherwise from
+    :func:`forward_ad.g_theta_tensor`, whose pass keeps no per-datum array.
     """
 
     matrix: np.ndarray
@@ -143,25 +148,44 @@ class HessianFactor:
     problem: EstimatingProblem
     theta_hat: np.ndarray
     _tensors: dict = field(default_factory=dict, repr=False)
+    _rows: dict = field(default_factory=dict, repr=False)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return scipy.linalg.lu_solve(self.lu, b)
+        # LAPACK's getrs, as in scipy.linalg.lu_solve, without the wrapper's
+        # checks: they cost more than the solve at small D.  One finiteness
+        # check of the result stands in for the wrapper's check of b.
+        x, info = scipy.linalg.lapack.dgetrs(*self.lu, b)
+        if info != 0:
+            raise ValueError(f"getrs rejected its argument {-info}")
+        if not np.isfinite(x).all():
+            raise fad.NonFiniteValueError("non-finite solution of the Hessian system")
+        return x
+
+    def rows(self, k: int) -> tuple:
+        """(g0, per): the order-k derivatives of g_0 and of every g_n at theta_hat."""
+        r = self._rows.get(k)
+        if r is None:
+            r = fad.per_datum_tensor(self.problem, self.theta_hat, k)
+            self._rows[k] = r
+        return r
 
     def tensor(self, k: int) -> np.ndarray:
         """The order-k derivative array of G at theta_hat, shape (D, D**k)."""
         t = self._tensors.get(k)
         if t is None:
-            t = fad.g_theta_tensor(self.problem, self.theta_hat,
-                                   np.ones(self.problem.n_terms), k)
+            n = self.problem.n_terms
+            if k in self._rows:
+                g0, per = self._rows[k]
+                inverse = fad.basis_multisets(self.problem.dim_theta, k)[1]
+                t = (g0 + per.sum(axis=0))[:, inverse] / n
+            else:
+                t = fad.g_theta_tensor(self.problem, self.theta_hat, np.ones(n), k)
             self._tensors[k] = t
         return t
 
     def contract(self, directions) -> np.ndarray:
         """The order-len(directions) tensor applied to each direction."""
-        out = self.tensor(len(directions))
-        for v in directions:
-            out = out.reshape(-1, v.size) @ v
-        return out
+        return fad.contract(self.tensor(len(directions)), directions)
 
 
 def factorize_hessian(problem: EstimatingProblem, theta_hat,
@@ -202,8 +226,8 @@ def evaluate_term(problem: EstimatingProblem, theta_hat, term: DerivativeTerm,
     ``dset`` maps order j to the already computed coefficient vector d_j.
     Flag 0 contracts the theta-derivative of G at the all-ones weights;
     flag 1 contracts the weight-direction derivative along delta_w.  Both
-    sweep the data; :func:`evaluate_dtheta` instead contracts the tensors
-    cached on the Hessian factor for flag 0.
+    run a forward pass over the data; :func:`evaluate_dtheta` instead
+    contracts the arrays cached on the Hessian factor.
     """
     dirs = _term_directions(term, dset)
     if term.omega == 0:
@@ -218,17 +242,19 @@ def evaluate_dtheta(problem: EstimatingProblem, theta_hat, hfac: HessianFactor,
                     delta_w) -> np.ndarray:
     """One expansion coefficient: -H^{-1} (sum of coefficient-weighted terms).
 
-    Terms without the weight derivative contract the derivative tensors
-    cached on ``hfac``, so ``theta_hat`` must be the point it was built at.
+    Every term contracts the derivative arrays cached on ``hfac``, so
+    ``theta_hat`` must be the point it was built at.
     """
     if not np.array_equal(theta_hat, hfac.theta_hat):
         raise ValueError("theta_hat differs from the point the Hessian factor was built at")
     d = np.zeros(problem.dim_theta)
     for t in order_terms:
+        dirs = _term_directions(t, dset)
         if t.omega == 1:
-            value = evaluate_term(problem, theta_hat, t, dset, delta_w)
+            value = fad.g_weight_derivative(problem, theta_hat, delta_w, dirs,
+                                            hfac.rows(len(dirs))[1])
         else:
-            value = hfac.contract(_term_directions(t, dset))
+            value = hfac.contract(dirs)
             if not np.all(np.isfinite(value)):
                 raise fad.NonFiniteValueError(f"non-finite contraction for term {t}")
         d = d + t.coeff * value
@@ -262,12 +288,17 @@ def evaluate_theta_ij(problem: EstimatingProblem, theta_hat, hfac: HessianFactor
     """Run the expansion loop through the requested order.
 
     Accumulates the derivative set bottom-up; everything reuses the single
-    factorization in ``hfac``.
+    factorization in ``hfac``.  Weight-direction terms read the per-datum
+    arrays of orders below ``order``, which ``hfac`` keeps, and their row
+    sums serve the other terms, so each order costs one forward pass per
+    factor; the order-``order`` array is needed only for its row sum.
     """
     if order > table.max_order:
         raise ValueError(f"order {order} exceeds table max {table.max_order}")
     delta_w = np.asarray(getattr(delta_w, "delta", delta_w), dtype=float)
     theta_hat = np.asarray(theta_hat, dtype=float)
+    for j in range(order):
+        hfac.rows(j)
     dset: dict = {}
     dthetas = []
     for k in range(1, order + 1):

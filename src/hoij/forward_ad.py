@@ -18,14 +18,16 @@ Coefficient leaves are floats or numpy arrays.  Array leaves let a single
 evaluation carry every data row of an estimating problem at once, which is
 how the weighted-sum helpers below stay fast for large N.  A leading leaf
 axis can also carry every multiset of basis directions at once:
-:func:`g_theta_tensor` uses it to build the small summed derivative tensor
-of G in one pass, and :func:`per_datum_tensor` keeps the row axis to give
-the per-datum derivatives over multisets, one row block at a time, for the
-bounds layer.
+:func:`per_datum_tensor` uses it to give the per-datum derivatives of every
+g_n over multisets in one pass, one row block at a time.  Everything else
+at a fixed point is a contraction of those arrays: :func:`g_theta_tensor`
+is their weighted row sum, and :func:`g_weight_derivative` contracts the
+rows a weight vector changes when it is handed the cached arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import numbers
 
@@ -297,19 +299,14 @@ def directional_derivative(f, theta0, directions):
 
 
 def _reduce_leaves(x, coeffs, coeff_total):
-    # Contract the row axis (the last) of a scalar-like's array leaves
-    # against a coefficient vector.  Float leaves, and the (P, 1) leaves of
-    # a direction-batched pass, are constant across rows.
+    # Contract the row axis of a scalar-like's array leaves against a
+    # coefficient vector; float leaves are constant across rows.
     if isinstance(x, TaylorScalar):
         return TaylorScalar(
             [_reduce_leaves(c, coeffs, coeff_total) for c in x.coeffs]
         )
     if isinstance(x, np.ndarray):
-        if x.ndim == 1:
-            return float(coeffs @ x)
-        if x.shape[-1] == coeffs.size:
-            return (x @ coeffs)[..., None]
-        return x * coeff_total
+        return float(coeffs @ x)
     return float(x) * coeff_total
 
 
@@ -362,18 +359,32 @@ def g_theta_derivative(problem, theta, weights, directions):
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def basis_multisets(dim, k):
     """Index multisets of an order-k symmetric tensor in D = dim variables.
 
     Returns ``(multisets, inverse)``: the C(D+k-1, k) sorted index tuples as
     a (P, k) array, and for each of the D**k ordered tuples (row-major) the
-    position of its multiset.  At k = 0 the one multiset is empty.
+    position of its multiset.  At k = 0 the one multiset is empty.  Both
+    arrays are cached and read-only.
     """
     multisets = list(itertools.combinations_with_replacement(range(dim), k))
     position = {m: i for i, m in enumerate(multisets)}
-    inverse = [position[tuple(sorted(t))]
-               for t in itertools.product(range(dim), repeat=k)]
-    return np.array(multisets, dtype=int).reshape(len(multisets), k), np.array(inverse)
+    inverse = np.array([position[tuple(sorted(t))]
+                        for t in itertools.product(range(dim), repeat=k)], dtype=int)
+    multisets = np.array(multisets, dtype=int).reshape(len(multisets), k)
+    multisets.setflags(write=False)
+    inverse.setflags(write=False)
+    return multisets, inverse
+
+
+def contract(tensor, directions):
+    """A (D, D**k) derivative array applied to each of its k directions."""
+    out = tensor
+    for v in directions:
+        v = np.asarray(v, dtype=float)
+        out = out.reshape(-1, v.size) @ v
+    return out.reshape(len(tensor))
 
 
 def _batched_coefficient(values, k, width):
@@ -402,27 +413,14 @@ def g_theta_tensor(problem, theta, weights, k):
     """The order-k derivative array of theta -> G(theta, w), shape (D, D**k).
 
     Entry [i, j_1 D**(k-1) + ... + j_k] is the mixed partial of G_i in
-    theta_{j_1} .. theta_{j_k}.  One nested pass carries every multiset of k
-    basis directions along a leading leaf axis, so each symmetric entry is
-    computed once (Griewank, Utke & Walther 2000).  Data rows go in blocks
-    that keep each leaf within BLOCK_ELEMENTS entries.
+    theta_{j_1} .. theta_{j_k}: the weighted row sum (g_0 + w @ per) / N of
+    :func:`per_datum_tensor`, expanded from multisets to ordered tuples.
     """
-    weights = np.asarray(getattr(weights, "values", weights), dtype=float)
-    dim, n = problem.dim_theta, problem.n_terms
-    if weights.shape != (n,):
-        raise ValueError(f"weight length {weights.shape} does not match {n} terms")
     if not 1 <= k <= K_MAX:
         raise ValueError(f"derivative order {k} outside 1..{K_MAX}")
-    multisets, inverse = basis_multisets(dim, k)
-    width = len(multisets)
-    x = _multiset_input(theta, dim, multisets)
-    acc = _batched_coefficient(problem.term_fn(0, x), k, width)
-    step = max(1, BLOCK_ELEMENTS // width)
-    for lo in range(0, n, step):
-        rows = np.arange(lo, min(lo + step, n))
-        acc += _batched_coefficient(
-            weighted_term_sum(problem, x, weights[rows], rows), k, width)
-    out = acc[:, inverse] / n
+    weights = np.asarray(getattr(weights, "values", weights), dtype=float)
+    g0, summed = per_datum_tensor(problem, theta, k, weights)
+    out = (g0 + summed)[:, basis_multisets(problem.dim_theta, k)[1]] / problem.n_terms
     if not np.all(np.isfinite(out)):
         raise NonFiniteValueError(
             f"non-finite estimating-function derivative tensor of order {k}"
@@ -430,17 +428,21 @@ def g_theta_tensor(problem, theta, weights, k):
     return out
 
 
-def per_datum_tensor(problem, theta, k):
+def per_datum_tensor(problem, theta, k, weights=None):
     """Order-k derivatives of g_0 and of every g_n at theta, over multisets.
 
     Returns ``(g0, per)`` with shapes (D, P) and (N, D, P), where P =
     C(D+k-1, k) and column p is the mixed partial in the basis-direction
     multiset ``basis_multisets(D, k)[0][p]``; ``per[:, :, inverse]`` is each
     row's full (D, D**k) array.  At k = 0, P = 1 and the columns hold the
-    values g_n(theta).  The multisets ride one nested pass as in
-    :func:`g_theta_tensor`, but the row axis is kept rather than reduced,
-    so the rows go in blocks that keep each leaf within BLOCK_ELEMENTS
-    entries.
+    values g_n(theta).  One nested pass carries every multiset along a
+    leading leaf axis, so each symmetric entry is computed once (Griewank,
+    Utke & Walther 2000); the rows go in blocks that keep each leaf within
+    BLOCK_ELEMENTS entries.
+
+    With ``weights`` (length N), the second array is instead the weighted
+    row sum ``weights @ per``, shape (D, P), reduced block by block, so
+    memory does not grow with N.
     """
     dim, n = problem.dim_theta, problem.n_terms
     if not 0 <= k <= K_MAX:
@@ -449,19 +451,28 @@ def per_datum_tensor(problem, theta, k):
     width = len(multisets)
     x = _multiset_input(theta, dim, multisets)
     g0 = _batched_coefficient(problem.term_fn(0, x), k, width)
-    per = np.empty((dim, width, n))  # filled row block by row block
     step = max(1, BLOCK_ELEMENTS // width)
+    if weights is None:
+        per = np.empty((dim, width, n))  # filled row block by row block
+    else:
+        if np.shape(weights) != (n,):
+            raise ValueError(f"weight length {np.shape(weights)} does not match {n} terms")
+        per = np.zeros((dim, width))
+        block = np.empty((dim, width, min(step, n)))
     for lo in range(0, n, step):
         hi = min(lo + step, n)
+        part = per[:, :, lo:hi] if weights is None else block[:, :, :hi - lo]
         if problem.batch_fn is None:
             for r in range(lo, hi):
-                per[:, :, r] = _batched_coefficient(problem.term_fn(r + 1, x), k, width)
-            continue
-        outs = problem.batch_fn(x, np.arange(lo, hi))
-        for j, o in enumerate(outs):
-            # leaves are (P, rows), (P, 1), (rows,) or floats
-            per[j, :, lo:hi] = nested_coefficient(o, k)
-    per = per.transpose(2, 0, 1)
+                part[:, :, r - lo] = _batched_coefficient(problem.term_fn(r + 1, x), k, width)
+        else:
+            for j, o in enumerate(problem.batch_fn(x, np.arange(lo, hi))):
+                # leaves are (P, rows), (P, 1), (rows,) or floats
+                part[j] = nested_coefficient(o, k)
+        if weights is not None:
+            per += part @ weights[lo:hi]
+    if weights is None:
+        per = per.transpose(2, 0, 1)
     if not (np.all(np.isfinite(g0)) and np.all(np.isfinite(per))):
         raise NonFiniteValueError(
             f"non-finite per-datum derivative of order {k}"
@@ -469,24 +480,49 @@ def per_datum_tensor(problem, theta, k):
     return g0, per
 
 
-def g_weight_derivative(problem, theta, delta_w, directions):
+def g_weight_derivative(problem, theta, delta_w, directions, per_datum=None):
     """Mixed theta-derivative of (1/N) sum_n g_n(theta) delta_w_n.
 
     This is the weight-direction derivative of G: the regularization term
-    g_0 drops out, and rows with delta_w_n == 0 are skipped.  With no
-    directions it returns the weighted sum itself.
+    g_0 drops out.  With no directions it returns the weighted sum itself.
+
+    ``per_datum``, when given, must be the (N, D, P) array of
+    ``per_datum_tensor(problem, theta, len(directions))`` at this same
+    theta: delta_w is then contracted with it, with no forward pass, and
+    theta is not read.  Without it one nested pass sweeps the rows delta_w
+    changes.
     """
     delta_w = np.asarray(getattr(delta_w, "delta", delta_w), dtype=float)
     k = len(directions)
-    _check_directions(directions, problem.dim_theta)
-    rows = np.nonzero(delta_w)[0]
-    if rows.size == 0:
-        return np.zeros(problem.dim_theta)
-    x = nested_input(theta, directions)
-    total = weighted_term_sum(problem, x, delta_w[rows], rows)
-    out = np.array(
-        [float(nested_coefficient(tj, k)) / problem.n_terms for tj in total]
-    )
+    dim, n = problem.dim_theta, problem.n_terms
+    _check_directions(directions, dim)
+    if per_datum is not None:
+        want = (n, dim, len(basis_multisets(dim, k)[0]))
+        if per_datum.shape != want:
+            raise ValueError(f"per-datum array of shape {per_datum.shape} is not "
+                             f"the order-{k} array, shape {want}")
+        # (D * P, N), rows last.  One product over every row beats gathering
+        # the changed rows (an O(N) scan and a strided copy) unless D * P >=
+        # 32 and fewer than N / 32 rows change.  Measured on a 2-core Xeon:
+        # at D * P <= 18 the product won at every N <= 100 000 and every
+        # count of changed rows; at D * P = 288, N = 100 000 and one row the
+        # gather took 0.4 ms against 10 ms; near the bound the worse choice
+        # cost at most 2.3 times the better one (13 against 6 us).
+        per = per_datum.transpose(1, 2, 0).reshape(-1, n)
+        if len(per) >= 32 and 32 * np.count_nonzero(delta_w) < n:
+            rows = np.flatnonzero(delta_w)
+            summed = per[:, rows] @ delta_w[rows]
+        else:
+            summed = per @ delta_w
+        out = contract(summed.reshape(dim, -1)[:, basis_multisets(dim, k)[1]],
+                       directions) / n
+    else:
+        rows = np.nonzero(delta_w)[0]
+        if rows.size == 0:
+            return np.zeros(dim)
+        x = nested_input(theta, directions)
+        total = weighted_term_sum(problem, x, delta_w[rows], rows)
+        out = np.array([float(nested_coefficient(tj, k)) / n for tj in total])
     if not np.all(np.isfinite(out)):
         raise NonFiniteValueError(
             f"non-finite weight-direction derivative of order {k}"

@@ -207,10 +207,26 @@ def leave_kappa_out_weights(n: int, kappa: int, seed: int = 0,
 
 def bootstrap_weights(n: int, draws: int, seed: int = 0) -> Iterator[WeightVector]:
     """Multinomial bootstrap weights: counts of n draws over n equiprobable cells."""
+    blocks = bootstrap_weight_blocks(n, draws, seed, chunk=1)
+    for b, block in enumerate(blocks):
+        yield WeightVector(block[0], label=f"boot:{b + 1}")
+
+
+def bootstrap_weight_blocks(n: int, draws: int, seed: int = 0,
+                            chunk: int = 20000) -> Iterator[np.ndarray]:
+    """The weights of :func:`bootstrap_weights`, ``chunk`` draws at a time.
+
+    Each block is a (m, n) float array, m <= chunk, one multinomial draw of
+    n over n equiprobable cells per row.  One multinomial call of size m
+    draws what m calls of size 1 draw, so the rows do not depend on
+    ``chunk``.
+    """
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     rng = np.random.default_rng(seed)
-    for b in range(draws):
-        values = rng.multinomial(n, np.full(n, 1.0 / n)).astype(float)
-        yield WeightVector(values, label=f"boot:{b + 1}")
+    p = np.full(n, 1.0 / n)
+    for lo in range(0, draws, chunk):
+        yield rng.multinomial(n, p, size=min(chunk, draws - lo)).astype(float)
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,12 @@ from .expansion import (
     factorize_hessian,
     solve_base,
 )
+from .forward_ad import NonFiniteValueError
 from .models import (
     Dataset,
     EstimatingProblem,
     WeightVector,
+    bootstrap_weight_blocks,
     loo_weights,
     make_problem,
 )
@@ -50,12 +52,13 @@ class WeightOutcome:
     """Per-weight record: approximations of every order against the exact re-fit."""
 
     label: str
-    theta_ij: tuple            # partial sums, orders 0..K
+    theta_ij: Optional[tuple]  # partial sums, orders 0..K
     theta_exact: Optional[np.ndarray]
     errors: Optional[tuple]    # ||theta_ij[k] - exact||_2 per order
     runtime_expand: float
     runtime_refit: float
     refit_error: Optional[str] = None
+    expand_error: Optional[str] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,12 +82,15 @@ class CvReport:
         for o in self.outcomes:
             rec = {
                 "label": o.label,
-                "theta_ij": [[float(v) for v in th] for th in o.theta_ij],
+                "theta_ij": None if o.theta_ij is None
+                            else [[float(v) for v in th] for th in o.theta_ij],
                 "theta_exact": None if o.theta_exact is None
                                else [float(v) for v in o.theta_exact],
                 "errors": None if o.errors is None else [float(e) for e in o.errors],
                 "refit_error": o.refit_error,
             }
+            if o.expand_error is not None:
+                rec["expand_error"] = o.expand_error
             if include_timings:
                 rec["runtime_expand"] = o.runtime_expand
                 rec["runtime_refit"] = o.runtime_refit
@@ -119,22 +125,24 @@ class CvReport:
 
 def _one_weight(problem, theta_hat, hfac, table, w: WeightVector, order: int,
                 cfg: Optional[SolveConfig]) -> WeightOutcome:
+    partials = expand_error = exact = refit_error = None
     t0 = time.perf_counter()
-    expn = evaluate_theta_ij(problem, theta_hat, hfac, table, w.delta, order)
-    partials = tuple(expn.partial_sum(k) for k in range(order + 1))
+    try:
+        expn = evaluate_theta_ij(problem, theta_hat, hfac, table, w.delta, order)
+        partials = tuple(expn.partial_sum(k) for k in range(order + 1))
+    except NonFiniteValueError as err:
+        expand_error = str(err)
     t1 = time.perf_counter()
     try:
         exact = exact_refit(problem, w, theta_hat, cfg)
-    except SolverError as err:
-        return WeightOutcome(
-            label=w.label, theta_ij=partials, theta_exact=None, errors=None,
-            runtime_expand=t1 - t0, runtime_refit=time.perf_counter() - t1,
-            refit_error=str(err),
-        )
-    errors = tuple(float(np.linalg.norm(p - exact)) for p in partials)
+    except (SolverError, NonFiniteValueError) as err:
+        refit_error = str(err)
+    errors = (None if exact is None or partials is None
+              else tuple(float(np.linalg.norm(p - exact)) for p in partials))
     return WeightOutcome(
         label=w.label, theta_ij=partials, theta_exact=exact, errors=errors,
         runtime_expand=t1 - t0, runtime_refit=time.perf_counter() - t1,
+        refit_error=refit_error, expand_error=expand_error,
     )
 
 
@@ -146,11 +154,12 @@ def run_cv(problem: EstimatingProblem, weights: Iterable[WeightVector], order: i
            workers: int = 1, metadata: Optional[dict] = None) -> CvReport:
     """Approximate every weight in the stream and compare with exact re-fits.
 
-    Re-fit failures are recorded per weight, not fatal.  ``with_bounds``
-    additionally estimates the error-bound ladder and attaches the per-order
-    bound column (one uniform bound across the weight set).  ``sampler``
-    builds the DomainSampler from the base fit theta_hat solved here; None
-    means :func:`default_sampler`.
+    Expansion and re-fit failures are recorded per weight, not fatal, and
+    a weight missing either result is left out of the aggregate errors.
+    ``with_bounds`` additionally estimates the error-bound ladder and
+    attaches the per-order bound column (one uniform bound across the weight
+    set).  ``sampler`` builds the DomainSampler from the base fit theta_hat
+    solved here; None means :func:`default_sampler` with its defaults.
     """
     theta_hat = solve_base(problem, cfg=cfg)
     hfac = factorize_hessian(problem, theta_hat)
@@ -259,28 +268,40 @@ def linear_covariance(problem: EstimatingProblem, theta_hat, hfac) -> np.ndarray
     return hfac.solve(hfac.solve(middle).T).T
 
 
-def bootstrap_linear_samples(problem: EstimatingProblem, theta_hat, hfac,
-                             draws: int, seed: int = 0,
-                             chunk: int = 20000) -> np.ndarray:
-    """Sampled first-order approximations under multinomial bootstrap weights.
+def bootstrap_samples(problem: EstimatingProblem, theta_hat, hfac, draws: int,
+                      order: int = 1, seed: int = 0, chunk: int = 20000) -> tuple:
+    """Sampled approximations under multinomial bootstrap weights.
 
-    The order-1 approximation is linear in the weights, so draws are
-    evaluated in vectorized blocks; the result has shape (draws, D).
+    Returns ``(linear, expanded)``, each of shape (draws, D): the order-1
+    approximations, evaluated in vectorized blocks since they are linear in
+    the weights, and the order-``order`` expansions of the same draws
+    (None below order 2).  Each block of ``chunk`` draws is drawn once and
+    feeds both.
     """
     n = problem.n_terms
     j = gn_matrix(problem, theta_hat)
     theta_hat = np.asarray(theta_hat, dtype=float)
-    rng = np.random.default_rng(seed)
-    out = np.empty((draws, theta_hat.size))
-    p = np.full(n, 1.0 / n)
+    table = term_tables(order) if order >= 2 else None
+    linear = np.empty((draws, theta_hat.size))
+    expanded = None if table is None else np.empty_like(linear)
     done = 0
-    while done < draws:
-        m = min(chunk, draws - done)
-        w = rng.multinomial(n, p, size=m).astype(float)
-        gw = (w - 1.0) @ j / n
-        out[done:done + m] = theta_hat - hfac.solve(gw.T).T
+    for delta in bootstrap_weight_blocks(n, draws, seed, chunk):
+        delta -= 1.0
+        m = len(delta)
+        linear[done:done + m] = theta_hat - hfac.solve((delta @ j / n).T).T
+        if table is not None:
+            for i, dw in enumerate(delta, start=done):
+                expanded[i] = evaluate_theta_ij(problem, theta_hat, hfac, table,
+                                                dw, order).theta_ij
         done += m
-    return out
+    return linear, expanded
+
+
+def bootstrap_linear_samples(problem: EstimatingProblem, theta_hat, hfac,
+                             draws: int, seed: int = 0,
+                             chunk: int = 20000) -> np.ndarray:
+    """The order-1 half of :func:`bootstrap_samples`, shape (draws, D)."""
+    return bootstrap_samples(problem, theta_hat, hfac, draws, seed=seed, chunk=chunk)[0]
 
 
 # -- N-scaling rate studies -------------------------------------------------------

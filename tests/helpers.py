@@ -4,6 +4,8 @@ The finite-difference routines are intentionally independent of the forward
 AD path they check: they only ever call plain float evaluations.  The
 per-tuple derivative loops are the bounds layer's reference: one nested
 forward pass per ordered basis-direction tuple, with no multiset batching.
+The block-loop tensor is the reference for ``g_theta_tensor``: it reduces
+each row block's leaves as it goes instead of keeping the rows.
 """
 
 import itertools
@@ -149,3 +151,37 @@ def per_tuple_sample_stats(problem, sampler, k_hi):
             t[k] = max(t[k], float(np.max(np.abs(entries))))
             loo[k] = max(loo[k], math.sqrt(sq.max()) / n)
     return _SampledStats(c_op=c_op, m=m, v=v, t=t, loo_exact=loo)
+
+
+def _block_reduce(x, coeffs):
+    # Contract the row axis (the last) of a direction-batched pass's leaves;
+    # (P, 1) leaves and floats are constant across rows.
+    if isinstance(x, fad.TaylorScalar):
+        return fad.TaylorScalar([_block_reduce(c, coeffs) for c in x.coeffs])
+    if isinstance(x, np.ndarray) and x.shape[-1] == coeffs.size and x.ndim > 1:
+        return (x @ coeffs)[..., None]
+    if isinstance(x, np.ndarray) and x.ndim == 1:
+        return float(coeffs @ x)
+    return x * float(coeffs.sum())
+
+
+def block_loop_g_theta_tensor(problem, theta, w, k):
+    """(D, D**k) derivative array of G from a row-block loop that reduces
+    every block's multiset-batched leaves against the weights."""
+    dim, n = problem.dim_theta, problem.n_terms
+    w = np.asarray(w, dtype=float)
+    multisets, inverse = fad.basis_multisets(dim, k)
+    width = len(multisets)
+    x = fad._multiset_input(theta, dim, multisets)
+    acc = fad._batched_coefficient(problem.term_fn(0, x), k, width)
+    step = max(1, fad.BLOCK_ELEMENTS // width)
+    for lo in range(0, n, step):
+        rows = np.arange(lo, min(lo + step, n))
+        if problem.batch_fn is not None:
+            outs = [_block_reduce(o, w[rows]) for o in problem.batch_fn(x, rows)]
+        else:
+            outs = [0.0] * dim
+            for r in rows:
+                outs = [a + w[r] * g for a, g in zip(outs, problem.term_fn(int(r) + 1, x))]
+        acc += fad._batched_coefficient(outs, k, width)
+    return acc[:, inverse] / n

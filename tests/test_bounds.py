@@ -76,6 +76,14 @@ class TestEstimateConstants:
         with pytest.raises(ValueError, match="rho"):
             estimate_constants(prob, theta_hat, DomainSampler(theta_hat, 0.0), 1, rho=1.0)
 
+    def test_sampler_centred_on_theta_hat(self, mean_constants):
+        prob, theta_hat, _ = mean_constants
+        with pytest.raises(ValueError, match="not centred on theta_hat"):
+            estimate_constants(prob, theta_hat, DomainSampler(theta_hat + 0.5, 0.0), 1)
+        # a list and an array holding the same point are the same centre
+        c = estimate_constants(prob, list(theta_hat), DomainSampler(theta_hat, 0.0), 1)
+        assert c.c_op == pytest.approx(1.0, rel=1e-12)
+
     def test_order_validated(self, mean_constants):
         # an order-K bound reads derivatives of order K + 1 <= K_MAX
         prob, theta_hat, _ = mean_constants

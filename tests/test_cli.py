@@ -148,6 +148,25 @@ class TestCvCommand:
             assert got[key] == value, key
 
 
+    @pytest.mark.parametrize("radius", [[], ["--radius", "0.3"]])
+    def test_with_bounds_passes_samples_and_seed(self, linreg_csv, tmp_path, monkeypatch,
+                                                 radius):
+        seen = []
+
+        def recording(problem, theta_hat, sampler, *args, **kwargs):
+            seen.append((sampler.n_samples, sampler.seed))
+            return estimate_constants(problem, theta_hat, sampler, *args, **kwargs)
+
+        estimate_constants = resampling.estimate_constants
+        monkeypatch.setattr(resampling, "estimate_constants", recording)
+        rc = main(["cv", "--model", "linear_regression", "--data", linreg_csv,
+                   "--order", "1", "--scheme", "kfold", "--folds", "2", "--with-bounds",
+                   "--samples", "8", "--seed", "5", "--out", str(tmp_path / "cv.json"),
+                   *radius])
+        assert rc == 0
+        assert seen == [(8, 5)]
+
+
 class TestStreamValidation:
     """Empty or degenerate weight streams are usage errors, not NaN reports."""
 

@@ -17,15 +17,24 @@ from hoij import (
     exact_refit,
     factorize_hessian,
     kfold_weights,
+    leave_kappa_out_weights,
     loo_weights,
     make_problem,
     solve_base,
     term_tables,
 )
 
+from hoij import forward_ad as fad
 from hoij.forward_ad import NonFiniteValueError
 
-from helpers import build_problem, fd_nth_scalar, max_rel_gap, mean_dataset_1236, rel_err
+from helpers import (
+    ALL_MODELS,
+    build_problem,
+    fd_nth_scalar,
+    max_rel_gap,
+    mean_dataset_1236,
+    rel_err,
+)
 
 
 @pytest.fixture
@@ -158,7 +167,8 @@ def term_sum_expansion(prob, theta_hat, hfac, table, delta_w, order):
 
 
 class TestCachedTensorExpansion:
-    """evaluate_theta_ij contracts cached tensors; evaluate_term is the oracle."""
+    """evaluate_theta_ij contracts cached per-datum arrays; evaluate_term,
+    one nested pass per term, is the oracle."""
 
     @pytest.mark.parametrize("model_id,dim", [("logistic_regression", 3),
                                               ("exp_loss", 2)])
@@ -178,6 +188,66 @@ class TestCachedTensorExpansion:
                 for d_got, d_want in zip(got.dthetas, want):
                     assert max_rel_gap(d_got, d_want) <= 1e-12
 
+    @pytest.mark.parametrize("model_id", ALL_MODELS + ["term_fn_only"])
+    @pytest.mark.parametrize("block", [fad.BLOCK_ELEMENTS, 12])
+    def test_every_model_and_scheme(self, model_id, block, monkeypatch):
+        monkeypatch.setattr(fad, "BLOCK_ELEMENTS", block)
+        rng = np.random.default_rng(41)
+        n = 14
+        prob = build_problem(model_id if model_id in ALL_MODELS else "logistic_regression",
+                             rng, n=n, dim=3, reg={"l2": 0.2})
+        if model_id == "term_fn_only":
+            prob = EstimatingProblem(prob.dim_theta, prob.n_terms, prob.term_fn)
+        theta_hat = solve_base(prob)
+        hfac = factorize_hessian(prob, theta_hat)
+        weights = (list(loo_weights(n, [2, 9])) + list(kfold_weights(n, 3, seed=1))
+                   + list(leave_kappa_out_weights(n, 3, seed=4, count=2))
+                   + list(bootstrap_weights(n, 2, seed=2)))
+        for order in range(1, 6):
+            table = term_tables(order)
+            for w in weights:
+                got = evaluate_theta_ij(prob, theta_hat, hfac, table, w.delta, order)
+                want = term_sum_expansion(prob, theta_hat, hfac, table, w.delta, order)
+                for d_got, d_want in zip(got.dthetas, want):
+                    assert max_rel_gap(d_got, d_want) <= 1e-12
+
+    @pytest.mark.parametrize("model_id", ALL_MODELS)
+    def test_tensor_matches_summed_term(self, model_id):
+        rng = np.random.default_rng(45)
+        prob = build_problem(model_id, rng, n=11, dim=3, reg={"l2": 0.3})
+        theta_hat = solve_base(prob)
+        hfac = factorize_hessian(prob, theta_hat)
+        hfac.rows(2)  # orders 2 and 3 reach tensor() with and without cached rows
+        for k in range(1, 6):
+            dset = {j: rng.standard_normal(3) for j in range(1, k + 1)}
+            term = DerivativeTerm(1, tuple(range(1, k + 1)), 0)
+            want = evaluate_term(prob, theta_hat, term, dset, np.zeros(prob.n_terms))
+            assert max_rel_gap(hfac.contract([dset[j] for j in term.kset]), want) <= 1e-12
+        assert max_rel_gap(hfac.tensor(1), hfac.matrix) <= 1e-12
+
+    def test_no_forward_pass_per_weight(self, monkeypatch):
+        rng = np.random.default_rng(46)
+        prob = build_problem("logistic_regression", rng, n=12, dim=2)
+        theta_hat = solve_base(prob)
+        hfac = factorize_hessian(prob, theta_hat)
+        passes = []
+        per_datum_tensor = fad.per_datum_tensor
+
+        def counting(problem, theta, k, weights=None):
+            passes.append(k)
+            return per_datum_tensor(problem, theta, k, weights)
+
+        def forbidden(*args):
+            raise AssertionError("a nested pass ran for a weight vector")
+
+        monkeypatch.setattr(fad, "per_datum_tensor", counting)
+        monkeypatch.setattr(fad, "weighted_term_sum", forbidden)
+        table = term_tables(3)
+        for w in list(loo_weights(12)) + list(bootstrap_weights(12, 5, seed=1)):
+            evaluate_theta_ij(prob, theta_hat, hfac, table, w.delta, 3)
+        assert sorted(passes) == [0, 1, 2, 3]
+        assert sorted(hfac._rows) == [0, 1, 2]
+
     def test_first_order_builds_no_tensor(self, monkeypatch):
         prob = build_problem("exp_loss", np.random.default_rng(42))
         theta_hat = solve_base(prob)
@@ -189,6 +259,16 @@ class TestCachedTensorExpansion:
                           -np.eye(prob.n_terms)[0], 3)
         assert sorted(hfac._tensors) == [2, 3]
 
+    def test_non_finite_weight_term_raises(self):
+        prob = build_problem("exp_loss", np.random.default_rng(47))
+        theta_hat = solve_base(prob)
+        hfac = factorize_hessian(prob, theta_hat)
+        huge = np.full(prob.dim_theta, 1e200)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteValueError, match="weight-direction"):
+            evaluate_dtheta(prob, theta_hat, hfac, [DerivativeTerm(1, (1, 1), 1)],
+                            {1: huge}, -np.eye(prob.n_terms)[0])
+
     def test_non_finite_contraction_raises(self):
         prob = build_problem("exp_loss", np.random.default_rng(43))
         theta_hat = solve_base(prob)
@@ -198,6 +278,31 @@ class TestCachedTensorExpansion:
                 pytest.raises(NonFiniteValueError, match="term"):
             evaluate_dtheta(prob, theta_hat, hfac, [DerivativeTerm(1, (1, 1), 0)],
                             {1: huge}, np.zeros(prob.n_terms))
+
+    def test_overflowing_term_sum_raises(self):
+        prob = build_problem("exp_loss", np.random.default_rng(48))
+        theta_hat = solve_base(prob)
+        hfac = factorize_hessian(prob, theta_hat)
+        # the term H d_1 is finite, ten times it is not
+        d1 = np.full(prob.dim_theta, 1e308)
+        assert np.all(np.isfinite(hfac.contract([d1])))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteValueError, match="Hessian system"):
+            evaluate_dtheta(prob, theta_hat, hfac, [DerivativeTerm(10, (1,), 0)],
+                            {1: d1}, np.zeros(prob.n_terms))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_solve_rejects_non_finite(self, bad):
+        """Every caller of the factor's solve, not only the expansion, gets
+        the error rather than a quiet NaN or infinity."""
+        prob = build_problem("exp_loss", np.random.default_rng(49))
+        hfac = factorize_hessian(prob, solve_base(prob))
+        b = np.ones(prob.dim_theta)
+        b[0] = bad
+        with pytest.raises(NonFiniteValueError, match="Hessian system"):
+            hfac.solve(b)
+        with pytest.raises(NonFiniteValueError, match="Hessian system"):
+            hfac.solve(np.column_stack([np.ones(prob.dim_theta), b]))
 
     def test_other_theta_hat_rejected(self):
         prob = build_problem("exp_loss", np.random.default_rng(44))

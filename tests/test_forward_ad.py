@@ -1,6 +1,7 @@
 """Forward-mode AD engine: Taylor arithmetic and directional derivatives."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +11,15 @@ from hoij.forward_ad import TaylorScalar, directional_derivative
 
 import itertools
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from hoij import EstimatingProblem
 
 from helpers import (
     ALL_MODELS,
     FD_STEP,
+    block_loop_g_theta_tensor,
     build_problem,
     max_rel_gap,
     rel_err,
@@ -228,6 +233,25 @@ def basis_oracle(prob, theta, w, k):
 class TestDerivativeTensor:
     """g_theta_tensor against per-tuple directional derivatives."""
 
+    def test_memory_does_not_grow_with_rows(self):
+        """Rows are reduced block by block: the traced peak is the same at
+        2 000 and 32 000 rows, far below one per-datum array."""
+        peaks = []
+        for n in (2000, 32000):
+            prob = build_problem("logistic_regression", np.random.default_rng(37),
+                                 n=n, dim=3)
+            w = np.ones(n)
+            fad.g_theta_tensor(prob, np.zeros(3), w, 2)  # warm caches
+            tracemalloc.start()
+            try:
+                fad.g_theta_tensor(prob, np.zeros(3), w, 2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        per_datum_bytes = 32000 * 3 * math.comb(3 + 1, 2) * 8
+        assert peaks[1] <= peaks[0] + fad.BLOCK_ELEMENTS
+        assert peaks[1] < per_datum_bytes / 4
+
     @pytest.mark.parametrize("model_id", ALL_MODELS)
     def test_models_with_l2_term(self, model_id):
         rng = np.random.default_rng(31)
@@ -290,6 +314,21 @@ class TestDerivativeTensor:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(fad.NonFiniteValueError):
             fad.g_theta_tensor(prob, [900.0, 900.0], np.ones(5), 2)
+
+    @pytest.mark.parametrize("model_id", ALL_MODELS + ["term_fn_only"])
+    @pytest.mark.parametrize("block", [fad.BLOCK_ELEMENTS, 12])
+    def test_matches_block_loop(self, model_id, block, monkeypatch):
+        rng = np.random.default_rng(36)
+        prob = build_problem(model_id if model_id in ALL_MODELS else "logistic_regression",
+                             rng, n=40, dim=2, reg={"l2": 0.3})
+        if model_id == "term_fn_only":
+            prob = EstimatingProblem(prob.dim_theta, prob.n_terms, prob.term_fn)
+        monkeypatch.setattr(fad, "BLOCK_ELEMENTS", block)
+        theta = rng.uniform(-0.5, 0.5, 2)
+        w = rng.uniform(0.2, 1.8, prob.n_terms)
+        for k in range(1, 6):
+            assert max_rel_gap(fad.g_theta_tensor(prob, theta, w, k),
+                               block_loop_g_theta_tensor(prob, theta, w, k)) <= 1e-12
 
     def test_multisets(self):
         multisets, inverse = fad.basis_multisets(3, 2)
@@ -382,3 +421,114 @@ class TestPerDatumTensor:
                 fad.per_datum_tensor(prob, [900.0, 900.0], k)
         with pytest.raises(ValueError, match="order"):
             fad.per_datum_tensor(prob, [0.0, 0.0], fad.K_MAX + 1)
+
+
+def weight_derivative_routes(prob, theta, delta_w, dirs):
+    """(cached, nested) routes of g_weight_derivative for the same arguments."""
+    per = fad.per_datum_tensor(prob, theta, len(dirs))[1]
+    return (fad.g_weight_derivative(prob, theta, delta_w, dirs, per),
+            fad.g_weight_derivative(prob, theta, delta_w, dirs))
+
+
+class TestCachedWeightDerivative:
+    """The contraction of cached per-datum arrays against the nested pass."""
+
+    @pytest.mark.parametrize("model_id", ALL_MODELS + ["term_fn_only"])
+    def test_sparse_and_dense_weights(self, model_id):
+        rng = np.random.default_rng(51)
+        prob = build_problem(model_id if model_id in ALL_MODELS else "exp_loss",
+                             rng, n=70, dim=4, reg={"l2": 0.3})
+        if model_id == "term_fn_only":
+            prob = EstimatingProblem(prob.dim_theta, prob.n_terms, prob.term_fn)
+        theta = rng.uniform(-0.5, 0.5, 4)
+        # two of 70 rows: gathered once D * P >= 32, i.e. from order 2
+        sparse = np.zeros(prob.n_terms)
+        sparse[[1, 56]] = [-1.0, 2.0]
+        dense = rng.uniform(-1.0, 1.0, prob.n_terms)
+        for j in range(5):  # the weight terms of orders K = j + 1 = 1..5
+            dirs = tuple(rng.standard_normal((j, 4)))
+            for delta_w in (sparse, dense):
+                got, want = weight_derivative_routes(prob, theta, delta_w, dirs)
+                assert got.shape == (4,)
+                assert max_rel_gap(got, want) <= 1e-12
+
+    def test_rows_in_several_blocks(self, monkeypatch):
+        rng = np.random.default_rng(52)
+        prob = build_problem("logistic_regression", rng, n=40, dim=2, reg={"l2": 0.2})
+        monkeypatch.setattr(fad, "BLOCK_ELEMENTS", 12)
+        theta = rng.uniform(-0.5, 0.5, 2)
+        delta_w = rng.integers(-1, 3, prob.n_terms).astype(float)
+        for j in range(4):
+            got, want = weight_derivative_routes(prob, theta, delta_w,
+                                                 tuple(rng.standard_normal((j, 2))))
+            assert max_rel_gap(got, want) <= 1e-12
+
+    def test_wrong_order_rejected(self):
+        rng = np.random.default_rng(55)
+        prob = build_problem("exp_loss", rng, n=6, dim=2)
+        theta = np.array([0.1, -0.2])
+        per2 = fad.per_datum_tensor(prob, theta, 2)[1]
+        with pytest.raises(ValueError, match="order-1 array"):
+            fad.g_weight_derivative(prob, theta, np.eye(6)[1], (np.ones(2),), per2)
+        with pytest.raises(ValueError, match="order-3 array"):
+            fad.g_weight_derivative(prob, theta, np.eye(6)[1], (np.ones(2),) * 3, per2)
+
+    def test_zero_delta_and_non_finite(self):
+        rng = np.random.default_rng(53)
+        prob = build_problem("exp_loss", rng, n=6, dim=2)
+        theta = np.array([0.1, -0.2])
+        per = fad.per_datum_tensor(prob, theta, 2)[1]
+        dirs = (np.ones(2), np.ones(2))
+        np.testing.assert_array_equal(
+            fad.g_weight_derivative(prob, theta, np.zeros(6), dirs, per), [0.0, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(fad.NonFiniteValueError, match="weight-direction"):
+            fad.g_weight_derivative(prob, theta, np.eye(6)[2],
+                                    (np.full(2, 1e200), np.full(2, 1e200)), per)
+
+
+PROPERTY_PROBLEM = build_problem("logistic_regression", np.random.default_rng(54),
+                                 n=10, dim=2, reg={"l2": 0.3})
+PROPERTY_THETA = np.array([0.3, -0.4])
+WEIGHT_ENTRY = st.one_of(st.just(0.0), st.integers(-1, 3).map(float),
+                         st.floats(0.01, 2.0), st.floats(-2.0, -0.01))
+
+
+def row_scale(prob, theta, delta_w, dirs):
+    """The largest summed magnitude of the rows' contributions, over entries."""
+    per = fad.per_datum_tensor(prob, theta, len(dirs))[1]
+    inverse = fad.basis_multisets(prob.dim_theta, len(dirs))[1]
+    rows = [abs(c) * np.abs(fad.contract(p[:, inverse], dirs)) for c, p in zip(delta_w, per)]
+    return np.max(np.sum(rows, axis=0)) / prob.n_terms
+
+
+GATHER_PROBLEM = build_problem("exp_loss", np.random.default_rng(56), n=70, dim=4,
+                               reg={"l2": 0.3})
+
+
+@settings(max_examples=40, deadline=None)
+@given(changed=st.dictionaries(st.integers(0, 69), WEIGHT_ENTRY.filter(bool),
+                               min_size=1, max_size=2),
+       order=st.integers(2, 3), seed=st.integers(0, 2 ** 16))
+def test_gathered_contraction_property(changed, order, seed):
+    """One or two changed rows of 70 at D * P >= 32, so the cached route
+    gathers them: it equals the nested pass over the same rows."""
+    delta_w = np.zeros(70)
+    delta_w[list(changed)] = list(changed.values())
+    dirs = tuple(np.random.default_rng(seed).standard_normal((order, 4)))
+    prob, theta = GATHER_PROBLEM, np.full(4, 0.1)
+    got, want = weight_derivative_routes(prob, theta, delta_w, dirs)
+    assert np.max(np.abs(got - want)) <= 1e-12 * row_scale(prob, theta, delta_w, dirs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(delta_w=st.lists(WEIGHT_ENTRY, min_size=10, max_size=10),
+       order=st.integers(0, 3), seed=st.integers(0, 2 ** 16))
+def test_cached_contraction_property(delta_w, order, seed):
+    """Random sparse or dense delta_w: the cached route equals the nested
+    pass, to 1e-12 of the summed magnitude of the rows' contributions."""
+    prob, theta = PROPERTY_PROBLEM, PROPERTY_THETA
+    delta_w = np.array(delta_w)
+    dirs = tuple(np.random.default_rng(seed).standard_normal((order, 2)))
+    got, want = weight_derivative_routes(prob, theta, delta_w, dirs)
+    assert np.max(np.abs(got - want)) <= 1e-12 * row_scale(prob, theta, delta_w, dirs)

@@ -4,12 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoij import (
     Dataset,
     DatasetError,
     EstimatingProblem,
     WeightVector,
+    bootstrap_weight_blocks,
     bootstrap_weights,
     evaluate_g,
     kfold_weights,
@@ -202,6 +205,14 @@ class TestWeightVectors:
             assert np.all(w.values >= 0.0)
             assert np.all(w.values == np.round(w.values))
 
+    def test_bootstrap_stream(self):
+        """Each draw is one multinomial call of size 1, in order, from a
+        generator seeded once: the stream every recorded output uses."""
+        rng = np.random.default_rng(9)
+        want = [rng.multinomial(6, np.full(6, 1.0 / 6)) for _ in range(5)]
+        got = [w.values for w in bootstrap_weights(6, 5, seed=9)]
+        np.testing.assert_array_equal(got, want)
+
     def test_bootstrap_mean_property(self):
         """Each w_n averages to 1 within 5 standard errors over 1e4 draws."""
         n, draws = 10, 10_000
@@ -258,3 +269,26 @@ class TestProblemValidation:
             Dataset(np.array([[1.0], [np.nan]]))
         with pytest.raises(DatasetError):
             Dataset(np.ones((2, 1)), np.ones(3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 30), seed=st.integers(0, 2 ** 16), data=st.data())
+def test_weight_schemes_property(n, seed, data):
+    """Every scheme yields finite length-N weights with the expected sums."""
+    def check(stream, sums):
+        vectors = list(stream)
+        assert len(vectors) == len(sums)
+        for w, total in zip(vectors, sums):
+            assert w.values.shape == (n,) and np.all(np.isfinite(w.values))
+            assert w.values.sum() == total
+
+    check(loo_weights(n), [n - 1] * n)
+    folds = data.draw(st.integers(2, n))
+    sizes = [len(f) for f in np.array_split(np.arange(n), folds)]
+    check(kfold_weights(n, folds, seed=seed), [n - s for s in sizes])
+    kappa = data.draw(st.integers(1, n))
+    check(leave_kappa_out_weights(n, kappa, seed=seed, count=3), [n - kappa] * 3)
+    draws = data.draw(st.integers(1, 12))
+    check(bootstrap_weights(n, draws, seed=seed), [n] * draws)
+    blocks = np.vstack(list(bootstrap_weight_blocks(n, draws, seed, chunk=5)))
+    assert blocks.shape == (draws, n) and np.all(blocks.sum(axis=1) == n)

@@ -8,7 +8,11 @@ import pytest
 from hoij import (
     Dataset,
     GeneratorConfig,
+    WeightVector,
     bootstrap_linear_samples,
+    bootstrap_samples,
+    bootstrap_weight_blocks,
+    bootstrap_weights,
     evaluate_theta_ij,
     factorize_hessian,
     ij_linear_covariance,
@@ -125,6 +129,28 @@ class TestRunCv:
         assert report.outcomes[0].refit_error
 
 
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_non_finite_expansion_recorded_not_fatal(self):
+        rng = np.random.default_rng(12)
+        prob = build_problem("logistic_regression", rng, n=12, dim=2)
+        loo = list(loo_weights(12, [1, 5, 9]))
+        huge = np.ones(12)
+        huge[4] = 1e300
+        stream = loo[:2] + [WeightVector(huge, label="huge")] + loo[2:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = run_cv(prob, stream, 3)
+        want = run_cv(prob, loo, 3)
+        bad = report.outcomes[2]
+        assert bad.label == "huge" and bad.theta_ij is None and bad.errors is None
+        assert "non-finite" in bad.expand_error
+        rec = report.to_json_obj()["outcomes"]
+        assert rec[2]["theta_ij"] is None and rec[2]["expand_error"] == bad.expand_error
+        assert all("expand_error" not in r for i, r in enumerate(rec) if i != 2)
+        kept = json.loads(json.dumps(report.to_json_obj()))
+        kept["outcomes"].pop(2)
+        assert kept == json.loads(json.dumps(want.to_json_obj()))
+
+
 class TestCovarianceIdentity:
     def test_mean_model_value(self):
         prob = make_problem("mean", mean_dataset_1236())
@@ -168,6 +194,31 @@ class TestCovarianceIdentity:
         for row, w in zip(samples, bootstrap_weights(15, 5, seed=3)):
             expn = evaluate_theta_ij(prob, theta_hat, hfac, table, w.delta, 1)
             np.testing.assert_allclose(row, expn.theta_ij, atol=1e-12)
+
+    def test_blocks_are_the_single_draws(self):
+        n, draws = 7, 11
+        blocks = list(bootstrap_weight_blocks(n, draws, seed=5, chunk=4))
+        assert [len(b) for b in blocks] == [4, 4, 3]
+        np.testing.assert_array_equal(
+            np.vstack(blocks), [w.values for w in bootstrap_weights(n, draws, seed=5)])
+
+    def test_one_draw_feeds_both_orders(self):
+        """Across chunk boundaries, both sample sets come from the draws of
+        bootstrap_weights, and the linear half is bootstrap_linear_samples."""
+        rng = np.random.default_rng(11)
+        prob = build_problem("logistic_regression", rng, n=15, dim=2)
+        theta_hat = solve_base(prob)
+        hfac = factorize_hessian(prob, theta_hat)
+        linear, expanded = bootstrap_samples(prob, theta_hat, hfac, 7, order=3,
+                                             seed=8, chunk=3)
+        table = term_tables(3)
+        for row, w in zip(expanded, bootstrap_weights(15, 7, seed=8), strict=True):
+            want = evaluate_theta_ij(prob, theta_hat, hfac, table, w.delta, 3).theta_ij
+            np.testing.assert_array_equal(row, want)
+        np.testing.assert_allclose(
+            linear, bootstrap_linear_samples(prob, theta_hat, hfac, 7, seed=8),
+            rtol=1e-13, atol=0)
+        assert bootstrap_samples(prob, theta_hat, hfac, 7, seed=8)[1] is None
 
     def test_monte_carlo_agreement_small(self):
         rng = np.random.default_rng(10)
