@@ -175,8 +175,9 @@ class BoundConstants:
 
     ``m``, ``v``, ``t`` and the delta series are per-order dicts indexed
     0..K+1 (``m`` additionally includes order 0 for the epsilon correction,
-    although only orders >= 1 enter any bound).  ``delta`` is the series the
-    bounds consume: the exact leave-one-out maximum plus any epsilon term.
+    although only orders >= 1 enter any bound).  ``delta_exact`` is the
+    series the bounds consume: the exact leave-one-out maximum plus any
+    epsilon term.
     """
 
     c_op: float
@@ -184,7 +185,6 @@ class BoundConstants:
     m: dict
     v: dict
     t: dict
-    delta: dict
     delta_exact: dict
     delta_v: dict
     delta_t: dict
@@ -287,7 +287,6 @@ def estimate_constants(problem: EstimatingProblem, theta_hat, sampler: DomainSam
         m=dict(stats.m),
         v={k: stats.v[k] for k in ks},
         t={k: stats.t[k] for k in ks},
-        delta=delta_exact,
         delta_exact=delta_exact,
         delta_v=delta_v,
         delta_t=delta_t,
@@ -316,7 +315,7 @@ def default_sampler(problem: EstimatingProblem, theta_hat, order: int,
         pilot = estimate_constants(
             problem, theta_hat, DomainSampler(theta_hat, 0.0), order
         )
-        radius = 2.0 * pilot.c_op * pilot.delta[0]
+        radius = 2.0 * pilot.c_op * pilot.delta_exact[0]
     return DomainSampler(theta_hat, float(radius), n_samples=n_samples, seed=seed)
 
 
@@ -334,11 +333,9 @@ def check_condition(constants: BoundConstants, rho: float) -> ConditionCheck:
     """Invertibility condition: C_op d_1 + C_op^2 L_H d_0 <= rho < 1."""
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must be strictly inside (0, 1), got {rho}")
-    c_set = constants.c_op * constants.delta[1] + \
-        constants.c_op ** 2 * constants.l_h * constants.delta[0]
     return ConditionCheck(
-        satisfied=c_set <= rho,
-        c_set=c_set,
+        satisfied=constants.c_set <= rho,
+        c_set=constants.c_set,
         c_tilde_op=constants.c_op / (1.0 - rho),
     )
 
@@ -368,7 +365,7 @@ def derivative_norm_bounds(constants: BoundConstants, order: int) -> dict:
         total = 0.0
         for t in table.for_order(k):
             size = len(t.kset)
-            level = constants.delta[size] + (1 - t.omega) * constants.m.get(size, 0.0)
+            level = constants.delta_exact[size] + (1 - t.omega) * constants.m.get(size, 0.0)
             prod = 1.0
             for j in t.kset:
                 prod *= bounds[j]
@@ -384,7 +381,7 @@ def taylor_error_bound(order: int, norm_bounds: dict) -> float:
 
 def theta_difference_bound(constants: BoundConstants) -> float:
     """Plain re-solve drift bound C_op * delta_0 (reported alongside order 0)."""
-    return constants.c_op * constants.delta[0]
+    return constants.c_op * constants.delta_exact[0]
 
 
 # -- empirical verification of the inverse-norm guarantee ----------------------

@@ -85,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_scheme(p)
     p.add_argument("--order", type=int, default=2)
-    p.add_argument("--workers", type=int, default=1)
     _add_bounds_flags(p)
 
     p = sub.add_parser("bootstrap", help="bootstrap covariance of the linear approximation")
@@ -109,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=2)
     p.add_argument("--features", type=int, default=1)
     p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
 
@@ -225,7 +223,7 @@ def _cmd_cv(args):
     report = resampling.run_cv(
         problem, weights, args.order,
         with_bounds=args.with_bounds, rho=args.rho, sampler=sampler,
-        epsilon=args.epsilon_term, workers=args.workers,
+        epsilon=args.epsilon_term,
         metadata={"scheme": args.scheme, "seed": args.seed},
     )
     _emit(report.to_json_obj(), args, csv_rows=report.csv_rows())
@@ -295,7 +293,7 @@ def _cmd_scaling(args):
         raise UsageError(f"--grid must be comma-separated integers, got {args.grid!r}")
     gen = resampling.GeneratorConfig(n_features=args.features, noise=args.noise)
     report = resampling.scaling_study(args.model, gen, grid, args.order,
-                                      seed=args.seed, workers=args.workers)
+                                      seed=args.seed)
     _emit(report.to_json_obj(), args, csv_rows=report.csv_rows())
     slopes = {k: f"{s:.2f}" for k, (s, _) in sorted(report.slopes.items())}
     print(f"scaling: fitted slopes per order {slopes}", file=sys.stderr)

@@ -78,29 +78,33 @@ def assemble_jacobian(problem: EstimatingProblem, theta, w) -> np.ndarray:
     return fad.g_theta_tensor(problem, theta, w, 1)
 
 
-def solve_base(problem: EstimatingProblem, w=None,
-               cfg: Optional[SolveConfig] = None) -> np.ndarray:
-    """Solve G(theta, w) = 0 by damped Newton with backtracking on ||G||_2."""
-    cfg = cfg or SolveConfig()
-    n, dim = problem.n_terms, problem.dim_theta
-    weights = np.ones(n) if w is None else _as_weights(w, n)
-    tol = cfg.resolved_tol(dim)
-    theta = (np.zeros(dim) if cfg.warm_start is None
-             else np.asarray(cfg.warm_start, dtype=float).copy())
+def _newton_step(h: np.ndarray, g: np.ndarray, theta, gnorm: float) -> np.ndarray:
+    """The Newton step -H^{-1} g.
 
-    g = evaluate_g(problem, theta, weights)
+    LAPACK's gesv, as in scipy.linalg.solve, without the wrapper's checks:
+    they cost more than the solve at small D.  H and g come from passes that
+    reject non-finite values.
+    """
+    _, _, x, info = scipy.linalg.lapack.dgesv(h, g)
+    if info > 0:
+        raise SingularHessianError(
+            f"singular Jacobian during Newton solve at residual {gnorm:.3e}",
+            iterate=theta, residual_norm=gnorm,
+        )
+    if info < 0:
+        raise ValueError(f"gesv rejected its argument {-info}")
+    return -x
+
+
+def _damped_newton(problem: EstimatingProblem, weights: np.ndarray, theta: np.ndarray,
+                   g: np.ndarray, cfg: SolveConfig) -> np.ndarray:
+    """Damped Newton with backtracking on ||G||_2 from theta, where G = g."""
+    tol = cfg.resolved_tol(problem.dim_theta)
     gnorm = float(np.linalg.norm(g))
     for _ in range(cfg.max_iter):
         if gnorm <= tol:
             return theta
-        h = assemble_jacobian(problem, theta, weights)
-        try:
-            step = -scipy.linalg.solve(h, g)
-        except scipy.linalg.LinAlgError:
-            raise SingularHessianError(
-                f"singular Jacobian during Newton solve at residual {gnorm:.3e}",
-                iterate=theta, residual_norm=gnorm,
-            ) from None
+        step = _newton_step(assemble_jacobian(problem, theta, weights), g, theta, gnorm)
         scale = 1.0
         for _ in range(cfg.max_backtracks):
             cand = theta + scale * step
@@ -123,11 +127,50 @@ def solve_base(problem: EstimatingProblem, w=None,
     )
 
 
+def solve_base(problem: EstimatingProblem, w=None,
+               cfg: Optional[SolveConfig] = None) -> np.ndarray:
+    """Solve G(theta, w) = 0 by damped Newton with backtracking on ||G||_2."""
+    cfg = cfg or SolveConfig()
+    n, dim = problem.n_terms, problem.dim_theta
+    weights = np.ones(n) if w is None else _as_weights(w, n)
+    theta = (np.zeros(dim) if cfg.warm_start is None
+             else np.asarray(cfg.warm_start, dtype=float).copy())
+    return _damped_newton(problem, weights, theta, evaluate_g(problem, theta, weights), cfg)
+
+
 def exact_refit(problem: EstimatingProblem, w, theta_hat,
-                cfg: Optional[SolveConfig] = None) -> np.ndarray:
-    """Re-solve at new weights, warm-started from the base solution."""
-    cfg = replace(cfg or SolveConfig(), warm_start=np.asarray(theta_hat, float))
-    return solve_base(problem, w, cfg)
+                cfg: Optional[SolveConfig] = None, start=None,
+                max_start_residual: Optional[float] = None) -> np.ndarray:
+    """Re-solve at new weights, from ``start`` or else from the base solution.
+
+    Without ``start`` this is :func:`solve_base` warm-started at theta_hat.
+    From a given start, typically the order-K expansion, which is already
+    near the root, the first Newton step is taken unconditionally, so the
+    result is never the start itself unless that step fails to lower
+    ||G||, which means the start was at the rounding floor; the damped
+    iteration then runs as in :func:`solve_base`.  A start where G is not
+    finite, or whose residual ||G(start, w)|| is not below
+    ``max_start_residual`` (the residual at theta_hat, say), is dropped for
+    theta_hat.
+    """
+    cfg = cfg or SolveConfig()
+    if start is not None:
+        weights = _as_weights(w, problem.n_terms)
+        theta = np.array(start, dtype=float)
+        ceiling = math.inf if max_start_residual is None else max_start_residual
+        try:
+            g = evaluate_g(problem, theta, weights)
+            gnorm = float(np.linalg.norm(g))
+        except fad.NonFiniteValueError:
+            gnorm = math.inf  # never below the ceiling
+        if gnorm < ceiling:
+            cand = theta + _newton_step(assemble_jacobian(problem, theta, weights),
+                                        g, theta, gnorm)
+            g_cand = evaluate_g(problem, cand, weights)
+            if float(np.linalg.norm(g_cand)) < gnorm:
+                theta, g = cand, g_cand
+            return _damped_newton(problem, weights, theta, g, cfg)
+    return solve_base(problem, w, replace(cfg, warm_start=np.asarray(theta_hat, float)))
 
 
 @dataclass(frozen=True, eq=False)

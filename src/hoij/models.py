@@ -85,20 +85,30 @@ def load_dataset(path, fmt: str = "csv", header: bool = False,
     """
     if fmt == "csv":
         with open(path, newline="") as fh:
-            raw = [row for row in csv.reader(fh) if row and any(t.strip() for t in row)]
+            raw = [row for row in csv.reader(fh) if "".join(row).strip()]
         if header and raw:
             raw = raw[1:]
         if not raw:
             raise DatasetError(f"no rows in {path}")
         width = len(raw[0])
-        rows = []
-        for i, row in enumerate(raw):
-            if len(row) != width:
-                raise DatasetError(
-                    f"row {i + 1} has {len(row)} columns, expected {width}"
-                )
-            rows.append([_parse_cell(tok.strip(), i + 1, j + 1) for j, tok in enumerate(row)])
-        mat = np.array(rows, dtype=float)
+        # numpy parses each cell as float() does; the cell-by-cell loop runs
+        # only when that fails, to raise the first error in row order.
+        mat = None
+        if all(len(row) == width for row in raw):
+            try:
+                mat = np.array(raw, dtype=float)
+            except ValueError:
+                pass
+        if mat is None or not np.isfinite(mat).all():
+            rows = []
+            for i, row in enumerate(raw):
+                if len(row) != width:
+                    raise DatasetError(
+                        f"row {i + 1} has {len(row)} columns, expected {width}"
+                    )
+                rows.append([_parse_cell(tok.strip(), i + 1, j + 1)
+                             for j, tok in enumerate(row)])
+            mat = np.array(rows, dtype=float)
         if response:
             if width < 2:
                 raise DatasetError("response requested but rows have a single column")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -126,6 +125,7 @@ class CvReport:
 def _one_weight(problem, theta_hat, hfac, table, w: WeightVector, order: int,
                 cfg: Optional[SolveConfig]) -> WeightOutcome:
     partials = expand_error = exact = refit_error = None
+    start = base_residual = None
     t0 = time.perf_counter()
     try:
         expn = evaluate_theta_ij(problem, theta_hat, hfac, table, w.delta, order)
@@ -133,8 +133,16 @@ def _one_weight(problem, theta_hat, hfac, table, w: WeightVector, order: int,
     except NonFiniteValueError as err:
         expand_error = str(err)
     t1 = time.perf_counter()
+    if partials is not None:
+        # Start the re-fit at the expansion unless its residual is no smaller
+        # than theta_hat's, (g0 + w @ g_n) / N from the cached order-0 rows.
+        g0, per = hfac.rows(0)
+        start = partials[-1]
+        base_residual = float(np.linalg.norm(
+            (g0[:, 0] + per[:, :, 0].T @ w.values) / problem.n_terms))
     try:
-        exact = exact_refit(problem, w, theta_hat, cfg)
+        exact = exact_refit(problem, w, theta_hat, cfg, start=start,
+                            max_start_residual=base_residual)
     except (SolverError, NonFiniteValueError) as err:
         refit_error = str(err)
     errors = (None if exact is None or partials is None
@@ -151,7 +159,7 @@ def run_cv(problem: EstimatingProblem, weights: Iterable[WeightVector], order: i
            rho: float = 0.5,
            sampler: Optional[Callable[[np.ndarray], DomainSampler]] = None,
            epsilon: float = 0.0,
-           workers: int = 1, metadata: Optional[dict] = None) -> CvReport:
+           metadata: Optional[dict] = None) -> CvReport:
     """Approximate every weight in the stream and compare with exact re-fits.
 
     Expansion and re-fit failures are recorded per weight, not fatal, and
@@ -173,15 +181,8 @@ def run_cv(problem: EstimatingProblem, weights: Iterable[WeightVector], order: i
         labeled.append(w)
     weights = labeled
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(
-                lambda w: _one_weight(problem, theta_hat, hfac, table, w, order, cfg),
-                weights,
-            ))
-    else:
-        outcomes = [_one_weight(problem, theta_hat, hfac, table, w, order, cfg)
-                    for w in weights]
+    outcomes = [_one_weight(problem, theta_hat, hfac, table, w, order, cfg)
+                for w in weights]
 
     ok = [o for o in outcomes if o.errors is not None]
     if ok:
@@ -381,7 +382,7 @@ def _fit_slope(log_n, log_err):
 
 
 def scaling_study(model_id: str, gen: GeneratorConfig, n_grid, order: int,
-                  seed: int = 0, workers: int = 1) -> ScalingReport:
+                  seed: int = 0) -> ScalingReport:
     """Full-LOO max error as a function of N, with fitted decay rates.
 
     Data are regenerated independently per grid point (child seeds drawn
@@ -398,7 +399,7 @@ def scaling_study(model_id: str, gen: GeneratorConfig, n_grid, order: int,
     for n, child in zip(n_grid, child_seeds):
         data = gen.generate(model_id, n, np.random.default_rng(child))
         problem = make_problem(model_id, data)
-        report = run_cv(problem, loo_weights(n), order, workers=workers)
+        report = run_cv(problem, loo_weights(n), order)
         bad = [o.label for o in report.outcomes if o.errors is None]
         if bad:
             failures.append(f"n={n}: refit failed for {', '.join(bad)}")

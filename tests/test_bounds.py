@@ -174,7 +174,7 @@ class TestCheckCondition:
 
     def test_violated(self, mean_constants):
         _, _, c = mean_constants
-        bad = dataclasses.replace(c, delta={**c.delta, 1: 1.0})
+        bad = dataclasses.replace(c, delta_exact={**c.delta_exact, 1: 1.0}, c_set=1.0)
         check = check_condition(bad, 0.5)
         assert check.c_set == pytest.approx(1.0)
         assert not check.satisfied
@@ -207,14 +207,14 @@ class TestNormBounds:
     def test_zero_delta_gives_zero_bounds(self, mean_constants):
         _, _, c = mean_constants
         zeroed = dataclasses.replace(
-            c, delta={k: 0.0 for k in c.delta}, c_set=0.0, delta_max=0.0
+            c, delta_exact={k: 0.0 for k in c.delta_exact}, c_set=0.0, delta_max=0.0
         )
         nb = derivative_norm_bounds(zeroed, 2)
         assert all(b == 0.0 for b in nb.values())
 
     def test_condition_failure_refuses(self, mean_constants):
         _, _, c = mean_constants
-        bad = dataclasses.replace(c, delta={**c.delta, 1: 1.0},
+        bad = dataclasses.replace(c, delta_exact={**c.delta_exact, 1: 1.0},
                                   c_set=1.0)
         with pytest.raises(ConditionNotSatisfiedError, match="C_set"):
             derivative_norm_bounds(bad, 1)
@@ -224,7 +224,10 @@ class TestNormBounds:
         _, _, c = mean_constants
         base = derivative_norm_bounds(c, 2)
         for key in (0, 1, 2):
-            worse = dataclasses.replace(c, delta={**c.delta, key: c.delta[key] + 0.05})
+            delta = {**c.delta_exact, key: c.delta_exact[key] + 0.05}
+            worse = dataclasses.replace(
+                c, delta_exact=delta,
+                c_set=c.c_op * delta[1] + c.c_op ** 2 * c.l_h * delta[0])
             if check_condition(worse, worse.rho).satisfied:
                 nb = derivative_norm_bounds(worse, 2)
                 assert all(nb[k] >= base[k] - 1e-12 for k in nb)
@@ -253,7 +256,7 @@ class TestTaylorErrorBound:
             # enlarge the region enough to cover every LOO solution
             sampler = DomainSampler(theta_hat, 0.0)
             pilot = estimate_constants(prob, theta_hat, sampler, 2)
-            sampler = DomainSampler(theta_hat, 2.0 * pilot.c_op * pilot.delta[0],
+            sampler = DomainSampler(theta_hat, 2.0 * pilot.c_op * pilot.delta_exact[0],
                                     n_samples=128, seed=5)
             c = estimate_constants(prob, theta_hat, sampler, 2)
             check = check_condition(c, 0.5)
@@ -265,7 +268,7 @@ class TestTaylorErrorBound:
 
     def test_zero_instance(self, mean_constants):
         _, _, c = mean_constants
-        zeroed = dataclasses.replace(c, delta={k: 0.0 for k in c.delta}, c_set=0.0)
+        zeroed = dataclasses.replace(c, delta_exact={k: 0.0 for k in c.delta_exact}, c_set=0.0)
         nb = derivative_norm_bounds(zeroed, 1)
         assert taylor_error_bound(1, nb) == 0.0
 

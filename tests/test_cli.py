@@ -256,6 +256,18 @@ class TestOtherCommands:
         assert (tmp_path / "scale.csv").exists()
 
 
+class TestRemovedFlags:
+    @pytest.mark.parametrize("argv", [
+        ["cv", "--model", "mean", "--workers", "2"],
+        ["scaling", "--model", "mean", "--grid", "30,60", "--workers", "2"],
+    ])
+    def test_workers_is_a_usage_error(self, mean_csv, tmp_path, argv):
+        out = tmp_path / "o.json"
+        extra = ["--data", mean_csv] if argv[0] == "cv" else []
+        assert main(argv + extra + ["--out", str(out)]) == 2
+        assert not out.exists()
+
+
 class TestDeterminism:
     def test_cv_bitwise_identical(self, mean_csv, tmp_path):
         out = tmp_path / "a.json"

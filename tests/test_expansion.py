@@ -7,11 +7,13 @@ from hoij import (
     Dataset,
     DerivativeTerm,
     EstimatingProblem,
+    GeneratorConfig,
     SingularHessianError,
     SolveConfig,
     SolverError,
     bootstrap_weights,
     evaluate_dtheta,
+    evaluate_g,
     evaluate_term,
     evaluate_theta_ij,
     exact_refit,
@@ -389,6 +391,68 @@ class TestExactRefit:
             wv = w.values
             closed = np.linalg.solve((x * wv[:, None]).T @ x, (x * wv[:, None]).T @ y)
             np.testing.assert_allclose(got, closed, atol=1e-10)
+
+    @staticmethod
+    def _logistic(n=400, dim=3, seed=21):
+        data = GeneratorConfig(n_features=dim).generate(
+            "logistic_regression", n, np.random.default_rng(seed))
+        prob = make_problem("logistic_regression", data)
+        return prob, solve_base(prob)
+
+    def test_start_at_rounding_floor_is_kept(self, mean_setup):
+        """The forced first step may not lower ||G|| at the root: no SolverError."""
+        prob, theta_hat, _ = mean_setup
+        assert exact_refit(prob, np.ones(4), theta_hat, start=theta_hat)[0] == 3.0
+        prob, theta_hat = self._logistic()
+        ones = np.ones(prob.n_terms)
+        polished = exact_refit(prob, ones, theta_hat, start=theta_hat)
+        np.testing.assert_allclose(polished, theta_hat, rtol=0, atol=1e-9)
+        again = exact_refit(prob, ones, theta_hat, start=polished)
+        np.testing.assert_allclose(again, polished, rtol=0, atol=1e-15)
+
+    def test_start_costs_one_newton_step(self, monkeypatch):
+        """From the order-3 expansion: one Jacobian, two G evaluations."""
+        from hoij import expansion
+
+        prob, theta_hat = self._logistic()
+        hfac = factorize_hessian(prob, theta_hat)
+        w = next(iter(loo_weights(prob.n_terms, [7])))
+        start = evaluate_theta_ij(prob, theta_hat, hfac, term_tables(3), w.delta, 3).theta_ij
+        calls = {"jacobian": 0, "g": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(expansion, "assemble_jacobian",
+                            counted("jacobian", expansion.assemble_jacobian))
+        monkeypatch.setattr(expansion, "evaluate_g", counted("g", expansion.evaluate_g))
+        got = exact_refit(prob, w, theta_hat, start=start)
+        assert calls == {"jacobian": 1, "g": 2}
+        assert not np.array_equal(got, start)
+        np.testing.assert_allclose(got, exact_refit(prob, w, theta_hat), rtol=0, atol=1e-8)
+
+    def test_start_above_residual_ceiling_refits_from_theta_hat(self):
+        prob, theta_hat = self._logistic()
+        w = next(iter(loo_weights(prob.n_terms, [3])))
+        ceiling = float(np.linalg.norm(evaluate_g(prob, theta_hat, w)))
+        far = theta_hat + 0.5
+        assert np.linalg.norm(evaluate_g(prob, far, w)) >= ceiling
+        want = exact_refit(prob, w, theta_hat)
+        got = exact_refit(prob, w, theta_hat, start=far, max_start_residual=ceiling)
+        assert got.tobytes() == want.tobytes()
+
+    def test_non_finite_start_refits_from_theta_hat(self):
+        prob = make_problem("exp_loss", Dataset(np.array([[-1.0], [2.0], [0.5]])))
+        theta_hat = solve_base(prob)
+        w = np.array([1.0, 0.5, 1.0])
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteValueError):
+                evaluate_g(prob, np.array([1e6]), w)
+            got = exact_refit(prob, w, theta_hat, start=np.array([1e6]))
+        assert got.tobytes() == exact_refit(prob, w, theta_hat).tobytes()
 
 
 class TestAffineInWeightsExactness:

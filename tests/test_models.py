@@ -1,5 +1,6 @@
 """Datasets, the model registry, weight schemes, and G evaluation."""
 
+import csv
 import json
 
 import numpy as np
@@ -23,6 +24,7 @@ from hoij import (
 )
 from hoij.bounds import array_p_norm, full_derivative_entries, per_datum_derivative_entries
 from hoij.bounds import _g0_derivative_entries
+from hoij.models import _parse_cell
 
 from helpers import ALL_MODELS, build_problem, mean_dataset_1236
 
@@ -80,6 +82,54 @@ class TestLoadDataset:
         p.write_text(json.dumps([{"x": [1.0], "y": 3.0}, {"x": [4.0]}]))
         with pytest.raises(DatasetError, match="some rows"):
             load_dataset(p, fmt="json")
+
+
+# Characters that float() treats specially: signs, exponents, underscores,
+# inf/nan spellings, Unicode digits and spaces, and separators that str.strip()
+# removes but float() does not.
+CELL_CHARS = "0123456789+-._eEinfaNItyx \t\x1c\x00\u00a0\u0661\uff11,\""
+CELL_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats().map(lambda v: f" {v!r}\t"),
+    st.sampled_from(["1_0", "+.5", "-0", "\u0661\u0662", "0x10", "1d5", "", " 2 ", "nan",
+                     "-inf", "1e400", "Infinity", "\x1c3", "1\x00", "\uff11\uff12"]),
+    st.text(alphabet=CELL_CHARS, max_size=6),
+)
+
+
+def cell_by_cell(rows, path):
+    """The CSV loader's result on ``rows``, one _parse_cell call per cell."""
+    rows = [r for r in rows if r and any(t.strip() for t in r)]
+    if not rows:
+        raise DatasetError(f"no rows in {path}")
+    out = []
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise DatasetError(f"row {i + 1} has {len(row)} columns, expected {len(rows[0])}")
+        out.append([_parse_cell(tok.strip(), i + 1, j + 1) for j, tok in enumerate(row)])
+    return np.array(out, dtype=float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ragged=st.booleans(), cols=st.integers(1, 3), data=st.data())
+def test_csv_loader_matches_cell_by_cell(tmp_path_factory, ragged, cols, data):
+    """The vectorised CSV loader parses and rejects exactly as _parse_cell does."""
+    row = st.lists(CELL_TOKENS, min_size=1 if ragged else cols, max_size=cols)
+    rows = data.draw(st.lists(row, min_size=1, max_size=4))
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    try:
+        want = cell_by_cell(rows, path)
+    except DatasetError as err:
+        with pytest.raises(DatasetError) as got:
+            load_dataset(path)
+        assert str(got.value) == str(err)
+        return
+    got = load_dataset(path).features
+    assert got.shape == want.shape
+    # bitwise, so -0.0 and 0.0 differ
+    assert got.tobytes() == want.tobytes()
 
 
 class TestMakeProblem:

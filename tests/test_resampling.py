@@ -8,23 +8,30 @@ import pytest
 from hoij import (
     Dataset,
     GeneratorConfig,
+    TaylorExpansion,
     WeightVector,
     bootstrap_linear_samples,
     bootstrap_samples,
     bootstrap_weight_blocks,
     bootstrap_weights,
+    evaluate_g,
     evaluate_theta_ij,
+    exact_refit,
     factorize_hessian,
     ij_linear_covariance,
     linear_covariance,
     loo_weights,
     make_problem,
+    resampling,
     run_cv,
     sandwich_covariance,
     scaling_study,
     solve_base,
     term_tables,
 )
+
+from hoij.expansion import assemble_jacobian
+from hoij.forward_ad import NonFiniteValueError
 
 from helpers import ALL_MODELS, build_problem, max_rel_gap, mean_dataset_1236
 
@@ -69,14 +76,6 @@ class TestRunCv:
         a = run_cv(prob, loo_weights(4), 2).to_json_obj()
         b = run_cv(prob, loo_weights(4), 2).to_json_obj()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
-    def test_workers_match_sequential(self):
-        rng = np.random.default_rng(12)
-        prob = build_problem("logistic_regression", rng, n=10)
-        seq = run_cv(prob, loo_weights(10), 2, workers=1)
-        par = run_cv(prob, loo_weights(10), 2, workers=4)
-        assert json.dumps(seq.to_json_obj(), sort_keys=True) == \
-            json.dumps(par.to_json_obj(), sort_keys=True)
 
     def test_with_bounds_attaches_column(self):
         prob = make_problem("mean", mean_dataset_1236())
@@ -149,6 +148,95 @@ class TestRunCv:
         kept = json.loads(json.dumps(report.to_json_obj()))
         kept["outcomes"].pop(2)
         assert kept == json.loads(json.dumps(want.to_json_obj()))
+
+
+def polished_root(prob, w, theta, steps=3):
+    """theta after ``steps`` undamped Newton steps at weights w."""
+    for _ in range(steps):
+        h = assemble_jacobian(prob, theta, w)
+        theta = theta - np.linalg.solve(h, evaluate_g(prob, theta, w))
+    return theta
+
+
+class TestRefitFromExpansion:
+    """run_cv starts each exact re-fit at the order-K expansion."""
+
+    @pytest.mark.parametrize("model_id, dim, n, order", [
+        ("logistic_regression", 3, 300, 4),
+        ("logistic_regression", 8, 400, 4),
+        ("exp_loss", 2, 300, 3),
+        ("linear_regression", 3, 100, 3),
+        ("mean", 2, 100, 3),
+    ])
+    def test_refits_reach_the_root(self, model_id, dim, n, order):
+        data = GeneratorConfig(n_features=dim).generate(
+            model_id, n, np.random.default_rng(5))
+        prob = make_problem(model_id, data)
+        weights = list(loo_weights(n, range(1, n + 1, 5)))
+        report = run_cv(prob, weights, order)
+        for o, w in zip(report.outcomes, weights):
+            root = polished_root(prob, w.values, o.theta_exact)
+            assert np.max(np.abs(o.theta_exact - root)) <= 1e-13, o.label
+
+    def test_kfold_and_bootstrap_match_refit_from_theta_hat(self):
+        from hoij.models import kfold_weights
+
+        rng = np.random.default_rng(3)
+        prob = build_problem("logistic_regression", rng, n=60, dim=2)
+        theta_hat = solve_base(prob)
+        weights = list(kfold_weights(60, 4, seed=2)) + list(bootstrap_weights(60, 4, seed=2))
+        report = run_cv(prob, weights, 3)
+        for o, w in zip(report.outcomes, weights):
+            assert o.refit_error is None
+            np.testing.assert_allclose(o.theta_exact, exact_refit(prob, w, theta_hat),
+                                       rtol=0, atol=1e-8)
+
+    def _recording_refit(self, monkeypatch):
+        starts = []
+
+        def recording(*args, **kwargs):
+            starts.append(kwargs.get("start"))
+            return exact_refit(*args, **kwargs)
+
+        monkeypatch.setattr(resampling, "exact_refit", recording)
+        return starts
+
+    def test_failed_expansion_refits_from_theta_hat(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        prob = build_problem("logistic_regression", rng, n=30)
+        theta_hat = solve_base(prob)
+
+        def failing(*args, **kwargs):
+            raise NonFiniteValueError("non-finite contraction")
+
+        monkeypatch.setattr(resampling, "evaluate_theta_ij", failing)
+        starts = self._recording_refit(monkeypatch)
+        weights = list(loo_weights(30, [2, 9]))
+        report = run_cv(prob, weights, 3)
+        assert starts == [None, None]
+        for o, w in zip(report.outcomes, weights):
+            assert o.expand_error and o.theta_ij is None
+            assert o.theta_exact.tobytes() == exact_refit(prob, w, theta_hat).tobytes()
+
+    def test_worse_expansion_refits_from_theta_hat(self, monkeypatch):
+        """A start whose residual exceeds theta_hat's is dropped for theta_hat."""
+        rng = np.random.default_rng(4)
+        prob = build_problem("logistic_regression", rng, n=30)
+        theta_hat = solve_base(prob)
+        real = resampling.evaluate_theta_ij
+
+        def off_course(*args, **kwargs):
+            expn = real(*args, **kwargs)
+            return TaylorExpansion(expn.theta_hat, (expn.dthetas[0] + 0.5,) + expn.dthetas[1:],
+                                   expn.order)
+
+        monkeypatch.setattr(resampling, "evaluate_theta_ij", off_course)
+        starts = self._recording_refit(monkeypatch)
+        weights = list(loo_weights(30, [2, 9]))
+        report = run_cv(prob, weights, 2)
+        assert all(s is not None for s in starts)
+        for o, w in zip(report.outcomes, weights):
+            assert o.theta_exact.tobytes() == exact_refit(prob, w, theta_hat).tobytes()
 
 
 class TestCovarianceIdentity:
