@@ -26,10 +26,12 @@ from .expansion import (
     SolverError,
     TaylorExpansion,
     evaluate_dtheta,
+    evaluate_g_block,
     evaluate_term,
     evaluate_theta_ij,
     exact_refit,
     factorize_hessian,
+    refit_block,
     solve_base,
 )
 from .forward_ad import (

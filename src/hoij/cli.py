@@ -13,6 +13,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -35,6 +36,13 @@ SCHEMA_VERSION = resampling.SCHEMA_VERSION
 
 class UsageError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one ``usage error:`` line, exit code 2."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _add_common(p, data=True):
@@ -67,7 +75,7 @@ def _add_bounds_flags(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hoij",
         description="Taylor-expand re-weighted M-estimators for fast CV and bootstrap",
     )
@@ -119,10 +127,16 @@ def _validate_order(order: int):
         raise UsageError(f"--order must be in 0..{K_MAX}, got {order}")
 
 
-def _validate_bounds_order(order: int):
+def _validate_bounds(args):
     # the constants of an order-K bound read derivatives of order K + 1
-    if order >= K_MAX:
-        raise UsageError(f"--order must be in 0..{K_MAX - 1} for error bounds, got {order}")
+    if args.order >= K_MAX:
+        raise UsageError(f"--order must be in 0..{K_MAX - 1} for error bounds, got {args.order}")
+    if args.samples < 1:
+        raise UsageError(f"--samples must be >= 1, got {args.samples}")
+    if args.radius is not None and not 0.0 <= args.radius < math.inf:
+        raise UsageError(f"--radius must be finite and >= 0, got {args.radius}")
+    if not 0.0 <= args.epsilon_term < math.inf:
+        raise UsageError(f"--epsilon-term must be finite and >= 0, got {args.epsilon_term}")
 
 
 def _load_problem(args):
@@ -213,7 +227,7 @@ def _cmd_expand(args):
 def _cmd_cv(args):
     _validate_order(args.order)
     if args.with_bounds:
-        _validate_bounds_order(args.order)
+        _validate_bounds(args)
     problem = _load_problem(args)
     weights = _weight_stream(args, problem.n_terms)
     # centred on the base fit that run_cv solves
@@ -265,7 +279,7 @@ def _cmd_bootstrap(args):
 
 def _cmd_bounds(args):
     _validate_order(args.order)
-    _validate_bounds_order(args.order)
+    _validate_bounds(args)
     problem = _load_problem(args)
     theta_hat = solve_base(problem)
     sampler = bnd.default_sampler(problem, theta_hat, args.order, n_samples=args.samples,
@@ -291,6 +305,12 @@ def _cmd_scaling(args):
         grid = [int(tok) for tok in args.grid.split(",") if tok.strip()]
     except ValueError:
         raise UsageError(f"--grid must be comma-separated integers, got {args.grid!r}")
+    if len(grid) < 2 or min(grid) < 2:
+        raise UsageError(f"--grid needs at least two sizes, each >= 2, got {args.grid!r}")
+    if args.features < 1:
+        raise UsageError(f"--features must be >= 1, got {args.features}")
+    if not 0.0 <= args.noise < math.inf:
+        raise UsageError(f"--noise must be finite and >= 0, got {args.noise}")
     gen = resampling.GeneratorConfig(n_features=args.features, noise=args.noise)
     report = resampling.scaling_study(args.model, gen, grid, args.order,
                                       seed=args.seed)
@@ -314,14 +334,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as err:
+    except SystemExit as err:  # --help
         return 2 if err.code not in (0, None) else 0
+    except UsageError as err:
+        print(f"usage error: {err}", file=sys.stderr)
+        return 2
     try:
         _COMMANDS[args.command](args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
-    except (DatasetError, ValueError, FileNotFoundError) as err:
+    except (DatasetError, ValueError, FileNotFoundError, IsADirectoryError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
     except (SolverError, NonFiniteValueError, np.linalg.LinAlgError,

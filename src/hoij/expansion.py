@@ -151,7 +151,8 @@ def exact_refit(problem: EstimatingProblem, w, theta_hat,
     iteration then runs as in :func:`solve_base`.  A start where G is not
     finite, or whose residual ||G(start, w)|| is not below
     ``max_start_residual`` (the residual at theta_hat, say), is dropped for
-    theta_hat.
+    theta_hat.  :func:`refit_block` re-fits many weights at once and calls
+    this for the weights its chord iteration does not settle.
     """
     cfg = cfg or SolveConfig()
     if start is not None:
@@ -349,3 +350,138 @@ def evaluate_theta_ij(problem: EstimatingProblem, theta_hat, hfac: HessianFactor
         dset[k] = dk
         dthetas.append(dk)
     return TaylorExpansion(theta_hat=theta_hat, dthetas=tuple(dthetas), order=order)
+
+
+# Weight vectors re-fitted together by :func:`refit_block`.
+REFIT_BLOCK = 64
+# Leaves of a block's G evaluation, (weights, rows), hold at most this many
+# entries; more rows are swept in blocks, so memory does not grow with N.
+REFIT_LEAF_ELEMENTS = 2 * fad.BLOCK_ELEMENTS
+# Chord steps a weight may take before it must have stopped at the floor.
+CHORD_STEPS = 8
+# A chord step shorter than this, relative to ||theta||, is taken for
+# rounding and stops the weight without a G evaluation.  Steps at the floor
+# measured 0.3-4.4 eps (logistic, D = 3 and 8).
+CHORD_ROUNDING = 4 * np.finfo(float).eps
+
+
+def evaluate_g_block(problem: EstimatingProblem, thetas, weights) -> np.ndarray:
+    """G(thetas[b], weights[b]) for each of B points, shape (B, D).
+
+    ``weights`` holds B length-N weight arrays, as a sequence or as the rows
+    of a (B, N) array.  One ``batch_fn`` call per row block, with theta
+    leaves of shape (B, 1) that the problem broadcasts against its rows;
+    each block's (B, rows) leaves, and the weights gathered for it, hold at
+    most REFIT_LEAF_ELEMENTS entries, so memory does not grow with N.  Rows
+    where G is not finite are returned as they are, for the caller to judge.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    m, n = len(weights), problem.n_terms
+    x = [thetas[:, d, None] for d in range(problem.dim_theta)]
+    out = np.empty((m, problem.dim_theta))
+    step = max(1, REFIT_LEAF_ELEMENTS // m)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for d, v in enumerate(problem.term_fn(0, x)):
+            out[:, d:d + 1] = v  # a (B, 1) leaf or a constant
+        for lo in range(0, n, step):
+            w = np.array([v[lo:lo + step] for v in weights])
+            for d, o in enumerate(problem.batch_fn(x, np.arange(lo, lo + w.shape[1]))):
+                out[:, d] += (w * o).sum(axis=1)
+    return out / n
+
+
+def _chord_jacobians(hfac: HessianFactor, weights: list, thetas: np.ndarray) -> np.ndarray:
+    """The Jacobian at (theta_b, w_b) to second order in v_b = theta_b - theta_hat.
+
+    J(theta_hat, w_b) + J'(theta_hat, w_b)[v_b] + tensor(3)[v_b, v_b] / 2,
+    shape (B, D, D), read off the derivatives cached at theta_hat: the
+    weighted row sums of the order-1 and order-2 rows, and the order-3
+    tensor.  What it leaves out is O(|v_b|^3 + |w_b - 1| |v_b|^2 / N).
+    """
+    n, dim = hfac.problem.n_terms, hfac.problem.dim_theta
+    v = thetas - hfac.theta_hat
+    sums = []
+    for k in (1, 2):
+        g0, per = hfac.rows(k)
+        per = per.reshape(n, -1)
+        summed = np.array([g0.ravel() + w @ per for w in weights]).reshape(len(v), *g0.shape)
+        sums.append(summed[:, :, fad.basis_multisets(dim, k)[1]] / n)
+    t3 = (hfac.tensor(3).reshape(dim ** 3, dim) @ v.T).reshape(dim, dim, dim, -1)
+    return (sums[0] + np.einsum("bijl,bl->bij", sums[1].reshape(-1, dim, dim, dim), v)
+            + 0.5 * np.einsum("ijkb,bk->bij", t3, v))
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    # NaN for a row that is not finite, which compares as no lower than any
+    # residual and as above any ceiling or tolerance.
+    return np.sqrt(np.einsum("ij,ij->i", a, a))
+
+
+def refit_block(problem: EstimatingProblem, hfac: HessianFactor, weights, starts,
+                cfg: Optional[SolveConfig] = None) -> list:
+    """Exact re-fits of a block of weight vectors, each from its own start.
+
+    A chord (simplified Newton) iteration theta <- theta - Ĥ_b^{-1}
+    G(theta, w_b), with Ĥ_b from :func:`_chord_jacobians` (Kelley, *Iterative
+    Methods for Linear and Nonlinear Equations*, 1995, ch. 5): no forward
+    pass, one batched inversion of the D x D matrices Ĥ_b, and per step one
+    batched product and one :func:`evaluate_g_block` call for the weights
+    still moving.  A weight keeps a step only if it lowers ||G||, and stops
+    at the first step that does not, or that is no longer than rounding
+    (CHORD_ROUNDING): the rounding floor.  From an order-K expansion,
+    O(N^-(K+1)) from the root, that mostly takes one step.
+
+    A weight falls back to :func:`exact_refit` from its start, with
+    ``max_start_residual`` = ||G(theta_hat, w)||, when its start is not
+    below that ceiling, G there is not finite, it has not stopped within
+    CHORD_STEPS steps or stopped above ``cfg.resolved_tol(D)``, a Ĥ_b of
+    the block is singular, or the problem has no ``batch_fn``.  Returns one
+    entry per weight: the root, or the :class:`SolverError` or
+    :class:`~hoij.forward_ad.NonFiniteValueError` its fallback raised.
+    """
+    cfg = cfg or SolveConfig()
+    n = problem.n_terms
+    values = [_as_weights(w, n) for w in weights]
+    thetas = np.array(starts, dtype=float).reshape(len(values), problem.dim_theta)
+    g0, per = hfac.rows(0)
+    ceilings = _row_norms((g0[:, 0] + np.array([per[:, :, 0].T @ v for v in values])) / n)
+    done = np.zeros(len(values), dtype=bool)
+    if problem.batch_fn is not None and values:
+        g = evaluate_g_block(problem, thetas, values)
+        gnorms = _row_norms(g)
+        chord = np.flatnonzero(gnorms < ceilings)
+        try:
+            inverses = np.linalg.inv(_chord_jacobians(hfac, [values[i] for i in chord],
+                                                      thetas[chord]))
+        except np.linalg.LinAlgError:  # a singular Ĥ_b: the block falls back
+            chord = chord[:0]
+        active = np.arange(len(chord))
+        for _ in range(CHORD_STEPS):
+            if not active.size:
+                break
+            idx = chord[active]
+            step = np.einsum("bij,bj->bi", inverses[active], g[idx])
+            moves = _row_norms(step) > CHORD_ROUNDING * _row_norms(thetas[idx])
+            active, idx, step = active[moves], idx[moves], step[moves]
+            if not active.size:
+                break
+            cand = thetas[idx] - step
+            g_cand = evaluate_g_block(problem, cand, [values[i] for i in idx])
+            cand_norms = _row_norms(g_cand)
+            better = cand_norms < gnorms[idx]
+            kept = idx[better]
+            thetas[kept], g[kept], gnorms[kept] = cand[better], g_cand[better], cand_norms[better]
+            active = active[better]
+        done[chord] = gnorms[chord] <= cfg.resolved_tol(problem.dim_theta)
+        done[chord[active]] = False  # still moving after CHORD_STEPS steps
+    out = []
+    for i, w in enumerate(weights):
+        if done[i]:
+            out.append(thetas[i])
+            continue
+        try:
+            out.append(exact_refit(problem, w, hfac.theta_hat, cfg, start=starts[i],
+                                   max_start_residual=float(ceilings[i])))
+        except (SolverError, fad.NonFiniteValueError) as err:
+            out.append(err)
+    return out

@@ -49,7 +49,7 @@ class Dataset:
                     f"response length {resp.shape} does not match {feats.shape[0]} rows"
                 )
             if not np.all(np.isfinite(resp)):
-                r = int(np.argwhere(~np.isfinite(resp))[0])
+                r = int(np.flatnonzero(~np.isfinite(resp))[0])
                 raise DatasetError(f"non-finite response value at row {r + 1}")
             object.__setattr__(self, "response", resp)
 
@@ -255,7 +255,11 @@ class EstimatingProblem:
     scalar-likes) for n = 0..N, where n = 0 is the regularization term.
     ``batch_fn(theta, rows)``, when present, evaluates every g_n for the
     0-based data rows at once, returning scalar-likes with array leaves;
-    it must agree with term_fn exactly.
+    it must agree with term_fn exactly.  It must also broadcast theta
+    leaves of shape (B, 1) against its row arrays, giving (B, rows) leaves
+    that hold g_n at B points, and ``term_fn(0, theta)`` must accept the
+    same leaves: :func:`hoij.expansion.evaluate_g_block` evaluates a block
+    of re-fits this way.  Problems without ``batch_fn`` re-fit per weight.
     """
 
     dim_theta: int

@@ -25,11 +25,13 @@ from .bounds import (
     taylor_error_bound,
 )
 from .expansion import (
+    REFIT_BLOCK,
     SolveConfig,
     SolverError,
     evaluate_theta_ij,
     exact_refit,
     factorize_hessian,
+    refit_block,
     solve_base,
 )
 from .forward_ad import NonFiniteValueError
@@ -81,11 +83,9 @@ class CvReport:
         for o in self.outcomes:
             rec = {
                 "label": o.label,
-                "theta_ij": None if o.theta_ij is None
-                            else [[float(v) for v in th] for th in o.theta_ij],
-                "theta_exact": None if o.theta_exact is None
-                               else [float(v) for v in o.theta_exact],
-                "errors": None if o.errors is None else [float(e) for e in o.errors],
+                "theta_ij": None if o.theta_ij is None else [_floats(th) for th in o.theta_ij],
+                "theta_exact": _floats(o.theta_exact),
+                "errors": _floats(o.errors),
                 "refit_error": o.refit_error,
             }
             if o.expand_error is not None:
@@ -99,57 +99,88 @@ class CvReport:
             "model_id": self.model_id,
             "n_terms": self.n_terms,
             "order": self.order,
-            "theta_hat": [float(v) for v in self.theta_hat],
+            "theta_hat": _floats(self.theta_hat),
             "outcomes": records,
-            "max_error": [float(e) for e in self.max_error],
-            "mean_error": [float(e) for e in self.mean_error],
+            "max_error": _floats(self.max_error),
+            "mean_error": _floats(self.mean_error),
             "metadata": self.metadata,
         }
         if self.bound_per_k is not None:
-            obj["bound_per_k"] = [float(b) for b in self.bound_per_k]
+            obj["bound_per_k"] = _floats(self.bound_per_k)
         return obj
 
     def csv_rows(self):
         """Flat rows (label, order, error, bound) for external plotting."""
         header = ["weight", "k", "error", "bound"]
-        rows = [header]
-        for o in self.outcomes:
-            if o.errors is None:
-                continue
-            for k, err in enumerate(o.errors):
-                bound = "" if self.bound_per_k is None else repr(float(self.bound_per_k[k]))
-                rows.append([o.label, str(k), repr(float(err)), bound])
-        return rows
+        ok = [o for o in self.outcomes if o.errors is not None]
+        if not ok:
+            return [header]
+        errors = _floats([o.errors for o in ok])
+        width = len(errors[0])
+        bounds = ([""] * width if self.bound_per_k is None
+                  else [repr(b) for b in _floats(self.bound_per_k)])
+        ks = [str(k) for k in range(width)]
+        return [header] + [[o.label, k, repr(e), b] for o, errs in zip(ok, errors)
+                           for k, e, b in zip(ks, errs, bounds)]
 
 
-def _one_weight(problem, theta_hat, hfac, table, w: WeightVector, order: int,
-                cfg: Optional[SolveConfig]) -> WeightOutcome:
-    partials = expand_error = exact = refit_error = None
-    start = base_residual = None
+def _floats(values) -> Optional[list]:
+    """Nested lists of Python floats from an array-like, in one conversion."""
+    return None if values is None else np.asarray(values, dtype=float).tolist()
+
+
+def _expand(problem, theta_hat, hfac, table, w: WeightVector, order: int) -> tuple:
+    """(partial sums of orders 0..order or None, expansion error, seconds)."""
     t0 = time.perf_counter()
     try:
         expn = evaluate_theta_ij(problem, theta_hat, hfac, table, w.delta, order)
         partials = tuple(expn.partial_sum(k) for k in range(order + 1))
     except NonFiniteValueError as err:
-        expand_error = str(err)
-    t1 = time.perf_counter()
-    if partials is not None:
-        # Start the re-fit at the expansion unless its residual is no smaller
-        # than theta_hat's, (g0 + w @ g_n) / N from the cached order-0 rows.
-        g0, per = hfac.rows(0)
-        start = partials[-1]
-        base_residual = float(np.linalg.norm(
-            (g0[:, 0] + per[:, :, 0].T @ w.values) / problem.n_terms))
-    try:
-        exact = exact_refit(problem, w, theta_hat, cfg, start=start,
-                            max_start_residual=base_residual)
-    except (SolverError, NonFiniteValueError) as err:
-        refit_error = str(err)
-    errors = (None if exact is None or partials is None
-              else tuple(float(np.linalg.norm(p - exact)) for p in partials))
+        return None, str(err), time.perf_counter() - t0
+    return partials, None, time.perf_counter() - t0
+
+
+def _refits(problem, theta_hat, hfac, block: list, partials: list,
+            cfg: Optional[SolveConfig]) -> list:
+    """(root or error, seconds) per weight of the block.
+
+    Weights with an expansion are re-fitted together from it, and share the
+    block's time evenly; a weight whose expansion failed re-fits from
+    theta_hat on its own.
+    """
+    out = [None] * len(block)
+    started = [i for i, p in enumerate(partials) if p is not None]
+    if started:
+        t0 = time.perf_counter()
+        roots = refit_block(problem, hfac, [block[i] for i in started],
+                            [partials[i][-1] for i in started], cfg)
+        share = (time.perf_counter() - t0) / len(started)
+        for i, root in zip(started, roots):
+            out[i] = (root, share)
+    for i, p in enumerate(partials):
+        if p is None:
+            t0 = time.perf_counter()
+            try:
+                root = exact_refit(problem, block[i], theta_hat, cfg)
+            except (SolverError, NonFiniteValueError) as err:
+                root = err
+            out[i] = (root, time.perf_counter() - t0)
+    return out
+
+
+def _outcome(w: WeightVector, expanded: tuple, refitted: tuple) -> WeightOutcome:
+    partials, expand_error, t_expand = expanded
+    root, t_refit = refitted
+    exact = refit_error = errors = None
+    if isinstance(root, Exception):
+        refit_error = str(root)
+    else:
+        exact = root
+        if partials is not None:
+            errors = tuple(float(np.linalg.norm(p - exact)) for p in partials)
     return WeightOutcome(
         label=w.label, theta_ij=partials, theta_exact=exact, errors=errors,
-        runtime_expand=t1 - t0, runtime_refit=time.perf_counter() - t1,
+        runtime_expand=t_expand, runtime_refit=t_refit,
         refit_error=refit_error, expand_error=expand_error,
     )
 
@@ -162,6 +193,11 @@ def run_cv(problem: EstimatingProblem, weights: Iterable[WeightVector], order: i
            metadata: Optional[dict] = None) -> CvReport:
     """Approximate every weight in the stream and compare with exact re-fits.
 
+    The stream goes in blocks of REFIT_BLOCK weights: each weight is
+    expanded on its own, then the block is re-fitted together by
+    :func:`~hoij.expansion.refit_block`, starting from the order-``order``
+    expansions, and each weight's ``runtime_refit`` is an even share of the
+    block's time.  A weight whose expansion failed re-fits from theta_hat.
     Expansion and re-fit failures are recorded per weight, not fatal, and
     a weight missing either result is left out of the aggregate errors.
     ``with_bounds`` additionally estimates the error-bound ladder and
@@ -181,8 +217,13 @@ def run_cv(problem: EstimatingProblem, weights: Iterable[WeightVector], order: i
         labeled.append(w)
     weights = labeled
 
-    outcomes = [_one_weight(problem, theta_hat, hfac, table, w, order, cfg)
-                for w in weights]
+    outcomes = []
+    for lo in range(0, len(weights), REFIT_BLOCK):
+        block = weights[lo:lo + REFIT_BLOCK]
+        expanded = [_expand(problem, theta_hat, hfac, table, w, order) for w in block]
+        refitted = _refits(problem, theta_hat, hfac, block,
+                           [e[0] for e in expanded], cfg)
+        outcomes.extend(map(_outcome, block, expanded, refitted))
 
     ok = [o for o in outcomes if o.errors is not None]
     if ok:

@@ -1,13 +1,20 @@
 """Command-line surface: subcommands, exit codes, and output files."""
 
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoij import (
+    Dataset,
+    DatasetError,
     DomainSampler,
     cli,
     load_dataset,
@@ -305,3 +312,141 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-m", "hoij.cli", "fit"],
                               capture_output=True, text=True, env=subprocess_env())
         assert proc.returncode == 2
+
+
+# -- property tests: bad input is one usage-error line, exit code 2 -------------
+
+def _unparsable(token):
+    """A non-blank cell that float() rejects or reads as non-finite."""
+    if not token.strip():
+        return False
+    try:
+        return not math.isfinite(float(token))
+    except ValueError:
+        return True
+
+
+CELL = st.floats(-1e3, 1e3, allow_nan=False).map(repr)
+BAD_CELL = st.one_of(
+    st.sampled_from(["nan", "inf", "-Infinity", "1e999", "abc", "1..2", "0x10"]),
+    st.text(st.characters(blacklist_characters=',"\r\n', blacklist_categories=("Cs",)),
+            min_size=1, max_size=6),
+).filter(_unparsable)
+BAD_VALUE = st.one_of(st.sampled_from(["abc", None, True, [1.0], {"a": 1}, "", math.inf]),
+                      st.text(max_size=4).filter(_unparsable))
+
+
+def _assert_usage_error(argv, out):
+    sink = io.StringIO()
+    with contextlib.redirect_stderr(sink):
+        rc = main(argv + ["--out", str(out)])
+    err = sink.getvalue()
+    assert rc == 2, (argv, err)
+    assert err.startswith("usage error: ") and len(err.strip().splitlines()) == 1, err
+    assert "Traceback" not in err and not out.exists()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 5), cols=st.integers(1, 3),
+       flaw=st.sampled_from(["cell", "ragged", "blank"]))
+def test_malformed_csv_is_usage_error(tmp_path_factory, data, rows, cols, flaw):
+    grid = data.draw(st.lists(st.lists(CELL, min_size=cols, max_size=cols),
+                              min_size=rows, max_size=rows))
+    r = data.draw(st.integers(0, rows - 1))
+    if flaw == "cell":
+        grid[r][data.draw(st.integers(0, cols - 1))] = data.draw(BAD_CELL)
+    elif flaw == "ragged":
+        grid[r] = grid[r] + ["1.0"] if cols == 1 or data.draw(st.booleans()) else grid[r][:-1]
+        if rows == 1:
+            grid.append(["1.0"] * cols)
+    else:
+        grid = [[" "] * data.draw(st.integers(1, 3))] * rows
+    path = tmp_path_factory.mktemp("csv") / "bad.csv"
+    path.write_text("\n".join(",".join(row) for row in grid) + "\n")
+    _assert_usage_error(["fit", "--model", "mean", "--data", str(path)],
+                        path.with_name("o.json"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 4), cols=st.integers(1, 3),
+       flaw=st.sampled_from(["top", "row", "no_x", "x_type", "ragged", "value",
+                             "partial_y", "syntax"]))
+def test_malformed_json_is_usage_error(tmp_path_factory, data, rows, cols, flaw):
+    records = [{"x": data.draw(st.lists(st.floats(-1e3, 1e3), min_size=cols, max_size=cols))}
+               for _ in range(rows)]
+    r = data.draw(st.integers(0, rows - 1))
+    if flaw == "top":
+        records = data.draw(st.sampled_from([{}, {"x": [1.0]}, 3, "rows", None, []]))
+    elif flaw == "row":
+        records[r] = data.draw(st.sampled_from([1.0, "x", [1.0], None]))
+    elif flaw == "no_x":
+        records[r] = {"y": 1.0}
+    elif flaw == "x_type":
+        records[r]["x"] = data.draw(st.sampled_from([1.0, "1,2", None, {"0": 1.0}]))
+    elif flaw == "ragged":
+        records[r]["x"] = records[r]["x"] + [1.0]
+        if rows == 1:
+            records.append({"x": [1.0] * cols})
+    elif flaw == "value":
+        records[r]["x"][data.draw(st.integers(0, cols - 1))] = data.draw(BAD_VALUE)
+    elif flaw == "partial_y":
+        records[r]["y"] = 1.0
+        if rows == 1:
+            records.append({"x": [1.0] * cols})
+    text = json.dumps(records)
+    if flaw == "syntax":
+        text = text[:data.draw(st.integers(0, len(text) - 1))]
+    path = tmp_path_factory.mktemp("json") / "bad.json"
+    path.write_text(text)
+    _assert_usage_error(["fit", "--model", "mean", "--data", str(path),
+                                 "--format", "json"], path.with_name("o.json"))
+
+
+NOT_INT = st.text(max_size=5).filter(
+    lambda s: not s.startswith("-") and not s.strip().lstrip("+").isdigit())
+NOT_FLOAT = NOT_INT.filter(_unparsable)
+BAD_FLAGS = [
+    (["cv", "--order"], st.one_of(NOT_INT, st.integers(7, 10 ** 6), st.integers(-99, -1))),
+    (["expand", "--order"], st.integers(-9, 0)),
+    (["cv", "--scheme", "bootstrap", "--draws"], st.one_of(NOT_INT, st.integers(-99, 0))),
+    (["cv", "--scheme", "kfold", "--folds"], st.one_of(st.integers(-9, 1), st.integers(5, 99))),
+    (["cv", "--scheme", "kappa", "--kappa"], st.one_of(st.integers(-9, 0), st.integers(5, 99))),
+    (["cv", "--scheme"], st.text(max_size=5).filter(
+        lambda s: not s.startswith("-") and s not in ("loo", "kfold", "kappa", "bootstrap"))),
+    (["bounds", "--samples"], st.one_of(NOT_INT, st.integers(-99, 0))),
+    (["bounds", "--rho"], st.one_of(NOT_FLOAT, st.floats(1.0, 1e9), st.floats(-1e9, 0.0),
+                                    st.sampled_from([math.nan, math.inf]))),
+    (["bounds", "--radius"], st.one_of(st.floats(-1e9, -1e-9),
+                                       st.sampled_from([math.nan, math.inf]))),
+    (["bounds", "--epsilon-term"], st.one_of(st.floats(-1e9, -1e-9),
+                                             st.sampled_from([math.nan, math.inf]))),
+    (["cv", "--with-bounds", "--epsilon-term"], st.sampled_from([math.nan, -1.0])),
+    (["fit", "--format"], st.sampled_from(["xml", "CSV", ""])),
+    (["terms", "--max-order"], st.one_of(st.integers(-9, 0), st.integers(7, 99))),
+    (["scaling", "--grid"], st.sampled_from(["", "5", "30", "1,2", "0,10", "10,5", "a,b",
+                                             "10,,x", "10;20"])),
+    (["scaling", "--features"], st.integers(-9, 0)),
+    (["scaling", "--noise"], st.one_of(st.floats(-1e9, -1e-9),
+                                       st.sampled_from([math.nan, math.inf]))),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), case=st.sampled_from(BAD_FLAGS))
+def test_bad_flag_value_is_usage_error(tmp_path_factory, data, case):
+    prefix, values = case
+    value = data.draw(values)
+    argv = [*prefix, str(value)]
+    if argv[0] == "scaling":
+        argv += ["--model", "mean"] + (["--grid", "30,60"] if prefix[1] != "--grid" else [])
+    elif argv[0] != "terms":
+        tmp = tmp_path_factory.mktemp("flags")
+        (tmp / "x.csv").write_text("1\n2\n3\n6\n")
+        argv += ["--model", "mean", "--data", str(tmp / "x.csv")]
+    _assert_usage_error(argv, tmp_path_factory.mktemp("out") / "o.json")
+
+
+def test_non_finite_response_names_its_row():
+    """A NaN noise reaches the Dataset check, which names the row."""
+    with pytest.raises(DatasetError, match="non-finite response value at row 1"):
+        Dataset(np.ones((2, 1)), np.array([np.nan, 1.0]))

@@ -1,5 +1,7 @@
 """Newton solves, the factorization, and the expansion recursion."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from hoij import (
     term_tables,
 )
 
+from hoij import expansion
 from hoij import forward_ad as fad
 from hoij.forward_ad import NonFiniteValueError
 
@@ -453,6 +456,204 @@ class TestExactRefit:
                 evaluate_g(prob, np.array([1e6]), w)
             got = exact_refit(prob, w, theta_hat, start=np.array([1e6]))
         assert got.tobytes() == exact_refit(prob, w, theta_hat).tobytes()
+
+
+def _polished(prob, w, theta, steps=3):
+    """theta after ``steps`` undamped Newton steps at weights w."""
+    for _ in range(steps):
+        h = expansion.assemble_jacobian(prob, theta, w)
+        theta = theta - np.linalg.solve(h, evaluate_g(prob, theta, w))
+    return theta
+
+
+def _ceiling(prob, theta_hat, w):
+    return float(np.linalg.norm(evaluate_g(prob, theta_hat, w)))
+
+
+class TestRefitBlock:
+    """The chord block re-fit against exact_refit from the same start."""
+
+    @staticmethod
+    def _recording_fallbacks(monkeypatch):
+        seen = []
+        real = expansion.exact_refit
+
+        def recording(prob, w, *args, **kwargs):
+            seen.append(id(w))
+            return real(prob, w, *args, **kwargs)
+
+        monkeypatch.setattr(expansion, "exact_refit", recording)
+        return seen
+
+    @staticmethod
+    def _weights(n):
+        return (list(loo_weights(n, [1, 17, n]))
+                + list(kfold_weights(n, 5, seed=1))[:2]
+                + list(leave_kappa_out_weights(n, 3, seed=2, count=2))
+                + list(bootstrap_weights(n, 2, seed=3)))
+
+    @pytest.mark.parametrize("l2", [0.0, 0.3])
+    @pytest.mark.parametrize("model_id", ALL_MODELS)
+    def test_matches_exact_refit(self, model_id, l2, monkeypatch):
+        """Chord roots within 1e-13 of exact_refit's (polished); fallbacks
+        bit-identical to it; at every order 0..5 and every scheme."""
+        n = 150
+        prob = build_problem(model_id, np.random.default_rng(7), n=n, dim=2,
+                             reg={"l2": l2} if l2 else None)
+        theta_hat = solve_base(prob)
+        hfac = factorize_hessian(prob, theta_hat)
+        weights = self._weights(n)
+        seen = self._recording_fallbacks(monkeypatch)
+        chord = 0
+        for order in range(6):
+            starts = [evaluate_theta_ij(prob, theta_hat, hfac, term_tables(max(order, 1)),
+                                        w.delta, order).theta_ij for w in weights]
+            seen.clear()
+            got = expansion.refit_block(prob, hfac, weights, starts)
+            for w, start, root in zip(weights, starts, got):
+                want = exact_refit(prob, w, theta_hat, start=start,
+                                   max_start_residual=_ceiling(prob, theta_hat, w))
+                if id(w) in seen:
+                    assert root.tobytes() == want.tobytes(), (order, w.label)
+                else:
+                    chord += 1
+                    gap = np.max(np.abs(root - _polished(prob, w.values, want)))
+                    assert gap <= 1e-13, (order, w.label, gap)
+        assert chord >= 4 * len(weights)
+
+    def test_no_forward_pass_and_few_g_evaluations(self, monkeypatch):
+        """From order-3 expansions: every weight by the chord, with the
+        derivatives cached at theta_hat, and one step for most weights."""
+        data = GeneratorConfig(n_features=3).generate(
+            "logistic_regression", 600, np.random.default_rng(21))
+        prob = make_problem("logistic_regression", data)
+        theta_hat = solve_base(prob)
+        hfac = factorize_hessian(prob, theta_hat)
+        weights = list(loo_weights(600, range(1, 600, 9)))
+        starts = [evaluate_theta_ij(prob, theta_hat, hfac, term_tables(3), w.delta, 3).theta_ij
+                  for w in weights]
+        calls = []
+        real = expansion.evaluate_g_block
+
+        def counted(*args):
+            calls.append(len(args[2]))
+            return real(*args)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("forward pass during the block re-fit")
+
+        monkeypatch.setattr(expansion, "evaluate_g_block", counted)
+        for name in ("per_datum_tensor", "g_theta_tensor", "weighted_term_sum"):
+            monkeypatch.setattr(fad, name, forbidden)
+        seen = self._recording_fallbacks(monkeypatch)
+        got = expansion.refit_block(prob, hfac, weights, starts)
+        assert seen == [] and calls[:2] == [len(weights)] * 2
+        assert sum(calls[2:]) <= len(weights) // 2, calls
+        monkeypatch.undo()
+        for w, root in zip(weights, got):
+            assert np.max(np.abs(root - _polished(prob, w.values, root))) <= 1e-13
+
+    def _logistic_block(self, n=200):
+        prob = build_problem("logistic_regression", np.random.default_rng(9), n=n, dim=2)
+        theta_hat = solve_base(prob)
+        hfac = factorize_hessian(prob, theta_hat)
+        weights = list(loo_weights(n, [2, n // 4, n // 4 + 1, n - 1]))
+        starts = [evaluate_theta_ij(prob, theta_hat, hfac, term_tables(3), w.delta, 3).theta_ij
+                  for w in weights]
+        return prob, theta_hat, hfac, weights, starts
+
+    def _assert_all_fall_back(self, monkeypatch, prob, theta_hat, hfac, weights, starts):
+        seen = self._recording_fallbacks(monkeypatch)
+        got = expansion.refit_block(prob, hfac, weights, starts)
+        assert seen == [id(w) for w in weights]
+        for w, start, root in zip(weights, starts, got):
+            want = exact_refit(prob, w, theta_hat, start=start,
+                               max_start_residual=_ceiling(prob, theta_hat, w))
+            assert root.tobytes() == want.tobytes()
+
+    def test_start_above_ceiling_falls_back(self, monkeypatch):
+        prob, theta_hat, hfac, weights, _ = self._logistic_block()
+        far = [theta_hat + 0.5] * len(weights)
+        calls = []
+        real = expansion.evaluate_g_block
+        monkeypatch.setattr(expansion, "evaluate_g_block",
+                            lambda *args: calls.append(1) or real(*args))
+        self._assert_all_fall_back(monkeypatch, prob, theta_hat, hfac, weights, far)
+        assert calls == [1]  # the starts' residuals, and no chord step
+        for w, root in zip(weights, expansion.refit_block(prob, hfac, weights, far)):
+            assert root.tobytes() == exact_refit(prob, w, theta_hat).tobytes()
+
+    def test_non_finite_start_falls_back(self, monkeypatch):
+        prob = make_problem("exp_loss", Dataset(np.array([[-1.0], [2.0], [0.5]])))
+        theta_hat = solve_base(prob)
+        hfac = factorize_hessian(prob, theta_hat)
+        weights = [np.array([1.0, 0.5, 1.0]), np.array([1.0, 1.0, 0.5])]
+        with np.errstate(over="ignore"):
+            self._assert_all_fall_back(monkeypatch, prob, theta_hat, hfac, weights,
+                                       [np.array([1e6]), np.array([1e6])])
+
+    @pytest.mark.parametrize("bad", ["negated", "singular"])
+    def test_non_contracting_jacobian_falls_back(self, monkeypatch, bad):
+        prob, theta_hat, hfac, weights, starts = self._logistic_block()
+        real = expansion._chord_jacobians
+        monkeypatch.setattr(
+            expansion, "_chord_jacobians",
+            lambda *args: -real(*args) if bad == "negated" else 0.0 * real(*args))
+        self._assert_all_fall_back(monkeypatch, prob, theta_hat, hfac, weights, starts)
+
+    def test_problem_without_batch_fn_falls_back(self, monkeypatch):
+        prob, theta_hat, hfac, weights, starts = self._logistic_block(n=60)
+        scalar = EstimatingProblem(prob.dim_theta, prob.n_terms, prob.term_fn)
+        hfac = factorize_hessian(scalar, theta_hat)
+        self._assert_all_fall_back(monkeypatch, scalar, theta_hat, hfac, weights, starts)
+
+    def test_fallback_error_is_returned(self):
+        # root exists at unit weights but vanishes when datum 2 is dropped
+        def term(i, theta):
+            if i == 0:
+                return [0.0]
+            if i == 1:
+                return [fad.exp(theta[0])]
+            return [-fad.exp(-2.0 * theta[0])]
+
+        def batch(theta, rows):
+            first = (rows == 0).astype(float)
+            return [first * fad.exp(theta[0]) - (1.0 - first) * fad.exp(-2.0 * theta[0])]
+
+        prob = EstimatingProblem(1, 2, term, batch_fn=batch)
+        theta_hat = solve_base(prob)
+        hfac = factorize_hessian(prob, theta_hat)
+        (got,) = expansion.refit_block(prob, hfac, [np.array([1.0, 0.0])], [theta_hat],
+                                       SolveConfig(max_iter=12))
+        assert isinstance(got, SolverError)
+
+    def test_g_block_memory_flat_in_n(self):
+        """One block's G evaluation peaks alike at N = 2 000 and 32 000."""
+        peaks = []
+        for n in (2000, 32000):
+            data = GeneratorConfig(n_features=3).generate(
+                "logistic_regression", n, np.random.default_rng(1))
+            prob = make_problem("logistic_regression", data)
+            thetas = np.random.default_rng(2).normal(size=(64, 3))
+            weights = np.ones((64, n))
+            expansion.evaluate_g_block(prob, thetas, weights)
+            tracemalloc.start()
+            expansion.evaluate_g_block(prob, thetas, weights)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0], peaks
+
+    @pytest.mark.parametrize("model_id", ALL_MODELS)
+    def test_g_block_matches_evaluate_g(self, model_id, monkeypatch):
+        monkeypatch.setattr(expansion, "REFIT_LEAF_ELEMENTS", 7)
+        rng = np.random.default_rng(4)
+        prob = build_problem(model_id, rng, n=23, dim=3, reg={"l2": 0.2})
+        thetas = rng.normal(scale=0.5, size=(5, 3))
+        weights = rng.uniform(0.0, 2.0, (5, 23))
+        got = expansion.evaluate_g_block(prob, thetas, weights)
+        for t, w, g in zip(thetas, weights, got):
+            want = evaluate_g(prob, t, w)
+            np.testing.assert_allclose(g, want, rtol=1e-13, atol=1e-15)
 
 
 class TestAffineInWeightsExactness:

@@ -193,6 +193,26 @@ class TestEvaluateG:
             np.testing.assert_allclose(got, expected, rtol=1e-14, atol=1e-16)
 
 
+    @pytest.mark.parametrize("l2", [0.0, 0.4])
+    @pytest.mark.parametrize("model_id", ALL_MODELS)
+    def test_batch_fn_broadcasts_theta_leaves(self, model_id, l2):
+        """The batched contract: one call with (B, 1) theta leaves gives, row
+        for row, the B single-point calls, and so does g_0."""
+        rng = np.random.default_rng(11)
+        prob = build_problem(model_id, rng, n=9, dim=3, reg={"l2": l2} if l2 else None)
+        thetas = rng.normal(scale=0.7, size=(5, 3))
+        rows = np.array([0, 3, 4, 8])
+        leaves = [thetas[:, d, None] for d in range(3)]
+        block = [np.broadcast_to(o, (5, rows.size)) for o in prob.batch_fn(leaves, rows)]
+        g0 = [np.broadcast_to(v, (5, 1))[:, 0] for v in prob.term_fn(0, leaves)]
+        for b, theta in enumerate(thetas):
+            point = [float(t) for t in theta]
+            for d, o in enumerate(prob.batch_fn(point, rows)):
+                np.testing.assert_allclose(block[d][b], o, rtol=1e-15, atol=0)
+            for d, v in enumerate(prob.term_fn(0, point)):
+                np.testing.assert_allclose(g0[d][b], v, rtol=1e-15, atol=0)
+
+
 class TestWeightVectors:
     def test_values_minus_delta_is_one(self):
         rng = np.random.default_rng(11)

@@ -167,6 +167,8 @@ class TestRefitFromExpansion:
         ("exp_loss", 2, 300, 3),
         ("linear_regression", 3, 100, 3),
         ("mean", 2, 100, 3),
+        ("logistic_regression", 3, 100, 3),
+        ("logistic_regression", 8, 200, 3),
     ])
     def test_refits_reach_the_root(self, model_id, dim, n, order):
         data = GeneratorConfig(n_features=dim).generate(
@@ -237,6 +239,127 @@ class TestRefitFromExpansion:
         assert all(s is not None for s in starts)
         for o, w in zip(report.outcomes, weights):
             assert o.theta_exact.tobytes() == exact_refit(prob, w, theta_hat).tobytes()
+
+
+    def test_small_blocks_and_leaves(self, monkeypatch):
+        """A stream of 23 weights in blocks of 5, with 7-entry leaves: the same
+        expansions bit for bit, and the same roots."""
+        from hoij import expansion
+
+        data = GeneratorConfig(n_features=3).generate(
+            "logistic_regression", 200, np.random.default_rng(6))
+        prob = make_problem("logistic_regression", data)
+        weights = list(loo_weights(200, range(1, 200, 9)))
+        want = run_cv(prob, weights, 3)
+        monkeypatch.setattr(resampling, "REFIT_BLOCK", 5)
+        monkeypatch.setattr(expansion, "REFIT_LEAF_ELEMENTS", 7)
+        got = run_cv(prob, weights, 3)
+        for o, ref, w in zip(got.outcomes, want.outcomes, weights):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(o.theta_ij, ref.theta_ij))
+            assert np.max(np.abs(o.theta_exact - ref.theta_exact)) <= 1e-13
+            root = polished_root(prob, w.values, o.theta_exact)
+            assert np.max(np.abs(o.theta_exact - root)) <= 1e-13
+
+    def test_one_failed_expansion_in_a_block(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        prob = build_problem("logistic_regression", rng, n=150)
+        theta_hat = solve_base(prob)
+        real = resampling.evaluate_theta_ij
+        weights = list(loo_weights(150, range(1, 150, 7)))
+        bad = weights[3]
+
+        def failing_once(problem, theta, hfac, table, delta_w, order):
+            if delta_w is bad.delta:
+                raise NonFiniteValueError("non-finite contraction")
+            return real(problem, theta, hfac, table, delta_w, order)
+
+        monkeypatch.setattr(resampling, "evaluate_theta_ij", failing_once)
+        report = run_cv(prob, weights, 3)
+        for o, w in zip(report.outcomes, weights):
+            if w is bad:
+                assert o.expand_error and o.errors is None
+                assert o.theta_exact.tobytes() == exact_refit(prob, w, theta_hat).tobytes()
+            else:
+                root = polished_root(prob, w.values, o.theta_exact)
+                assert np.max(np.abs(o.theta_exact - root)) <= 1e-13
+
+
+def _per_float_json(report, include_timings):
+    """CvReport.to_json_obj as it was written float by float."""
+    records = []
+    for o in report.outcomes:
+        rec = {
+            "label": o.label,
+            "theta_ij": None if o.theta_ij is None
+                        else [[float(v) for v in th] for th in o.theta_ij],
+            "theta_exact": None if o.theta_exact is None
+                           else [float(v) for v in o.theta_exact],
+            "errors": None if o.errors is None else [float(e) for e in o.errors],
+            "refit_error": o.refit_error,
+        }
+        if o.expand_error is not None:
+            rec["expand_error"] = o.expand_error
+        if include_timings:
+            rec["runtime_expand"] = o.runtime_expand
+            rec["runtime_refit"] = o.runtime_refit
+        records.append(rec)
+    obj = {
+        "schema_version": resampling.SCHEMA_VERSION,
+        "model_id": report.model_id,
+        "n_terms": report.n_terms,
+        "order": report.order,
+        "theta_hat": [float(v) for v in report.theta_hat],
+        "outcomes": records,
+        "max_error": [float(e) for e in report.max_error],
+        "mean_error": [float(e) for e in report.mean_error],
+        "metadata": report.metadata,
+    }
+    if report.bound_per_k is not None:
+        obj["bound_per_k"] = [float(b) for b in report.bound_per_k]
+    return obj
+
+
+def _per_float_csv(report):
+    rows = [["weight", "k", "error", "bound"]]
+    for o in report.outcomes:
+        if o.errors is None:
+            continue
+        for k, err in enumerate(o.errors):
+            bound = "" if report.bound_per_k is None else repr(float(report.bound_per_k[k]))
+            rows.append([o.label, str(k), repr(float(err)), bound])
+    return rows
+
+
+class TestReportSerialization:
+    @pytest.mark.parametrize("with_bounds", [False, True])
+    def test_matches_per_float_form(self, with_bounds):
+        """Array-built JSON and CSV rows equal the float-by-float ones, byte for
+        byte, with a failed expansion, a failed re-fit and timings."""
+        from dataclasses import replace
+
+        prob = make_problem("mean", mean_dataset_1236())
+        report = run_cv(prob, loo_weights(4), 3, with_bounds=with_bounds)
+        outcomes = list(report.outcomes)
+        outcomes[1] = replace(outcomes[1], theta_ij=None, errors=None,
+                              expand_error="non-finite contraction")
+        outcomes[2] = replace(outcomes[2], theta_exact=None, errors=None,
+                              refit_error="line search stalled")
+        report = replace(report, outcomes=tuple(outcomes))
+        if with_bounds:
+            assert report.bound_per_k is not None
+        for timings in (False, True):
+            got = json.dumps(report.to_json_obj(include_timings=timings), indent=2,
+                             sort_keys=True)
+            want = json.dumps(_per_float_json(report, timings), indent=2, sort_keys=True)
+            assert got == want
+        assert report.csv_rows() == _per_float_csv(report)
+
+    def test_no_errors_gives_header_only(self):
+        from dataclasses import replace
+
+        prob = make_problem("mean", mean_dataset_1236())
+        report = replace(run_cv(prob, loo_weights(4, [1]), 1), outcomes=())
+        assert report.csv_rows() == [["weight", "k", "error", "bound"]]
 
 
 class TestCovarianceIdentity:
