@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import sys
@@ -32,6 +33,10 @@ from .models import DatasetError
 from .terms import term_tables
 
 SCHEMA_VERSION = resampling.SCHEMA_VERSION
+
+# ``expand`` expands its weight vectors in blocks of at most this many
+# entries (weights x data rows), so memory does not grow with the stream.
+EXPAND_BLOCK_ELEMENTS = 1 << 20
 
 
 class UsageError(ValueError):
@@ -169,14 +174,33 @@ def _resolved_config(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k != "func"}
 
 
+def _output_paths(args) -> list:
+    """The JSON file ``--out`` names, then the CSV file cv and scaling add."""
+    if not args.out:
+        return []
+    path = Path(args.out)
+    return [path, path.with_suffix(".csv")] if args.command in ("cv", "scaling") else [path]
+
+
+def _check_outputs(args) -> None:
+    data = getattr(args, "data", None)
+    for path in _output_paths(args):
+        try:
+            same = data is not None and path.samefile(data)
+        except OSError:  # a file that does not exist is not the dataset
+            same = False
+        if same:
+            raise UsageError(f"output file {str(path)!r} would overwrite the dataset --data")
+
+
 def _emit(obj: dict, args, csv_rows=None) -> None:
     obj = {"schema_version": SCHEMA_VERSION, "config": _resolved_config(args), **obj}
     text = json.dumps(obj, indent=2, sort_keys=True)
-    if args.out:
-        path = Path(args.out)
-        path.write_text(text + "\n")
+    paths = _output_paths(args)
+    if paths:
+        paths[0].write_text(text + "\n")
         if csv_rows is not None:
-            with open(path.with_suffix(".csv"), "w", newline="") as fh:
+            with open(paths[1], "w", newline="") as fh:
                 csv.writer(fh).writerows(csv_rows)
     else:
         print(text)
@@ -208,14 +232,16 @@ def _cmd_expand(args):
     hfac = factorize_hessian(problem, theta_hat)
     table = term_tables(args.order)
     records = []
-    for w in weights:
-        expn = evaluate_theta_ij(problem, theta_hat, hfac, table, w.delta, args.order)
-        records.append({
-            "label": w.label,
-            "dthetas": [[float(v) for v in d] for d in expn.dthetas],
-            "theta_ij": [[float(v) for v in expn.partial_sum(k)]
-                         for k in range(args.order + 1)],
-        })
+    weights = iter(weights)
+    size = max(1, EXPAND_BLOCK_ELEMENTS // problem.n_terms)
+    while block := list(itertools.islice(weights, size)):
+        expn = evaluate_theta_ij(problem, theta_hat, hfac, table,
+                                 np.array([w.delta for w in block]), args.order)
+        dthetas = np.stack(expn.dthetas, axis=1).tolist()
+        partials = np.stack([expn.partial_sum(k) for k in range(args.order + 1)],
+                            axis=1).tolist()
+        records.extend({"label": w.label, "dthetas": d, "theta_ij": p}
+                       for w, d, p in zip(block, dthetas, partials))
     _emit({
         "theta_hat": [float(v) for v in theta_hat],
         "order": args.order,
@@ -340,6 +366,7 @@ def main(argv=None) -> int:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
     try:
+        _check_outputs(args)
         _COMMANDS[args.command](args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

@@ -228,8 +228,12 @@ class HessianFactor:
         return t
 
     def contract(self, directions) -> np.ndarray:
-        """The order-len(directions) tensor applied to each direction."""
-        return fad.contract(self.tensor(len(directions)), directions)
+        """The order-len(directions) tensor applied to each direction; (B, D)
+        directions, one row per weight vector of a block, give (B, D)."""
+        t = self.tensor(len(directions))
+        if np.ndim(directions[0]) == 2:
+            return fad.direction_products(directions, len(directions[0])) @ t.T
+        return fad.contract(t, directions)
 
 
 def factorize_hessian(problem: EstimatingProblem, theta_hat,
@@ -287,11 +291,15 @@ def evaluate_dtheta(problem: EstimatingProblem, theta_hat, hfac: HessianFactor,
     """One expansion coefficient: -H^{-1} (sum of coefficient-weighted terms).
 
     Every term contracts the derivative arrays cached on ``hfac``, so
-    ``theta_hat`` must be the point it was built at.
+    ``theta_hat`` must be the point it was built at (``hfac.theta_hat``
+    itself is not compared).  For a (B, N) block ``delta_w`` the
+    coefficients in ``dset`` and the result are (B, D), and the order ends
+    in one triangular solve with B right-hand sides; a non-finite value
+    anywhere in the block raises NonFiniteValueError.
     """
-    if not np.array_equal(theta_hat, hfac.theta_hat):
+    if theta_hat is not hfac.theta_hat and not np.array_equal(theta_hat, hfac.theta_hat):
         raise ValueError("theta_hat differs from the point the Hessian factor was built at")
-    d = np.zeros(problem.dim_theta)
+    d = 0.0
     for t in order_terms:
         dirs = _term_directions(t, dset)
         if t.omega == 1:
@@ -302,12 +310,13 @@ def evaluate_dtheta(problem: EstimatingProblem, theta_hat, hfac: HessianFactor,
             if not np.all(np.isfinite(value)):
                 raise fad.NonFiniteValueError(f"non-finite contraction for term {t}")
         d = d + t.coeff * value
-    return -hfac.solve(d)
+    return -hfac.solve(d.T).T
 
 
 @dataclass(frozen=True, eq=False)
 class TaylorExpansion:
-    """Base solution plus the weight-direction derivatives d_1..d_K."""
+    """Base solution plus the weight-direction derivatives d_1..d_K, each
+    (D,) for one weight vector and (B, D) for a block of B."""
 
     theta_hat: np.ndarray
     dthetas: tuple
@@ -331,25 +340,31 @@ def evaluate_theta_ij(problem: EstimatingProblem, theta_hat, hfac: HessianFactor
                       table: TermTable, delta_w, order: int) -> TaylorExpansion:
     """Run the expansion loop through the requested order.
 
-    Accumulates the derivative set bottom-up; everything reuses the single
-    factorization in ``hfac``.  Weight-direction terms read the per-datum
-    arrays of orders below ``order``, which ``hfac`` keeps, and their row
-    sums serve the other terms, so each order costs one forward pass per
-    factor; the order-``order`` array is needed only for its row sum.
+    ``delta_w`` is one weight offset w - 1 of length N, or a (B, N) block of
+    them; the coefficients are then (D,) or (B, D), and for a block the
+    expansion's ``theta_hat`` is repeated per row.  Accumulates the
+    derivative set bottom-up; everything reuses the single factorization in
+    ``hfac``.  Weight-direction terms read the per-datum arrays of orders
+    below ``order``, which ``hfac`` keeps, one product with the block each,
+    and their row sums serve the other terms, so each order costs one
+    forward pass per factor; the order-``order`` array is needed only for
+    its row sum.
     """
     if order > table.max_order:
         raise ValueError(f"order {order} exceeds table max {table.max_order}")
     delta_w = np.asarray(getattr(delta_w, "delta", delta_w), dtype=float)
     theta_hat = np.asarray(theta_hat, dtype=float)
+    if not np.array_equal(theta_hat, hfac.theta_hat):
+        raise ValueError("theta_hat differs from the point the Hessian factor was built at")
     for j in range(order):
         hfac.rows(j)
     dset: dict = {}
-    dthetas = []
     for k in range(1, order + 1):
-        dk = evaluate_dtheta(problem, theta_hat, hfac, table.for_order(k), dset, delta_w)
-        dset[k] = dk
-        dthetas.append(dk)
-    return TaylorExpansion(theta_hat=theta_hat, dthetas=tuple(dthetas), order=order)
+        dset[k] = evaluate_dtheta(problem, hfac.theta_hat, hfac, table.for_order(k),
+                                  dset, delta_w)
+    if delta_w.ndim == 2:
+        theta_hat = np.broadcast_to(theta_hat, (len(delta_w), theta_hat.size))
+    return TaylorExpansion(theta_hat=theta_hat, dthetas=tuple(dset.values()), order=order)
 
 
 # Weight vectors re-fitted together by :func:`refit_block`.

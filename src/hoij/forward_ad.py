@@ -264,9 +264,9 @@ def _check_directions(directions, dim):
     if k > K_MAX:
         raise ValueError(f"derivative order {k} exceeds the maximum {K_MAX}")
     for v in directions:
-        if len(v) != dim:
+        if np.shape(v)[-1] != dim:
             raise ValueError(
-                f"direction length {len(v)} != parameter dimension {dim}"
+                f"direction length {np.shape(v)[-1]} != parameter dimension {dim}"
             )
 
 
@@ -387,6 +387,20 @@ def contract(tensor, directions):
     return out.reshape(len(tensor))
 
 
+def direction_products(directions, rows):
+    """Row-wise outer products of k (B, D) direction blocks, shape (B, D**k).
+
+    Ordered like a (D, D**k) derivative array's columns, so the product
+    with its transpose applies the array to each row's directions.
+    """
+    if not directions:
+        return np.ones((rows, 1))
+    out = directions[0]
+    for v in directions[1:]:
+        out = (out[:, :, None] * v[:, None, :]).reshape(rows, -1)
+    return out
+
+
 def _batched_coefficient(values, k, width):
     # (D, width) mixed coefficients of scalar-likes with (width, 1) leaves;
     # a component with no such leaf has a constant coefficient.
@@ -489,8 +503,10 @@ def g_weight_derivative(problem, theta, delta_w, directions, per_datum=None):
     ``per_datum``, when given, must be the (N, D, P) array of
     ``per_datum_tensor(problem, theta, len(directions))`` at this same
     theta: delta_w is then contracted with it, with no forward pass, and
-    theta is not read.  Without it one nested pass sweeps the rows delta_w
-    changes.
+    theta is not read.  delta_w may then also be a (B, N) block of weight
+    offsets with (B, D) directions, one per row: one product of the block
+    with the rows gives the (B, D) values.  Without ``per_datum`` one nested
+    pass sweeps the rows a length-N delta_w changes.
     """
     delta_w = np.asarray(getattr(delta_w, "delta", delta_w), dtype=float)
     k = len(directions)
@@ -501,22 +517,30 @@ def g_weight_derivative(problem, theta, delta_w, directions, per_datum=None):
         if per_datum.shape != want:
             raise ValueError(f"per-datum array of shape {per_datum.shape} is not "
                              f"the order-{k} array, shape {want}")
-        # (D * P, N), rows last.  One product over every row beats gathering
-        # the changed rows (an O(N) scan and a strided copy) unless D * P >=
-        # 32 and fewer than N / 32 rows change.  Measured on a 2-core Xeon:
-        # at D * P <= 18 the product won at every N <= 100 000 and every
-        # count of changed rows; at D * P = 288, N = 100 000 and one row the
-        # gather took 0.4 ms against 10 ms; near the bound the worse choice
-        # cost at most 2.3 times the better one (13 against 6 us).
-        per = per_datum.transpose(1, 2, 0).reshape(-1, n)
-        if len(per) >= 32 and 32 * np.count_nonzero(delta_w) < n:
-            rows = np.flatnonzero(delta_w)
-            summed = per[:, rows] @ delta_w[rows]
+        # (N, D * P), a view.  One product over every row beats gathering
+        # the changed rows (an O(N) scan and a copy) unless D * P >= 32 and
+        # fewer than N / 32 rows change.  Measured on a 2-core Xeon, with
+        # the rows last in a transposed copy: at D * P <= 18 the product won
+        # at every N <= 100 000 and every count of changed rows; at D * P =
+        # 288, N = 100 000 and one row the gather took 0.4 ms against 10 ms;
+        # near the bound the worse choice cost at most 2.3 times the better
+        # one (13 against 6 us).
+        per = per_datum.reshape(n, -1)
+        inverse = basis_multisets(dim, k)[1]
+        if delta_w.ndim == 2:
+            m = len(delta_w)
+            summed = (delta_w @ per).reshape(m, dim, -1)[:, :, inverse]
+            out = np.einsum("bij,bj->bi", summed, direction_products(directions, m)) / n
         else:
-            summed = per @ delta_w
-        out = contract(summed.reshape(dim, -1)[:, basis_multisets(dim, k)[1]],
-                       directions) / n
+            if per.shape[1] >= 32 and 32 * np.count_nonzero(delta_w) < n:
+                rows = np.flatnonzero(delta_w)
+                summed = delta_w[rows] @ per[rows]
+            else:
+                summed = delta_w @ per
+            out = contract(summed.reshape(dim, -1)[:, inverse], directions) / n
     else:
+        if delta_w.ndim != 1:
+            raise ValueError("a block of weights needs the per-datum array")
         rows = np.nonzero(delta_w)[0]
         if rows.size == 0:
             return np.zeros(dim)

@@ -315,10 +315,10 @@ def bootstrap_samples(problem: EstimatingProblem, theta_hat, hfac, draws: int,
     """Sampled approximations under multinomial bootstrap weights.
 
     Returns ``(linear, expanded)``, each of shape (draws, D): the order-1
-    approximations, evaluated in vectorized blocks since they are linear in
-    the weights, and the order-``order`` expansions of the same draws
-    (None below order 2).  Each block of ``chunk`` draws is drawn once and
-    feeds both.
+    approximations, one product and one solve per block since they are
+    linear in the weights, and the order-``order`` expansions of the same
+    draws (None below order 2), one :func:`evaluate_theta_ij` call per
+    block.  Each block of ``chunk`` draws is drawn once and feeds both.
     """
     n = problem.n_terms
     j = gn_matrix(problem, theta_hat)
@@ -332,9 +332,8 @@ def bootstrap_samples(problem: EstimatingProblem, theta_hat, hfac, draws: int,
         m = len(delta)
         linear[done:done + m] = theta_hat - hfac.solve((delta @ j / n).T).T
         if table is not None:
-            for i, dw in enumerate(delta, start=done):
-                expanded[i] = evaluate_theta_ij(problem, theta_hat, hfac, table,
-                                                dw, order).theta_ij
+            expanded[done:done + m] = evaluate_theta_ij(problem, theta_hat, hfac, table,
+                                                        delta, order).theta_ij
         done += m
     return linear, expanded
 

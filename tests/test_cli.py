@@ -17,16 +17,20 @@ from hoij import (
     DatasetError,
     DomainSampler,
     cli,
+    evaluate_theta_ij,
+    factorize_hessian,
+    leave_kappa_out_weights,
     load_dataset,
     loo_weights,
     make_problem,
     resampling,
     run_cv,
     solve_base,
+    term_tables,
 )
 from hoij.cli import main
 
-from helpers import subprocess_env
+from helpers import max_rel_gap, subprocess_env
 
 
 @pytest.fixture
@@ -196,6 +200,35 @@ class TestStreamValidation:
         assert not out.exists()
 
 
+class TestOutputsSpareTheDataset:
+    """An output file that would land on --data is a usage error, and
+    nothing is written."""
+
+    def test_cv_csv_sibling(self, tmp_path, capsys):
+        data = tmp_path / "runs.csv"
+        data.write_text("1\n2\n3\n6\n")
+        out = tmp_path / "runs.json"
+        rc = main(["cv", "--model", "mean", "--data", str(data), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("usage error: ") and len(err.strip().splitlines()) == 1
+        assert data.read_text() == "1\n2\n3\n6\n"
+        assert not out.exists()
+
+    def test_fit_json_same_path(self, tmp_path, capsys):
+        data = tmp_path / "d.json"
+        text = json.dumps([{"x": [1.0]}, {"x": [2.0]}, {"x": [4.0]}])
+        data.write_text(text)
+        # the same file, reached through another spelling of its path
+        (tmp_path / "sub").mkdir()
+        rc = main(["fit", "--model", "mean", "--format", "json", "--data", str(data),
+                   "--out", str(tmp_path / "sub" / ".." / "d.json")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("usage error: ") and len(err.strip().splitlines()) == 1
+        assert data.read_text() == text
+
+
 class TestOtherCommands:
     def test_expand(self, mean_csv, tmp_path):
         out = tmp_path / "exp.json"
@@ -205,6 +238,27 @@ class TestOtherCommands:
         obj = read_json(out)
         drop4 = obj["expansions"][3]
         assert drop4["theta_ij"][-1] == [pytest.approx(2.015625, abs=1e-12)]
+
+    def test_expand_blocks_match_one_weight_calls(self, linreg_csv, tmp_path, monkeypatch):
+        """A stream over several blocks: every record is the one-weight
+        expansion of its weight vector."""
+        monkeypatch.setattr(cli, "EXPAND_BLOCK_ELEMENTS", 120)  # 6 weights of 20
+        out = tmp_path / "exp.json"
+        assert main(["expand", "--model", "linear_regression", "--data", linreg_csv,
+                     "--order", "3", "--scheme", "kappa", "--kappa", "2", "--draws", "15",
+                     "--seed", "2", "--out", str(out)]) == 0
+        records = read_json(out)["expansions"]
+        problem = make_problem("linear_regression", load_dataset(linreg_csv, response=True))
+        theta_hat = solve_base(problem)
+        hfac = factorize_hessian(problem, theta_hat)
+        weights = list(leave_kappa_out_weights(20, 2, seed=2, count=15))
+        assert [r["label"] for r in records] == [w.label for w in weights]
+        for rec, w in zip(records, weights):
+            want = evaluate_theta_ij(problem, theta_hat, hfac, term_tables(3), w.delta, 3)
+            for got, d in zip(rec["dthetas"], want.dthetas, strict=True):
+                assert max_rel_gap(got, d) <= 1e-14
+            for k, got in enumerate(rec["theta_ij"]):
+                assert max_rel_gap(got, want.partial_sum(k)) <= 1e-14
 
     def test_bootstrap(self, linreg_csv, tmp_path):
         out = tmp_path / "boot.json"

@@ -370,6 +370,85 @@ class TestEvaluateThetaIJ:
             evaluate_theta_ij(prob, theta_hat, hfac, term_tables(2), np.zeros(4), 3)
 
 
+class TestBlockExpansion:
+    """A (B, N) block of weight offsets against B one-weight calls."""
+
+    @staticmethod
+    def _blocks(n):
+        """LOO, k-fold, leave-kappa-out and bootstrap blocks of offsets w - 1."""
+        streams = {"loo": loo_weights(n, [1, 17, n]), "kfold": kfold_weights(n, 5, seed=1),
+                   "kappa": leave_kappa_out_weights(n, 3, seed=2, count=4),
+                   "bootstrap": bootstrap_weights(n, 6, seed=3)}
+        return {name: np.array([w.delta for w in ws]) for name, ws in streams.items()}
+
+    @pytest.mark.parametrize("l2", [0.0, 0.3])
+    @pytest.mark.parametrize("model_id", ALL_MODELS)
+    def test_matches_one_weight_calls(self, model_id, l2):
+        """Every coefficient and partial sum of every row, to 1e-14 of the
+        row's largest entry, at orders 1..5 and every scheme."""
+        n = 40
+        prob = build_problem(model_id, np.random.default_rng(8), n=n, dim=3,
+                             reg={"l2": l2} if l2 else None)
+        theta_hat = solve_base(prob)
+        hfac = factorize_hessian(prob, theta_hat)
+        table = term_tables(5)
+        for scheme, block in self._blocks(n).items():
+            for order in range(1, 6):
+                got = evaluate_theta_ij(prob, theta_hat, hfac, table, block, order)
+                assert got.theta_ij.shape == (len(block), 3)
+                for b, dw in enumerate(block):
+                    want = evaluate_theta_ij(prob, theta_hat, hfac, table, dw, order)
+                    for k in range(order):
+                        assert max_rel_gap(got.dthetas[k][b], want.dthetas[k]) <= 1e-14, \
+                            (scheme, order, k + 1, b)
+                    for k in range(order + 1):
+                        assert max_rel_gap(got.partial_sum(k)[b], want.partial_sum(k)) <= 1e-14
+
+    def test_one_row_block(self):
+        prob = build_problem("logistic_regression", np.random.default_rng(9), n=30, dim=3,
+                             reg={"l2": 0.2})
+        theta_hat = solve_base(prob)
+        hfac = factorize_hessian(prob, theta_hat)
+        dw = next(bootstrap_weights(30, 1, seed=4)).delta
+        got = evaluate_theta_ij(prob, theta_hat, hfac, term_tables(4), dw[None], 4)
+        want = evaluate_theta_ij(prob, theta_hat, hfac, term_tables(4), dw, 4)
+        assert [d.shape for d in got.dthetas] == [(1, 3)] * 4
+        assert got.partial_sum(0).shape == (1, 3)
+        for k in range(5):
+            assert max_rel_gap(got.partial_sum(k)[0], want.partial_sum(k)) <= 1e-14
+
+    def test_one_weight_keeps_vector_shapes(self, mean_setup):
+        prob, theta_hat, hfac = mean_setup
+        expn = evaluate_theta_ij(prob, theta_hat, hfac, term_tables(3),
+                                 np.array([0.0, 0.0, 0.0, -1.0]), 3)
+        assert [d.shape for d in expn.dthetas] == [(1,)] * 3
+        assert [expn.partial_sum(k).shape for k in range(4)] == [(1,)] * 4
+
+    def test_non_finite_row_raises(self):
+        """One row that overflows fails the whole block, as it fails alone."""
+        prob = build_problem("exp_loss", np.random.default_rng(10), n=20, dim=2)
+        theta_hat = solve_base(prob)
+        hfac = factorize_hessian(prob, theta_hat)
+        block = np.array([w.delta for w in bootstrap_weights(20, 4, seed=5)])
+        block[2] = 1e308
+        table = term_tables(3)
+        evaluate_theta_ij(prob, theta_hat, hfac, table, block[[0, 1, 3]], 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for dw in (block[2], block):
+                with pytest.raises(NonFiniteValueError):
+                    evaluate_theta_ij(prob, theta_hat, hfac, table, dw, 3)
+
+    def test_theta_hat_checked_once_per_call(self, mean_setup, monkeypatch):
+        prob, theta_hat, hfac = mean_setup
+        calls = []
+        real = np.array_equal
+        monkeypatch.setattr(np, "array_equal", lambda *a: calls.append(1) or real(*a))
+        evaluate_theta_ij(prob, theta_hat.copy(), hfac, term_tables(4), -np.eye(4)[:2], 4)
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match="Hessian factor"):
+            evaluate_theta_ij(prob, theta_hat + 1e-9, hfac, term_tables(1), np.zeros(4), 1)
+
+
 class TestExactRefit:
     def test_mean_loo(self, mean_setup):
         prob, theta_hat, _ = mean_setup

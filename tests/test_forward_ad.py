@@ -11,7 +11,7 @@ from hoij.forward_ad import TaylorScalar, directional_derivative
 
 import itertools
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hoij import EstimatingProblem
@@ -487,6 +487,43 @@ class TestCachedWeightDerivative:
                                     (np.full(2, 1e200), np.full(2, 1e200)), per)
 
 
+class TestBlockWeightDerivative:
+    """The cached route with a (B, N) block and (B, D) directions, row by row."""
+
+    def test_rows_match_one_weight_routes(self):
+        rng = np.random.default_rng(57)
+        prob = build_problem("logistic_regression", rng, n=70, dim=4, reg={"l2": 0.3})
+        theta = rng.uniform(-0.5, 0.5, 4)
+        block = rng.uniform(-1.0, 1.0, (5, 70))
+        block[0] = 0.0
+        block[1] = np.eye(70)[3]
+        block[2, 10:] = 0.0
+        for m in range(5):
+            per = fad.per_datum_tensor(prob, theta, m)[1]
+            dirs = tuple(rng.standard_normal((m, 5, 4)))
+            got = fad.g_weight_derivative(prob, theta, block, dirs, per)
+            assert got.shape == (5, 4)
+            for b, dw in enumerate(block):
+                row_dirs = tuple(v[b] for v in dirs)
+                nested = fad.g_weight_derivative(prob, theta, dw, row_dirs)
+                cached = fad.g_weight_derivative(prob, theta, dw, row_dirs, per)
+                assert max_rel_gap(got[b], nested) <= 1e-12, (m, b)
+                assert max_rel_gap(got[b], cached) <= 1e-14, (m, b)
+
+    def test_nested_route_takes_one_weight(self):
+        prob = build_problem("exp_loss", np.random.default_rng(58), n=6, dim=2)
+        with pytest.raises(ValueError, match="per-datum array"):
+            fad.g_weight_derivative(prob, [0.1, -0.2], np.ones((2, 6)), ())
+
+    def test_non_finite_row(self):
+        prob = build_problem("exp_loss", np.random.default_rng(59), n=6, dim=2)
+        per = fad.per_datum_tensor(prob, [0.1, -0.2], 1)[1]
+        dirs = (np.array([[1.0, 0.0], [1e308, 1e308]]),)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(fad.NonFiniteValueError, match="weight-direction"):
+            fad.g_weight_derivative(prob, [0.1, -0.2], np.ones((2, 6)), dirs, per)
+
+
 PROPERTY_PROBLEM = build_problem("logistic_regression", np.random.default_rng(54),
                                  n=10, dim=2, reg={"l2": 0.3})
 PROPERTY_THETA = np.array([0.3, -0.4])
@@ -495,10 +532,16 @@ WEIGHT_ENTRY = st.one_of(st.just(0.0), st.integers(-1, 3).map(float),
 
 
 def row_scale(prob, theta, delta_w, dirs):
-    """The largest summed magnitude of the rows' contributions, over entries."""
+    """The rounding scale of the contraction: |delta_w| against the rows'
+    magnitudes contracted with the directions' magnitudes, largest entry.
+
+    A row's contracted value can cancel, so its magnitude may understate
+    the terms rounded while it is summed."""
     per = fad.per_datum_tensor(prob, theta, len(dirs))[1]
     inverse = fad.basis_multisets(prob.dim_theta, len(dirs))[1]
-    rows = [abs(c) * np.abs(fad.contract(p[:, inverse], dirs)) for c, p in zip(delta_w, per)]
+    abs_dirs = [np.abs(v) for v in dirs]
+    rows = [abs(c) * fad.contract(np.abs(p[:, inverse]), abs_dirs)
+            for c, p in zip(delta_w, per)]
     return np.max(np.sum(rows, axis=0)) / prob.n_terms
 
 
@@ -507,6 +550,7 @@ GATHER_PROBLEM = build_problem("exp_loss", np.random.default_rng(56), n=70, dim=
 
 
 @settings(max_examples=40, deadline=None)
+@example(changed={62: 1.0}, order=3, seed=748)
 @given(changed=st.dictionaries(st.integers(0, 69), WEIGHT_ENTRY.filter(bool),
                                min_size=1, max_size=2),
        order=st.integers(2, 3), seed=st.integers(0, 2 ** 16))

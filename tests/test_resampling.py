@@ -414,8 +414,10 @@ class TestCovarianceIdentity:
             np.vstack(blocks), [w.values for w in bootstrap_weights(n, draws, seed=5)])
 
     def test_one_draw_feeds_both_orders(self):
-        """Across chunk boundaries, both sample sets come from the draws of
-        bootstrap_weights, and the linear half is bootstrap_linear_samples."""
+        """Across chunk boundaries, both sample sets come from the drawn
+        blocks, expanded one block per call, and the linear half is
+        bootstrap_linear_samples.  TestBlockExpansion compares a block's
+        expansion with per-draw calls."""
         rng = np.random.default_rng(11)
         prob = build_problem("logistic_regression", rng, n=15, dim=2)
         theta_hat = solve_base(prob)
@@ -423,9 +425,9 @@ class TestCovarianceIdentity:
         linear, expanded = bootstrap_samples(prob, theta_hat, hfac, 7, order=3,
                                              seed=8, chunk=3)
         table = term_tables(3)
-        for row, w in zip(expanded, bootstrap_weights(15, 7, seed=8), strict=True):
-            want = evaluate_theta_ij(prob, theta_hat, hfac, table, w.delta, 3).theta_ij
-            np.testing.assert_array_equal(row, want)
+        want = [evaluate_theta_ij(prob, theta_hat, hfac, table, block - 1.0, 3).theta_ij
+                for block in bootstrap_weight_blocks(15, 7, seed=8, chunk=3)]
+        np.testing.assert_array_equal(expanded, np.vstack(want))
         np.testing.assert_allclose(
             linear, bootstrap_linear_samples(prob, theta_hat, hfac, 7, seed=8),
             rtol=1e-13, atol=0)
