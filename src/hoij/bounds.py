@@ -17,7 +17,7 @@ approximation is the order-(K+1) norm bound divided by K!.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -115,6 +115,9 @@ class DomainSampler:
     radius: float
     n_samples: int = 256
     seed: int = 0
+    # Statistics at the center by (problem, derivative order), measured by
+    # default_sampler's pilot, so the first point is not differentiated twice.
+    _center_stats: dict = field(default_factory=dict, init=False, repr=False)
 
     def points(self) -> np.ndarray:
         center = np.asarray(self.center, dtype=float)
@@ -214,35 +217,47 @@ class _SampledStats:
     loo_exact: dict
 
 
-def _sample_stats(problem: EstimatingProblem, sampler: DomainSampler,
-                  k_hi: int) -> _SampledStats:
-    # One multiset pass per order and sampled point.  Entry norms weight
-    # each multiset column by the number of ordered tuples it stands for,
-    # so they equal the norms of the full D**(k+1) arrays.
+def _point_stats(problem: EstimatingProblem, theta, k_hi: int) -> _SampledStats:
+    # The statistics at one point, from one Taylor pass of degree k_hi.
+    # Entry norms weight each multiset column by the number of ordered
+    # tuples it stands for, so they equal the norms of the full D**(k+1)
+    # arrays.
     n, dim = problem.n_terms, problem.dim_theta
     c_op = 0.0
-    m = {k: 0.0 for k in range(k_hi + 1)}
-    v = {k: 0.0 for k in range(k_hi + 1)}
-    t = {k: 0.0 for k in range(k_hi + 1)}
-    loo = {k: 0.0 for k in range(k_hi + 1)}
-    mults = {k: np.bincount(fad.basis_multisets(dim, k)[1]) for k in range(k_hi + 1)}
-    for theta in sampler.points():
-        for k, mult in mults.items():
-            g0, per = fad.per_datum_tensor(problem, theta, k)
-            summed = (g0 + per.sum(axis=0)) / n
-            if k == 1:
-                # the order-1 multisets are the D basis directions in order,
-                # so summed is the Jacobian
-                try:
-                    c_op = max(c_op, operator_norm_of_inverse(summed))
-                except np.linalg.LinAlgError:
-                    raise SingularSampleError(theta) from None
-            m[k] = max(m[k], math.sqrt(float(np.sum(summed * summed, axis=0) @ mult)))
-            sq = np.sum(per * per, axis=1) @ mult
-            v[k] = max(v[k], float(sq.mean()))
-            t[k] = max(t[k], float(np.max(np.abs(per))))
-            loo[k] = max(loo[k], float(np.sqrt(sq.max())) / n)
+    m, v, t, loo = {}, {}, {}, {}
+    for k, (g0, per) in fad.per_datum_tensors(problem, theta, range(k_hi + 1)).items():
+        mult = np.bincount(fad.basis_multisets(dim, k)[1])
+        summed = (g0 + per.sum(axis=0)) / n
+        if k == 1:
+            # the order-1 multisets are the D basis directions in order, so
+            # summed is the Jacobian
+            try:
+                c_op = operator_norm_of_inverse(summed)
+            except np.linalg.LinAlgError:
+                raise SingularSampleError(theta) from None
+        m[k] = math.sqrt(float(np.sum(summed * summed, axis=0) @ mult))
+        sq = np.sum(per * per, axis=1) @ mult
+        v[k] = float(sq.mean())
+        t[k] = float(np.max(np.abs(per)))
+        loo[k] = float(np.sqrt(sq.max())) / n
     return _SampledStats(c_op=c_op, m=m, v=v, t=t, loo_exact=loo)
+
+
+def _sample_stats(problem: EstimatingProblem, sampler: DomainSampler,
+                  k_hi: int) -> _SampledStats:
+    # The largest of each statistic over the sampled points.  The first
+    # point is the centre, whose statistics the sampler may already hold
+    # from default_sampler's pilot.
+    stats = []
+    for i, theta in enumerate(sampler.points()):
+        known = sampler._center_stats.get((problem, k_hi)) if i == 0 else None
+        stats.append(_point_stats(problem, theta, k_hi) if known is None else known)
+
+    def sup(field):
+        return {k: max(getattr(s, field)[k] for s in stats) for k in range(k_hi + 1)}
+
+    return _SampledStats(c_op=max(s.c_op for s in stats), m=sup("m"), v=sup("v"),
+                         t=sup("t"), loo_exact=sup("loo_exact"))
 
 
 class SingularSampleError(np.linalg.LinAlgError):
@@ -251,6 +266,14 @@ class SingularSampleError(np.linalg.LinAlgError):
     def __init__(self, theta):
         super().__init__(f"singular Jacobian at sampled point {np.asarray(theta)}")
         self.theta = np.asarray(theta, float)
+
+
+def _stats_order(order: int) -> int:
+    # The highest derivative order the constants of an order-K bound read.
+    if not 0 <= order < fad.K_MAX:
+        raise ValueError(f"bound order {order} outside 0..{fad.K_MAX - 1}: "
+                         f"its constants need derivatives of order {order + 1}")
+    return max(order + 1, 2)
 
 
 def estimate_constants(problem: EstimatingProblem, theta_hat, sampler: DomainSampler,
@@ -268,11 +291,7 @@ def estimate_constants(problem: EstimatingProblem, theta_hat, sampler: DomainSam
         raise ValueError("the sampler is not centred on theta_hat")
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must be strictly inside (0, 1), got {rho}")
-    if not 0 <= order < fad.K_MAX:
-        raise ValueError(f"bound order {order} outside 0..{fad.K_MAX - 1}: "
-                         f"its constants need derivatives of order {order + 1}")
-    k_hi = max(order + 1, 2)
-    stats = _sample_stats(problem, sampler, k_hi)
+    stats = _sample_stats(problem, sampler, _stats_order(order))
     n = problem.n_terms
     ks = range(order + 2)
     eps_term = {k: epsilon * stats.m[k] for k in ks}
@@ -304,19 +323,25 @@ def default_sampler(problem: EstimatingProblem, theta_hat, order: int,
                     radius: Optional[float] = None) -> DomainSampler:
     """Sampler with the self-consistent default radius 2 * C_op * delta_0.
 
-    A radius-zero pass measures C_op and delta_0 at the base fit, and the
-    region is enlarged to twice the resulting worst-case solution drift.  A
-    problem's domain hint, or an explicit radius, overrides the default.
+    A pilot measures C_op and delta_0 at the base fit, and the region is
+    enlarged to twice the resulting worst-case solution drift.  The
+    sampler keeps the pilot's statistics for its first point, the base fit,
+    so :func:`estimate_constants` at the same order does not measure them
+    again.  A problem's domain hint, or an explicit radius, overrides the
+    default.
     """
     theta_hat = np.asarray(theta_hat, dtype=float)
     if radius is None and problem.domain_hint is not None:
         radius = problem.domain_hint.radius
+    pilot = None
     if radius is None:
-        pilot = estimate_constants(
-            problem, theta_hat, DomainSampler(theta_hat, 0.0), order
-        )
-        radius = 2.0 * pilot.c_op * pilot.delta_exact[0]
-    return DomainSampler(theta_hat, float(radius), n_samples=n_samples, seed=seed)
+        k_hi = _stats_order(order)
+        pilot = _point_stats(problem, theta_hat, k_hi)
+        radius = 2.0 * pilot.c_op * pilot.loo_exact[0]
+    sampler = DomainSampler(theta_hat, float(radius), n_samples=n_samples, seed=seed)
+    if pilot is not None:
+        sampler._center_stats[(problem, k_hi)] = pilot
+    return sampler
 
 
 # -- the bound ladder ----------------------------------------------------------

@@ -2,9 +2,9 @@
 
 The expansion around the all-ones weights needs one Newton solve, one
 dense factorization of the Jacobian H = dG/dtheta at the base fit, and the
-per-datum derivative arrays of G there, one forward pass per order on first
-use.  After that, every weight vector costs only derivative contractions and
-triangular solves: the order-k coefficient solves
+per-datum derivative arrays of G there, every order from one forward pass
+on first use.  After that, every weight vector costs only derivative
+contractions and triangular solves: the order-k coefficient solves
 
     H * d_k = -(sum of table terms of order k),
 
@@ -180,10 +180,13 @@ class HessianFactor:
 
     It also keeps the base fit ``theta_hat`` it was built at, and memoizes
     the derivatives of G there (all-ones weights) on first use: the
-    per-datum arrays of :func:`forward_ad.per_datum_tensor` for the orders
+    per-datum arrays of :func:`forward_ad.per_datum_tensors` for the orders
     that :meth:`rows` is asked for, and the summed tensors of :meth:`tensor`,
-    read off cached rows when there are some and otherwise from
-    :func:`forward_ad.g_theta_tensor`, whose pass keeps no per-datum array.
+    read off cached rows when there are some and otherwise reduced row block
+    by row block, so no per-datum array of that order is kept.
+    :meth:`prepare` fills several orders from one Taylor pass: the order-K
+    expansion's rows of orders 0..K-1 and its order-K tensor from one pass
+    of degree K.
     """
 
     matrix: np.ndarray
@@ -205,27 +208,38 @@ class HessianFactor:
             raise fad.NonFiniteValueError("non-finite solution of the Hessian system")
         return x
 
+    def prepare(self, rows=(), tensors=()) -> None:
+        """Cache :meth:`rows` for the orders ``rows`` and :meth:`tensor` for
+        the orders ``tensors``, everything missing from one Taylor pass."""
+        want_rows = [k for k in rows if k not in self._rows]
+        want_sums = [k for k in tensors if k not in self._tensors
+                     and k not in self._rows and k not in want_rows]
+        if want_rows or want_sums:
+            out = fad.per_datum_tensors(self.problem, self.theta_hat, want_rows,
+                                        summed=want_sums)
+            self._rows.update((k, out[k]) for k in want_rows)
+            self._tensors.update((k, self._summed(k, *out[k])) for k in want_sums)
+
+    def _summed(self, k: int, g0: np.ndarray, summed: np.ndarray) -> np.ndarray:
+        # (D, D**k) tensor of G from the multiset row sum of the terms g_n
+        inverse = fad.basis_multisets(self.problem.dim_theta, k)[1]
+        return (g0 + summed)[:, inverse] / self.problem.n_terms
+
     def rows(self, k: int) -> tuple:
         """(g0, per): the order-k derivatives of g_0 and of every g_n at theta_hat."""
-        r = self._rows.get(k)
-        if r is None:
-            r = fad.per_datum_tensor(self.problem, self.theta_hat, k)
-            self._rows[k] = r
-        return r
+        if k not in self._rows:
+            self.prepare(rows=(k,))
+        return self._rows[k]
 
     def tensor(self, k: int) -> np.ndarray:
         """The order-k derivative array of G at theta_hat, shape (D, D**k)."""
-        t = self._tensors.get(k)
-        if t is None:
-            n = self.problem.n_terms
+        if k not in self._tensors:
             if k in self._rows:
                 g0, per = self._rows[k]
-                inverse = fad.basis_multisets(self.problem.dim_theta, k)[1]
-                t = (g0 + per.sum(axis=0))[:, inverse] / n
+                self._tensors[k] = self._summed(k, g0, per.sum(axis=0))
             else:
-                t = fad.g_theta_tensor(self.problem, self.theta_hat, np.ones(n), k)
-            self._tensors[k] = t
-        return t
+                self.prepare(tensors=(k,))
+        return self._tensors[k]
 
     def contract(self, directions) -> np.ndarray:
         """The order-len(directions) tensor applied to each direction; (B, D)
@@ -346,9 +360,9 @@ def evaluate_theta_ij(problem: EstimatingProblem, theta_hat, hfac: HessianFactor
     derivative set bottom-up; everything reuses the single factorization in
     ``hfac``.  Weight-direction terms read the per-datum arrays of orders
     below ``order``, which ``hfac`` keeps, one product with the block each,
-    and their row sums serve the other terms, so each order costs one
-    forward pass per factor; the order-``order`` array is needed only for
-    its row sum.
+    and their row sums serve the other terms; the order-``order`` array is
+    needed only for its row sum.  All of them come from one forward pass
+    per factor, of degree ``order``.
     """
     if order > table.max_order:
         raise ValueError(f"order {order} exceeds table max {table.max_order}")
@@ -356,8 +370,7 @@ def evaluate_theta_ij(problem: EstimatingProblem, theta_hat, hfac: HessianFactor
     theta_hat = np.asarray(theta_hat, dtype=float)
     if not np.array_equal(theta_hat, hfac.theta_hat):
         raise ValueError("theta_hat differs from the point the Hessian factor was built at")
-    for j in range(order):
-        hfac.rows(j)
+    hfac.prepare(rows=range(order), tensors=(order,) if order >= 2 else ())
     dset: dict = {}
     for k in range(1, order + 1):
         dset[k] = evaluate_dtheta(problem, hfac.theta_hat, hfac, table.for_order(k),
@@ -414,6 +427,7 @@ def _chord_jacobians(hfac: HessianFactor, weights: list, thetas: np.ndarray) -> 
     tensor.  What it leaves out is O(|v_b|^3 + |w_b - 1| |v_b|^2 / N).
     """
     n, dim = hfac.problem.n_terms, hfac.problem.dim_theta
+    hfac.prepare(rows=(1, 2), tensors=(3,))
     v = thetas - hfac.theta_hat
     sums = []
     for k in (1, 2):

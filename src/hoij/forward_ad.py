@@ -7,38 +7,45 @@ functions exp/log/sigmoid propagate coefficients by their standard
 recurrences, so c_k is exactly f^(k)/k! of whatever smooth expression
 produced the scalar.
 
-Mixed directional derivatives are computed by nesting: each nesting level is
-an order-1 TaylorScalar (a dual number) whose coefficients may themselves be
-TaylorScalars.  Evaluating a function on inputs nested through k levels and
-reading off the coefficient of the product of all k perturbations gives the
-exact k-th mixed directional derivative; evaluating a D-dimensional function
-costs O(2^k) scalar work per input regardless of D.
+Derivatives of every order 0..d at a point come from one univariate Taylor
+pass of degree d (Griewank, Utke & Walther 2000): theta + t i along the
+C(D+d-1, d) lattice directions i with |i| = d, all carried at once along a
+leading leaf axis.  The pass's k-th coefficients along those directions
+determine the order-k partials over index multisets through one fixed
+interpolation matrix per (D, d, k).  A multiply costs (d+1)(d+2)/2 leaf
+products, where d nested order-1 levels cost 3^d, and every value carries
+d+1 leaves, not 2^d.  Coefficient leaves are floats or numpy arrays, so one
+evaluation also carries every data row of an estimating problem:
+:func:`per_datum_tensors` gives the per-datum derivatives of every g_n, one
+row block at a time, and everything else at a fixed point contracts those
+arrays.  :func:`g_theta_tensor` is their weighted row sum, and
+:func:`g_weight_derivative` contracts the rows a weight vector changes when
+it is handed the cached arrays.
 
-Coefficient leaves are floats or numpy arrays.  Array leaves let a single
-evaluation carry every data row of an estimating problem at once, which is
-how the weighted-sum helpers below stay fast for large N.  A leading leaf
-axis can also carry every multiset of basis directions at once:
-:func:`per_datum_tensor` uses it to give the per-datum derivatives of every
-g_n over multisets in one pass, one row block at a time.  Everything else
-at a fixed point is a contraction of those arrays: :func:`g_theta_tensor`
-is their weighted row sum, and :func:`g_weight_derivative` contracts the
-rows a weight vector changes when it is handed the cached arrays.
+Nesting order-1 levels is the oracle: each level is a dual number whose
+coefficients may themselves be TaylorScalars, and the coefficient of the
+product of all k perturbations is the exact mixed directional derivative
+(:func:`nested_input`, :func:`directional_derivative`,
+:func:`g_theta_derivative`), with no interpolation involved.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import numbers
 
 import numpy as np
+import scipy.linalg
 from scipy.special import expit
 
-# Hard ceiling on the nesting depth (and hence on expansion order).  Term
-# tables and acceptance targets use K <= 4; 6 leaves headroom.
+# Hard ceiling on the derivative order (the degree of a pass, and the depth
+# of a nested one), hence on expansion order.  Term tables and acceptance
+# targets use K <= 4; 6 leaves headroom.
 K_MAX = 6
 
-# Leaves of a direction-batched pass (direction multisets x data rows) hold at
+# Leaves of a direction-batched pass (lattice directions x data rows) hold at
 # most this many elements; more rows are swept in blocks, so the pass's
 # memory does not grow with N.
 BLOCK_ELEMENTS = 4096
@@ -252,13 +259,6 @@ def nested_coefficient(y, k):
     return y
 
 
-def primal(x):
-    """Strip all perturbation levels, returning the underlying value."""
-    while isinstance(x, TaylorScalar):
-        x = x.coeffs[0]
-    return x
-
-
 def _check_directions(directions, dim):
     k = len(directions)
     if k > K_MAX:
@@ -401,26 +401,141 @@ def direction_products(directions, rows):
     return out
 
 
-def _batched_coefficient(values, k, width):
-    # (D, width) mixed coefficients of scalar-likes with (width, 1) leaves;
-    # a component with no such leaf has a constant coefficient.
-    out = np.empty((len(values), width))
-    for i, v in enumerate(values):
-        out[i] = np.reshape(nested_coefficient(v, k), -1)
+@functools.lru_cache(maxsize=None)
+def lattice_directions(dim, degree):
+    """The C(D+d-1, d) lattice directions i with |i| = d = degree, shape (P, D).
+
+    Row p counts how often each index occurs in the multiset
+    ``basis_multisets(dim, degree)[0][p]``, so at degree 1 the rows are the
+    D basis vectors in order.  Cached and read-only.
+    """
+    multisets, _ = basis_multisets(dim, degree)
+    out = (multisets[:, :, None] == np.arange(dim)).sum(axis=1).astype(float)
+    out.setflags(write=False)
     return out
 
 
-def _multiset_input(theta, dim, multisets):
-    # theta lifted through k order-1 levels that carry the (P, k) basis
-    # multisets at once.  At level i the tangent of theta_d is 1 for the
-    # multisets whose i-th index is d: a (P, 1) leaf, constant across rows.
+def _index_of(rows):
+    # position of each row of a (P, D) count array, keyed by its tuple
+    return {tuple(r): i for i, r in enumerate(rows.astype(int).tolist())}
+
+
+@functools.lru_cache(maxsize=None)
+def _subspace_inverse(dim, degree, k):
+    # k! times the pseudo-inverse of the (P_degree, P_k) matrix with entries
+    # (k! / a!) i^a over the lattice directions i and multisets a in ``dim``
+    # variables: the order-k partials from the order-k coefficients.
+    directions = lattice_directions(dim, degree)
+    alphas = lattice_directions(dim, k)
+    multinomial = math.factorial(k) / np.prod(
+        [[math.factorial(int(a)) for a in alpha] for alpha in alphas], axis=1)
+    monomials = np.prod(directions[:, None, :] ** alphas[None, :, :], axis=2)
+    # The pseudo-inverse from scipy's SVD, which the Jacobian's condition
+    # checks use too: numpy's first SVD adds about 1 MB of resident memory.
+    u, s, vt = scipy.linalg.svd(monomials * multinomial, full_matrices=False)
+    return math.factorial(k) * (vt.T / s) @ u.T
+
+
+@functools.lru_cache(maxsize=None)
+def _interpolation_groups(dim, degree, k):
+    # The nonzero blocks of interpolation_matrix, one per support size s,
+    # as (rows, cols, coef).  Each of the C(dim, s) sets S of s coordinates
+    # has n_full order-k multisets that use exactly S, and C_s lattice
+    # directions on S; every set maps the second to the first through the
+    # same (n_full, C_s) matrix ``coef`` of the map in s variables.
+    # ``cols`` is (C_s, sets) and ``rows`` is (n_full, sets), flattened.
+    directions = _index_of(lattice_directions(dim, degree))
+    alphas = _index_of(lattice_directions(dim, k))
+
+    def embed(counts, support, index):
+        # positions in ``index`` of (n, s) counts placed on ``support``
+        embedded = np.zeros((len(counts), dim), dtype=int)
+        embedded[:, support] = counts
+        return [index[tuple(e)] for e in embedded.tolist()]
+
+    groups = []
+    for s in range(1, min(k, dim) + 1):
+        sub = lattice_directions(s, k)
+        full = sub.min(axis=1) > 0
+        supports = list(itertools.combinations(range(dim), s))
+        rows = [embed(sub[full], support, alphas) for support in supports]
+        cols = [embed(lattice_directions(s, degree), support, directions)
+                for support in supports]
+        groups.append((np.array(rows).T.ravel(), np.array(cols).T,
+                       _subspace_inverse(s, degree, k)[full]))
+    return groups
+
+
+def _interpolate(coeffs, dim, degree, k, out=None):
+    # (P_k, ...) order-k partials of the (P_degree, ...) order-k coefficients,
+    # written into ``out`` when given: per support size, one gather and one
+    # product
+    if out is None:
+        out = np.empty((len(basis_multisets(dim, k)[0]), *coeffs.shape[1:]))
+    for rows, cols, coef in _interpolation_groups(dim, degree, k):
+        product = coef @ coeffs[cols].reshape(coef.shape[1], -1)
+        out[rows] = product.reshape(len(rows), *coeffs.shape[1:])
+    return out
+
+
+def interpolation_matrix(dim, degree, k):
+    """The (P_k, P_d) map from order-k Taylor coefficients to partials.
+
+    Along a direction i the k-th Taylor coefficient of t -> f(theta + t i)
+    is c_k(i) = sum over multi-indices |a| = k of i^a / a! times the partial
+    d^a f.  Over the :func:`lattice_directions` of ``degree`` d these are
+    linear equations in the partials over ``basis_multisets(dim, k)``:
+    square at k = d and overdetermined below it (Griewank, Utke & Walther
+    2000).  The partial in a depends only on f along the s coordinates a
+    uses, so row a reads only the directions on those coordinates, and it
+    is the row of the same map in s variables: k! times the pseudo-inverse
+    of the matrix with entries (k! / a!) i^a.  That multinomial column
+    scaling keeps the matrices inverted at condition number at most 165 up
+    to (D, d) = (8, 6); the plain monomials i^a reach 9e4 there.  At k = d
+    the map is the inverse of the square system; below it, a left inverse.
+    The passes apply it block by block, sparsely, through its nonzero
+    blocks; this dense form is for inspection.
+    """
+    if not 1 <= k <= degree:
+        raise ValueError(f"order {k} outside 1..{degree}")
+    out = np.zeros((len(basis_multisets(dim, k)[0]), len(lattice_directions(dim, degree))))
+    for rows, cols, coef in _interpolation_groups(dim, degree, k):
+        out[rows.reshape(len(coef), -1, 1), cols.T] = coef[:, None, :]
+    return out
+
+
+def _taylor_input(theta, dim, degree):
+    # theta + t i along every lattice direction i at once: one degree-d Taylor
+    # scalar per component, whose first coefficient is a (P, 1) leaf,
+    # constant across rows.  At degree 0, plain floats.
     x = [float(t) for t in theta]
     if len(x) != dim:
         raise ValueError(f"theta length {len(x)} != parameter dimension {dim}")
-    for col in multisets.T:
-        x = [TaylorScalar([xi, (col == d)[:, None].astype(float)])
-             for d, xi in enumerate(x)]
-    return x
+    if degree == 0:
+        return x
+    directions = lattice_directions(dim, degree)
+    return [TaylorScalar([xi, directions[:, [d]]] + [0.0] * (degree - 1))
+            for d, xi in enumerate(x)]
+
+
+def _coefficient(v, k):
+    # The k-th Taylor coefficient of a scalar-like; a constant has only c_0.
+    if isinstance(v, TaylorScalar):
+        return v.coeffs[k]
+    return v if k == 0 else 0.0
+
+
+def _fill(part, outs, k, term_rows):
+    # part (D, W, rows) <- the order-k coefficients of a row block's outputs:
+    # D scalar-likes whose leaves are (W, rows), (W, 1), (rows,) or floats,
+    # or with ``term_rows`` one such list per row, with (W, 1) leaves.
+    if term_rows:
+        for r, values in enumerate(outs):
+            for j, v in enumerate(values):
+                part[j, :, r] = np.reshape(_coefficient(v, k), -1)
+    else:
+        for j, o in enumerate(outs):
+            part[j] = _coefficient(o, k)
 
 
 def g_theta_tensor(problem, theta, weights, k):
@@ -442,56 +557,99 @@ def g_theta_tensor(problem, theta, weights, k):
     return out
 
 
+def per_datum_tensors(problem, theta, orders, weights=None, summed=()):
+    """Derivatives of g_0 and of every g_n at theta, for several orders at once.
+
+    Returns ``{k: (g0, per)}`` for each order k in ``orders`` and in
+    ``summed``, with shapes (D, P) and (N, D, P), where P = C(D+k-1, k) and
+    column p is the mixed partial in the basis-direction multiset
+    ``basis_multisets(D, k)[0][p]``; ``per[:, :, inverse]`` is each row's
+    full (D, D**k) array.  At k = 0, P = 1 and the columns hold the values
+    g_n(theta).  For the orders in ``summed`` the second array is instead the
+    weighted row sum ``weights @ per``, shape (D, P), with all-ones weights
+    by default, reduced block by block, so memory does not grow with N.
+
+    One univariate Taylor pass of degree d, the largest order asked for,
+    seeds theta along the :func:`lattice_directions` of degree d as (P_d, 1)
+    leaves and gives every order 0..d (Griewank, Utke & Walther 2000).
+    Order 0 is the pass's primal leaf.  Order k >= 1 is its k-th coefficient
+    mapped by :func:`interpolation_matrix`, after the row sum for the summed
+    orders; at degree 1 the directions are the basis vectors and the map is
+    the identity, so it is skipped.  The rows go in blocks that keep each
+    leaf within BLOCK_ELEMENTS entries.
+    """
+    dim, n = problem.dim_theta, problem.n_terms
+    orders, summed = sorted(set(orders)), sorted(set(summed))
+    if not orders + summed:
+        raise ValueError("no derivative order asked for")
+    if set(orders) & set(summed):
+        raise ValueError(f"orders {sorted(set(orders) & set(summed))} asked for "
+                         "both per row and summed")
+    for k in orders + summed:
+        if not 0 <= k <= K_MAX:
+            raise ValueError(f"derivative order {k} outside 0..{K_MAX}")
+    if summed:
+        weights = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+        if weights.shape != (n,):
+            raise ValueError(f"weight length {weights.shape} does not match {n} terms")
+    degree = max(orders + summed)
+    x = _taylor_input(theta, dim, degree)
+    width = len(lattice_directions(dim, degree))
+
+    def mapped(k, coeffs):
+        # the (P_k, D) partials of (width, D) order-k coefficients
+        if k == 0 or degree == 1:
+            return coeffs
+        return _interpolate(coeffs, dim, degree, k)
+
+    term_rows = problem.batch_fn is None
+    step = max(1, BLOCK_ELEMENTS // width)
+    per = {k: np.empty((dim, len(basis_multisets(dim, k)[0]), n)) for k in orders}
+    sums = {k: np.zeros((dim, 1 if k == 0 else width)) for k in summed}
+    # reused row block by row block: summed coefficients as (D, width, rows),
+    # and per-row ones to interpolate as (width, D, rows), contiguous, so
+    # that each order's interpolation is one product per support size
+    block = np.empty((dim, width, min(step, n)))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        if term_rows:
+            outs = [problem.term_fn(r + 1, x) for r in range(lo, hi)]
+        else:
+            outs = problem.batch_fn(x, np.arange(lo, hi))
+        for k in orders + summed:
+            if k in sums:
+                part = block[:, :1 if k == 0 else width, :hi - lo]
+                _fill(part, outs, k, term_rows)
+                sums[k] += part @ weights[lo:hi]
+            elif k == 0 or degree == 1:
+                _fill(per[k][:, :, lo:hi], outs, k, term_rows)
+            else:
+                part = block.reshape(-1)[:width * dim * (hi - lo)].reshape(width, dim, -1)
+                _fill(part.transpose(1, 0, 2), outs, k, term_rows)
+                _interpolate(part, dim, degree, k, out=per[k][:, :, lo:hi].transpose(1, 0, 2))
+    values = problem.term_fn(0, x)
+    out = {}
+    for k in orders + summed:
+        g0 = np.empty((dim, 1 if k == 0 else width))
+        _fill(g0[:, :, None], values, k, False)
+        g0 = mapped(k, g0.T).T
+        rows = per[k].transpose(2, 0, 1) if k in per else mapped(k, sums[k].T).T
+        if not (np.all(np.isfinite(g0)) and np.all(np.isfinite(rows))):
+            raise NonFiniteValueError(f"non-finite per-datum derivative of order {k}")
+        out[k] = (g0, rows)
+    return out
+
+
 def per_datum_tensor(problem, theta, k, weights=None):
     """Order-k derivatives of g_0 and of every g_n at theta, over multisets.
 
-    Returns ``(g0, per)`` with shapes (D, P) and (N, D, P), where P =
-    C(D+k-1, k) and column p is the mixed partial in the basis-direction
-    multiset ``basis_multisets(D, k)[0][p]``; ``per[:, :, inverse]`` is each
-    row's full (D, D**k) array.  At k = 0, P = 1 and the columns hold the
-    values g_n(theta).  One nested pass carries every multiset along a
-    leading leaf axis, so each symmetric entry is computed once (Griewank,
-    Utke & Walther 2000); the rows go in blocks that keep each leaf within
-    BLOCK_ELEMENTS entries.
-
-    With ``weights`` (length N), the second array is instead the weighted
-    row sum ``weights @ per``, shape (D, P), reduced block by block, so
-    memory does not grow with N.
+    ``(g0, per)`` of :func:`per_datum_tensors` for the one order k, from a
+    pass of degree k; with ``weights`` (length N), per is the weighted row
+    sum, shape (D, P).
     """
-    dim, n = problem.dim_theta, problem.n_terms
-    if not 0 <= k <= K_MAX:
-        raise ValueError(f"derivative order {k} outside 0..{K_MAX}")
-    multisets, _ = basis_multisets(dim, k)
-    width = len(multisets)
-    x = _multiset_input(theta, dim, multisets)
-    g0 = _batched_coefficient(problem.term_fn(0, x), k, width)
-    step = max(1, BLOCK_ELEMENTS // width)
     if weights is None:
-        per = np.empty((dim, width, n))  # filled row block by row block
-    else:
-        if np.shape(weights) != (n,):
-            raise ValueError(f"weight length {np.shape(weights)} does not match {n} terms")
-        per = np.zeros((dim, width))
-        block = np.empty((dim, width, min(step, n)))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        part = per[:, :, lo:hi] if weights is None else block[:, :, :hi - lo]
-        if problem.batch_fn is None:
-            for r in range(lo, hi):
-                part[:, :, r - lo] = _batched_coefficient(problem.term_fn(r + 1, x), k, width)
-        else:
-            for j, o in enumerate(problem.batch_fn(x, np.arange(lo, hi))):
-                # leaves are (P, rows), (P, 1), (rows,) or floats
-                part[j] = nested_coefficient(o, k)
-        if weights is not None:
-            per += part @ weights[lo:hi]
-    if weights is None:
-        per = per.transpose(2, 0, 1)
-    if not (np.all(np.isfinite(g0)) and np.all(np.isfinite(per))):
-        raise NonFiniteValueError(
-            f"non-finite per-datum derivative of order {k}"
-        )
-    return g0, per
+        return per_datum_tensors(problem, theta, (k,))[k]
+    return per_datum_tensors(problem, theta, (), weights, summed=(k,))[k]
 
 
 def g_weight_derivative(problem, theta, delta_w, directions, per_datum=None):

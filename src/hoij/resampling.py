@@ -21,7 +21,6 @@ from .bounds import (
     default_sampler,
     derivative_norm_bounds,
     estimate_constants,
-    per_datum_derivative_entries,
     taylor_error_bound,
 )
 from .expansion import (
@@ -265,9 +264,15 @@ def run_cv(problem: EstimatingProblem, weights: Iterable[WeightVector], order: i
 # -- bootstrap covariance -------------------------------------------------------
 
 
-def gn_matrix(problem: EstimatingProblem, theta) -> np.ndarray:
-    """The (N, D) matrix whose rows are the per-datum terms g_n(theta)."""
-    return per_datum_derivative_entries(problem, [float(t) for t in theta], 0)
+def gn_matrix(theta_hat, hfac) -> np.ndarray:
+    """The (N, D) matrix whose rows are the per-datum terms g_n(theta_hat).
+
+    In C order, from the order-0 rows that ``hfac``, built at theta_hat,
+    caches: one pass per factor, however many routines read it.
+    """
+    if not np.array_equal(theta_hat, hfac.theta_hat):
+        raise ValueError("theta_hat differs from the point the Hessian factor was built at")
+    return np.ascontiguousarray(hfac.rows(0)[1][:, :, 0])
 
 
 def sandwich_covariance(problem: EstimatingProblem, theta_hat, hfac) -> np.ndarray:
@@ -277,7 +282,7 @@ def sandwich_covariance(problem: EstimatingProblem, theta_hat, hfac) -> np.ndarr
     so this equals the exact weight-randomness covariance of the linear
     approximation under multinomial bootstrap weights.
     """
-    j = gn_matrix(problem, theta_hat)
+    j = gn_matrix(theta_hat, hfac)
     centered = j - j.mean(axis=0, keepdims=True)
     s = centered.T @ centered / problem.n_terms ** 2
     return hfac.solve(hfac.solve(s).T).T
@@ -292,7 +297,7 @@ def ij_linear_covariance(problem: EstimatingProblem, theta_hat, hfac) -> np.ndar
     forms N x N matrices; :func:`linear_covariance` is the O(N D^2) route.
     """
     n = problem.n_terms
-    j = gn_matrix(problem, theta_hat)
+    j = gn_matrix(theta_hat, hfac)
     cov_w = np.eye(n) - np.full((n, n), 1.0 / n)
     middle = j.T @ cov_w @ j / n ** 2
     return hfac.solve(hfac.solve(middle).T).T
@@ -305,7 +310,7 @@ def linear_covariance(problem: EstimatingProblem, theta_hat, hfac) -> np.ndarray
     J - 1 (1^T J) / N, which costs O(N D^2).
     """
     n = problem.n_terms
-    j = gn_matrix(problem, theta_hat)
+    j = gn_matrix(theta_hat, hfac)
     middle = j.T @ (j - j.sum(axis=0) / n) / n ** 2
     return hfac.solve(hfac.solve(middle).T).T
 
@@ -321,7 +326,7 @@ def bootstrap_samples(problem: EstimatingProblem, theta_hat, hfac, draws: int,
     block.  Each block of ``chunk`` draws is drawn once and feeds both.
     """
     n = problem.n_terms
-    j = gn_matrix(problem, theta_hat)
+    j = gn_matrix(theta_hat, hfac)
     theta_hat = np.asarray(theta_hat, dtype=float)
     table = term_tables(order) if order >= 2 else None
     linear = np.empty((draws, theta_hat.size))

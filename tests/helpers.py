@@ -4,8 +4,10 @@ The finite-difference routines are intentionally independent of the forward
 AD path they check: they only ever call plain float evaluations.  The
 per-tuple derivative loops are the bounds layer's reference: one nested
 forward pass per ordered basis-direction tuple, with no multiset batching.
-The block-loop tensor is the reference for ``g_theta_tensor``: it reduces
-each row block's leaves as it goes instead of keeping the rows.
+The nested multiset pass is the reference for ``per_datum_tensor``'s
+univariate Taylor pass: k nested order-1 levels give each order-k partial
+directly, with no interpolation.  The block-loop tensor, its weighted row
+sum, is the reference for ``g_theta_tensor``.
 """
 
 import itertools
@@ -153,35 +155,74 @@ def per_tuple_sample_stats(problem, sampler, k_hi):
     return _SampledStats(c_op=c_op, m=m, v=v, t=t, loo_exact=loo)
 
 
-def _block_reduce(x, coeffs):
-    # Contract the row axis (the last) of a direction-batched pass's leaves;
-    # (P, 1) leaves and floats are constant across rows.
-    if isinstance(x, fad.TaylorScalar):
-        return fad.TaylorScalar([_block_reduce(c, coeffs) for c in x.coeffs])
-    if isinstance(x, np.ndarray) and x.shape[-1] == coeffs.size and x.ndim > 1:
-        return (x @ coeffs)[..., None]
-    if isinstance(x, np.ndarray) and x.ndim == 1:
-        return float(coeffs @ x)
-    return x * float(coeffs.sum())
+def _multiset_input(theta, dim, multisets):
+    # theta lifted through k order-1 levels that carry the (P, k) basis
+    # multisets at once.  At level i the tangent of theta_d is 1 for the
+    # multisets whose i-th index is d: a (P, 1) leaf, constant across rows.
+    x = [float(t) for t in theta]
+    if len(x) != dim:
+        raise ValueError(f"theta length {len(x)} != parameter dimension {dim}")
+    for col in multisets.T:
+        x = [fad.TaylorScalar([xi, (col == d)[:, None].astype(float)])
+             for d, xi in enumerate(x)]
+    return x
+
+
+def _batched_coefficient(values, k, width):
+    # (D, width) mixed coefficients of scalar-likes with (width, 1) leaves;
+    # a component with no such leaf has a constant coefficient.
+    out = np.empty((len(values), width))
+    for i, v in enumerate(values):
+        out[i] = np.reshape(fad.nested_coefficient(v, k), -1)
+    return out
+
+
+def nested_per_datum_tensor(problem, theta, k, weights=None):
+    """``forward_ad.per_datum_tensor`` from one nested pass of k order-1 levels.
+
+    Every level carries all C(D+k-1, k) basis-direction multisets along a
+    leading leaf axis, and the mixed coefficient of all k levels is the
+    partial in that multiset, so no interpolation is involved.  Same
+    returns, row blocks and weights mode as the univariate pass it checks.
+    """
+    dim, n = problem.dim_theta, problem.n_terms
+    if not 0 <= k <= fad.K_MAX:
+        raise ValueError(f"derivative order {k} outside 0..{fad.K_MAX}")
+    multisets, _ = fad.basis_multisets(dim, k)
+    width = len(multisets)
+    x = _multiset_input(theta, dim, multisets)
+    g0 = _batched_coefficient(problem.term_fn(0, x), k, width)
+    step = max(1, fad.BLOCK_ELEMENTS // width)
+    if weights is None:
+        per = np.empty((dim, width, n))  # filled row block by row block
+    else:
+        if np.shape(weights) != (n,):
+            raise ValueError(f"weight length {np.shape(weights)} does not match {n} terms")
+        per = np.zeros((dim, width))
+        block = np.empty((dim, width, min(step, n)))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        part = per[:, :, lo:hi] if weights is None else block[:, :, :hi - lo]
+        if problem.batch_fn is None:
+            for r in range(lo, hi):
+                part[:, :, r - lo] = _batched_coefficient(problem.term_fn(r + 1, x), k, width)
+        else:
+            for j, o in enumerate(problem.batch_fn(x, np.arange(lo, hi))):
+                # leaves are (P, rows), (P, 1), (rows,) or floats
+                part[j] = fad.nested_coefficient(o, k)
+        if weights is not None:
+            per += part @ weights[lo:hi]
+    if weights is None:
+        per = per.transpose(2, 0, 1)
+    if not (np.all(np.isfinite(g0)) and np.all(np.isfinite(per))):
+        raise fad.NonFiniteValueError(
+            f"non-finite per-datum derivative of order {k}"
+        )
+    return g0, per
 
 
 def block_loop_g_theta_tensor(problem, theta, w, k):
-    """(D, D**k) derivative array of G from a row-block loop that reduces
-    every block's multiset-batched leaves against the weights."""
-    dim, n = problem.dim_theta, problem.n_terms
-    w = np.asarray(w, dtype=float)
-    multisets, inverse = fad.basis_multisets(dim, k)
-    width = len(multisets)
-    x = fad._multiset_input(theta, dim, multisets)
-    acc = fad._batched_coefficient(problem.term_fn(0, x), k, width)
-    step = max(1, fad.BLOCK_ELEMENTS // width)
-    for lo in range(0, n, step):
-        rows = np.arange(lo, min(lo + step, n))
-        if problem.batch_fn is not None:
-            outs = [_block_reduce(o, w[rows]) for o in problem.batch_fn(x, rows)]
-        else:
-            outs = [0.0] * dim
-            for r in rows:
-                outs = [a + w[r] * g for a, g in zip(outs, problem.term_fn(int(r) + 1, x))]
-        acc += fad._batched_coefficient(outs, k, width)
-    return acc[:, inverse] / n
+    """(D, D**k) derivative array of G from the nested pass, its row blocks
+    reduced against the weights as they go."""
+    g0, summed = nested_per_datum_tensor(problem, theta, k, np.asarray(w, dtype=float))
+    return (g0 + summed)[:, fad.basis_multisets(problem.dim_theta, k)[1]] / problem.n_terms

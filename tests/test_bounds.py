@@ -23,7 +23,9 @@ from hoij import (
     term_tables,
     theta_difference_bound,
 )
+from hoij import GeneratorConfig, cli
 from hoij import bounds
+from hoij import forward_ad as fad
 from hoij.bounds import (
     ConditionNotSatisfiedError,
     _g0_derivative_entries,
@@ -108,6 +110,64 @@ class TestEstimateConstants:
                 assert a.keys() == b.keys(), field.name
                 a, b = list(a.values()), list(b.values())
             assert a == pytest.approx(b, rel=1e-12, abs=0), field.name
+
+
+class TestCentreReuse:
+    """default_sampler's pilot and the sampler's first point are the same
+    base fit at the same order, differentiated once."""
+
+    @pytest.fixture
+    def exp_csv(self, tmp_path):
+        data = GeneratorConfig(n_features=3).generate("exp_loss", 60, np.random.default_rng(5))
+        path = tmp_path / "x.csv"
+        np.savetxt(path, data.features, delimiter=",", fmt="%.17g")
+        return str(path)
+
+    @staticmethod
+    def count_point_passes(monkeypatch, k_hi):
+        passes = []
+        per_datum_tensors = fad.per_datum_tensors
+
+        def counting(problem, theta, orders, weights=None, summed=()):
+            if sorted(orders) == list(range(k_hi + 1)):
+                passes.append(np.array(theta, dtype=float))
+            return per_datum_tensors(problem, theta, orders, weights, summed)
+
+        monkeypatch.setattr(fad, "per_datum_tensors", counting)
+        return passes
+
+    @pytest.mark.parametrize("samples", [1, 4])
+    def test_one_pass_per_sampled_point(self, exp_csv, tmp_path, monkeypatch, samples):
+        passes = self.count_point_passes(monkeypatch, k_hi=3)
+        assert cli.main(["bounds", "--model", "exp_loss", "--data", exp_csv, "--order", "2",
+                         "--samples", str(samples), "--out", str(tmp_path / "b.json")]) == 0
+        assert len(passes) == samples
+
+    def test_cv_with_bounds_one_pass_per_sampled_point(self, exp_csv, tmp_path,
+                                                        monkeypatch):
+        passes = self.count_point_passes(monkeypatch, k_hi=4)
+        assert cli.main(["cv", "--model", "exp_loss", "--data", exp_csv, "--order", "3",
+                         "--scheme", "kfold", "--with-bounds", "--samples", "3",
+                         "--out", str(tmp_path / "cv.json")]) == 0
+        assert len(passes) == 3
+
+    @pytest.mark.parametrize("model_id", ALL_MODELS)
+    def test_same_constants_as_without_reuse(self, model_id):
+        rng = np.random.default_rng(71)
+        prob = build_problem(model_id, rng, n=40, dim=3, reg={"l2": 0.2})
+        theta_hat = solve_base(prob)
+        sampler = bounds.default_sampler(prob, theta_hat, 2, n_samples=5, seed=3)
+        pilot = estimate_constants(prob, theta_hat, DomainSampler(theta_hat, 0.0), 2)
+        assert sampler.radius == 2.0 * pilot.c_op * pilot.delta_exact[0]
+        fresh = DomainSampler(theta_hat, sampler.radius, n_samples=5, seed=3)
+        assert (estimate_constants(prob, theta_hat, sampler, 2)
+                == estimate_constants(prob, theta_hat, fresh, 2))
+        # the kept statistics belong to that problem and order only
+        other = build_problem(model_id, rng, n=40, dim=3)
+        assert (estimate_constants(other, theta_hat, sampler, 2)
+                == estimate_constants(other, theta_hat, fresh, 2))
+        assert (estimate_constants(prob, theta_hat, sampler, 3)
+                == estimate_constants(prob, theta_hat, fresh, 3))
 
 
 class TestEntryLayout:

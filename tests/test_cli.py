@@ -28,6 +28,7 @@ from hoij import (
     solve_base,
     term_tables,
 )
+from hoij import forward_ad as fad
 from hoij.cli import main
 
 from helpers import max_rel_gap, subprocess_env
@@ -269,6 +270,24 @@ class TestOtherCommands:
         assert obj["identity_max_abs_gap"] <= 1e-12
         s = np.array(obj["sandwich_covariance"])
         assert s.shape == (2, 2)
+
+    def test_bootstrap_differentiates_the_terms_once(self, linreg_csv, tmp_path,
+                                                     monkeypatch):
+        """The sandwich, the linear covariance and the samples share one
+        order-0 pass; the order-3 expansion adds one pass for the rest."""
+        passes = []
+        per_datum_tensors = fad.per_datum_tensors
+
+        def counting(problem, theta, orders, weights=None, summed=()):
+            if orders:  # the Newton solve's Jacobians are row sums only
+                passes.append((sorted(orders), sorted(summed)))
+            return per_datum_tensors(problem, theta, orders, weights, summed)
+
+        monkeypatch.setattr(fad, "per_datum_tensors", counting)
+        out = tmp_path / "b.json"
+        assert main(["bootstrap", "--model", "linear_regression", "--data", linreg_csv,
+                     "--draws", "30", "--order", "3", "--out", str(out)]) == 0
+        assert passes == [([0], []), ([1, 2], [3])]
 
     def test_bootstrap_higher_order_stats(self, mean_csv, tmp_path):
         out = tmp_path / "boot2.json"

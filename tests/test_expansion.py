@@ -236,21 +236,22 @@ class TestCachedTensorExpansion:
         theta_hat = solve_base(prob)
         hfac = factorize_hessian(prob, theta_hat)
         passes = []
-        per_datum_tensor = fad.per_datum_tensor
+        per_datum_tensors = fad.per_datum_tensors
 
-        def counting(problem, theta, k, weights=None):
-            passes.append(k)
-            return per_datum_tensor(problem, theta, k, weights)
+        def counting(problem, theta, orders, weights=None, summed=()):
+            passes.append((sorted(orders), sorted(summed)))
+            return per_datum_tensors(problem, theta, orders, weights, summed)
 
         def forbidden(*args):
             raise AssertionError("a nested pass ran for a weight vector")
 
-        monkeypatch.setattr(fad, "per_datum_tensor", counting)
+        monkeypatch.setattr(fad, "per_datum_tensors", counting)
         monkeypatch.setattr(fad, "weighted_term_sum", forbidden)
         table = term_tables(3)
         for w in list(loo_weights(12)) + list(bootstrap_weights(12, 5, seed=1)):
             evaluate_theta_ij(prob, theta_hat, hfac, table, w.delta, 3)
-        assert sorted(passes) == [0, 1, 2, 3]
+        # one degree-3 pass: the rows of orders 0..2 and the order-3 sum
+        assert passes == [([0, 1, 2], [3])]
         assert sorted(hfac._rows) == [0, 1, 2]
 
     def test_first_order_builds_no_tensor(self, monkeypatch):

@@ -22,6 +22,7 @@ from helpers import (
     block_loop_g_theta_tensor,
     build_problem,
     max_rel_gap,
+    nested_per_datum_tensor,
     rel_err,
     richardson_directional,
 )
@@ -421,6 +422,168 @@ class TestPerDatumTensor:
                 fad.per_datum_tensor(prob, [900.0, 900.0], k)
         with pytest.raises(ValueError, match="order"):
             fad.per_datum_tensor(prob, [0.0, 0.0], fad.K_MAX + 1)
+
+
+def monomial_matrix(dim, degree, k):
+    """(P_degree, P_k) entries i^a / a!: the order-k Taylor coefficient along
+    lattice direction i is this row against the partials over multisets a.
+    Directions and multisets as index counts, in itertools order."""
+    def counts(order):
+        return np.array([np.bincount(np.array(m, dtype=int), minlength=dim)
+                         for m in itertools.combinations_with_replacement(range(dim), order)])
+    directions, alphas = counts(degree), counts(k)
+    factorials = np.prod([[math.factorial(c) for c in a] for a in alphas], axis=1)
+    chunks = np.array_split(directions, max(1, len(directions) // 128))
+    return np.vstack([np.prod(c[:, None, :] ** alphas[None], axis=2) for c in chunks]) / factorials
+
+
+class TestInterpolationMatrix:
+    """The fixed maps from a univariate pass's coefficients to partials."""
+
+    def test_lattice_directions(self):
+        np.testing.assert_array_equal(fad.lattice_directions(3, 1), np.eye(3))
+        assert fad.lattice_directions(3, 2).tolist() == [
+            [2, 0, 0], [1, 1, 0], [1, 0, 1], [0, 2, 0], [0, 1, 1], [0, 0, 2]]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+    def test_reproduces_symmetric_tensors(self, dim):
+        """Random partials, one per multiset, taken to coefficients along
+        every lattice direction and back, at every order of every degree up
+        to K_MAX; the condition number stays below 2e2."""
+        rng = np.random.default_rng(dim)
+        for degree in range(1, fad.K_MAX + 1):
+            for k in range(1, degree + 1):
+                m = fad.interpolation_matrix(dim, degree, k)
+                monomials = monomial_matrix(dim, degree, k)
+                partials = rng.standard_normal((monomials.shape[1], 3))
+                assert max_rel_gap(m @ (monomials @ partials), partials) <= 1e-12, (degree, k)
+                assert np.linalg.cond(m) < 2e2, (degree, k)
+
+    def test_order_range(self):
+        for k in (0, 3):
+            with pytest.raises(ValueError, match="order"):
+                fad.interpolation_matrix(2, 2, k)
+
+
+def assert_matches_nested(got, want):
+    """A pass's (g0, per) of one order against the nested pass's, g0 and
+    each row of per (or per itself when it is a row sum) to 1e-12."""
+    assert got[0].shape == want[0].shape and got[1].shape == want[1].shape
+    assert max_rel_gap(got[0], want[0]) <= 1e-12
+    pairs = zip(got[1], want[1]) if got[1].ndim == 3 else [(got[1], want[1])]
+    for row, want_row in pairs:
+        assert max_rel_gap(row, want_row) <= 1e-12
+
+
+class TestUnivariatePass:
+    """per_datum_tensors, one Taylor pass for every order, against the
+    nested multiset pass of each order."""
+
+    @pytest.mark.parametrize("dim", [1, 3, 5, 8])
+    @pytest.mark.parametrize("l2", [0.0, 0.3])
+    @pytest.mark.parametrize("model_id", ALL_MODELS)
+    def test_every_order_from_one_pass(self, model_id, l2, dim):
+        top = 4 if dim == 8 else fad.K_MAX
+        rng = np.random.default_rng(61 + dim)
+        prob = build_problem(model_id, rng, n=7, dim=dim, reg={"l2": l2})
+        theta = rng.uniform(-0.5, 0.5, dim)
+        got = fad.per_datum_tensors(prob, theta, range(top + 1))
+        assert sorted(got) == list(range(top + 1))
+        for k in range(top + 1):
+            assert_matches_nested(got[k], nested_per_datum_tensor(prob, theta, k))
+
+    def test_term_fn_only_problem(self):
+        rng = np.random.default_rng(62)
+        full = build_problem("logistic_regression", rng, n=7, dim=3, reg={"l2": 0.1})
+        prob = EstimatingProblem(full.dim_theta, full.n_terms, full.term_fn)
+        theta = rng.uniform(-0.5, 0.5, 3)
+        got = fad.per_datum_tensors(prob, theta, range(fad.K_MAX + 1))
+        batched = fad.per_datum_tensors(full, theta, range(fad.K_MAX + 1))
+        for k in range(fad.K_MAX + 1):
+            assert_matches_nested(got[k], nested_per_datum_tensor(prob, theta, k))
+            assert max_rel_gap(got[k][1], batched[k][1]) <= 1e-13
+
+    @pytest.mark.parametrize("model_id", ["exp_loss", "term_fn_only"])
+    def test_twelve_element_row_blocks(self, model_id, monkeypatch):
+        """Leaves of at most 12 entries: at degree 4 in D = 3 (15 lattice
+        directions) one row per block, per row and in weights mode."""
+        rng = np.random.default_rng(63)
+        prob = build_problem("exp_loss", rng, n=11, dim=3, reg={"l2": 0.2})
+        if model_id == "term_fn_only":
+            prob = EstimatingProblem(prob.dim_theta, prob.n_terms, prob.term_fn)
+        theta = rng.uniform(-0.5, 0.5, 3)
+        w = rng.uniform(0.2, 1.8, prob.n_terms)
+        monkeypatch.setattr(fad, "BLOCK_ELEMENTS", 12)
+        sizes = []
+        if prob.batch_fn is not None:
+            batch = prob.batch_fn
+
+            def spy(theta_s, rows):
+                sizes.append(len(rows))
+                return batch(theta_s, rows)
+
+            prob = EstimatingProblem(prob.dim_theta, prob.n_terms, prob.term_fn, batch_fn=spy)
+        rows = fad.per_datum_tensors(prob, theta, range(4))
+        summed = fad.per_datum_tensors(prob, theta, (), w, summed=range(5))
+        if model_id == "exp_loss":
+            assert sizes == [1] * 22
+        for k in range(5):
+            if k < 4:
+                assert_matches_nested(rows[k], nested_per_datum_tensor(prob, theta, k))
+            assert_matches_nested(summed[k], nested_per_datum_tensor(prob, theta, k, w))
+
+    def test_weights_mode(self):
+        rng = np.random.default_rng(64)
+        prob = build_problem("logistic_regression", rng, n=30, dim=4, reg={"l2": 0.3})
+        theta = rng.uniform(-0.5, 0.5, 4)
+        w = rng.uniform(-1.0, 2.0, prob.n_terms)
+        got = fad.per_datum_tensors(prob, theta, (0, 2), w, summed=(1, 3, 5))
+        rows = fad.per_datum_tensors(prob, theta, range(6))
+        assert sorted(got) == [0, 1, 2, 3, 5]
+        for k in sorted(got):
+            if k in (1, 3, 5):
+                assert got[k][1].shape == (4, math.comb(4 + k - 1, k))
+                assert_matches_nested(got[k], nested_per_datum_tensor(prob, theta, k, w))
+                assert max_rel_gap(got[k][1], np.tensordot(w, rows[k][1], axes=1)) <= 1e-12
+            else:
+                assert_matches_nested(got[k], nested_per_datum_tensor(prob, theta, k))
+        ones = fad.per_datum_tensors(prob, theta, (), summed=(2,))[2][1]
+        assert max_rel_gap(ones, rows[2][1].sum(axis=0)) <= 1e-12
+
+    @pytest.mark.parametrize("model_id", ALL_MODELS)
+    def test_order_zero_and_degree_one_unchanged(self, model_id):
+        """The primal leaf of a pass of any degree is the nested pass's order
+        0 bit for bit, and the degree-1 pass, with no interpolation, is its
+        order 1, per row, summed and as the Jacobian."""
+        rng = np.random.default_rng(65)
+        for reg in (None, {"l2": 0.3}):
+            prob = build_problem(model_id, rng, n=50, dim=3, reg=reg)
+            theta = rng.uniform(-0.5, 0.5, 3)
+            w = rng.uniform(0.2, 1.8, prob.n_terms)
+            g0, per = nested_per_datum_tensor(prob, theta, 0)
+            for degree in range(fad.K_MAX + 1):
+                got = fad.per_datum_tensors(prob, theta, {0, degree})[0]
+                np.testing.assert_array_equal(got[0], g0)
+                np.testing.assert_array_equal(got[1], per)
+            for got, want in ((fad.per_datum_tensor(prob, theta, 1),
+                               nested_per_datum_tensor(prob, theta, 1)),
+                              (fad.per_datum_tensor(prob, theta, 1, w),
+                               nested_per_datum_tensor(prob, theta, 1, w))):
+                np.testing.assert_array_equal(got[0], want[0])
+                np.testing.assert_array_equal(got[1], want[1])
+            np.testing.assert_array_equal(fad.g_theta_tensor(prob, theta, w, 1),
+                                          block_loop_g_theta_tensor(prob, theta, w, 1))
+
+    def test_arguments(self):
+        prob = build_problem("exp_loss", np.random.default_rng(66), n=5, dim=2)
+        with pytest.raises(ValueError, match="no derivative order"):
+            fad.per_datum_tensors(prob, [0.0, 0.0], ())
+        with pytest.raises(ValueError, match="both per row and summed"):
+            fad.per_datum_tensors(prob, [0.0, 0.0], (1, 2), summed=(2,))
+        with pytest.raises(ValueError, match="order"):
+            fad.per_datum_tensors(prob, [0.0, 0.0], (fad.K_MAX + 1,))
+        with pytest.raises(ValueError, match="weight length"):
+            fad.per_datum_tensors(prob, [0.0, 0.0], (), np.ones(4), summed=(1,))
 
 
 def weight_derivative_routes(prob, theta, delta_w, dirs):

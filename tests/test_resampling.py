@@ -30,6 +30,7 @@ from hoij import (
     term_tables,
 )
 
+from hoij.bounds import per_datum_derivative_entries
 from hoij.expansion import assemble_jacobian
 from hoij.forward_ad import NonFiniteValueError
 
@@ -432,6 +433,26 @@ class TestCovarianceIdentity:
             linear, bootstrap_linear_samples(prob, theta_hat, hfac, 7, seed=8),
             rtol=1e-13, atol=0)
         assert bootstrap_samples(prob, theta_hat, hfac, 7, seed=8)[1] is None
+
+    def test_terms_come_from_the_cached_rows(self):
+        """g_n(theta_hat), which the covariances and the linear samples all
+        read, is the order-0 per-datum entries bit for bit, in C order, and
+        the order-0 rows are computed once per Hessian factor."""
+        rng = np.random.default_rng(12)
+        prob = build_problem("logistic_regression", rng, n=40, dim=3, reg={"l2": 0.2})
+        theta_hat = solve_base(prob)
+        hfac = factorize_hessian(prob, theta_hat)
+        want = per_datum_derivative_entries(prob, theta_hat, 0)
+        got = resampling.gn_matrix(theta_hat, hfac)
+        assert got.flags.c_contiguous
+        np.testing.assert_array_equal(got, want)
+        first = hfac.rows(0)
+        sandwich_covariance(prob, theta_hat, hfac)
+        linear_covariance(prob, theta_hat, hfac)
+        bootstrap_samples(prob, theta_hat, hfac, 5, order=3, seed=1)
+        assert hfac.rows(0) is first
+        with pytest.raises(ValueError, match="theta_hat differs"):
+            resampling.gn_matrix(theta_hat + 1.0, hfac)
 
     def test_monte_carlo_agreement_small(self):
         rng = np.random.default_rng(10)
