@@ -220,6 +220,12 @@ class HessianFactor:
             self._rows.update((k, out[k]) for k in want_rows)
             self._tensors.update((k, self._summed(k, *out[k])) for k in want_sums)
 
+    def prepare_expansion(self, order: int) -> None:
+        """Cache what an order-``order`` expansion reads, from one Taylor pass:
+        the rows of every order below it and, from order 2, the summed tensor
+        of its own order."""
+        self.prepare(rows=range(order), tensors=(order,) if order >= 2 else ())
+
     def _summed(self, k: int, g0: np.ndarray, summed: np.ndarray) -> np.ndarray:
         # (D, D**k) tensor of G from the multiset row sum of the terms g_n
         inverse = fad.basis_multisets(self.problem.dim_theta, k)[1]
@@ -370,7 +376,7 @@ def evaluate_theta_ij(problem: EstimatingProblem, theta_hat, hfac: HessianFactor
     theta_hat = np.asarray(theta_hat, dtype=float)
     if not np.array_equal(theta_hat, hfac.theta_hat):
         raise ValueError("theta_hat differs from the point the Hessian factor was built at")
-    hfac.prepare(rows=range(order), tensors=(order,) if order >= 2 else ())
+    hfac.prepare_expansion(order)
     dset: dict = {}
     for k in range(1, order + 1):
         dset[k] = evaluate_dtheta(problem, hfac.theta_hat, hfac, table.for_order(k),
@@ -396,15 +402,16 @@ CHORD_ROUNDING = 4 * np.finfo(float).eps
 def evaluate_g_block(problem: EstimatingProblem, thetas, weights) -> np.ndarray:
     """G(thetas[b], weights[b]) for each of B points, shape (B, D).
 
-    ``weights`` holds B length-N weight arrays, as a sequence or as the rows
-    of a (B, N) array.  One ``batch_fn`` call per row block, with theta
-    leaves of shape (B, 1) that the problem broadcasts against its rows;
-    each block's (B, rows) leaves, and the weights gathered for it, hold at
-    most REFIT_LEAF_ELEMENTS entries, so memory does not grow with N.  Rows
-    where G is not finite are returned as they are, for the caller to judge.
+    ``weights`` is a (B, N) array, one weight vector per row.  One
+    ``batch_fn`` call per row block, with theta leaves of shape (B, 1) that
+    the problem broadcasts against its rows; each block's (B, rows) leaves,
+    and the view of the weights they multiply, hold at most
+    REFIT_LEAF_ELEMENTS entries, so memory does not grow with N.  Rows where
+    G is not finite are returned as they are, for the caller to judge.
     """
     thetas = np.asarray(thetas, dtype=float)
-    m, n = len(weights), problem.n_terms
+    weights = np.asarray(weights, dtype=float)
+    m, n = weights.shape
     x = [thetas[:, d, None] for d in range(problem.dim_theta)]
     out = np.empty((m, problem.dim_theta))
     step = max(1, REFIT_LEAF_ELEMENTS // m)
@@ -412,18 +419,19 @@ def evaluate_g_block(problem: EstimatingProblem, thetas, weights) -> np.ndarray:
         for d, v in enumerate(problem.term_fn(0, x)):
             out[:, d:d + 1] = v  # a (B, 1) leaf or a constant
         for lo in range(0, n, step):
-            w = np.array([v[lo:lo + step] for v in weights])
+            w = weights[:, lo:lo + step]
             for d, o in enumerate(problem.batch_fn(x, np.arange(lo, lo + w.shape[1]))):
                 out[:, d] += (w * o).sum(axis=1)
     return out / n
 
 
-def _chord_jacobians(hfac: HessianFactor, weights: list, thetas: np.ndarray) -> np.ndarray:
+def _chord_jacobians(hfac: HessianFactor, weights: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """The Jacobian at (theta_b, w_b) to second order in v_b = theta_b - theta_hat.
 
     J(theta_hat, w_b) + J'(theta_hat, w_b)[v_b] + tensor(3)[v_b, v_b] / 2,
-    shape (B, D, D), read off the derivatives cached at theta_hat: the
-    weighted row sums of the order-1 and order-2 rows, and the order-3
+    shape (B, D, D), for the rows w_b of the (B, N) ``weights``, read off the
+    derivatives cached at theta_hat: the weighted row sums of the order-1
+    and order-2 rows, one product with the block each, and the order-3
     tensor.  What it leaves out is O(|v_b|^3 + |w_b - 1| |v_b|^2 / N).
     """
     n, dim = hfac.problem.n_terms, hfac.problem.dim_theta
@@ -432,8 +440,7 @@ def _chord_jacobians(hfac: HessianFactor, weights: list, thetas: np.ndarray) -> 
     sums = []
     for k in (1, 2):
         g0, per = hfac.rows(k)
-        per = per.reshape(n, -1)
-        summed = np.array([g0.ravel() + w @ per for w in weights]).reshape(len(v), *g0.shape)
+        summed = (g0.ravel() + weights @ per.reshape(n, -1)).reshape(len(v), *g0.shape)
         sums.append(summed[:, :, fad.basis_multisets(dim, k)[1]] / n)
     t3 = (hfac.tensor(3).reshape(dim ** 3, dim) @ v.T).reshape(dim, dim, dim, -1)
     return (sums[0] + np.einsum("bijl,bl->bij", sums[1].reshape(-1, dim, dim, dim), v)
@@ -460,6 +467,12 @@ def refit_block(problem: EstimatingProblem, hfac: HessianFactor, weights, starts
     (CHORD_ROUNDING): the rounding floor.  From an order-K expansion,
     O(N^-(K+1)) from the root, that mostly takes one step.
 
+    ``weights`` holds B weight vectors, or is a (B, N) array of them.  They
+    are stacked into one (B, N) array, once: the ceilings ||G(theta_hat,
+    w_b)|| are one product of it with the cached order-0 rows, the weighted
+    row sums in Ĥ_b one product per order, and every G evaluation reads
+    views of its rows.
+
     A weight falls back to :func:`exact_refit` from its start, with
     ``max_start_residual`` = ||G(theta_hat, w)||, when its start is not
     below that ceiling, G there is not finite, it has not stopped within
@@ -470,18 +483,17 @@ def refit_block(problem: EstimatingProblem, hfac: HessianFactor, weights, starts
     """
     cfg = cfg or SolveConfig()
     n = problem.n_terms
-    values = [_as_weights(w, n) for w in weights]
+    values = np.array([_as_weights(w, n) for w in weights]).reshape(len(weights), n)
     thetas = np.array(starts, dtype=float).reshape(len(values), problem.dim_theta)
     g0, per = hfac.rows(0)
-    ceilings = _row_norms((g0[:, 0] + np.array([per[:, :, 0].T @ v for v in values])) / n)
+    ceilings = _row_norms((g0[:, 0] + values @ per[:, :, 0]) / n)
     done = np.zeros(len(values), dtype=bool)
-    if problem.batch_fn is not None and values:
+    if problem.batch_fn is not None and len(values):
         g = evaluate_g_block(problem, thetas, values)
         gnorms = _row_norms(g)
         chord = np.flatnonzero(gnorms < ceilings)
         try:
-            inverses = np.linalg.inv(_chord_jacobians(hfac, [values[i] for i in chord],
-                                                      thetas[chord]))
+            inverses = np.linalg.inv(_chord_jacobians(hfac, values[chord], thetas[chord]))
         except np.linalg.LinAlgError:  # a singular Ĥ_b: the block falls back
             chord = chord[:0]
         active = np.arange(len(chord))
@@ -495,7 +507,7 @@ def refit_block(problem: EstimatingProblem, hfac: HessianFactor, weights, starts
             if not active.size:
                 break
             cand = thetas[idx] - step
-            g_cand = evaluate_g_block(problem, cand, [values[i] for i in idx])
+            g_cand = evaluate_g_block(problem, cand, values[idx])
             cand_norms = _row_norms(g_cand)
             better = cand_norms < gnorms[idx]
             kept = idx[better]

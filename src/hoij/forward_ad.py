@@ -359,6 +359,14 @@ def g_theta_derivative(problem, theta, weights, directions):
     return out
 
 
+def _multiset_keys(multisets, dim):
+    # Each sorted index multiset, the last axis of an int array, read as a
+    # base-dim number: these increase in the order of basis_multisets, and
+    # they stay below dim**k, no more than the D**k ordered tuples the
+    # multisets' inverse lists.
+    return multisets @ dim ** np.arange(multisets.shape[-1] - 1, -1, -1)
+
+
 @functools.lru_cache(maxsize=None)
 def basis_multisets(dim, k):
     """Index multisets of an order-k symmetric tensor in D = dim variables.
@@ -368,11 +376,11 @@ def basis_multisets(dim, k):
     position of its multiset.  At k = 0 the one multiset is empty.  Both
     arrays are cached and read-only.
     """
-    multisets = list(itertools.combinations_with_replacement(range(dim), k))
-    position = {m: i for i, m in enumerate(multisets)}
-    inverse = np.array([position[tuple(sorted(t))]
-                        for t in itertools.product(range(dim), repeat=k)], dtype=int)
-    multisets = np.array(multisets, dtype=int).reshape(len(multisets), k)
+    multisets = np.array(list(itertools.combinations_with_replacement(range(dim), k)),
+                         dtype=int).reshape(math.comb(dim + k - 1, k), k)
+    tuples = np.indices((dim,) * k).reshape(k, dim ** k).T
+    inverse = np.searchsorted(_multiset_keys(multisets, dim),
+                              _multiset_keys(np.sort(tuples, axis=1), dim))
     multisets.setflags(write=False)
     inverse.setflags(write=False)
     return multisets, inverse
@@ -415,11 +423,6 @@ def lattice_directions(dim, degree):
     return out
 
 
-def _index_of(rows):
-    # position of each row of a (P, D) count array, keyed by its tuple
-    return {tuple(r): i for i, r in enumerate(rows.astype(int).tolist())}
-
-
 @functools.lru_cache(maxsize=None)
 def _subspace_inverse(dim, degree, k):
     # k! times the pseudo-inverse of the (P_degree, P_k) matrix with entries
@@ -427,8 +430,8 @@ def _subspace_inverse(dim, degree, k):
     # variables: the order-k partials from the order-k coefficients.
     directions = lattice_directions(dim, degree)
     alphas = lattice_directions(dim, k)
-    multinomial = math.factorial(k) / np.prod(
-        [[math.factorial(int(a)) for a in alpha] for alpha in alphas], axis=1)
+    factorials = np.array([math.factorial(j) for j in range(k + 1)])
+    multinomial = math.factorial(k) / np.prod(factorials[alphas.astype(int)], axis=1)
     monomials = np.prod(directions[:, None, :] ** alphas[None, :, :], axis=2)
     # The pseudo-inverse from scipy's SVD, which the Jacobian's condition
     # checks use too: numpy's first SVD adds about 1 MB of resident memory.
@@ -444,25 +447,19 @@ def _interpolation_groups(dim, degree, k):
     # directions on S; every set maps the second to the first through the
     # same (n_full, C_s) matrix ``coef`` of the map in s variables.
     # ``cols`` is (C_s, sets) and ``rows`` is (n_full, sets), flattened.
-    directions = _index_of(lattice_directions(dim, degree))
-    alphas = _index_of(lattice_directions(dim, k))
-
-    def embed(counts, support, index):
-        # positions in ``index`` of (n, s) counts placed on ``support``
-        embedded = np.zeros((len(counts), dim), dtype=int)
-        embedded[:, support] = counts
-        return [index[tuple(e)] for e in embedded.tolist()]
+    # A multiset in s variables maps onto a set by indexing the set with it.
+    def positions(multisets, order):
+        # positions in basis_multisets(dim, order) of sorted (..., order) multisets
+        return np.searchsorted(_multiset_keys(basis_multisets(dim, order)[0], dim),
+                               _multiset_keys(multisets, dim))
 
     groups = []
     for s in range(1, min(k, dim) + 1):
-        sub = lattice_directions(s, k)
-        full = sub.min(axis=1) > 0
-        supports = list(itertools.combinations(range(dim), s))
-        rows = [embed(sub[full], support, alphas) for support in supports]
-        cols = [embed(lattice_directions(s, degree), support, directions)
-                for support in supports]
-        groups.append((np.array(rows).T.ravel(), np.array(cols).T,
-                       _subspace_inverse(s, degree, k)[full]))
+        full = lattice_directions(s, k).min(axis=1) > 0
+        supports = np.array(list(itertools.combinations(range(dim), s)))
+        rows = positions(supports[:, basis_multisets(s, k)[0][full]], k)
+        cols = positions(supports[:, basis_multisets(s, degree)[0]], degree)
+        groups.append((rows.T.ravel(), cols.T, _subspace_inverse(s, degree, k)[full]))
     return groups
 
 

@@ -205,9 +205,13 @@ def kfold_weights(n: int, folds: int, seed: int = 0) -> Iterator[WeightVector]:
 
 def leave_kappa_out_weights(n: int, kappa: int, seed: int = 0,
                             count: int = 1) -> Iterator[WeightVector]:
-    """Random leave-kappa-out weights: ``count`` draws of kappa zeros each."""
-    if not 1 <= kappa <= n:
-        raise ValueError(f"kappa {kappa} outside 1..{n}")
+    """Random leave-kappa-out weights: ``count`` draws of kappa zeros each.
+
+    kappa must leave at least one row in: kappa = n leaves every row out,
+    where G is g_0 alone and any theta is a root.
+    """
+    if not 1 <= kappa < n:
+        raise ValueError(f"kappa {kappa} outside 1..{n - 1}")
     rng = np.random.default_rng(seed)
     for b in range(count):
         values = np.ones(n)

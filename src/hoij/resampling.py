@@ -8,6 +8,7 @@ approximates.  Reports are plain data, serialized deterministically.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -52,9 +53,9 @@ class WeightOutcome:
     """Per-weight record: approximations of every order against the exact re-fit."""
 
     label: str
-    theta_ij: Optional[tuple]  # partial sums, orders 0..K
+    theta_ij: Optional[np.ndarray]     # (K + 1, D) partial sums, orders 0..K
     theta_exact: Optional[np.ndarray]
-    errors: Optional[tuple]    # ||theta_ij[k] - exact||_2 per order
+    errors: Optional[np.ndarray]       # (K + 1,) ||theta_ij[k] - exact||_2 per order
     runtime_expand: float
     runtime_refit: float
     refit_error: Optional[str] = None
@@ -82,7 +83,7 @@ class CvReport:
         for o in self.outcomes:
             rec = {
                 "label": o.label,
-                "theta_ij": None if o.theta_ij is None else [_floats(th) for th in o.theta_ij],
+                "theta_ij": _floats(o.theta_ij),
                 "theta_exact": _floats(o.theta_exact),
                 "errors": _floats(o.errors),
                 "refit_error": o.refit_error,
@@ -114,13 +115,15 @@ class CvReport:
         ok = [o for o in self.outcomes if o.errors is not None]
         if not ok:
             return [header]
-        errors = _floats([o.errors for o in ok])
-        width = len(errors[0])
+        errors = np.array([o.errors for o in ok], dtype=float)
+        count, width = errors.shape
         bounds = ([""] * width if self.bound_per_k is None
-                  else [repr(b) for b in _floats(self.bound_per_k)])
+                  else list(map(repr, _floats(self.bound_per_k))))
         ks = [str(k) for k in range(width)]
-        return [header] + [[o.label, k, repr(e), b] for o, errs in zip(ok, errors)
-                           for k, e, b in zip(ks, errs, bounds)]
+        labels = [o.label for o in ok for _ in ks]
+        return [header] + list(map(list, zip(labels, ks * count,
+                                              map(repr, errors.ravel().tolist()),
+                                              bounds * count)))
 
 
 def _floats(values) -> Optional[list]:
@@ -128,60 +131,104 @@ def _floats(values) -> Optional[list]:
     return None if values is None else np.asarray(values, dtype=float).tolist()
 
 
-def _expand(problem, theta_hat, hfac, table, w: WeightVector, order: int) -> tuple:
-    """(partial sums of orders 0..order or None, expansion error, seconds)."""
-    t0 = time.perf_counter()
-    try:
-        expn = evaluate_theta_ij(problem, theta_hat, hfac, table, w.delta, order)
-        partials = tuple(expn.partial_sum(k) for k in range(order + 1))
-    except NonFiniteValueError as err:
-        return None, str(err), time.perf_counter() - t0
-    return partials, None, time.perf_counter() - t0
+def _labeled(w, i: int) -> WeightVector:
+    """The stream's i-th weight vector (from 0), labelled ``w:{i + 1}`` if it has no label."""
+    if not isinstance(w, WeightVector):
+        return WeightVector(np.asarray(w, float), label=f"w:{i + 1}")
+    return w if w.label else WeightVector(w.values, label=f"w:{i + 1}")
 
 
-def _refits(problem, theta_hat, hfac, block: list, partials: list,
-            cfg: Optional[SolveConfig]) -> list:
-    """(root or error, seconds) per weight of the block.
+def _expand_block(problem, theta_hat, hfac, table, block: list, order: int) -> tuple:
+    """Partial sums of orders 0..order for each weight of the block.
 
-    Weights with an expansion are re-fitted together from it, and share the
+    Returns ``(partials, expand_errors, seconds)``: a (B, order + 1, D)
+    array, NaN from order 1 on for a weight whose expansion failed, the
+    error message or None per weight, and each weight's expansion time.
+    Each weight is expanded on its own; the block's partial sums come from
+    one cumulative sum over theta_hat and the d_j / j!, which adds in the
+    order :meth:`~hoij.expansion.TaylorExpansion.partial_sum` does.
+    """
+    terms = np.full((len(block), order + 1, theta_hat.size), np.nan)
+    terms[:, 0] = theta_hat
+    errors, seconds = [None] * len(block), []
+    for b, w in enumerate(block):
+        t0 = time.perf_counter()
+        try:
+            expn = evaluate_theta_ij(problem, theta_hat, hfac, table, w.delta, order)
+            if order:
+                terms[b, 1:] = expn.dthetas
+        except NonFiniteValueError as err:
+            errors[b] = str(err)
+        seconds.append(time.perf_counter() - t0)
+    terms[:, 1:] /= np.array([math.factorial(j) for j in range(1, order + 1)])[:, None]
+    return np.cumsum(terms, axis=1), errors, seconds
+
+
+def _refit_block(problem, theta_hat, hfac, block: list, starts: np.ndarray,
+                 expand_errors: list, cfg: Optional[SolveConfig]) -> tuple:
+    """Exact roots of the block's weights, as ``(roots, refit_errors, seconds)``.
+
+    ``roots`` is (B, D), NaN where a re-fit failed, and ``refit_errors``
+    holds the failure message or None per weight.  Weights with an
+    expansion are re-fitted together from their ``starts`` and share the
     block's time evenly; a weight whose expansion failed re-fits from
     theta_hat on its own.
     """
-    out = [None] * len(block)
-    started = [i for i, p in enumerate(partials) if p is not None]
+    results, seconds = [None] * len(block), [0.0] * len(block)
+    started = [i for i, e in enumerate(expand_errors) if e is None]
     if started:
         t0 = time.perf_counter()
-        roots = refit_block(problem, hfac, [block[i] for i in started],
-                            [partials[i][-1] for i in started], cfg)
+        found = refit_block(problem, hfac, [block[i] for i in started], starts[started], cfg)
         share = (time.perf_counter() - t0) / len(started)
-        for i, root in zip(started, roots):
-            out[i] = (root, share)
-    for i, p in enumerate(partials):
-        if p is None:
+        for i, root in zip(started, found):
+            results[i], seconds[i] = root, share
+    for i, e in enumerate(expand_errors):
+        if e is not None:
             t0 = time.perf_counter()
             try:
-                root = exact_refit(problem, block[i], theta_hat, cfg)
+                results[i] = exact_refit(problem, block[i], theta_hat, cfg)
             except (SolverError, NonFiniteValueError) as err:
-                root = err
-            out[i] = (root, time.perf_counter() - t0)
-    return out
+                results[i] = err
+            seconds[i] = time.perf_counter() - t0
+    roots = np.full((len(block), theta_hat.size), np.nan)
+    errors = [str(r) if isinstance(r, Exception) else None for r in results]
+    for i, r in enumerate(results):
+        if errors[i] is None:
+            roots[i] = r
+    return roots, errors, seconds
 
 
-def _outcome(w: WeightVector, expanded: tuple, refitted: tuple) -> WeightOutcome:
-    partials, expand_error, t_expand = expanded
-    root, t_refit = refitted
-    exact = refit_error = errors = None
-    if isinstance(root, Exception):
-        refit_error = str(root)
-    else:
-        exact = root
-        if partials is not None:
-            errors = tuple(float(np.linalg.norm(p - exact)) for p in partials)
-    return WeightOutcome(
-        label=w.label, theta_ij=partials, theta_exact=exact, errors=errors,
-        runtime_expand=t_expand, runtime_refit=t_refit,
-        refit_error=refit_error, expand_error=expand_error,
-    )
+def _norms(d: np.ndarray) -> np.ndarray:
+    """||v||_2 of every vector v along the last axis of ``d``.
+
+    Bit for bit what np.linalg.norm gives each vector, the square root of
+    its dot product with itself, here as one stacked (1, D) @ (D, 1)
+    product; einsum and norm(axis=-1) round differently.
+    """
+    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
+
+
+def _score_block(problem, theta_hat, hfac, table, block: list, order: int,
+                 cfg: Optional[SolveConfig]) -> tuple:
+    """The block's outcomes, and the (M, order + 1) errors of its M weights
+    that have both an expansion and a root, in stream order."""
+    partials, expand_errors, t_expand = _expand_block(problem, theta_hat, hfac, table,
+                                                      block, order)
+    roots, refit_errors, t_refit = _refit_block(problem, theta_hat, hfac, block,
+                                                partials[:, -1], expand_errors, cfg)
+    scored = np.array([e is None and r is None
+                       for e, r in zip(expand_errors, refit_errors)], dtype=bool)
+    errors = _norms(partials[scored] - roots[scored, None, :])
+    rows = iter(errors)
+    outcomes = [WeightOutcome(
+        label=w.label,
+        theta_ij=None if expand_errors[b] is not None else partials[b],
+        theta_exact=None if refit_errors[b] is not None else roots[b],
+        errors=next(rows) if scored[b] else None,
+        runtime_expand=t_expand[b], runtime_refit=t_refit[b],
+        refit_error=refit_errors[b], expand_error=expand_errors[b],
+    ) for b, w in enumerate(block)]
+    return outcomes, errors
 
 
 def run_cv(problem: EstimatingProblem, weights: Iterable[WeightVector], order: int,
@@ -192,11 +239,15 @@ def run_cv(problem: EstimatingProblem, weights: Iterable[WeightVector], order: i
            metadata: Optional[dict] = None) -> CvReport:
     """Approximate every weight in the stream and compare with exact re-fits.
 
-    The stream goes in blocks of REFIT_BLOCK weights: each weight is
-    expanded on its own, then the block is re-fitted together by
+    The stream is read REFIT_BLOCK weights at a time, so only one block of
+    weight vectors is held, whatever the stream's length.  Each weight is
+    expanded on its own; then the block is re-fitted together by
     :func:`~hoij.expansion.refit_block`, starting from the order-``order``
     expansions, and each weight's ``runtime_refit`` is an even share of the
-    block's time.  A weight whose expansion failed re-fits from theta_hat.
+    block's time.  The block is scored at once: its partial sums come from
+    one cumulative sum and its errors from one stacked norm.  A weight
+    whose expansion failed re-fits from theta_hat.  Unlabelled weights are
+    labelled ``w:{i}`` by their 1-based position in the stream.
     Expansion and re-fit failures are recorded per weight, not fatal, and
     a weight missing either result is left out of the aggregate errors.
     ``with_bounds`` additionally estimates the error-bound ladder and
@@ -207,28 +258,19 @@ def run_cv(problem: EstimatingProblem, weights: Iterable[WeightVector], order: i
     theta_hat = solve_base(problem, cfg=cfg)
     hfac = factorize_hessian(problem, theta_hat)
     table = term_tables(max(order, 1))
-    labeled = []
-    for i, w in enumerate(weights):
-        if not isinstance(w, WeightVector):
-            w = WeightVector(np.asarray(w, float), label=f"w:{i + 1}")
-        elif not w.label:
-            w = WeightVector(w.values, label=f"w:{i + 1}")
-        labeled.append(w)
-    weights = labeled
+    stream = iter(weights)
+    outcomes, errors = [], [np.empty((0, order + 1))]
+    while block := list(itertools.islice(stream, REFIT_BLOCK)):
+        block = [_labeled(w, len(outcomes) + i) for i, w in enumerate(block)]
+        block_outcomes, block_errors = _score_block(problem, theta_hat, hfac, table,
+                                                    block, order, cfg)
+        outcomes.extend(block_outcomes)
+        errors.append(block_errors)
 
-    outcomes = []
-    for lo in range(0, len(weights), REFIT_BLOCK):
-        block = weights[lo:lo + REFIT_BLOCK]
-        expanded = [_expand(problem, theta_hat, hfac, table, w, order) for w in block]
-        refitted = _refits(problem, theta_hat, hfac, block,
-                           [e[0] for e in expanded], cfg)
-        outcomes.extend(map(_outcome, block, expanded, refitted))
-
-    ok = [o for o in outcomes if o.errors is not None]
-    if ok:
-        err = np.array([o.errors for o in ok])
-        max_error = tuple(float(x) for x in err.max(axis=0))
-        mean_error = tuple(float(x) for x in err.mean(axis=0))
+    err = np.concatenate(errors)
+    if len(err):
+        max_error = tuple(err.max(axis=0).tolist())
+        mean_error = tuple(err.mean(axis=0).tolist())
     else:
         max_error = mean_error = tuple(math.nan for _ in range(order + 1))
 

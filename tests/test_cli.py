@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hoij import (
@@ -191,6 +191,8 @@ class TestStreamValidation:
         ["expand", "--scheme", "kappa", "--draws", "-1"],
         ["cv", "--scheme", "kfold", "--folds", "1"],
         ["expand", "--scheme", "kfold", "--folds", "1"],
+        ["cv", "--scheme", "kappa", "--kappa", "4", "--draws", "1"],
+        ["expand", "--scheme", "kappa", "--kappa", "4", "--draws", "1"],
     ])
     def test_usage_error(self, mean_csv, tmp_path, capsys, argv):
         out = tmp_path / "o.json"
@@ -273,8 +275,8 @@ class TestOtherCommands:
 
     def test_bootstrap_differentiates_the_terms_once(self, linreg_csv, tmp_path,
                                                      monkeypatch):
-        """The sandwich, the linear covariance and the samples share one
-        order-0 pass; the order-3 expansion adds one pass for the rest."""
+        """The sandwich, the linear covariance, the samples and the order-3
+        expansion share one pass at theta_hat."""
         passes = []
         per_datum_tensors = fad.per_datum_tensors
 
@@ -287,7 +289,7 @@ class TestOtherCommands:
         out = tmp_path / "b.json"
         assert main(["bootstrap", "--model", "linear_regression", "--data", linreg_csv,
                      "--draws", "30", "--order", "3", "--out", str(out)]) == 0
-        assert passes == [([0], []), ([1, 2], [3])]
+        assert passes == [([0, 1, 2], [3])]
 
     def test_bootstrap_higher_order_stats(self, mean_csv, tmp_path):
         out = tmp_path / "boot2.json"
@@ -369,6 +371,73 @@ class TestDeterminism:
         first = out.read_bytes()
         assert main(args) == 0
         assert out.read_bytes() == first
+
+
+class TestJsonWriter:
+    """Every subcommand writes the text json.dumps(obj, indent=2,
+    sort_keys=True) gives for the object it emits."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--model", "linear_regression", "--data", "{linreg}"],
+        ["expand", "--model", "linear_regression", "--data", "{linreg}", "--order", "3",
+         "--scheme", "bootstrap", "--draws", "5", "--seed", "2"],
+        ["cv", "--model", "linear_regression", "--data", "{linreg}", "--order", "3",
+         "--scheme", "kappa", "--kappa", "2", "--draws", "9", "--seed", "4"],
+        ["cv", "--model", "mean", "--data", "{mean}", "--order", "2", "--with-bounds",
+         "--samples", "8", "--seed", "1"],
+        ["bootstrap", "--model", "linear_regression", "--data", "{linreg}", "--order", "2",
+         "--draws", "40", "--seed", "3"],
+        ["bounds", "--model", "mean", "--data", "{mean}", "--order", "2", "--samples", "8"],
+        ["terms", "--max-order", "4"],
+        ["scaling", "--model", "mean", "--grid", "30,60", "--order", "1", "--seed", "9"],
+    ])
+    def test_subcommand_output_is_json_dumps_text(self, argv, mean_csv, linreg_csv,
+                                                  tmp_path, monkeypatch):
+        emitted = []
+        writer = cli._json_text
+
+        def recording(obj, *indent):
+            if not indent:  # the whole output, not a nested value
+                emitted.append(obj)
+            return writer(obj, *indent)
+
+        monkeypatch.setattr(cli, "_json_text", recording)
+        out = tmp_path / "o.json"
+        argv = [a.format(mean=mean_csv, linreg=linreg_csv) for a in argv]
+        assert main(argv + ["--out", str(out)]) == 0
+        (obj,) = emitted
+        assert out.read_text() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+JSON_KEYS = st.one_of(st.text(max_size=6), st.integers(-10 ** 6, 10 ** 6),
+                      st.floats(allow_nan=False), st.booleans())
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-10 ** 30, 10 ** 30), st.floats(),
+              st.text(max_size=8)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=3).map(tuple),
+        st.lists(st.floats(), max_size=6),
+        # keys of one kind per dict, since json sorts the keys themselves
+        JSON_KEYS.flatmap(lambda key: st.dictionaries(
+            st.from_type(type(key)) if not isinstance(key, float)
+            else st.floats(allow_nan=False), children, max_size=4))),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=JSON_VALUES)
+@example(obj={"é\n": [-0.0, math.nan, math.inf, -math.inf], "": [], "a": {}, 2: None})
+@example(obj={2: [True, 1.0], 10: {False: "ü\u2028", True: -0.0}})
+@example(obj={None: [1e300, 5e-324, 0.1]})
+def test_json_writer_matches_json_dumps(obj):
+    try:
+        want = json.dumps(obj, indent=2, sort_keys=True)
+    except TypeError:  # keys json cannot sort, as in {2: ..., "a": ...}
+        with pytest.raises(TypeError):
+            cli._json_text(obj)
+        return
+    assert cli._json_text(obj) == want
 
 
 class TestEntryPoint:
@@ -483,7 +552,7 @@ BAD_FLAGS = [
     (["expand", "--order"], st.integers(-9, 0)),
     (["cv", "--scheme", "bootstrap", "--draws"], st.one_of(NOT_INT, st.integers(-99, 0))),
     (["cv", "--scheme", "kfold", "--folds"], st.one_of(st.integers(-9, 1), st.integers(5, 99))),
-    (["cv", "--scheme", "kappa", "--kappa"], st.one_of(st.integers(-9, 0), st.integers(5, 99))),
+    (["cv", "--scheme", "kappa", "--kappa"], st.one_of(st.integers(-9, 0), st.integers(4, 99))),
     (["cv", "--scheme"], st.text(max_size=5).filter(
         lambda s: not s.startswith("-") and s not in ("loo", "kfold", "kappa", "bootstrap"))),
     (["bounds", "--samples"], st.one_of(NOT_INT, st.integers(-99, 0))),

@@ -268,6 +268,8 @@ class TestWeightVectors:
             assert int((w.values == 0.0).sum()) == 3
         with pytest.raises(ValueError):
             list(leave_kappa_out_weights(3, 4))
+        with pytest.raises(ValueError, match="kappa 3 outside 1..2"):
+            list(leave_kappa_out_weights(3, 3))
 
     def test_bootstrap_support(self):
         for w in bootstrap_weights(4, 3, seed=8):
@@ -356,7 +358,7 @@ def test_weight_schemes_property(n, seed, data):
     folds = data.draw(st.integers(2, n))
     sizes = [len(f) for f in np.array_split(np.arange(n), folds)]
     check(kfold_weights(n, folds, seed=seed), [n - s for s in sizes])
-    kappa = data.draw(st.integers(1, n))
+    kappa = data.draw(st.integers(1, n - 1))
     check(leave_kappa_out_weights(n, kappa, seed=seed, count=3), [n - kappa] * 3)
     draws = data.draw(st.integers(1, 12))
     check(bootstrap_weights(n, draws, seed=seed), [n] * draws)

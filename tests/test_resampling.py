@@ -1,6 +1,7 @@
 """CV runs, covariance identities, and the scaling-rate harness."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,6 +284,66 @@ class TestRefitFromExpansion:
             else:
                 root = polished_root(prob, w.values, o.theta_exact)
                 assert np.max(np.abs(o.theta_exact - root)) <= 1e-13
+
+
+class TestBlockScoring:
+    """run_cv scores a block at once: the same partial sums, errors and
+    aggregates, bit for bit, as per-weight partial_sum and np.linalg.norm."""
+
+    @pytest.mark.parametrize("model_id, dim, order", [
+        ("logistic_regression", 3, 3), ("exp_loss", 2, 0), ("linear_regression", 5, 4),
+        ("mean", 1, 2), ("logistic_regression", 8, 5),
+    ])
+    def test_matches_per_weight_scoring(self, model_id, dim, order, monkeypatch):
+        n = 40
+        prob = build_problem(model_id, np.random.default_rng(8), n=n, dim=dim)
+        weights = list(loo_weights(n, range(1, n, 4))) + list(bootstrap_weights(n, 3, seed=1))
+        monkeypatch.setattr(resampling, "REFIT_BLOCK", 4)
+        report = run_cv(prob, weights, order)
+        theta_hat = solve_base(prob)
+        hfac = factorize_hessian(prob, theta_hat)
+        table = term_tables(max(order, 1))
+        for o, w in zip(report.outcomes, weights):
+            expn = evaluate_theta_ij(prob, theta_hat, hfac, table, w.delta, order)
+            for k in range(order + 1):
+                assert o.theta_ij[k].tobytes() == expn.partial_sum(k).tobytes(), (o.label, k)
+                assert o.errors[k] == np.linalg.norm(expn.partial_sum(k) - o.theta_exact)
+        errors = np.array([o.errors for o in report.outcomes])
+        assert report.max_error == tuple(errors.max(axis=0).tolist())
+        assert report.mean_error == tuple(errors.mean(axis=0).tolist())
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 13])
+    def test_stacked_norms_are_numpys(self, dim):
+        rng = np.random.default_rng(dim)
+        d = rng.normal(size=(50, 4, dim)) * 10.0 ** rng.integers(-17, 3, size=(50, 4, 1))
+        got = resampling._norms(d)
+        want = [[np.linalg.norm(v) for v in block] for block in d]
+        assert got.tobytes() == np.array(want).tobytes()
+
+
+class TestWeightStream:
+    """run_cv reads its weight stream one block at a time."""
+
+    def test_memory_does_not_grow_with_the_stream(self):
+        n = 3000
+        prob = make_problem("mean", Dataset(np.random.default_rng(3).random((n, 1))))
+        peaks = []
+        for count in (2 * resampling.REFIT_BLOCK, 4 * resampling.REFIT_BLOCK):
+            run_cv(prob, loo_weights(n, range(1, count + 1)), 1)
+            tracemalloc.start()
+            run_cv(prob, loo_weights(n, range(1, count + 1)), 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0], peaks
+
+    def test_unlabelled_weights_numbered_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(resampling, "REFIT_BLOCK", 3)
+        prob = make_problem("mean", mean_dataset_1236())
+        stream = (WeightVector(np.full(4, 1.1), label="kept") if i == 4
+                  else np.ones(4) + 0.1 * i for i in range(7))
+        report = run_cv(prob, stream, 1)
+        assert [o.label for o in report.outcomes] == ["w:1", "w:2", "w:3", "w:4", "kept",
+                                                      "w:6", "w:7"]
 
 
 def _per_float_json(report, include_timings):
