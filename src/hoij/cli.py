@@ -34,11 +34,6 @@ from .terms import term_tables
 
 SCHEMA_VERSION = resampling.SCHEMA_VERSION
 
-# ``expand`` expands its weight vectors in blocks of at most this many
-# entries (weights x data rows), so memory does not grow with the stream.
-EXPAND_BLOCK_ELEMENTS = 1 << 20
-
-
 class UsageError(ValueError):
     pass
 
@@ -294,7 +289,7 @@ def _cmd_expand(args):
     table = term_tables(args.order)
     records = []
     weights = iter(weights)
-    size = max(1, EXPAND_BLOCK_ELEMENTS // problem.n_terms)
+    size = max(1, models.WEIGHT_BLOCK_ELEMENTS // problem.n_terms)
     while block := list(itertools.islice(weights, size)):
         expn = evaluate_theta_ij(problem, theta_hat, hfac, table,
                                  np.array([w.delta for w in block]), args.order)
@@ -438,7 +433,7 @@ def main(argv=None) -> int:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
     except (SolverError, NonFiniteValueError, np.linalg.LinAlgError,
-            OSError, RuntimeError) as err:
+            OSError, RuntimeError, MemoryError) as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
     return 0

@@ -475,11 +475,13 @@ def refit_block(problem: EstimatingProblem, hfac: HessianFactor, weights, starts
 
     A weight falls back to :func:`exact_refit` from its start, with
     ``max_start_residual`` = ||G(theta_hat, w)||, when its start is not
-    below that ceiling, G there is not finite, it has not stopped within
-    CHORD_STEPS steps or stopped above ``cfg.resolved_tol(D)``, a Ĥ_b of
-    the block is singular, or the problem has no ``batch_fn``.  Returns one
-    entry per weight: the root, or the :class:`SolverError` or
-    :class:`~hoij.forward_ad.NonFiniteValueError` its fallback raised.
+    below that ceiling (a start equal to theta_hat, as at order 0, is
+    exempt: its residual is the ceiling), G there is not finite, it has
+    not stopped within CHORD_STEPS steps or stopped above
+    ``cfg.resolved_tol(D)``, a Ĥ_b of the block is singular, or the problem
+    has no ``batch_fn``.  Returns one entry per weight: the root, or the
+    :class:`SolverError` or :class:`~hoij.forward_ad.NonFiniteValueError`
+    its fallback raised.
     """
     cfg = cfg or SolveConfig()
     n = problem.n_terms
@@ -491,7 +493,10 @@ def refit_block(problem: EstimatingProblem, hfac: HessianFactor, weights, starts
     if problem.batch_fn is not None and len(values):
         g = evaluate_g_block(problem, thetas, values)
         gnorms = _row_norms(g)
-        chord = np.flatnonzero(gnorms < ceilings)
+        # At theta_hat the ceiling is the start's own residual, rounded
+        # another way, so comparing the two would decide by rounding.
+        at_base = (thetas == hfac.theta_hat).all(axis=1) & np.isfinite(gnorms)
+        chord = np.flatnonzero((gnorms < ceilings) | at_base)
         try:
             inverses = np.linalg.inv(_chord_jacobians(hfac, values[chord], thetas[chord]))
         except np.linalg.LinAlgError:  # a singular Ĥ_b: the block falls back

@@ -226,15 +226,24 @@ def bootstrap_weights(n: int, draws: int, seed: int = 0) -> Iterator[WeightVecto
         yield WeightVector(block[0], label=f"boot:{b + 1}")
 
 
-def bootstrap_weight_blocks(n: int, draws: int, seed: int = 0,
-                            chunk: int = 20000) -> Iterator[np.ndarray]:
-    """The weights of :func:`bootstrap_weights`, ``chunk`` draws at a time.
+# A block of weight vectors holds at most this many entries (weights x data
+# rows), so memory does not grow with the number of weight vectors.
+WEIGHT_BLOCK_ELEMENTS = 1 << 18
 
-    Each block is a (m, n) float array, m <= chunk, one multinomial draw of
-    n over n equiprobable cells per row.  One multinomial call of size m
-    draws what m calls of size 1 draw, so the rows do not depend on
-    ``chunk``.
+
+def bootstrap_weight_blocks(n: int, draws: int, seed: int = 0,
+                            chunk: Optional[int] = None) -> Iterator[np.ndarray]:
+    """The weights of :func:`bootstrap_weights`, one block of draws at a time.
+
+    Each block is a fresh (m, n) float array, one multinomial draw of n over
+    n equiprobable cells per row, with m at most ``chunk``, by default
+    ``max(1, WEIGHT_BLOCK_ELEMENTS // n)``.  So a block, and the sampler's
+    integer counts it is converted from, stay small whatever ``draws`` is.
+    One multinomial call of size m draws what m calls of size 1 draw, so
+    the rows do not depend on the block size.
     """
+    if chunk is None:
+        chunk = max(1, WEIGHT_BLOCK_ELEMENTS // n)
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     rng = np.random.default_rng(seed)

@@ -358,14 +358,17 @@ def linear_covariance(problem: EstimatingProblem, theta_hat, hfac) -> np.ndarray
 
 
 def bootstrap_samples(problem: EstimatingProblem, theta_hat, hfac, draws: int,
-                      order: int = 1, seed: int = 0, chunk: int = 20000) -> tuple:
+                      order: int = 1, seed: int = 0, chunk: Optional[int] = None) -> tuple:
     """Sampled approximations under multinomial bootstrap weights.
 
     Returns ``(linear, expanded)``, each of shape (draws, D): the order-1
     approximations, one product and one solve per block since they are
     linear in the weights, and the order-``order`` expansions of the same
     draws (None below order 2), one :func:`evaluate_theta_ij` call per
-    block.  Each block of ``chunk`` draws is drawn once and feeds both.
+    block.  Each block of :func:`~hoij.models.bootstrap_weight_blocks`
+    (``chunk`` draws, by default at most WEIGHT_BLOCK_ELEMENTS entries) is
+    drawn once and feeds both, so beyond the two (draws, D) results memory
+    does not grow with ``draws``.
     """
     n = problem.n_terms
     j = gn_matrix(theta_hat, hfac)
@@ -387,7 +390,7 @@ def bootstrap_samples(problem: EstimatingProblem, theta_hat, hfac, draws: int,
 
 def bootstrap_linear_samples(problem: EstimatingProblem, theta_hat, hfac,
                              draws: int, seed: int = 0,
-                             chunk: int = 20000) -> np.ndarray:
+                             chunk: Optional[int] = None) -> np.ndarray:
     """The order-1 half of :func:`bootstrap_samples`, shape (draws, D)."""
     return bootstrap_samples(problem, theta_hat, hfac, draws, seed=seed, chunk=chunk)[0]
 

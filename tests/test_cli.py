@@ -23,6 +23,7 @@ from hoij import (
     load_dataset,
     loo_weights,
     make_problem,
+    models,
     resampling,
     run_cv,
     solve_base,
@@ -245,7 +246,7 @@ class TestOtherCommands:
     def test_expand_blocks_match_one_weight_calls(self, linreg_csv, tmp_path, monkeypatch):
         """A stream over several blocks: every record is the one-weight
         expansion of its weight vector."""
-        monkeypatch.setattr(cli, "EXPAND_BLOCK_ELEMENTS", 120)  # 6 weights of 20
+        monkeypatch.setattr(models, "WEIGHT_BLOCK_ELEMENTS", 120)  # 6 weights of 20
         out = tmp_path / "exp.json"
         assert main(["expand", "--model", "linear_regression", "--data", linreg_csv,
                      "--order", "3", "--scheme", "kappa", "--kappa", "2", "--draws", "15",
@@ -299,6 +300,18 @@ class TestOtherCommands:
         assert rc == 0
         obj = read_json(out)
         assert "empirical_covariance_order_k" in obj
+
+    def test_out_of_memory_is_one_error_line(self, mean_csv, tmp_path, capsys):
+        """10**15 draws of (D,) samples cannot be allocated: the allocation
+        fails at once, without touching memory, and is reported as a
+        run-time error."""
+        out = tmp_path / "boot.json"
+        rc = main(["bootstrap", "--model", "mean", "--data", mean_csv,
+                   "--draws", str(10 ** 15), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: MemoryError: ") and len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_cv_kfold_scheme(self, mean_csv, tmp_path):
         out = tmp_path / "kf.json"

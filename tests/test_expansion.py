@@ -633,6 +633,24 @@ class TestRefitBlock:
         for w, root in zip(weights, got):
             assert np.max(np.abs(root - _polished(prob, w.values, root))) <= 1e-13
 
+    def test_order_zero_starts_take_the_chord(self, monkeypatch):
+        """Starts at theta_hat itself, as at order 0, whose residual is the
+        ceiling: every weight by the chord, to the rounding floor."""
+        data = GeneratorConfig(n_features=5).generate("exp_loss", 400,
+                                                      np.random.default_rng(5))
+        prob = make_problem("exp_loss", data)
+        theta_hat = solve_base(prob)
+        hfac = factorize_hessian(prob, theta_hat)
+        weights = list(loo_weights(400))
+        seen = self._recording_fallbacks(monkeypatch)
+        got = expansion.refit_block(prob, hfac, weights, [theta_hat] * len(weights))
+        assert seen == []
+        monkeypatch.undo()
+        polish = SolveConfig(tol_grad=1e-15)
+        for w, root in zip(weights, got):
+            want = exact_refit(prob, w, theta_hat, polish, start=root)
+            assert max_rel_gap(root, want) <= 1e-13, w.label
+
     def _logistic_block(self, n=200):
         prob = build_problem("logistic_regression", np.random.default_rng(9), n=n, dim=2)
         theta_hat = solve_base(prob)

@@ -23,6 +23,7 @@ from hoij import (
     linear_covariance,
     loo_weights,
     make_problem,
+    models,
     resampling,
     run_cv,
     sandwich_covariance,
@@ -344,6 +345,37 @@ class TestWeightStream:
         report = run_cv(prob, stream, 1)
         assert [o.label for o in report.outcomes] == ["w:1", "w:2", "w:3", "w:4", "kept",
                                                       "w:6", "w:7"]
+
+
+class TestBootstrapBlocks:
+    """The bootstrap draws its weights in blocks of bounded size."""
+
+    def test_memory_does_not_grow_with_draws(self):
+        n = 3000
+        data = GeneratorConfig(n_features=3).generate("logistic_regression", n,
+                                                      np.random.default_rng(4))
+        prob = make_problem("logistic_regression", data)
+        theta_hat = solve_base(prob)
+        hfac = factorize_hessian(prob, theta_hat)
+        size = models.WEIGHT_BLOCK_ELEMENTS // n
+        peaks = []
+        for draws in (2 * size, 8 * size):
+            bootstrap_samples(prob, theta_hat, hfac, draws, order=3, seed=1)
+            tracemalloc.start()
+            bootstrap_samples(prob, theta_hat, hfac, draws, order=3, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0], peaks
+
+    def test_default_blocks_are_bounded_fresh_and_the_single_draws(self):
+        n, draws = 3000, 200
+        blocks = list(bootstrap_weight_blocks(n, draws, seed=6))
+        assert len(blocks) > 1
+        assert all(len(b) <= models.WEIGHT_BLOCK_ELEMENTS // n for b in blocks)
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(blocks)
+                       for b in blocks[i + 1:])
+        np.testing.assert_array_equal(
+            np.vstack(blocks), [w.values for w in bootstrap_weights(n, draws, seed=6)])
 
 
 def _per_float_json(report, include_timings):
