@@ -225,6 +225,8 @@ def _json_text(obj, indent: str = "\n") -> str:
         return int.__repr__(obj)
     if isinstance(obj, float):
         return _json_float(obj)
+    if isinstance(obj, resampling.OutcomeRecords):
+        return _outcome_records_text(obj, indent)
     inner = indent + "  "
     sep = "," + inner
     if isinstance(obj, (list, tuple)):
@@ -247,6 +249,87 @@ def _json_text(obj, indent: str = "\n") -> str:
         return ("{" + inner + sep.join([_quote(_json_key(k)) + ": " + _json_text(v, inner)
                                         for k, v in sorted(obj.items())]) + indent + "}")
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+# The fields of a cv outcome record, in json's sorted order; expand_error
+# appears only when the expansion failed.
+_RECORD_FIELDS = ("errors", "expand_error", "label", "refit_error", "theta_exact", "theta_ij")
+
+
+def _array_template(shape: tuple, indent: str) -> str:
+    # the json text of a float array of this shape, one %r per float
+    if not shape:
+        return "%r"
+    if not shape[0]:
+        return "[]"
+    inner = indent + "  "
+    return ("[" + inner + ("," + inner).join([_array_template(shape[1:], inner)] * shape[0])
+            + indent + "]")
+
+
+def _outcome_records_text(records, indent: str) -> str:
+    """``_json_text`` of a cv report's outcome records, rendered from their
+    outcomes' arrays.
+
+    Records of one shape, which fields are null, strings or float arrays of
+    which shapes, share one %-template.  Each shape's floats are stacked
+    into one (records, floats) array, and each record fills its template
+    with its row and its quoted strings in one operation.  A record with a
+    non-finite float, or a field of any other type, goes through
+    ``_json_text`` as a dict.
+    """
+    if not records:
+        return "[]"
+    inner = indent + "  "
+    field = inner + "  "
+    outcomes = records.outcomes
+    texts = [None] * len(records)
+    shapes: dict = {}
+    for i, o in enumerate(outcomes):
+        # a float array by its shape, anything else by its type
+        shape = tuple(v.shape if type(v) is np.ndarray else type(v)
+                      for v in [getattr(o, name) for name in _RECORD_FIELDS])
+        shapes.setdefault(shape, []).append(i)
+    for shape, rows in shapes.items():
+        if not all(kind in (str, type(None)) or type(kind) is tuple for kind in shape):
+            for i in rows:
+                texts[i] = _json_text(records[i], inner)
+            continue
+        parts, segments, columns, width = [], [], [], 0
+        for name, kind in zip(_RECORD_FIELDS, shape):
+            if kind is type(None):
+                if name != "expand_error":  # absent, not null, when there is none
+                    parts.append(f'"{name}": null')
+            elif kind is str:
+                parts.append(f'"{name}": %s')
+                segments.append(name)
+            else:
+                cols = slice(width, width + math.prod(kind))
+                parts.append(f'"{name}": ' + _array_template(kind, field))
+                columns.append((name, cols))
+                segments.append(cols)
+                width = cols.stop
+        template = "{" + field + ("," + field).join(parts) + inner + "}"
+        floats = np.empty((len(rows), width))
+        for name, cols in columns:
+            floats[:, cols] = np.array([getattr(outcomes[i], name) for i in rows],
+                                       dtype=float).reshape(len(rows), -1)
+        for i, values, finite in zip(rows, floats, np.isfinite(floats).all(axis=1).tolist()):
+            if not finite:
+                texts[i] = _json_text(records[i], inner)
+                continue
+            row, args = values.tolist(), []
+            for seg in segments:
+                if type(seg) is str:
+                    args.append(_quote(getattr(outcomes[i], seg)))
+                else:
+                    args.extend(row[seg])
+            texts[i] = template % tuple(args)
+    # the brackets join the first and last records, so that the list's text
+    # is built once, not copied again to add them
+    texts[0] = "[" + inner + texts[0]
+    texts[-1] += indent + "]"
+    return ("," + inner).join(texts)
 
 
 def _emit(obj: dict, args, csv_rows=None) -> None:

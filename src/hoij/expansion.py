@@ -186,7 +186,8 @@ class HessianFactor:
     by row block, so no per-datum array of that order is kept.
     :meth:`prepare` fills several orders from one Taylor pass: the order-K
     expansion's rows of orders 0..K-1 and its order-K tensor from one pass
-    of degree K.
+    of degree K.  :meth:`plan` compiles a term table against those arrays,
+    once per table and order.
     """
 
     matrix: np.ndarray
@@ -196,6 +197,7 @@ class HessianFactor:
     theta_hat: np.ndarray
     _tensors: dict = field(default_factory=dict, repr=False)
     _rows: dict = field(default_factory=dict, repr=False)
+    _plans: dict = field(default_factory=dict, repr=False)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         # LAPACK's getrs, as in scipy.linalg.lu_solve, without the wrapper's
@@ -250,10 +252,42 @@ class HessianFactor:
     def contract(self, directions) -> np.ndarray:
         """The order-len(directions) tensor applied to each direction; (B, D)
         directions, one row per weight vector of a block, give (B, D)."""
-        t = self.tensor(len(directions))
-        if np.ndim(directions[0]) == 2:
-            return fad.direction_products(directions, len(directions[0])) @ t.T
-        return fad.contract(t, directions)
+        return _contract(self.tensor(len(directions)), directions)
+
+    def compile(self, order_terms: Sequence[DerivativeTerm]) -> tuple:
+        """The entries :func:`evaluate_dtheta` runs for these terms, one per
+        term: ``(is_weight_term, coeff, kset, array)``.  The array is the
+        term's cached derivatives, ``rows(len(kset))[1]`` for a
+        weight-direction term and ``tensor(len(kset))`` for any other."""
+        return tuple((t.omega == 1, t.coeff, t.kset,
+                      self.rows(len(t.kset))[1] if t.omega else self.tensor(len(t.kset)))
+                     for t in order_terms)
+
+    def plan(self, table: TermTable, order: int) -> tuple:
+        """The compiled entries of orders 1..order of ``table``, one tuple
+        per order, built on first use from one Taylor pass
+        (:meth:`prepare_expansion`) and then kept.  They are keyed by the
+        table object and the order: the cache holds the table, so its id
+        is not reused while the plan is kept."""
+        cached = self._plans.get((id(table), order))
+        if cached is None or cached[0] is not table:
+            self.prepare_expansion(order)
+            cached = (table, tuple(self.compile(table.for_order(k))
+                                   for k in range(1, order + 1)))
+            self._plans[id(table), order] = cached
+        return cached[1]
+
+
+def _contract(t: np.ndarray, directions) -> np.ndarray:
+    # A (D, D**k) derivative array applied to k directions: (D,) ones by the
+    # matrix-vector products of :func:`forward_ad.contract`, without its
+    # calls, and (B, D) ones by one product with their row-wise outer
+    # products.
+    if np.ndim(directions[0]) == 2:
+        return fad.direction_products(directions, len(directions[0])) @ t.T
+    for v in directions:
+        t = t.reshape(-1, len(v)) @ v
+    return t
 
 
 def factorize_hessian(problem: EstimatingProblem, theta_hat,
@@ -306,30 +340,41 @@ def evaluate_term(problem: EstimatingProblem, theta_hat, term: DerivativeTerm,
 
 
 def evaluate_dtheta(problem: EstimatingProblem, theta_hat, hfac: HessianFactor,
-                    order_terms: Sequence[DerivativeTerm], dset: dict,
-                    delta_w) -> np.ndarray:
+                    order_terms, dset: dict, delta_w) -> np.ndarray:
     """One expansion coefficient: -H^{-1} (sum of coefficient-weighted terms).
 
-    Every term contracts the derivative arrays cached on ``hfac``, so
-    ``theta_hat`` must be the point it was built at (``hfac.theta_hat``
-    itself is not compared).  For a (B, N) block ``delta_w`` the
-    coefficients in ``dset`` and the result are (B, D), and the order ends
-    in one triangular solve with B right-hand sides; a non-finite value
-    anywhere in the block raises NonFiniteValueError.
+    ``order_terms`` is one order's table terms, or their compiled entries
+    from :meth:`HessianFactor.plan`, as :func:`evaluate_theta_ij` passes
+    them.  Every term contracts the derivative arrays cached on ``hfac``,
+    so ``theta_hat`` must be the point it was built at (``hfac.theta_hat``
+    itself is not compared).  A weight-direction term is one
+    :func:`forward_ad.g_weight_derivative` call on the cached rows, any
+    other term one contraction of the summed tensor.  For a (B, N) block
+    ``delta_w`` the coefficients in ``dset`` and the result are (B, D), and
+    the order ends in one triangular solve with B right-hand sides; a
+    non-finite value anywhere in the block raises NonFiniteValueError.
     """
     if theta_hat is not hfac.theta_hat and not np.array_equal(theta_hat, hfac.theta_hat):
         raise ValueError("theta_hat differs from the point the Hessian factor was built at")
+    if order_terms and isinstance(order_terms[0], DerivativeTerm):
+        order_terms = hfac.compile(order_terms)
     d = 0.0
-    for t in order_terms:
-        dirs = _term_directions(t, dset)
-        if t.omega == 1:
-            value = fad.g_weight_derivative(problem, theta_hat, delta_w, dirs,
-                                            hfac.rows(len(dirs))[1])
+    for weight_term, coeff, kset, array in order_terms:
+        try:
+            dirs = [dset[j] for j in kset]
+        except KeyError as err:
+            raise KeyError(
+                f"term {DerivativeTerm(coeff, kset, int(weight_term))} needs derivative "
+                f"of order {err.args[0]}, but only orders {sorted(dset)} are available"
+            ) from None
+        if weight_term:
+            value = fad.g_weight_derivative(problem, theta_hat, delta_w, dirs, array)
         else:
-            value = hfac.contract(dirs)
-            if not np.all(np.isfinite(value)):
-                raise fad.NonFiniteValueError(f"non-finite contraction for term {t}")
-        d = d + t.coeff * value
+            value = _contract(array, dirs)
+            if not np.isfinite(value).all():
+                raise fad.NonFiniteValueError(
+                    f"non-finite contraction for term {DerivativeTerm(coeff, kset, 0)}")
+        d = d + coeff * value
     return -hfac.solve(d.T).T
 
 
@@ -364,23 +409,23 @@ def evaluate_theta_ij(problem: EstimatingProblem, theta_hat, hfac: HessianFactor
     them; the coefficients are then (D,) or (B, D), and for a block the
     expansion's ``theta_hat`` is repeated per row.  Accumulates the
     derivative set bottom-up; everything reuses the single factorization in
-    ``hfac``.  Weight-direction terms read the per-datum arrays of orders
-    below ``order``, which ``hfac`` keeps, one product with the block each,
-    and their row sums serve the other terms; the order-``order`` array is
-    needed only for its row sum.  All of them come from one forward pass
-    per factor, of degree ``order``.
+    ``hfac`` and runs from its :meth:`~HessianFactor.plan` for ``table`` and
+    ``order``, compiled on the first call: one :func:`evaluate_dtheta` call
+    per order.  Weight-direction terms read the per-datum arrays of orders
+    below ``order``, which ``hfac`` keeps, one product with the weights
+    each, and their row sums serve the other terms; the order-``order``
+    array is needed only for its row sum.  All of them come from one
+    forward pass per factor, of degree ``order``.
     """
     if order > table.max_order:
         raise ValueError(f"order {order} exceeds table max {table.max_order}")
     delta_w = np.asarray(getattr(delta_w, "delta", delta_w), dtype=float)
     theta_hat = np.asarray(theta_hat, dtype=float)
-    if not np.array_equal(theta_hat, hfac.theta_hat):
+    if theta_hat is not hfac.theta_hat and not np.array_equal(theta_hat, hfac.theta_hat):
         raise ValueError("theta_hat differs from the point the Hessian factor was built at")
-    hfac.prepare_expansion(order)
     dset: dict = {}
-    for k in range(1, order + 1):
-        dset[k] = evaluate_dtheta(problem, hfac.theta_hat, hfac, table.for_order(k),
-                                  dset, delta_w)
+    for k, entries in enumerate(hfac.plan(table, order), 1):
+        dset[k] = evaluate_dtheta(problem, hfac.theta_hat, hfac, entries, dset, delta_w)
     if delta_w.ndim == 2:
         theta_hat = np.broadcast_to(theta_hat, (len(delta_w), theta_hat.size))
     return TaylorExpansion(theta_hat=theta_hat, dthetas=tuple(dset.values()), order=order)

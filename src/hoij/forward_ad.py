@@ -681,10 +681,9 @@ def g_weight_derivative(problem, theta, delta_w, directions, per_datum=None):
         # near the bound the worse choice cost at most 2.3 times the better
         # one (13 against 6 us).
         per = per_datum.reshape(n, -1)
-        inverse = basis_multisets(dim, k)[1]
         if delta_w.ndim == 2:
             m = len(delta_w)
-            summed = (delta_w @ per).reshape(m, dim, -1)[:, :, inverse]
+            summed = (delta_w @ per).reshape(m, dim, -1)[:, :, basis_multisets(dim, k)[1]]
             out = np.einsum("bij,bj->bi", summed, direction_products(directions, m)) / n
         else:
             if per.shape[1] >= 32 and 32 * np.count_nonzero(delta_w) < n:
@@ -692,7 +691,16 @@ def g_weight_derivative(problem, theta, delta_w, directions, per_datum=None):
                 summed = delta_w[rows] @ per[rows]
             else:
                 summed = delta_w @ per
-            out = contract(summed.reshape(dim, -1)[:, inverse], directions) / n
+            summed = summed.reshape(dim, -1)
+            # At order 0 the one multiset is the one tuple.  At order 1 the
+            # map is the identity too, but its gather returns a column-major
+            # copy, which keeps the product below on the BLAS kernel, and
+            # the rounding, it has always had.
+            if k:
+                summed = summed[:, basis_multisets(dim, k)[1]]
+            for v in directions:  # contract's products, without its calls
+                summed = summed.reshape(-1, dim) @ v
+            out = summed.reshape(dim) / n
     else:
         if delta_w.ndim != 1:
             raise ValueError("a block of weights needs the per-datum array")
@@ -702,7 +710,7 @@ def g_weight_derivative(problem, theta, delta_w, directions, per_datum=None):
         x = nested_input(theta, directions)
         total = weighted_term_sum(problem, x, delta_w[rows], rows)
         out = np.array([float(nested_coefficient(tj, k)) / n for tj in total])
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonFiniteValueError(
             f"non-finite weight-direction derivative of order {k}"
         )

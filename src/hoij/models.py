@@ -156,7 +156,7 @@ class WeightVector:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size < 1:
             raise ValueError(f"weights must be a nonempty 1-d vector, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("weights must be finite")
         values = values.copy()
         values.setflags(write=False)

@@ -62,6 +62,16 @@ class WeightOutcome:
     expand_error: Optional[str] = None
 
 
+class OutcomeRecords(list):
+    """A cv report's outcome records, the list of dicts they are, that also
+    keeps the :class:`WeightOutcome` objects they were made from, so that a
+    writer can render the records from the outcomes' arrays."""
+
+    def __init__(self, records: list, outcomes: tuple):
+        super().__init__(records)
+        self.outcomes = outcomes
+
+
 @dataclass(frozen=True, eq=False)
 class CvReport:
     """All per-weight outcomes plus aggregate errors (and bounds if computed)."""
@@ -94,6 +104,8 @@ class CvReport:
                 rec["runtime_expand"] = o.runtime_expand
                 rec["runtime_refit"] = o.runtime_refit
             records.append(rec)
+        if not include_timings:
+            records = OutcomeRecords(records, self.outcomes)
         obj = {
             "schema_version": SCHEMA_VERSION,
             "model_id": self.model_id,
@@ -154,7 +166,7 @@ def _expand_block(problem, theta_hat, hfac, table, block: list, order: int) -> t
     for b, w in enumerate(block):
         t0 = time.perf_counter()
         try:
-            expn = evaluate_theta_ij(problem, theta_hat, hfac, table, w.delta, order)
+            expn = evaluate_theta_ij(problem, hfac.theta_hat, hfac, table, w.delta, order)
             if order:
                 terms[b, 1:] = expn.dthetas
         except NonFiniteValueError as err:

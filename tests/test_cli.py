@@ -422,6 +422,47 @@ class TestJsonWriter:
         assert out.read_text() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+    def test_cv_records_of_every_shape(self, mean_csv, tmp_path, monkeypatch):
+        """cv's records, rendered from the outcomes' arrays, give json.dumps's
+        text for complete records, failed expansions, failed re-fits, both,
+        non-finite errors and labels json escapes."""
+        from dataclasses import replace
+
+        real = resampling.run_cv
+
+        def mixed(*args, **kwargs):
+            report = real(*args, **kwargs)
+            o = report.outcomes
+            return replace(report, outcomes=(
+                replace(o[0], label='drop "1" \\ é\n'),
+                replace(o[1], theta_ij=None, errors=None,
+                        expand_error="non-finite contraction for term"),
+                replace(o[2], theta_exact=None, errors=None, refit_error='stalled "here"'),
+                replace(o[3], errors=np.array([np.nan, 0.5, np.inf, -np.inf])),
+                replace(o[0], label="both", theta_ij=None, theta_exact=None, errors=None,
+                        expand_error="x", refit_error="y\u2028"),
+                replace(o[1], label=""),
+            ))
+
+        emitted = []
+        writer = cli._json_text
+
+        def recording(obj, *indent):
+            if not indent:
+                emitted.append(obj)
+            return writer(obj, *indent)
+
+        monkeypatch.setattr(resampling, "run_cv", mixed)
+        monkeypatch.setattr(cli, "_json_text", recording)
+        out = tmp_path / "o.json"
+        assert main(["cv", "--model", "mean", "--data", mean_csv, "--order", "3",
+                     "--out", str(out)]) == 0
+        (obj,) = emitted
+        assert isinstance(obj["outcomes"], resampling.OutcomeRecords)
+        assert len(obj["outcomes"]) == 6
+        assert out.read_text() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 JSON_KEYS = st.one_of(st.text(max_size=6), st.integers(-10 ** 6, 10 ** 6),
                       st.floats(allow_nan=False), st.booleans())
 JSON_VALUES = st.recursive(

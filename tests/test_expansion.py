@@ -28,16 +28,19 @@ from hoij import (
     term_tables,
 )
 
-from hoij import expansion
+from hoij import expansion, resampling
 from hoij import forward_ad as fad
 from hoij.forward_ad import NonFiniteValueError
+from hoij.terms import build_term_tables
 
 from helpers import (
     ALL_MODELS,
+    block_loop_g_theta_tensor,
     build_problem,
     fd_nth_scalar,
     max_rel_gap,
     mean_dataset_1236,
+    nested_per_datum_tensor,
     rel_err,
 )
 
@@ -448,6 +451,150 @@ class TestBlockExpansion:
         assert len(calls) == 1
         with pytest.raises(ValueError, match="Hessian factor"):
             evaluate_theta_ij(prob, theta_hat + 1e-9, hfac, term_tables(1), np.zeros(4), 1)
+
+
+def nested_oracle_expansion(prob, theta_hat, table, delta_w, order):
+    """d_1..d_order from the nested per-datum arrays of the test helpers,
+    with no univariate pass and no plan: a weight-direction term sums the
+    nested rows against delta_w, any other term contracts the block-loop
+    tensor, and each order solves against the block-loop Jacobian."""
+    dim, n = prob.dim_theta, prob.n_terms
+    ones = np.ones(n)
+    rows = {m: nested_per_datum_tensor(prob, theta_hat, m)[1] for m in range(order)}
+    tensors = {m: block_loop_g_theta_tensor(prob, theta_hat, ones, m)
+               for m in range(1, order + 1)}
+    dset = {}
+    for k in range(1, order + 1):
+        rhs = np.zeros(dim)
+        for t in table.for_order(k):
+            m = len(t.kset)
+            if t.omega:
+                value = (delta_w @ rows[m].reshape(n, -1)).reshape(dim, -1) / n
+                value = value[:, fad.basis_multisets(dim, m)[1]]
+            else:
+                value = tensors[m]
+            for j in t.kset:
+                value = value.reshape(-1, dim) @ dset[j]
+            rhs += t.coeff * value.reshape(dim)
+        dset[k] = -np.linalg.solve(tensors[1], rhs)
+    return [dset[k] for k in range(1, order + 1)]
+
+
+class TestPlan:
+    """Every expansion runs from the term table compiled once per factor,
+    table and order against the factor's cached arrays."""
+
+    @pytest.mark.parametrize("model_id", ALL_MODELS)
+    def test_single_weights_match_nested_oracle(self, model_id):
+        n = 14
+        prob = build_problem(model_id, np.random.default_rng(51), n=n, dim=3,
+                             reg={"l2": 0.2})
+        theta_hat = solve_base(prob)
+        hfac = factorize_hessian(prob, theta_hat)
+        weights = (list(loo_weights(n, [3, 11])) + list(kfold_weights(n, 4, seed=2))[:2]
+                   + list(bootstrap_weights(n, 2, seed=3)))
+        for order in range(1, 6):
+            table = term_tables(order)
+            for w in weights:
+                got = evaluate_theta_ij(prob, theta_hat, hfac, table, w.delta, order)
+                want = nested_oracle_expansion(prob, theta_hat, table, w.delta, order)
+                for k, (d_got, d_want) in enumerate(zip(got.dthetas, want), 1):
+                    assert max_rel_gap(d_got, d_want) <= 1e-12, (order, k, w.label)
+
+    def test_compiled_once_per_table_and_order(self, monkeypatch):
+        n = 20
+        prob = build_problem("logistic_regression", np.random.default_rng(52), n=n, dim=3,
+                             reg={"l2": 0.2})
+        theta_hat = solve_base(prob)
+        hfac = factorize_hessian(prob, theta_hat)
+        compiled, passes = [], []
+        compile_, per_datum_tensors = expansion.HessianFactor.compile, fad.per_datum_tensors
+
+        def counting_compile(self, order_terms):
+            compiled.append(len(order_terms))
+            return compile_(self, order_terms)
+
+        def counting_pass(*args, **kwargs):
+            passes.append(1)
+            return per_datum_tensors(*args, **kwargs)
+
+        monkeypatch.setattr(expansion.HessianFactor, "compile", counting_compile)
+        monkeypatch.setattr(fad, "per_datum_tensors", counting_pass)
+        table = term_tables(3)
+        weights = list(loo_weights(n)) + list(bootstrap_weights(n, 30, seed=1))
+        singles = [evaluate_theta_ij(prob, theta_hat, hfac, table, w.delta, 3)
+                   for w in weights]
+        assert len(weights) == 50
+        assert compiled == [len(table.for_order(k)) for k in (1, 2, 3)]
+        assert len(passes) == 1
+        # a block runs the same plan, and row b is weight b's expansion
+        block = evaluate_theta_ij(prob, theta_hat, hfac, table,
+                                  np.array([w.delta for w in weights]), 3)
+        assert len(compiled) == 3
+        for b, one in enumerate(singles):
+            for k in range(3):
+                assert max_rel_gap(block.dthetas[k][b], one.dthetas[k]) <= 1e-14
+        # another table object, equal or not, and another order each get a plan
+        evaluate_theta_ij(prob, theta_hat, hfac, build_term_tables(3), weights[0].delta, 3)
+        evaluate_theta_ij(prob, theta_hat, hfac, table, weights[0].delta, 2)
+        assert len(compiled) == 3 + 3 + 2
+        assert len(passes) == 1
+
+    def test_nan_in_cached_tensor_raises(self):
+        n = 20
+        prob = build_problem("logistic_regression", np.random.default_rng(53), n=n, dim=3)
+        theta_hat = solve_base(prob)
+        hfac = factorize_hessian(prob, theta_hat)
+        table = term_tables(3)
+        dw = next(loo_weights(n, [4])).delta
+        evaluate_theta_ij(prob, theta_hat, hfac, table, dw, 3)
+        hfac.tensor(2)[1, 2] = np.nan  # the array the compiled plan holds
+        for delta in (dw, np.array([dw, dw])):
+            with pytest.raises(NonFiniteValueError, match="non-finite contraction for term"):
+                evaluate_theta_ij(prob, theta_hat, hfac, table, delta, 3)
+
+    def test_nan_in_cached_tensor_is_the_cv_expand_error(self, monkeypatch):
+        n = 20
+        prob = build_problem("logistic_regression", np.random.default_rng(53), n=n, dim=3)
+        factorize = resampling.factorize_hessian
+
+        def planted(problem, theta_hat):
+            hfac = factorize(problem, theta_hat)
+            hfac.prepare_expansion(3)
+            hfac.tensor(2)[1, 2] = np.nan
+            return hfac
+
+        monkeypatch.setattr(resampling, "factorize_hessian", planted)
+        report = resampling.run_cv(prob, loo_weights(n, [4, 9]), 3)
+        for o in report.outcomes:
+            assert o.expand_error.startswith("non-finite contraction for term")
+            assert o.theta_ij is None and o.errors is None
+            assert o.refit_error is None and np.isfinite(o.theta_exact).all()
+
+    def test_one_loo_weight_makes_the_traced_calls(self, monkeypatch):
+        """The calls the bench's traced loo_cv run checks, made by ``run_cv``
+        for one LOO weight at order 3: four ``g_weight_derivative`` calls,
+        each with one nonzero in delta_w (its third positional argument),
+        and one ``evaluate_dtheta`` call per order, whose fifth positional
+        argument, the derivative set, holds the orders below it."""
+        nonzeros, orders = [], []
+        weight_derivative, dtheta = fad.g_weight_derivative, expansion.evaluate_dtheta
+
+        def counting_weight_derivative(*args, **kwargs):
+            nonzeros.append(int(np.count_nonzero(args[2])))
+            return weight_derivative(*args, **kwargs)
+
+        def counting_dtheta(*args, **kwargs):
+            orders.append(len(args[4]) + 1)
+            return dtheta(*args, **kwargs)
+
+        monkeypatch.setattr(fad, "g_weight_derivative", counting_weight_derivative)
+        monkeypatch.setattr(expansion, "evaluate_dtheta", counting_dtheta)
+        prob = build_problem("logistic_regression", np.random.default_rng(54), n=30, dim=3)
+        report = resampling.run_cv(prob, loo_weights(30, [7]), 3)
+        assert report.outcomes[0].expand_error is None
+        assert nonzeros == [1, 1, 1, 1]
+        assert orders == [1, 2, 3]
 
 
 class TestExactRefit:

@@ -222,6 +222,12 @@ class TestWeightVectors:
         w = WeightVector(np.array([0.0, 1.0, 3.0, 0.5]))
         np.testing.assert_array_equal(w.delta, [-1.0, 0.0, 2.0, -0.5])
 
+    @pytest.mark.parametrize("values", [[1.0, np.nan, 0.0], [np.inf, 1.0], [1.0, -np.inf],
+                                        np.ones((2, 3))])
+    def test_non_finite_or_not_a_vector_rejected(self, values):
+        with pytest.raises(ValueError, match="finite|1-d vector"):
+            WeightVector(np.array(values))
+
     def test_loo_example(self):
         vecs = list(loo_weights(3, [2]))
         assert len(vecs) == 1

@@ -428,24 +428,35 @@ class TestReportSerialization:
     @pytest.mark.parametrize("with_bounds", [False, True])
     def test_matches_per_float_form(self, with_bounds):
         """Array-built JSON and CSV rows equal the float-by-float ones, byte for
-        byte, with a failed expansion, a failed re-fit and timings."""
+        byte, with a failed expansion, a failed re-fit, both, non-finite
+        errors, labels json escapes and timings; so does the CLI's writer,
+        which renders the records from the outcomes' arrays."""
         from dataclasses import replace
+
+        from hoij import cli
 
         prob = make_problem("mean", mean_dataset_1236())
         report = run_cv(prob, loo_weights(4), 3, with_bounds=with_bounds)
         outcomes = list(report.outcomes)
+        outcomes[0] = replace(outcomes[0], label='drop "1" \\ é\n')
         outcomes[1] = replace(outcomes[1], theta_ij=None, errors=None,
                               expand_error="non-finite contraction")
         outcomes[2] = replace(outcomes[2], theta_exact=None, errors=None,
                               refit_error="line search stalled")
+        outcomes[3] = replace(outcomes[3], errors=np.array([np.nan, 0.5, np.inf, -0.0]))
+        outcomes.append(replace(outcomes[0], label="both\tfailed", theta_ij=None,
+                                theta_exact=None, errors=None, expand_error='bad "x"',
+                                refit_error="stalled\u2028"))
         report = replace(report, outcomes=tuple(outcomes))
         if with_bounds:
             assert report.bound_per_k is not None
         for timings in (False, True):
-            got = json.dumps(report.to_json_obj(include_timings=timings), indent=2,
-                             sort_keys=True)
+            obj = report.to_json_obj(include_timings=timings)
+            got = json.dumps(obj, indent=2, sort_keys=True)
             want = json.dumps(_per_float_json(report, timings), indent=2, sort_keys=True)
             assert got == want
+            assert cli._json_text(obj) == want
+            assert isinstance(obj["outcomes"], resampling.OutcomeRecords) is not timings
         assert report.csv_rows() == _per_float_csv(report)
 
     def test_no_errors_gives_header_only(self):
