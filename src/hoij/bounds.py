@@ -221,13 +221,15 @@ def _point_stats(problem: EstimatingProblem, theta, k_hi: int) -> _SampledStats:
     # The statistics at one point, from one Taylor pass of degree k_hi.
     # Entry norms weight each multiset column by the number of ordered
     # tuples it stands for, so they equal the norms of the full D**(k+1)
-    # arrays.
+    # arrays.  Each order's rows are read in the pass's contiguous (D, P, N)
+    # layout, one sweep per statistic, with no (N, D, P) temporaries.
     n, dim = problem.n_terms, problem.dim_theta
     c_op = 0.0
     m, v, t, loo = {}, {}, {}, {}
     for k, (g0, per) in fad.per_datum_tensors(problem, theta, range(k_hi + 1)).items():
         mult = np.bincount(fad.basis_multisets(dim, k)[1])
-        summed = (g0 + per.sum(axis=0)) / n
+        base = per.transpose(1, 2, 0)
+        summed = (g0 + base.sum(axis=2)) / n
         if k == 1:
             # the order-1 multisets are the D basis directions in order, so
             # summed is the Jacobian
@@ -236,9 +238,9 @@ def _point_stats(problem: EstimatingProblem, theta, k_hi: int) -> _SampledStats:
             except np.linalg.LinAlgError:
                 raise SingularSampleError(theta) from None
         m[k] = math.sqrt(float(np.sum(summed * summed, axis=0) @ mult))
-        sq = np.sum(per * per, axis=1) @ mult
+        sq = mult @ np.einsum("dpn,dpn->pn", base, base)
         v[k] = float(sq.mean())
-        t[k] = float(np.max(np.abs(per)))
+        t[k] = float(max(base.max(), -base.min()))
         loo[k] = float(np.sqrt(sq.max())) / n
     return _SampledStats(c_op=c_op, m=m, v=v, t=t, loo_exact=loo)
 

@@ -10,7 +10,6 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import itertools
 import math
@@ -332,15 +331,15 @@ def _outcome_records_text(records, indent: str) -> str:
     return ("," + inner).join(texts)
 
 
-def _emit(obj: dict, args, csv_rows=None) -> None:
+def _emit(obj: dict, args, csv_text=None) -> None:
     obj = {"schema_version": SCHEMA_VERSION, "config": _resolved_config(args), **obj}
     text = _json_text(obj)
     paths = _output_paths(args)
     if paths:
         paths[0].write_text(text + "\n")
-        if csv_rows is not None:
+        if csv_text is not None:
             with open(paths[1], "w", newline="") as fh:
-                csv.writer(fh).writerows(csv_rows)
+                fh.write(csv_text)
     else:
         print(text)
 
@@ -405,7 +404,7 @@ def _cmd_cv(args):
         epsilon=args.epsilon_term,
         metadata={"scheme": args.scheme, "seed": args.seed},
     )
-    _emit(report.to_json_obj(), args, csv_rows=report.csv_rows())
+    _emit(report.to_json_obj(), args, csv_text=report.csv_text())
     print(f"cv: {len(report.outcomes)} weights, max error per order "
           f"{[f'{e:.3e}' for e in report.max_error]}", file=sys.stderr)
 
@@ -481,7 +480,7 @@ def _cmd_scaling(args):
     gen = resampling.GeneratorConfig(n_features=args.features, noise=args.noise)
     report = resampling.scaling_study(args.model, gen, grid, args.order,
                                       seed=args.seed)
-    _emit(report.to_json_obj(), args, csv_rows=report.csv_rows())
+    _emit(report.to_json_obj(), args, csv_text=report.csv_text())
     slopes = {k: f"{s:.2f}" for k, (s, _) in sorted(report.slopes.items())}
     print(f"scaling: fitted slopes per order {slopes}", file=sys.stderr)
 

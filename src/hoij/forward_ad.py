@@ -12,10 +12,15 @@ pass of degree d (Griewank, Utke & Walther 2000): theta + t i along the
 C(D+d-1, d) lattice directions i with |i| = d, all carried at once along a
 leading leaf axis.  The pass's k-th coefficients along those directions
 determine the order-k partials over index multisets through one fixed
-interpolation matrix per (D, d, k).  A multiply costs (d+1)(d+2)/2 leaf
-products, where d nested order-1 levels cost 3^d, and every value carries
-d+1 leaves, not 2^d.  Coefficient leaves are floats or numpy arrays, so one
-evaluation also carries every data row of an estimating problem:
+interpolation matrix per (D, d, k), applied as one dense product when the
+lattice has at most DENSE_DIRECTIONS directions and through its nonzero
+blocks above that.  A multiply costs at most (d+1)(d+2)/2 leaf products,
+where d nested order-1 levels cost 3^d, and every value carries d+1 leaves,
+not 2^d.  The seeded coefficients 2..d are structural zeros, the float
+0.0, and arithmetic forms no product or quotient with one: exp of a linear
+index makes 2d - 1 leaf-sized array operations, 7 at degree 4, not 21.
+Coefficient leaves are floats or numpy arrays, so one evaluation also
+carries every data row of an estimating problem:
 :func:`per_datum_tensors` gives the per-datum derivatives of every g_n, one
 row block at a time, and everything else at a fixed point contracts those
 arrays.  :func:`g_theta_tensor` is their weighted row sum, and
@@ -87,7 +92,7 @@ class TaylorScalar:
     def __add__(self, other):
         if isinstance(other, TaylorScalar):
             a, b = self._aligned(other)
-            return TaylorScalar([x + y for x, y in zip(a, b)])
+            return TaylorScalar([_add(x, y) for x, y in zip(a, b)])
         out = list(self.coeffs)
         out[0] = out[0] + other
         return TaylorScalar(out)
@@ -100,7 +105,7 @@ class TaylorScalar:
     def __sub__(self, other):
         if isinstance(other, TaylorScalar):
             a, b = self._aligned(other)
-            return TaylorScalar([x - y for x, y in zip(a, b)])
+            return TaylorScalar([_sub(x, y) for x, y in zip(a, b)])
         out = list(self.coeffs)
         out[0] = out[0] - other
         return TaylorScalar(out)
@@ -111,28 +116,23 @@ class TaylorScalar:
     def __mul__(self, other):
         if isinstance(other, TaylorScalar):
             a, b = self._aligned(other)
-            n = len(a)
-            return TaylorScalar(
-                [
-                    _sum_terms([a[j] * b[k - j] for j in range(k + 1)])
-                    for k in range(n)
-                ]
-            )
-        return TaylorScalar([c * other for c in self.coeffs])
+            return TaylorScalar([_convolution(a, b, k, range(k + 1))
+                                 for k in range(len(a))])
+        return TaylorScalar([_mul(c, other) for c in self.coeffs])
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, TaylorScalar):
             a, b = self._aligned(other)
-            out = [a[0] / b[0]]
+            out = [_div(a[0], b[0])]
             for k in range(1, len(a)):
                 acc = a[k]
                 for j in range(1, k + 1):
-                    acc = acc - b[j] * out[k - j]
-                out.append(acc / b[0])
+                    acc = _sub(acc, _mul(b[j], out[k - j]))
+                out.append(_div(acc, b[0]))
             return TaylorScalar(out)
-        return TaylorScalar([c / other for c in self.coeffs])
+        return TaylorScalar([_div(c, other) for c in self.coeffs])
 
     def __rtruediv__(self, other):
         return self._constant_like(other) / self
@@ -168,10 +168,47 @@ class TaylorScalar:
         return TaylorScalar(out)
 
 
-def _sum_terms(terms):
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = acc + t
+# -- structural zeros ----------------------------------------------------------
+#
+# A coefficient that is the Python float 0.0, as _taylor_input seeds the
+# coefficients 2..d and _constant_like all but c_0, is a structural zero: a
+# product or quotient with it is exactly zero, so it is not formed and the
+# coefficient stays the float 0.0, which _fill broadcasts.  A sum skips it.
+# Without this, 0.0 * leaf makes an array of zeros that every later
+# recurrence multiplies and adds: at degree 4, exp would do 21 array
+# operations per block where 7 are needed.  The skipped terms are exact
+# zeros, so values do not change, but for the sign of an exact zero and a
+# 0 * inf that would have read NaN.
+
+
+def _zero(c):
+    return c.__class__ is float and c == 0.0
+
+
+def _add(x, y):
+    return y if _zero(x) else x if _zero(y) else x + y
+
+
+def _sub(x, y):
+    return x if _zero(y) else -y if _zero(x) else x - y
+
+
+def _mul(x, y):
+    return 0.0 if _zero(x) or _zero(y) else x * y
+
+
+def _div(x, y):
+    return 0.0 if _zero(x) else x / y
+
+
+def _convolution(a, b, k, js, weighted=False):
+    # sum over j in js of a_j b_{k-j}, or of (j a_j) b_{k-j} when weighted,
+    # in order, without the terms with a structural zero; 1 * a_1 is not
+    # formed.
+    acc = 0.0
+    for j in js:
+        if not (_zero(a[j]) or _zero(b[k - j])):
+            acc = _add(acc, (j * a[j] if weighted and j > 1 else a[j]) * b[k - j])
     return acc
 
 
@@ -184,8 +221,8 @@ def exp(x):
         a = x.coeffs
         out = [exp(a[0])]
         for k in range(1, len(a)):
-            acc = _sum_terms([(j * a[j]) * out[k - j] for j in range(1, k + 1)])
-            out.append(acc / k)
+            acc = _convolution(a, out, k, range(1, k + 1), weighted=True)
+            out.append(acc if k == 1 else _div(acc, k))
         return TaylorScalar(out)
     return np.exp(x)
 
@@ -198,11 +235,9 @@ def log(x):
         for k in range(1, len(a)):
             acc = a[k]
             if k > 1:
-                corr = _sum_terms(
-                    [(j * out[j]) * a[k - j] for j in range(1, k)]
-                )
-                acc = acc - corr / k
-            out.append(acc / a[0])
+                corr = _convolution(out, a, k, range(1, k), weighted=True)
+                acc = _sub(acc, _div(corr, k))
+            out.append(_div(acc, a[0]))
         return TaylorScalar(out)
     return np.log(x)
 
@@ -217,11 +252,10 @@ def sigmoid(x):
         # recurrence y_k = (1/k) sum_j j a_j u_{k-j} only consumes u_{<k}.
         us = [y0 * (1.0 - y0)]
         for k in range(1, len(a)):
-            yk = _sum_terms([(j * a[j]) * us[k - j] for j in range(1, k + 1)]) / k
-            ys.append(yk)
+            yk = _convolution(a, us, k, range(1, k + 1), weighted=True)
+            ys.append(yk if k == 1 else _div(yk, k))
             if k < len(a) - 1:
-                sq = _sum_terms([ys[i] * ys[k - i] for i in range(k + 1)])
-                us.append(yk - sq)
+                us.append(_sub(ys[k], _convolution(ys, ys, k, range(k + 1))))
         return TaylorScalar(ys)
     return expit(x)
 
@@ -428,11 +462,14 @@ def _subspace_inverse(dim, degree, k):
     # k! times the pseudo-inverse of the (P_degree, P_k) matrix with entries
     # (k! / a!) i^a over the lattice directions i and multisets a in ``dim``
     # variables: the order-k partials from the order-k coefficients.
-    directions = lattice_directions(dim, degree)
-    alphas = lattice_directions(dim, k)
+    # i^a is the product of i's entries over the multiset of a: at most
+    # K_MAX**K_MAX in int64, so exactly the float powers, and several times
+    # cheaper than taking them over a (P_degree, P_k, dim) array.
+    directions = lattice_directions(dim, degree).astype(np.int64)
+    alphas = lattice_directions(dim, k).astype(int)
     factorials = np.array([math.factorial(j) for j in range(k + 1)])
-    multinomial = math.factorial(k) / np.prod(factorials[alphas.astype(int)], axis=1)
-    monomials = np.prod(directions[:, None, :] ** alphas[None, :, :], axis=2)
+    multinomial = math.factorial(k) / np.prod(factorials[alphas], axis=1)
+    monomials = np.prod(directions[:, basis_multisets(dim, k)[0]], axis=2)
     # The pseudo-inverse from scipy's SVD, which the Jacobian's condition
     # checks use too: numpy's first SVD adds about 1 MB of resident memory.
     u, s, vt = scipy.linalg.svd(monomials * multinomial, full_matrices=False)
@@ -463,16 +500,40 @@ def _interpolation_groups(dim, degree, k):
     return groups
 
 
-def _interpolate(coeffs, dim, degree, k, out=None):
-    # (P_k, ...) order-k partials of the (P_degree, ...) order-k coefficients,
-    # written into ``out`` when given: per support size, one gather and one
-    # product
-    if out is None:
-        out = np.empty((len(basis_multisets(dim, k)[0]), *coeffs.shape[1:]))
+# Lattices of at most this many directions apply each order's map as one
+# dense (P_k, P_d) product; larger ones gather by support size.  Measured
+# on a 2-core Xeon with one BLAS thread, per block of BLOCK_ELEMENTS //
+# directions rows, orders k = 1..d, grouped gathers against the dense
+# product, in us:
+#   (D, d) = (3, 3),  10 directions: 26 / 45 / 67 against 9 / 9 / 13
+#   (D, d) = (5, 4),  70 directions: 16 / 38 / 83 / 163 against 13 / 24 / 48 / 83
+#   (D, d) = (6, 4), 126 directions: 18 / 42 / 106 / 246 against 14 / 32 / 70 / 151
+#   (D, d) = (8, 3), 120 directions: 22 / 57 / 307 against 21 / 69 / 223
+#   (D, d) = (7, 4), 210 directions: 17 / 41 / 132 / 375 against 23 / 61 / 154 / 418
+#   (D, d) = (8, 4), 330 directions: 14 / 46 / 160 / 572 against 34 / 100 / 317 / 1740
+# Summed over a pass's orders, dense won at every (D, d) measured up to 126
+# directions and lost at every one from 210.
+DENSE_DIRECTIONS = 128
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_map(dim, degree, k):
+    out = interpolation_matrix(dim, degree, k)
+    out.setflags(write=False)
+    return out
+
+
+def _interpolate(coeffs, dim, degree, k, out):
+    # out (B, P_k, C) <- the order-k partials of (B, P_degree, C) order-k
+    # coefficients: one dense product on small lattices, else per support
+    # size one gather and one product, with the directions leading
+    if coeffs.shape[1] <= DENSE_DIRECTIONS:
+        np.matmul(_dense_map(dim, degree, k), coeffs, out=out)
+        return
+    coeffs, out = coeffs.transpose(1, 0, 2), out.transpose(1, 0, 2)
     for rows, cols, coef in _interpolation_groups(dim, degree, k):
         product = coef @ coeffs[cols].reshape(coef.shape[1], -1)
         out[rows] = product.reshape(len(rows), *coeffs.shape[1:])
-    return out
 
 
 def interpolation_matrix(dim, degree, k):
@@ -490,8 +551,8 @@ def interpolation_matrix(dim, degree, k):
     scaling keeps the matrices inverted at condition number at most 165 up
     to (D, d) = (8, 6); the plain monomials i^a reach 9e4 there.  At k = d
     the map is the inverse of the square system; below it, a left inverse.
-    The passes apply it block by block, sparsely, through its nonzero
-    blocks; this dense form is for inspection.
+    A pass over at most DENSE_DIRECTIONS lattice directions applies this
+    dense form, cached; a larger one applies it through its nonzero blocks.
     """
     if not 1 <= k <= degree:
         raise ValueError(f"order {k} outside 1..{degree}")
@@ -594,18 +655,21 @@ def per_datum_tensors(problem, theta, orders, weights=None, summed=()):
     width = len(lattice_directions(dim, degree))
 
     def mapped(k, coeffs):
-        # the (P_k, D) partials of (width, D) order-k coefficients
+        # the (D, P_k) partials of (D, width) order-k coefficients
         if k == 0 or degree == 1:
             return coeffs
-        return _interpolate(coeffs, dim, degree, k)
+        out = np.empty((dim, len(basis_multisets(dim, k)[0]), 1))
+        _interpolate(coeffs[:, :, None], dim, degree, k, out)
+        return out[:, :, 0]
 
     term_rows = problem.batch_fn is None
     step = max(1, BLOCK_ELEMENTS // width)
     per = {k: np.empty((dim, len(basis_multisets(dim, k)[0]), n)) for k in orders}
     sums = {k: np.zeros((dim, 1 if k == 0 else width)) for k in summed}
-    # reused row block by row block: summed coefficients as (D, width, rows),
-    # and per-row ones to interpolate as (width, D, rows), contiguous, so
-    # that each order's interpolation is one product per support size
+    # reused row block by row block: each order's coefficients as
+    # (D, width, rows), which its interpolation maps into the per-row array;
+    # for the grouped maps, a view of (width, D, rows), so that each gather
+    # reads whole directions
     block = np.empty((dim, width, min(step, n)))
     for lo in range(0, n, step):
         hi = min(lo + step, n)
@@ -621,16 +685,18 @@ def per_datum_tensors(problem, theta, orders, weights=None, summed=()):
             elif k == 0 or degree == 1:
                 _fill(per[k][:, :, lo:hi], outs, k, term_rows)
             else:
-                part = block.reshape(-1)[:width * dim * (hi - lo)].reshape(width, dim, -1)
-                _fill(part.transpose(1, 0, 2), outs, k, term_rows)
-                _interpolate(part, dim, degree, k, out=per[k][:, :, lo:hi].transpose(1, 0, 2))
+                part = block[:, :, :hi - lo]
+                if width > DENSE_DIRECTIONS:
+                    part = block.reshape(-1)[:part.size].reshape(width, dim, -1).transpose(1, 0, 2)
+                _fill(part, outs, k, term_rows)
+                _interpolate(part, dim, degree, k, per[k][:, :, lo:hi])
     values = problem.term_fn(0, x)
     out = {}
     for k in orders + summed:
         g0 = np.empty((dim, 1 if k == 0 else width))
         _fill(g0[:, :, None], values, k, False)
-        g0 = mapped(k, g0.T).T
-        rows = per[k].transpose(2, 0, 1) if k in per else mapped(k, sums[k].T).T
+        g0 = mapped(k, g0)
+        rows = per[k].transpose(2, 0, 1) if k in per else mapped(k, sums[k])
         if not (np.all(np.isfinite(g0)) and np.all(np.isfinite(rows))):
             raise NonFiniteValueError(f"non-finite per-datum derivative of order {k}")
         out[k] = (g0, rows)

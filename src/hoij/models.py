@@ -165,6 +165,18 @@ class WeightVector:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "delta", delta)
 
+    @classmethod
+    def _owned(cls, values: np.ndarray, label: str) -> "WeightVector":
+        # A vector over a finite 1-d float array that the caller made and
+        # hands over: it is frozen in place, neither scanned nor copied.
+        values.setflags(write=False)
+        delta = values - 1.0
+        delta.setflags(write=False)
+        out = object.__new__(cls)
+        for name, value in (("values", values), ("label", label), ("delta", delta)):
+            object.__setattr__(out, name, value)
+        return out
+
     def __len__(self) -> int:
         return self.values.size
 
@@ -185,7 +197,7 @@ def loo_weights(n: int, subset: Optional[Sequence[int]] = None) -> Iterator[Weig
             raise ValueError(f"index {i} outside 1..{n}")
         values = np.ones(n)
         values[i - 1] = 0.0
-        yield WeightVector(values, label=f"drop:{i}")
+        yield WeightVector._owned(values, f"drop:{i}")
 
 
 def kfold_weights(n: int, folds: int, seed: int = 0) -> Iterator[WeightVector]:
@@ -200,7 +212,7 @@ def kfold_weights(n: int, folds: int, seed: int = 0) -> Iterator[WeightVector]:
     for f, held_out in enumerate(np.array_split(rng.permutation(n), folds)):
         values = np.ones(n)
         values[held_out] = 0.0
-        yield WeightVector(values, label=f"fold:{f + 1}")
+        yield WeightVector._owned(values, f"fold:{f + 1}")
 
 
 def leave_kappa_out_weights(n: int, kappa: int, seed: int = 0,
@@ -216,7 +228,7 @@ def leave_kappa_out_weights(n: int, kappa: int, seed: int = 0,
     for b in range(count):
         values = np.ones(n)
         values[rng.choice(n, size=kappa, replace=False)] = 0.0
-        yield WeightVector(values, label=f"kappa:{b + 1}")
+        yield WeightVector._owned(values, f"kappa:{b + 1}")
 
 
 def bootstrap_weights(n: int, draws: int, seed: int = 0) -> Iterator[WeightVector]:

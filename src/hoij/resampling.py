@@ -8,6 +8,8 @@ approximates.  Reports are plain data, serialized deterministically.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 import time
@@ -122,20 +124,44 @@ class CvReport:
         return obj
 
     def csv_rows(self):
-        """Flat rows (label, order, error, bound) for external plotting."""
-        header = ["weight", "k", "error", "bound"]
+        """Flat rows (label, order, error, bound) for external plotting:
+        :meth:`csv_text` read back."""
+        return list(csv.reader(io.StringIO(self.csv_text(), newline="")))
+
+    def csv_text(self) -> str:
+        """The CSV file of the errors, one row (label, order, error, bound)
+        per weight and order, as ``csv.writer`` writes it.
+
+        One template renders the rows from one (weights, orders, 2) array of
+        label fields and errors; a label that CSV quotes goes through
+        ``csv.writer`` first.
+        """
         ok = [o for o in self.outcomes if o.errors is not None]
         if not ok:
-            return [header]
+            return "weight,k,error,bound\r\n"
         errors = np.array([o.errors for o in ok], dtype=float)
-        count, width = errors.shape
-        bounds = ([""] * width if self.bound_per_k is None
+        bounds = ([""] * errors.shape[1] if self.bound_per_k is None
                   else list(map(repr, _floats(self.bound_per_k))))
-        ks = [str(k) for k in range(width)]
-        labels = [o.label for o in ok for _ in ks]
-        return [header] + list(map(list, zip(labels, ks * count,
-                                              map(repr, errors.ravel().tolist()),
-                                              bounds * count)))
+        cells = np.empty((*errors.shape, 2), dtype=object)
+        cells[:, :, 0] = np.array([_csv_field(o.label) for o in ok], dtype=object)[:, None]
+        cells[:, :, 1] = errors
+        row = "".join(f"%s,{k},%r,{b}\r\n" for k, b in enumerate(bounds))
+        return "weight,k,error,bound\r\n" + row * len(ok) % tuple(cells.ravel().tolist())
+
+
+def _csv_field(label: str) -> str:
+    # A label as a CSV field: itself when csv.writer would not quote it
+    # (no delimiter, quote, line break or other unprintable character).
+    if label.isprintable() and "," not in label and '"' not in label:
+        return label
+    return _rows_csv_text([[label]])[:-2]
+
+
+def _rows_csv_text(rows) -> str:
+    # rows of strings as csv.writer writes them
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
 def _floats(values) -> Optional[list]:
@@ -463,6 +489,9 @@ class ScalingReport:
             "seed": self.seed,
             "failures": list(self.failures),
         }
+
+    def csv_text(self) -> str:
+        return _rows_csv_text(self.csv_rows())
 
     def csv_rows(self):
         rows = [["n", "k", "max_error"]]

@@ -112,6 +112,31 @@ class TestEstimateConstants:
             assert a == pytest.approx(b, rel=1e-12, abs=0), field.name
 
 
+class TestPointStats:
+    def test_match_plain_formulas_on_bench_data(self):
+        """On the bench's bounds data (exp_loss, N=400, D=5, seed 1907) the
+        one-sweep statistics of each order equal, bit for bit, the plain
+        formulas over the (N, D, P) rows, at the base fit and sampled points."""
+        data = GeneratorConfig(n_features=5).generate("exp_loss", 400,
+                                                      np.random.default_rng(1907))
+        prob = make_problem("exp_loss", data)
+        theta_hat = solve_base(prob)
+        n, k_hi = prob.n_terms, 4
+        points = list(DomainSampler(theta_hat, 0.05, n_samples=3, seed=1).points())
+        for theta in points:
+            got = bounds._point_stats(prob, theta, k_hi)
+            for k, (g0, per) in fad.per_datum_tensors(prob, theta, range(k_hi + 1)).items():
+                mult = np.bincount(fad.basis_multisets(5, k)[1])
+                summed = (g0 + per.sum(axis=0)) / n
+                sq = np.sum(per * per, axis=1) @ mult
+                assert got.m[k] == np.sqrt(float(np.sum(summed * summed, axis=0) @ mult))
+                assert got.v[k] == float(sq.mean())
+                assert got.t[k] == float(np.max(np.abs(per)))
+                assert got.loo_exact[k] == float(np.sqrt(sq.max())) / n
+                if k == 1:
+                    assert got.c_op == operator_norm_of_inverse(summed)
+
+
 class TestCentreReuse:
     """default_sampler's pilot and the sampler's first point are the same
     base fit at the same order, differentiated once."""

@@ -16,6 +16,7 @@ from hoij import (
     Dataset,
     DatasetError,
     DomainSampler,
+    GeneratorConfig,
     cli,
     evaluate_theta_ij,
     factorize_hessian,
@@ -503,6 +504,27 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["theta_hat"] == [3.0]
+
+    def test_commands_leave_scipy_sparse_unimported(self, tmp_path):
+        """bounds, cv (with bounds) and bootstrap run in a fresh process
+        without importing scipy.sparse, which would add about 20 ms to the
+        start of every one."""
+        data = GeneratorConfig(n_features=3).generate("exp_loss", 40,
+                                                      np.random.default_rng(8))
+        path = tmp_path / "x.csv"
+        np.savetxt(path, data.features, delimiter=",", fmt="%.17g")
+        common = ["--model", "exp_loss", "--data", str(path), "--order", "2"]
+        runs = [["bounds", *common, "--samples", "2", "--out", str(tmp_path / "b.json")],
+                ["cv", *common, "--with-bounds", "--samples", "2",
+                 "--out", str(tmp_path / "cv.json")],
+                ["bootstrap", *common, "--draws", "5", "--out", str(tmp_path / "boot.json")]]
+        script = ("import sys\nfrom hoij.cli import main\n"
+                  f"codes = [main(argv) for argv in {runs!r}]\n"
+                  "print(codes, 'scipy.sparse' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=subprocess_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
 
     def test_usage_exit_code(self):
         proc = subprocess.run([sys.executable, "-m", "hoij.cli", "fit"],

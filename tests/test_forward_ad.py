@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hoij import forward_ad as fad
 from hoij.forward_ad import TaylorScalar, directional_derivative
@@ -76,6 +77,38 @@ class TestTaylorArithmetic:
         for x, y in zip(direct.coeffs, composed.coeffs):
             assert x == pytest.approx(y, abs=1e-15)
 
+    def test_float_zeros_match_zero_arrays(self):
+        """Structural zeros, coefficients that are the float 0.0, are skipped
+        in products, quotients and the exp/log/sigmoid recurrences: the
+        results equal those with arrays of zeros in their place."""
+        rng = np.random.default_rng(2)
+        shape = (4, 3)
+        a0 = rng.uniform(0.5, 1.5, shape)
+        a1, b1, b3 = (rng.standard_normal(shape) for _ in range(3))
+        for float_zeros in (
+                [a0, a1, 0.0, 0.0, 0.0],
+                [a0, 0.0, 0.0, a1, 0.0],
+                [0.0, a1, 0.0, 0.0, b1]):
+            array_zeros = [np.zeros(shape) if isinstance(c, float) else c for c in float_zeros]
+            a, a_ref = TaylorScalar(float_zeros), TaylorScalar(array_zeros)
+            b = TaylorScalar([a0 + 1.0, b1, 0.0, b3, 0.0])
+            b_ref = TaylorScalar([a0 + 1.0, b1, np.zeros(shape), b3, np.zeros(shape)])
+            cases = [(lambda x, y: x * y), (lambda x, y: y * x), (lambda x, y: x / y),
+                     (lambda x, y: fad.exp(x) * 2.0), (lambda x, y: fad.sigmoid(x) - y),
+                     (lambda x, y: fad.log(y) + x), (lambda x, y: fad.log(x * x + y))]
+            for f in cases:
+                got, want = f(a, b).coeffs, f(a_ref, b_ref).coeffs
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(np.broadcast_to(g, shape), w)
+        # the zeros stay floats: no array of zeros is formed
+        exp_coeffs = fad.exp(TaylorScalar([a0, a1, 0.0, 0.0, 0.0])).coeffs
+        assert all(isinstance(c, np.ndarray) for c in exp_coeffs)
+        for c in ((TaylorScalar([a0, a1, 0.0]) * 3.0).coeffs[2],
+                  (TaylorScalar([a0, a1, 0.0]) * TaylorScalar([a0, 0.0, 0.0])).coeffs[2],
+                  (TaylorScalar([a0, 0.0, 0.0]) / TaylorScalar([a0, 0.0, 0.0])).coeffs[2],
+                  (TaylorScalar([0.0, 0.0, a1]) / TaylorScalar([a0, a1, 0.0])).coeffs[1]):
+            assert type(c) is float and c == 0.0
+
     def test_float_power(self):
         a = TaylorScalar([2.0, 1.0, 0.0])
         y = a ** 0.5
@@ -129,9 +162,10 @@ class TestDirectionalDerivative:
 
     def test_division_by_zero_reported(self):
         f = lambda x: [fad.log(x[0])]
-        with np.errstate(divide="ignore"), \
-                pytest.raises(fad.NonFiniteValueError, match="division by zero"):
-            directional_derivative(f, [0.0], [[1.0]])
+        for order in (1, 2, 3, 4):
+            with np.errstate(divide="ignore"), \
+                    pytest.raises(fad.NonFiniteValueError, match="division by zero"):
+                directional_derivative(f, [0.0], [[1.0]] * order)
 
 
 class TestEstimatingFunctionDerivatives:
@@ -414,12 +448,22 @@ class TestPerDatumTensor:
                                fad.g_theta_tensor(prob, theta, w, k)) <= 1e-12
 
     def test_non_finite_and_order_range(self):
+        """Overflow and log at 0 raise from passes of every degree, also the
+        degrees 2..4 whose seeded coefficients are structural zeros."""
         rng = np.random.default_rng(45)
         prob = build_problem("exp_loss", rng, n=5, dim=2)
-        for k in (0, 2):
+        x = rng.uniform(0.5, 1.5, 5)
+        log_prob = EstimatingProblem(
+            2, 5, lambda i, t: [0.0, 0.0] if i == 0 else [fad.log(t[0]) * x[i - 1], t[1]],
+            batch_fn=lambda t, rows: [fad.log(t[0]) * x[rows], t[1] - x[rows]])
+        for k in (0, 2, 3, 4):
             with np.errstate(over="ignore", invalid="ignore"), \
                     pytest.raises(fad.NonFiniteValueError):
                 fad.per_datum_tensor(prob, [900.0, 900.0], k)
+            for p in (log_prob, EstimatingProblem(2, 5, log_prob.term_fn)):
+                with np.errstate(divide="ignore", invalid="ignore"), \
+                        pytest.raises(fad.NonFiniteValueError):
+                    fad.per_datum_tensors(p, [0.0, 0.3], range(k + 1))
         with pytest.raises(ValueError, match="order"):
             fad.per_datum_tensor(prob, [0.0, 0.0], fad.K_MAX + 1)
 
@@ -459,6 +503,44 @@ class TestInterpolationMatrix:
                 assert max_rel_gap(m @ (monomials @ partials), partials) <= 1e-12, (degree, k)
                 assert np.linalg.cond(m) < 2e2, (degree, k)
 
+    @pytest.mark.parametrize("dim,degree", [(3, 3), (5, 4), (6, 4), (8, 3), (7, 4), (8, 4)])
+    def test_dense_and_grouped_maps_agree(self, dim, degree, monkeypatch):
+        """Each order's map applied as one dense product and through its
+        nonzero blocks, at the (D, d) of DENSE_DIRECTIONS's table, whichever
+        side of the threshold each sits on."""
+        rng = np.random.default_rng(dim * 10 + degree)
+        width = len(fad.lattice_directions(dim, degree))
+        coeffs = rng.standard_normal((dim, width, 7))
+        for k in range(1, degree + 1):
+            out = {}
+            for dense in (10 ** 6, 0):
+                monkeypatch.setattr(fad, "DENSE_DIRECTIONS", dense)
+                out[dense] = np.empty((dim, math.comb(dim + k - 1, k), 7))
+                fad._interpolate(coeffs, dim, degree, k, out[dense])
+            assert max_rel_gap(out[0], out[10 ** 6]) <= 1e-13, k
+            want = np.einsum("pw,dwc->dpc", fad.interpolation_matrix(dim, degree, k), coeffs)
+            assert max_rel_gap(out[0], want) <= 1e-13, k
+
+    def test_monomials_from_int64_products(self):
+        """The cold maps' monomials i^a come from int64 products of i's
+        entries over the multiset of a; they equal the float powers, so each
+        block's map equals, bit for bit, the one built from those, for every
+        block that the maps at (D, d) = (8, 6), (5, 4) and (3, 6) read."""
+        def float_power_map(dim, degree, k):
+            directions = fad.lattice_directions(dim, degree)
+            alphas = fad.lattice_directions(dim, k)
+            factorials = np.array([math.factorial(j) for j in range(k + 1)])
+            multinomial = math.factorial(k) / np.prod(factorials[alphas.astype(int)], axis=1)
+            monomials = np.prod(directions[:, None, :] ** alphas[None, :, :], axis=2)
+            u, s, vt = scipy.linalg.svd(monomials * multinomial, full_matrices=False)
+            return math.factorial(k) * (vt.T / s) @ u.T
+
+        for dim, degree in ((8, 6), (5, 4), (3, 6)):
+            for k in range(1, degree + 1):
+                for support in range(1, min(k, dim) + 1):
+                    np.testing.assert_array_equal(fad._subspace_inverse(support, degree, k),
+                                                  float_power_map(support, degree, k))
+
     def test_order_range(self):
         for k in (0, 3):
             with pytest.raises(ValueError, match="order"):
@@ -483,25 +565,45 @@ class TestUnivariatePass:
     @pytest.mark.parametrize("l2", [0.0, 0.3])
     @pytest.mark.parametrize("model_id", ALL_MODELS)
     def test_every_order_from_one_pass(self, model_id, l2, dim):
+        """A pass of every degree 1..6 (1..4 at D = 8), per row and summed,
+        on both sides of the dense maps' DENSE_DIRECTIONS: at D = 5 degree
+        5 has 126 lattice directions and degree 6 has 210, at D = 8 degree
+        3 has 120 and degree 4 has 330."""
         top = 4 if dim == 8 else fad.K_MAX
         rng = np.random.default_rng(61 + dim)
         prob = build_problem(model_id, rng, n=7, dim=dim, reg={"l2": l2})
         theta = rng.uniform(-0.5, 0.5, dim)
-        got = fad.per_datum_tensors(prob, theta, range(top + 1))
-        assert sorted(got) == list(range(top + 1))
-        for k in range(top + 1):
-            assert_matches_nested(got[k], nested_per_datum_tensor(prob, theta, k))
+        w = rng.uniform(0.2, 1.8, prob.n_terms)
+        nested = [nested_per_datum_tensor(prob, theta, k) for k in range(top + 1)]
+        for degree in range(1, top + 1):
+            got = fad.per_datum_tensors(prob, theta, range(degree + 1))
+            summed = fad.per_datum_tensors(prob, theta, (), w, summed=range(degree + 1))
+            assert sorted(got) == sorted(summed) == list(range(degree + 1))
+            for k in range(degree + 1):
+                assert_matches_nested(got[k], nested[k])
+                assert max_rel_gap(summed[k][0], nested[k][0]) <= 1e-12
+                assert max_rel_gap(summed[k][1], np.tensordot(w, got[k][1], axes=1)) <= 1e-12
 
-    def test_term_fn_only_problem(self):
+    def test_term_fn_only_problem(self, monkeypatch):
+        """Passes of every degree, per row and summed, with the maps applied
+        dense and, with DENSE_DIRECTIONS at 0, through their nonzero blocks."""
         rng = np.random.default_rng(62)
         full = build_problem("logistic_regression", rng, n=7, dim=3, reg={"l2": 0.1})
         prob = EstimatingProblem(full.dim_theta, full.n_terms, full.term_fn)
         theta = rng.uniform(-0.5, 0.5, 3)
-        got = fad.per_datum_tensors(prob, theta, range(fad.K_MAX + 1))
-        batched = fad.per_datum_tensors(full, theta, range(fad.K_MAX + 1))
-        for k in range(fad.K_MAX + 1):
-            assert_matches_nested(got[k], nested_per_datum_tensor(prob, theta, k))
-            assert max_rel_gap(got[k][1], batched[k][1]) <= 1e-13
+        w = rng.uniform(0.2, 1.8, prob.n_terms)
+        nested = [nested_per_datum_tensor(prob, theta, k) for k in range(fad.K_MAX + 1)]
+        for dense in (fad.DENSE_DIRECTIONS, 0):
+            monkeypatch.setattr(fad, "DENSE_DIRECTIONS", dense)
+            for degree in range(1, fad.K_MAX + 1):
+                got = fad.per_datum_tensors(prob, theta, range(degree + 1))
+                summed = fad.per_datum_tensors(prob, theta, (), w, summed=range(degree + 1))
+                batched = fad.per_datum_tensors(full, theta, range(degree + 1))
+                for k in range(degree + 1):
+                    assert_matches_nested(got[k], nested[k])
+                    assert max_rel_gap(got[k][1], batched[k][1]) <= 1e-13
+                    assert max_rel_gap(summed[k][1],
+                                       np.tensordot(w, got[k][1], axes=1)) <= 1e-12
 
     @pytest.mark.parametrize("model_id", ["exp_loss", "term_fn_only"])
     def test_twelve_element_row_blocks(self, model_id, monkeypatch):

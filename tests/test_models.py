@@ -228,6 +228,23 @@ class TestWeightVectors:
         with pytest.raises(ValueError, match="finite|1-d vector"):
             WeightVector(np.array(values))
 
+    def test_generated_vectors_as_the_public_constructor_makes_them(self):
+        """LOO, k-fold and leave-kappa-out vectors, built without the public
+        constructor's scan and copy, carry the same read-only values and
+        delta; the public constructor still copies what it is given."""
+        for w in [*loo_weights(5), *kfold_weights(5, 2, seed=1),
+                  *leave_kappa_out_weights(5, 2, seed=1, count=2)]:
+            public = WeightVector(w.values, label=w.label)
+            assert public.values is not w.values
+            for got, want in ((w.values, public.values), (w.delta, public.delta)):
+                np.testing.assert_array_equal(got, want)
+                for a in (got, want):
+                    assert a.dtype == np.float64 and not a.flags.writeable
+        values = np.ones(3)
+        w = WeightVector(values)
+        values[0] = 5.0
+        assert w.values[0] == 1.0
+
     def test_loo_example(self):
         vecs = list(loo_weights(3, [2]))
         assert len(vecs) == 1

@@ -1,5 +1,7 @@
 """CV runs, covariance identities, and the scaling-rate harness."""
 
+import csv
+import io
 import json
 import tracemalloc
 
@@ -447,6 +449,10 @@ class TestReportSerialization:
         outcomes.append(replace(outcomes[0], label="both\tfailed", theta_ij=None,
                                 theta_exact=None, errors=None, expand_error='bad "x"',
                                 refit_error="stalled\u2028"))
+        # labels the CSV quotes (delimiter, quote, line breaks), one whose
+        # unprintable characters it does not, and plain ones
+        for label in ("drop,5", 'say "hi"', "cr\rlf", "tab\tbell\x07\u2028", " ", "%s %r"):
+            outcomes.append(replace(outcomes[3], label=label, errors=np.array([0.25, 1e-300, 3.0, -2.5])))
         report = replace(report, outcomes=tuple(outcomes))
         if with_bounds:
             assert report.bound_per_k is not None
@@ -458,6 +464,9 @@ class TestReportSerialization:
             assert cli._json_text(obj) == want
             assert isinstance(obj["outcomes"], resampling.OutcomeRecords) is not timings
         assert report.csv_rows() == _per_float_csv(report)
+        buf = io.StringIO()
+        csv.writer(buf).writerows(_per_float_csv(report))
+        assert report.csv_text() == buf.getvalue()
 
     def test_no_errors_gives_header_only(self):
         from dataclasses import replace
@@ -465,6 +474,7 @@ class TestReportSerialization:
         prob = make_problem("mean", mean_dataset_1236())
         report = replace(run_cv(prob, loo_weights(4, [1]), 1), outcomes=())
         assert report.csv_rows() == [["weight", "k", "error", "bound"]]
+        assert report.csv_text() == "weight,k,error,bound\r\n"
 
 
 class TestCovarianceIdentity:
