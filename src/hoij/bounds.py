@@ -217,16 +217,23 @@ class _SampledStats:
     loo_exact: dict
 
 
-def _point_stats(problem: EstimatingProblem, theta, k_hi: int) -> _SampledStats:
+def _point_stats(problem: EstimatingProblem, theta, k_hi: int,
+                 buffers: Optional[dict] = None) -> _SampledStats:
     # The statistics at one point, from one Taylor pass of degree k_hi.
     # Entry norms weight each multiset column by the number of ordered
     # tuples it stands for, so they equal the norms of the full D**(k+1)
     # arrays.  Each order's rows are read in the pass's contiguous (D, P, N)
     # layout, one sweep per statistic, with no (N, D, P) temporaries.
+    # ``buffers``, when given, holds the per-row arrays of an earlier pass of
+    # the same degree, which this pass overwrites; left empty, it receives
+    # this pass's arrays.
     n, dim = problem.n_terms, problem.dim_theta
     c_op = 0.0
     m, v, t, loo = {}, {}, {}, {}
-    for k, (g0, per) in fad.per_datum_tensors(problem, theta, range(k_hi + 1)).items():
+    tensors = fad.per_datum_tensors(problem, theta, range(k_hi + 1), out=buffers or None)
+    if buffers is not None:
+        buffers.update(tensors)
+    for k, (g0, per) in tensors.items():
         mult = np.bincount(fad.basis_multisets(dim, k)[1])
         base = per.transpose(1, 2, 0)
         summed = (g0 + base.sum(axis=2)) / n
@@ -249,11 +256,12 @@ def _sample_stats(problem: EstimatingProblem, sampler: DomainSampler,
                   k_hi: int) -> _SampledStats:
     # The largest of each statistic over the sampled points.  The first
     # point is the centre, whose statistics the sampler may already hold
-    # from default_sampler's pilot.
-    stats = []
+    # from default_sampler's pilot.  Every pass writes its per-row arrays
+    # into those of the first, so the points share one set.
+    stats, buffers = [], {}
     for i, theta in enumerate(sampler.points()):
         known = sampler._center_stats.get((problem, k_hi)) if i == 0 else None
-        stats.append(_point_stats(problem, theta, k_hi) if known is None else known)
+        stats.append(_point_stats(problem, theta, k_hi, buffers) if known is None else known)
 
     def sup(field):
         return {k: max(getattr(s, field)[k] for s in stats) for k in range(k_hi + 1)}

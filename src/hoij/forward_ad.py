@@ -615,7 +615,7 @@ def g_theta_tensor(problem, theta, weights, k):
     return out
 
 
-def per_datum_tensors(problem, theta, orders, weights=None, summed=()):
+def per_datum_tensors(problem, theta, orders, weights=None, summed=(), out=None):
     """Derivatives of g_0 and of every g_n at theta, for several orders at once.
 
     Returns ``{k: (g0, per)}`` for each order k in ``orders`` and in
@@ -634,7 +634,17 @@ def per_datum_tensors(problem, theta, orders, weights=None, summed=()):
     mapped by :func:`interpolation_matrix`, after the row sum for the summed
     orders; at degree 1 the directions are the basis vectors and the map is
     the identity, so it is skipped.  The rows go in blocks that keep each
-    leaf within BLOCK_ELEMENTS entries.
+    leaf within BLOCK_ELEMENTS entries.  The pass runs with numpy's
+    floating-point warnings off: a non-finite result raises
+    NonFiniteValueError instead.
+
+    ``out``, when given, is the dict an earlier call returned for the same
+    problem and per-row orders.  Each per-row order is then written into
+    that call's (N, D, P) array, in place of a new one, and the returned
+    dict holds those same arrays, overwritten.  The g_0 arrays and the
+    summed orders are small and always new.  So a caller that reduces the
+    rows of many points to a few numbers, as the bound constants do,
+    allocates one set of per-row arrays, not one per point.
     """
     dim, n = problem.dim_theta, problem.n_terms
     orders, summed = sorted(set(orders)), sorted(set(summed))
@@ -664,43 +674,57 @@ def per_datum_tensors(problem, theta, orders, weights=None, summed=()):
 
     term_rows = problem.batch_fn is None
     step = max(1, BLOCK_ELEMENTS // width)
-    per = {k: np.empty((dim, len(basis_multisets(dim, k)[0]), n)) for k in orders}
+    per = {k: np.empty((dim, len(basis_multisets(dim, k)[0]), n)) if out is None
+           else _reused_rows(out, k, dim, n) for k in orders}
     sums = {k: np.zeros((dim, 1 if k == 0 else width)) for k in summed}
     # reused row block by row block: each order's coefficients as
     # (D, width, rows), which its interpolation maps into the per-row array;
     # for the grouped maps, a view of (width, D, rows), so that each gather
     # reads whole directions
     block = np.empty((dim, width, min(step, n)))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        if term_rows:
-            outs = [problem.term_fn(r + 1, x) for r in range(lo, hi)]
-        else:
-            outs = problem.batch_fn(x, np.arange(lo, hi))
-        for k in orders + summed:
-            if k in sums:
-                part = block[:, :1 if k == 0 else width, :hi - lo]
-                _fill(part, outs, k, term_rows)
-                sums[k] += part @ weights[lo:hi]
-            elif k == 0 or degree == 1:
-                _fill(per[k][:, :, lo:hi], outs, k, term_rows)
+    result = {}
+    # a non-finite value raises below, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            if term_rows:
+                outs = [problem.term_fn(r + 1, x) for r in range(lo, hi)]
             else:
-                part = block[:, :, :hi - lo]
-                if width > DENSE_DIRECTIONS:
-                    part = block.reshape(-1)[:part.size].reshape(width, dim, -1).transpose(1, 0, 2)
-                _fill(part, outs, k, term_rows)
-                _interpolate(part, dim, degree, k, per[k][:, :, lo:hi])
-    values = problem.term_fn(0, x)
-    out = {}
-    for k in orders + summed:
-        g0 = np.empty((dim, 1 if k == 0 else width))
-        _fill(g0[:, :, None], values, k, False)
-        g0 = mapped(k, g0)
-        rows = per[k].transpose(2, 0, 1) if k in per else mapped(k, sums[k])
-        if not (np.all(np.isfinite(g0)) and np.all(np.isfinite(rows))):
-            raise NonFiniteValueError(f"non-finite per-datum derivative of order {k}")
-        out[k] = (g0, rows)
-    return out
+                outs = problem.batch_fn(x, np.arange(lo, hi))
+            for k in orders + summed:
+                if k in sums:
+                    part = block[:, :1 if k == 0 else width, :hi - lo]
+                    _fill(part, outs, k, term_rows)
+                    sums[k] += part @ weights[lo:hi]
+                elif k == 0 or degree == 1:
+                    _fill(per[k][:, :, lo:hi], outs, k, term_rows)
+                else:
+                    part = block[:, :, :hi - lo]
+                    if width > DENSE_DIRECTIONS:
+                        part = block.reshape(-1)[:part.size].reshape(width, dim, -1).transpose(1, 0, 2)
+                    _fill(part, outs, k, term_rows)
+                    _interpolate(part, dim, degree, k, per[k][:, :, lo:hi])
+        values = problem.term_fn(0, x)
+        for k in orders + summed:
+            g0 = np.empty((dim, 1 if k == 0 else width))
+            _fill(g0[:, :, None], values, k, False)
+            g0 = mapped(k, g0)
+            rows = per[k].transpose(2, 0, 1) if k in per else mapped(k, sums[k])
+            if not (np.all(np.isfinite(g0)) and np.all(np.isfinite(rows))):
+                raise NonFiniteValueError(f"non-finite per-datum derivative of order {k}")
+            result[k] = (g0, rows)
+    return result
+
+
+def _reused_rows(out, k, dim, n):
+    # The (D, P, N) array behind the order-k rows of an earlier call's result.
+    rows = out[k][1] if k in out else None
+    shape = (n, dim, len(basis_multisets(dim, k)[0]))
+    if not (isinstance(rows, np.ndarray) and rows.shape == shape and rows.dtype == float
+            and rows.flags.writeable and rows.transpose(1, 2, 0).flags.c_contiguous):
+        raise ValueError(f"out holds no writable per-row array of order {k} "
+                         f"and shape {shape} in the pass's layout")
+    return rows.transpose(1, 2, 0)
 
 
 def per_datum_tensor(problem, theta, k, weights=None):

@@ -353,6 +353,12 @@ def _g0_builder(lam: float, dim: int):
     return lambda theta: [lam * theta[d] for d in range(dim)]
 
 
+def _columns(x: np.ndarray) -> np.ndarray:
+    # The features as (D, N) rows, so a batch_fn reads each feature of its
+    # rows as one contiguous column, not a strided one.
+    return np.ascontiguousarray(x.T)
+
+
 def _require_response(dataset: Dataset, model_id: str) -> np.ndarray:
     if dataset.response is None:
         raise ValueError(f"model {model_id!r} requires a response column")
@@ -364,6 +370,7 @@ def _build_mean(dataset: Dataset, reg: dict) -> EstimatingProblem:
     # g_n(theta) = theta - x_n: the root of G is the weighted mean.
     x = dataset.features
     n, dim = x.shape
+    xt = _columns(x)
     g0 = _g0_builder(float(reg.get("l2", 0.0)), dim)
 
     def term(i, theta):
@@ -373,8 +380,8 @@ def _build_mean(dataset: Dataset, reg: dict) -> EstimatingProblem:
         return [theta[d] - xi[d] for d in range(dim)]
 
     def batch(theta, rows):
-        xr = x[rows]
-        return [theta[d] - xr[:, d] for d in range(dim)]
+        xr = xt.take(rows, axis=1)
+        return [theta[d] - xr[d] for d in range(dim)]
 
     return EstimatingProblem(dim, n, term, model_id="mean", batch_fn=batch)
 
@@ -385,6 +392,7 @@ def _build_linear_regression(dataset: Dataset, reg: dict) -> EstimatingProblem:
     x = dataset.features
     y = _require_response(dataset, "linear_regression")
     n, dim = x.shape
+    xt = _columns(x)
     g0 = _g0_builder(float(reg.get("l2", 0.0)), dim)
 
     def term(i, theta):
@@ -395,9 +403,9 @@ def _build_linear_regression(dataset: Dataset, reg: dict) -> EstimatingProblem:
         return [r * xi[d] for d in range(dim)]
 
     def batch(theta, rows):
-        xr, yr = x[rows], y[rows]
-        r = sum(theta[d] * xr[:, d] for d in range(dim)) - yr
-        return [r * xr[:, d] for d in range(dim)]
+        xr, yr = xt.take(rows, axis=1), y[rows]
+        r = sum(theta[d] * xr[d] for d in range(dim)) - yr
+        return [r * xr[d] for d in range(dim)]
 
     return EstimatingProblem(dim, n, term, model_id="linear_regression", batch_fn=batch)
 
@@ -408,6 +416,7 @@ def _build_logistic_regression(dataset: Dataset, reg: dict) -> EstimatingProblem
     x = dataset.features
     y = _require_response(dataset, "logistic_regression")
     n, dim = x.shape
+    xt = _columns(x)
     g0 = _g0_builder(float(reg.get("l2", 0.0)), dim)
 
     def term(i, theta):
@@ -419,10 +428,10 @@ def _build_logistic_regression(dataset: Dataset, reg: dict) -> EstimatingProblem
         return [r * xi[d] for d in range(dim)]
 
     def batch(theta, rows):
-        xr, yr = x[rows], y[rows]
-        z = sum(theta[d] * xr[:, d] for d in range(dim))
+        xr, yr = xt.take(rows, axis=1), y[rows]
+        z = sum(theta[d] * xr[d] for d in range(dim))
         r = fad.sigmoid(z) - yr
-        return [r * xr[:, d] for d in range(dim)]
+        return [r * xr[d] for d in range(dim)]
 
     return EstimatingProblem(dim, n, term, model_id="logistic_regression", batch_fn=batch)
 
@@ -432,6 +441,7 @@ def _build_exp_loss(dataset: Dataset, reg: dict) -> EstimatingProblem:
     # g_n(theta) = exp(theta . x_n) x_n, the gradient of exp(theta . x_n).
     x = dataset.features
     n, dim = x.shape
+    xt = _columns(x)
     g0 = _g0_builder(float(reg.get("l2", 0.0)), dim)
 
     def term(i, theta):
@@ -442,8 +452,8 @@ def _build_exp_loss(dataset: Dataset, reg: dict) -> EstimatingProblem:
         return [s * xi[d] for d in range(dim)]
 
     def batch(theta, rows):
-        xr = x[rows]
-        s = fad.exp(sum(theta[d] * xr[:, d] for d in range(dim)))
-        return [s * xr[:, d] for d in range(dim)]
+        xr = xt.take(rows, axis=1)
+        s = fad.exp(sum(theta[d] * xr[d] for d in range(dim)))
+        return [s * xr[d] for d in range(dim)]
 
     return EstimatingProblem(dim, n, term, model_id="exp_loss", batch_fn=batch)

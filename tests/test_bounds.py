@@ -1,6 +1,8 @@
 """Constants, the invertibility condition, and the error-bound ladder."""
 
 import dataclasses
+import json
+import warnings
 
 import numpy as np
 import pytest
@@ -153,10 +155,10 @@ class TestCentreReuse:
         passes = []
         per_datum_tensors = fad.per_datum_tensors
 
-        def counting(problem, theta, orders, weights=None, summed=()):
+        def counting(problem, theta, orders, weights=None, summed=(), out=None):
             if sorted(orders) == list(range(k_hi + 1)):
                 passes.append(np.array(theta, dtype=float))
-            return per_datum_tensors(problem, theta, orders, weights, summed)
+            return per_datum_tensors(problem, theta, orders, weights, summed, out)
 
         monkeypatch.setattr(fad, "per_datum_tensors", counting)
         return passes
@@ -193,6 +195,97 @@ class TestCentreReuse:
                 == estimate_constants(other, theta_hat, fresh, 2))
         assert (estimate_constants(prob, theta_hat, sampler, 3)
                 == estimate_constants(prob, theta_hat, fresh, 3))
+
+
+class TestSharedRows:
+    """The sampled points of one _sample_stats call share one set of
+    per-row arrays: the first pass allocates them, every later pass
+    overwrites them."""
+
+    @staticmethod
+    def record_passes(monkeypatch):
+        passes = []
+        per_datum_tensors = fad.per_datum_tensors
+
+        def recording(problem, theta, orders, weights=None, summed=(), out=None):
+            result = per_datum_tensors(problem, theta, orders, weights, summed, out)
+            passes.append((out, result))
+            return result
+
+        monkeypatch.setattr(fad, "per_datum_tensors", recording)
+        return passes
+
+    def test_later_points_write_into_the_first_points_arrays(self, monkeypatch):
+        rng = np.random.default_rng(72)
+        prob = build_problem("exp_loss", rng, n=40, dim=3, reg={"l2": 0.2})
+        theta_hat = solve_base(prob)
+        sampler = DomainSampler(theta_hat, 0.3, n_samples=5, seed=3)
+        passes = self.record_passes(monkeypatch)
+        for _ in range(2):
+            estimate_constants(prob, theta_hat, sampler, 2)
+        assert len(passes) == 10
+        for call in (passes[:5], passes[5:]):
+            # each call allocates its own set on its first point
+            assert call[0][0] is None
+            first = call[0][1]
+            for out, result in call[1:]:
+                assert out is not None
+                assert sorted(result) == sorted(first) == [0, 1, 2, 3]
+                for k in result:
+                    assert np.shares_memory(result[k][1], first[k][1])
+        assert not np.shares_memory(passes[0][1][3][1], passes[5][1][3][1])
+
+    @pytest.mark.parametrize("model_id", ALL_MODELS)
+    def test_same_constants_as_fresh_arrays(self, model_id, monkeypatch):
+        """Constants at orders 1..3 equal, bit for bit, those of a run where
+        every pass allocates its own arrays and the centre is measured
+        again."""
+        rng = np.random.default_rng(73)
+        prob = build_problem(model_id, rng, n=40, dim=3, reg={"l2": 0.2})
+        theta_hat = solve_base(prob)
+        shared = []
+        for order in (1, 2, 3):
+            sampler = bounds.default_sampler(prob, theta_hat, order, n_samples=6, seed=4)
+            shared.append((sampler.radius, estimate_constants(prob, theta_hat, sampler, order)))
+        per_datum_tensors = fad.per_datum_tensors
+        monkeypatch.setattr(fad, "per_datum_tensors",
+                            lambda *args, out=None, **kwargs: per_datum_tensors(*args, **kwargs))
+        for (radius, constants), order in zip(shared, (1, 2, 3)):
+            fresh = DomainSampler(theta_hat, radius, n_samples=6, seed=4)
+            assert constants == estimate_constants(prob, theta_hat, fresh, order)
+
+    def test_non_finite_second_point_raises(self, monkeypatch):
+        """A pass that overflows at the second point, writing into the
+        first point's arrays, still raises, with no numpy warning."""
+        prob = build_problem("exp_loss", np.random.default_rng(74), n=40, dim=3)
+        theta_hat = solve_base(prob)
+        sampler = DomainSampler(theta_hat, 1e4, n_samples=3, seed=1)
+        passes = self.record_passes(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(fad.NonFiniteValueError):
+                estimate_constants(prob, theta_hat, sampler, 2)
+        # the first point passed; the second raised inside its pass
+        assert len(passes) == 1 and passes[0][0] is None
+
+    def test_cv_with_bounds_leaves_the_cached_rows(self, tmp_path):
+        """cv --with-bounds expands and re-fits from the Hessian factor's
+        cached rows after the sampled points: its theta_ij and errors are
+        those of cv without bounds, bit for bit."""
+        data = GeneratorConfig(n_features=3).generate("exp_loss", 60,
+                                                      np.random.default_rng(9))
+        path = tmp_path / "x.csv"
+        np.savetxt(path, data.features, delimiter=",", fmt="%.17g")
+        reports = []
+        for extra in ([], ["--with-bounds", "--samples", "4"]):
+            out = tmp_path / f"cv{len(extra)}.json"
+            assert cli.main(["cv", "--model", "exp_loss", "--data", str(path),
+                             "--order", "3", "--out", str(out), *extra]) == 0
+            reports.append(json.loads(out.read_text()))
+        plain, bounded = ([(o["theta_ij"], o["errors"], o["theta_exact"])
+                           for o in r["outcomes"]] for r in reports)
+        assert len(plain) == 60 and plain == bounded
+        assert "bound_per_k" in json.dumps(reports[1])
 
 
 class TestEntryLayout:

@@ -526,6 +526,25 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
 
+    @pytest.mark.parametrize("command", [["bounds", "--radius", "1000"],
+                                         ["cv", "--with-bounds", "--radius", "1000"]])
+    def test_overflow_at_a_sampled_point_is_one_error_line(self, tmp_path, command):
+        """exp(theta . x) overflows at the second sampled point: the command
+        exits 1 with the one error line, and numpy prints no warning."""
+        data = GeneratorConfig(n_features=3).generate("exp_loss", 60,
+                                                      np.random.default_rng(5))
+        path = tmp_path / "x.csv"
+        np.savetxt(path, data.features, delimiter=",", fmt="%.17g")
+        proc = subprocess.run(
+            [sys.executable, "-m", "hoij.cli", command[0], "--model", "exp_loss",
+             "--data", str(path), "--order", "3", "--samples", "4",
+             "--out", str(tmp_path / "out.json"), *command[1:]],
+            capture_output=True, text=True, env=subprocess_env(),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: NonFiniteValueError: ")
+        assert len(proc.stderr.splitlines()) == 1
+
     def test_usage_exit_code(self):
         proc = subprocess.run([sys.executable, "-m", "hoij.cli", "fit"],
                               capture_output=True, text=True, env=subprocess_env())

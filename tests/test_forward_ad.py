@@ -676,6 +676,48 @@ class TestUnivariatePass:
             np.testing.assert_array_equal(fad.g_theta_tensor(prob, theta, w, 1),
                                           block_loop_g_theta_tensor(prob, theta, w, 1))
 
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_rows_written_into_out(self, monkeypatch, dense):
+        """With ``out`` a pass writes each per-row order into the arrays an
+        earlier call returned and returns those, equal bit for bit to a
+        fresh pass's, with the maps applied dense and through their nonzero
+        blocks; the summed orders and the g_0 arrays stay new."""
+        if not dense:
+            monkeypatch.setattr(fad, "DENSE_DIRECTIONS", 0)
+        rng = np.random.default_rng(67)
+        prob = build_problem("exp_loss", rng, n=30, dim=3, reg={"l2": 0.2})
+        first = fad.per_datum_tensors(prob, rng.uniform(-0.5, 0.5, 3), range(4))
+        w = rng.uniform(0.2, 1.8, prob.n_terms)
+        for theta in rng.uniform(-0.5, 0.5, (3, 3)):
+            fresh = fad.per_datum_tensors(prob, theta, range(4))
+            got = fad.per_datum_tensors(prob, theta, range(4), out=first)
+            for k in range(4):
+                assert got[k][1].shape == fresh[k][1].shape
+                assert np.shares_memory(got[k][1], first[k][1])
+                assert not np.shares_memory(got[k][0], first[k][0])
+                np.testing.assert_array_equal(got[k][0], fresh[k][0])
+                np.testing.assert_array_equal(got[k][1], fresh[k][1])
+            mixed = fad.per_datum_tensors(prob, theta, (0, 1), w, summed=(3,), out=first)
+            want = fad.per_datum_tensors(prob, theta, (0, 1), w, summed=(3,))
+            assert np.shares_memory(mixed[1][1], first[1][1])
+            assert not np.shares_memory(mixed[3][1], first[3][1])
+            for k in (0, 1, 3):
+                np.testing.assert_array_equal(mixed[k][1], want[k][1])
+
+    def test_out_checked_for_shape(self):
+        rng = np.random.default_rng(68)
+        prob = build_problem("exp_loss", rng, n=6, dim=2)
+        other = build_problem("exp_loss", rng, n=7, dim=2)
+        theta = [0.1, -0.2]
+        held = fad.per_datum_tensors(prob, theta, (1, 2))
+        with pytest.raises(ValueError, match="order 3"):
+            fad.per_datum_tensors(prob, theta, (1, 3), out=held)
+        with pytest.raises(ValueError, match="order 1"):
+            fad.per_datum_tensors(other, theta, (1, 2), out=held)
+        copied = {k: (g0, np.ascontiguousarray(rows)) for k, (g0, rows) in held.items()}
+        with pytest.raises(ValueError, match="layout"):
+            fad.per_datum_tensors(prob, theta, (1, 2), out=copied)
+
     def test_arguments(self):
         prob = build_problem("exp_loss", np.random.default_rng(66), n=5, dim=2)
         with pytest.raises(ValueError, match="no derivative order"):
