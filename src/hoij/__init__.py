@@ -27,7 +27,6 @@ from .expansion import (
     TaylorExpansion,
     evaluate_dtheta,
     evaluate_g_block,
-    evaluate_term,
     evaluate_theta_ij,
     exact_refit,
     factorize_hessian,
@@ -38,7 +37,6 @@ from .forward_ad import (
     K_MAX,
     NonFiniteValueError,
     TaylorScalar,
-    directional_derivative,
     g_theta_derivative,
     g_theta_tensor,
     g_weight_derivative,

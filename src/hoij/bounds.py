@@ -226,29 +226,38 @@ def _point_stats(problem: EstimatingProblem, theta, k_hi: int,
     # layout, one sweep per statistic, with no (N, D, P) temporaries.
     # ``buffers``, when given, holds the per-row arrays of an earlier pass of
     # the same degree, which this pass overwrites; left empty, it receives
-    # this pass's arrays.
+    # this pass's arrays.  Finite rows can still overflow when summed or
+    # squared, so a statistic that is not finite raises NonFiniteValueError,
+    # and numpy's warnings, which would only repeat it, are off.
     n, dim = problem.n_terms, problem.dim_theta
     c_op = 0.0
     m, v, t, loo = {}, {}, {}, {}
     tensors = fad.per_datum_tensors(problem, theta, range(k_hi + 1), out=buffers or None)
     if buffers is not None:
         buffers.update(tensors)
-    for k, (g0, per) in tensors.items():
-        mult = np.bincount(fad.basis_multisets(dim, k)[1])
-        base = per.transpose(1, 2, 0)
-        summed = (g0 + base.sum(axis=2)) / n
-        if k == 1:
-            # the order-1 multisets are the D basis directions in order, so
-            # summed is the Jacobian
-            try:
-                c_op = operator_norm_of_inverse(summed)
-            except np.linalg.LinAlgError:
-                raise SingularSampleError(theta) from None
-        m[k] = math.sqrt(float(np.sum(summed * summed, axis=0) @ mult))
-        sq = mult @ np.einsum("dpn,dpn->pn", base, base)
-        v[k] = float(sq.mean())
-        t[k] = float(max(base.max(), -base.min()))
-        loo[k] = float(np.sqrt(sq.max())) / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (g0, per) in tensors.items():
+            mult = np.bincount(fad.basis_multisets(dim, k)[1])
+            base = per.transpose(1, 2, 0)
+            summed = (g0 + base.sum(axis=2)) / n
+            if not np.isfinite(summed).all():
+                raise fad.NonFiniteValueError(f"non-finite order-{k} derivative of G "
+                                              f"at sampled point {np.asarray(theta).tolist()}")
+            if k == 1:
+                # the order-1 multisets are the D basis directions in order,
+                # so summed is the Jacobian
+                try:
+                    c_op = operator_norm_of_inverse(summed)
+                except np.linalg.LinAlgError:
+                    raise SingularSampleError(theta) from None
+            m[k] = math.sqrt(float(np.sum(summed * summed, axis=0) @ mult))
+            sq = mult @ np.einsum("dpn,dpn->pn", base, base)
+            v[k] = float(sq.mean())
+            t[k] = float(max(base.max(), -base.min()))
+            loo[k] = float(np.sqrt(sq.max())) / n
+    if not np.isfinite([c_op, *m.values(), *v.values(), *t.values(), *loo.values()]).all():
+        raise fad.NonFiniteValueError("non-finite bound statistic at sampled point "
+                                      f"{np.asarray(theta).tolist()}")
     return _SampledStats(c_op=c_op, m=m, v=v, t=t, loo_exact=loo)
 
 

@@ -311,34 +311,6 @@ def factorize_hessian(problem: EstimatingProblem, theta_hat,
                          theta_hat=np.array(theta_hat, dtype=float))
 
 
-def _term_directions(term: DerivativeTerm, dset: dict) -> tuple:
-    try:
-        return tuple(dset[j] for j in term.kset)
-    except KeyError as err:
-        raise KeyError(
-            f"term {term} needs derivative of order {err.args[0]}, "
-            f"but only orders {sorted(dset)} are available"
-        ) from None
-
-
-def evaluate_term(problem: EstimatingProblem, theta_hat, term: DerivativeTerm,
-                  dset: dict, delta_w) -> np.ndarray:
-    """One table term's value at the base weights (coefficient NOT applied).
-
-    ``dset`` maps order j to the already computed coefficient vector d_j.
-    Flag 0 contracts the theta-derivative of G at the all-ones weights;
-    flag 1 contracts the weight-direction derivative along delta_w.  Both
-    run a forward pass over the data; :func:`evaluate_dtheta` instead
-    contracts the arrays cached on the Hessian factor.
-    """
-    dirs = _term_directions(term, dset)
-    if term.omega == 0:
-        return fad.g_theta_derivative(
-            problem, theta_hat, np.ones(problem.n_terms), dirs
-        )
-    return fad.g_weight_derivative(problem, theta_hat, delta_w, dirs)
-
-
 def evaluate_dtheta(problem: EstimatingProblem, theta_hat, hfac: HessianFactor,
                     order_terms, dset: dict, delta_w) -> np.ndarray:
     """One expansion coefficient: -H^{-1} (sum of coefficient-weighted terms).
@@ -523,10 +495,9 @@ def refit_block(problem: EstimatingProblem, hfac: HessianFactor, weights, starts
     below that ceiling (a start equal to theta_hat, as at order 0, is
     exempt: its residual is the ceiling), G there is not finite, it has
     not stopped within CHORD_STEPS steps or stopped above
-    ``cfg.resolved_tol(D)``, a Ĥ_b of the block is singular, or the problem
-    has no ``batch_fn``.  Returns one entry per weight: the root, or the
-    :class:`SolverError` or :class:`~hoij.forward_ad.NonFiniteValueError`
-    its fallback raised.
+    ``cfg.resolved_tol(D)``, or a Ĥ_b of the block is singular.  Returns
+    one entry per weight: the root, or the :class:`SolverError` or
+    :class:`~hoij.forward_ad.NonFiniteValueError` its fallback raised.
     """
     cfg = cfg or SolveConfig()
     n = problem.n_terms
@@ -535,7 +506,7 @@ def refit_block(problem: EstimatingProblem, hfac: HessianFactor, weights, starts
     g0, per = hfac.rows(0)
     ceilings = _row_norms((g0[:, 0] + values @ per[:, :, 0]) / n)
     done = np.zeros(len(values), dtype=bool)
-    if problem.batch_fn is not None and len(values):
+    if len(values):
         g = evaluate_g_block(problem, thetas, values)
         gnorms = _row_norms(g)
         # At theta_hat the ceiling is the start's own residual, rounded

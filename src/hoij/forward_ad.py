@@ -23,15 +23,15 @@ Coefficient leaves are floats or numpy arrays, so one evaluation also
 carries every data row of an estimating problem:
 :func:`per_datum_tensors` gives the per-datum derivatives of every g_n, one
 row block at a time, and everything else at a fixed point contracts those
-arrays.  :func:`g_theta_tensor` is their weighted row sum, and
-:func:`g_weight_derivative` contracts the rows a weight vector changes when
-it is handed the cached arrays.
+arrays.  :func:`g_theta_tensor` is their weighted row sum,
+:func:`g_theta_derivative` contracts it with directions, and
+:func:`g_weight_derivative` contracts the rows a weight vector changes.
 
-Nesting order-1 levels is the oracle: each level is a dual number whose
-coefficients may themselves be TaylorScalars, and the coefficient of the
-product of all k perturbations is the exact mixed directional derivative
-(:func:`nested_input`, :func:`directional_derivative`,
-:func:`g_theta_derivative`), with no interpolation involved.
+This pass is the one derivative engine.  Its oracle, nested order-1 dual
+numbers, whose coefficient of the product of all k perturbations is the
+exact mixed directional derivative with no interpolation involved, lives
+with the tests (``tests/helpers.py``); TaylorScalar coefficients may be
+TaylorScalars for that reason.
 """
 
 from __future__ import annotations
@@ -45,9 +45,9 @@ import numpy as np
 import scipy.linalg
 from scipy.special import expit
 
-# Hard ceiling on the derivative order (the degree of a pass, and the depth
-# of a nested one), hence on expansion order.  Term tables and acceptance
-# targets use K <= 4; 6 leaves headroom.
+# Hard ceiling on the derivative order (the degree of a pass), hence on
+# expansion order.  Term tables and acceptance targets use K <= 4; 6 leaves
+# headroom.
 K_MAX = 6
 
 # Leaves of a direction-batched pass (lattice directions x data rows) hold at
@@ -66,9 +66,9 @@ class TaylorScalar:
     ``coeffs[k]`` is the k-th Taylor coefficient; each coefficient is a
     float, a numpy array (batch of values), or a nested TaylorScalar
     belonging to an inner perturbation level.  Two TaylorScalars combined by
-    arithmetic are assumed to live at the same nesting level (inputs built
-    with :func:`nested_input` guarantee this); anything else is treated as a
-    constant.
+    arithmetic are assumed to live at the same nesting level (inputs nested
+    one level per perturbation guarantee this); anything else is treated as
+    a constant.
     """
 
     __slots__ = ("coeffs",)
@@ -260,39 +260,6 @@ def sigmoid(x):
     return expit(x)
 
 
-# -- nesting, seeding, extraction --------------------------------------------
-
-
-def nested_input(theta0, directions):
-    """Lift a float point through one order-1 level per direction.
-
-    Returns a list of scalar-likes representing
-    theta0 + eps_1 v_1 + ... + eps_k v_k with nilpotent eps_j.
-    """
-    x = [float(t) for t in theta0]
-    for v in directions:
-        if len(v) != len(x):
-            raise ValueError(
-                f"direction length {len(v)} != parameter dimension {len(x)}"
-            )
-        x = [TaylorScalar([xi, float(vi)]) for xi, vi in zip(x, v)]
-    return x
-
-
-def tangent(x):
-    """First Taylor coefficient; constants have tangent zero."""
-    if isinstance(x, TaylorScalar):
-        return x.coeffs[1]
-    return 0.0
-
-
-def nested_coefficient(y, k):
-    """Coefficient of eps_1 * ... * eps_k, i.e. the mixed directional derivative."""
-    for _ in range(k):
-        y = tangent(y)
-    return y
-
-
 def _check_directions(directions, dim):
     k = len(directions)
     if k > K_MAX:
@@ -304,93 +271,27 @@ def _check_directions(directions, dim):
             )
 
 
-def directional_derivative(f, theta0, directions):
-    """Exact mixed directional derivative of f at theta0.
+def stack_rows(values):
+    """One scalar-like per data row, stacked into one with a trailing row axis.
 
-    f maps a sequence of D scalar-likes to a sequence of scalar-likes and
-    must be built from the arithmetic and elementary functions above.  With
-    directions (v_1, ..., v_k) the return value is the order-k derivative
-    tensor of f contracted against v_1 ... v_k.
+    This is how a ``batch_fn`` returns the rows it evaluates: leaves of shape
+    (W, 1) become (W, rows) and floats become (rows,), level by level for
+    nested coefficients; a row that is a constant where others are
+    TaylorScalars has structural zeros past c_0.  A coefficient that is the
+    float 0.0 in every row stays the float 0.0.
     """
-    k = len(directions)
-    if k < 1:
-        raise ValueError("at least one direction is required")
-    _check_directions(directions, len(theta0))
-    x = nested_input(theta0, directions)
-    try:
-        y = f(x)
-    except ZeroDivisionError as err:
-        raise NonFiniteValueError(f"division by zero during evaluation: {err}") from None
-    out = np.array([float(nested_coefficient(yi, k)) for yi in y])
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteValueError(
-            f"non-finite directional derivative of order {k}: {out}"
-        )
-    return out
-
-
-# -- weighted sums over an estimating problem's terms ------------------------
-
-
-def _reduce_leaves(x, coeffs, coeff_total):
-    # Contract the row axis of a scalar-like's array leaves against a
-    # coefficient vector; float leaves are constant across rows.
-    if isinstance(x, TaylorScalar):
-        return TaylorScalar(
-            [_reduce_leaves(c, coeffs, coeff_total) for c in x.coeffs]
-        )
-    if isinstance(x, np.ndarray):
-        return float(coeffs @ x)
-    return float(x) * coeff_total
-
-
-def weighted_term_sum(problem, theta, coeffs, rows):
-    """sum_i coeffs[i] * g_{rows[i]+1}(theta), as a list of D scalar-likes.
-
-    ``rows`` holds 0-based data-row indices (the regularization term g_0 is
-    never included here).  Uses the problem's vectorized batch evaluator
-    when available, otherwise falls back to a per-datum loop over term_fn.
-    """
-    rows = np.asarray(rows, dtype=int)
-    coeffs = np.asarray(coeffs, dtype=float)
-    if rows.size == 0:
-        return [0.0] * problem.dim_theta
-    if problem.batch_fn is not None:
-        outs = problem.batch_fn(theta, rows)
-        total = float(coeffs.sum())
-        return [_reduce_leaves(o, coeffs, total) for o in outs]
-    acc = [0.0] * problem.dim_theta
-    for c, r in zip(coeffs, rows):
-        g = problem.term_fn(int(r) + 1, theta)
-        acc = [a + float(c) * gj for a, gj in zip(acc, g)]
-    return acc
-
-
-def estimating_fn_scalars(problem, theta, weights):
-    """G(theta, w) = (1/N)(g_0 + sum_n w_n g_n) in scalar-like arithmetic."""
-    n = problem.n_terms
-    g0 = problem.term_fn(0, theta)
-    data = weighted_term_sum(problem, theta, np.asarray(weights, float), np.arange(n))
-    return [(g0[j] + data[j]) / n for j in range(problem.dim_theta)]
-
-
-def g_theta_derivative(problem, theta, weights, directions):
-    """Directional derivative of theta -> G(theta, w) along the given directions.
-
-    An empty direction tuple returns G itself.  The weighted sum over data is
-    contracted row by row, so no order-(k+1) derivative array is formed.
-    """
-    weights = np.asarray(getattr(weights, "values", weights), dtype=float)
-    k = len(directions)
-    _check_directions(directions, problem.dim_theta)
-    x = nested_input(theta, directions)
-    g = estimating_fn_scalars(problem, x, weights)
-    out = np.array([float(nested_coefficient(gj, k)) for gj in g])
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteValueError(
-            f"non-finite estimating-function derivative of order {k}"
-        )
-    return out
+    if any(isinstance(v, TaylorScalar) for v in values):
+        size = max(len(v.coeffs) for v in values if isinstance(v, TaylorScalar))
+        coeffs = [v.coeffs if isinstance(v, TaylorScalar) else [v] + [0.0] * (size - 1)
+                  for v in values]
+        return TaylorScalar([stack_rows([c[k] for c in coeffs]) for k in range(size)])
+    if all(_zero(v) for v in values):
+        return 0.0
+    leaves = [np.asarray(v, dtype=float) for v in values]
+    shape = np.broadcast_shapes(*(leaf.shape for leaf in leaves))
+    if not shape:
+        return np.array(leaves)
+    return np.concatenate([np.broadcast_to(leaf, shape) for leaf in leaves], axis=-1)
 
 
 def _multiset_keys(multisets, dim):
@@ -583,17 +484,11 @@ def _coefficient(v, k):
     return v if k == 0 else 0.0
 
 
-def _fill(part, outs, k, term_rows):
+def _fill(part, outs, k):
     # part (D, W, rows) <- the order-k coefficients of a row block's outputs:
-    # D scalar-likes whose leaves are (W, rows), (W, 1), (rows,) or floats,
-    # or with ``term_rows`` one such list per row, with (W, 1) leaves.
-    if term_rows:
-        for r, values in enumerate(outs):
-            for j, v in enumerate(values):
-                part[j, :, r] = np.reshape(_coefficient(v, k), -1)
-    else:
-        for j, o in enumerate(outs):
-            part[j] = _coefficient(o, k)
+    # D scalar-likes whose leaves are (W, rows), (W, 1), (rows,) or floats.
+    for j, o in enumerate(outs):
+        part[j] = _coefficient(o, k)
 
 
 def g_theta_tensor(problem, theta, weights, k):
@@ -601,10 +496,11 @@ def g_theta_tensor(problem, theta, weights, k):
 
     Entry [i, j_1 D**(k-1) + ... + j_k] is the mixed partial of G_i in
     theta_{j_1} .. theta_{j_k}: the weighted row sum (g_0 + w @ per) / N of
-    :func:`per_datum_tensor`, expanded from multisets to ordered tuples.
+    :func:`per_datum_tensor`, expanded from multisets to ordered tuples.  At
+    k = 0 it is G itself, shape (D, 1).
     """
-    if not 1 <= k <= K_MAX:
-        raise ValueError(f"derivative order {k} outside 1..{K_MAX}")
+    if not 0 <= k <= K_MAX:
+        raise ValueError(f"derivative order {k} outside 0..{K_MAX}")
     weights = np.asarray(getattr(weights, "values", weights), dtype=float)
     g0, summed = per_datum_tensor(problem, theta, k, weights)
     out = (g0 + summed)[:, basis_multisets(problem.dim_theta, k)[1]] / problem.n_terms
@@ -612,6 +508,20 @@ def g_theta_tensor(problem, theta, weights, k):
         raise NonFiniteValueError(
             f"non-finite estimating-function derivative tensor of order {k}"
         )
+    return out
+
+
+def g_theta_derivative(problem, theta, weights, directions):
+    """Directional derivative of theta -> G(theta, w) along the given directions.
+
+    The order-k array of :func:`g_theta_tensor` applied to each of its k
+    directions; an empty direction tuple returns G itself.
+    """
+    _check_directions(directions, problem.dim_theta)
+    out = contract(g_theta_tensor(problem, theta, weights, len(directions)), directions)
+    if not np.isfinite(out).all():
+        raise NonFiniteValueError(
+            f"non-finite estimating-function derivative of order {len(directions)}")
     return out
 
 
@@ -672,7 +582,6 @@ def per_datum_tensors(problem, theta, orders, weights=None, summed=(), out=None)
         _interpolate(coeffs[:, :, None], dim, degree, k, out)
         return out[:, :, 0]
 
-    term_rows = problem.batch_fn is None
     step = max(1, BLOCK_ELEMENTS // width)
     per = {k: np.empty((dim, len(basis_multisets(dim, k)[0]), n)) if out is None
            else _reused_rows(out, k, dim, n) for k in orders}
@@ -687,27 +596,24 @@ def per_datum_tensors(problem, theta, orders, weights=None, summed=(), out=None)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo in range(0, n, step):
             hi = min(lo + step, n)
-            if term_rows:
-                outs = [problem.term_fn(r + 1, x) for r in range(lo, hi)]
-            else:
-                outs = problem.batch_fn(x, np.arange(lo, hi))
+            outs = problem.batch_fn(x, np.arange(lo, hi))
             for k in orders + summed:
                 if k in sums:
                     part = block[:, :1 if k == 0 else width, :hi - lo]
-                    _fill(part, outs, k, term_rows)
+                    _fill(part, outs, k)
                     sums[k] += part @ weights[lo:hi]
                 elif k == 0 or degree == 1:
-                    _fill(per[k][:, :, lo:hi], outs, k, term_rows)
+                    _fill(per[k][:, :, lo:hi], outs, k)
                 else:
                     part = block[:, :, :hi - lo]
                     if width > DENSE_DIRECTIONS:
                         part = block.reshape(-1)[:part.size].reshape(width, dim, -1).transpose(1, 0, 2)
-                    _fill(part, outs, k, term_rows)
+                    _fill(part, outs, k)
                     _interpolate(part, dim, degree, k, per[k][:, :, lo:hi])
         values = problem.term_fn(0, x)
         for k in orders + summed:
             g0 = np.empty((dim, 1 if k == 0 else width))
-            _fill(g0[:, :, None], values, k, False)
+            _fill(g0[:, :, None], values, k)
             g0 = mapped(k, g0)
             rows = per[k].transpose(2, 0, 1) if k in per else mapped(k, sums[k])
             if not (np.all(np.isfinite(g0)) and np.all(np.isfinite(rows))):
@@ -745,61 +651,51 @@ def g_weight_derivative(problem, theta, delta_w, directions, per_datum=None):
     This is the weight-direction derivative of G: the regularization term
     g_0 drops out.  With no directions it returns the weighted sum itself.
 
-    ``per_datum``, when given, must be the (N, D, P) array of
-    ``per_datum_tensor(problem, theta, len(directions))`` at this same
-    theta: delta_w is then contracted with it, with no forward pass, and
-    theta is not read.  delta_w may then also be a (B, N) block of weight
-    offsets with (B, D) directions, one per row: one product of the block
-    with the rows gives the (B, D) values.  Without ``per_datum`` one nested
-    pass sweeps the rows a length-N delta_w changes.
+    delta_w is contracted with the (N, D, P) array of
+    ``per_datum_tensor(problem, theta, len(directions))``: ``per_datum``,
+    when given, must be that array at this same theta, and theta is then
+    not read, so a caller that holds it runs no forward pass.  delta_w may
+    also be a (B, N) block of weight offsets with (B, D) directions, one per
+    row: one product of the block with the rows gives the (B, D) values.
     """
     delta_w = np.asarray(getattr(delta_w, "delta", delta_w), dtype=float)
     k = len(directions)
     dim, n = problem.dim_theta, problem.n_terms
     _check_directions(directions, dim)
-    if per_datum is not None:
-        want = (n, dim, len(basis_multisets(dim, k)[0]))
-        if per_datum.shape != want:
-            raise ValueError(f"per-datum array of shape {per_datum.shape} is not "
-                             f"the order-{k} array, shape {want}")
-        # (N, D * P), a view.  One product over every row beats gathering
-        # the changed rows (an O(N) scan and a copy) unless D * P >= 32 and
-        # fewer than N / 32 rows change.  Measured on a 2-core Xeon, with
-        # the rows last in a transposed copy: at D * P <= 18 the product won
-        # at every N <= 100 000 and every count of changed rows; at D * P =
-        # 288, N = 100 000 and one row the gather took 0.4 ms against 10 ms;
-        # near the bound the worse choice cost at most 2.3 times the better
-        # one (13 against 6 us).
-        per = per_datum.reshape(n, -1)
-        if delta_w.ndim == 2:
-            m = len(delta_w)
-            summed = (delta_w @ per).reshape(m, dim, -1)[:, :, basis_multisets(dim, k)[1]]
-            out = np.einsum("bij,bj->bi", summed, direction_products(directions, m)) / n
-        else:
-            if per.shape[1] >= 32 and 32 * np.count_nonzero(delta_w) < n:
-                rows = np.flatnonzero(delta_w)
-                summed = delta_w[rows] @ per[rows]
-            else:
-                summed = delta_w @ per
-            summed = summed.reshape(dim, -1)
-            # At order 0 the one multiset is the one tuple.  At order 1 the
-            # map is the identity too, but its gather returns a column-major
-            # copy, which keeps the product below on the BLAS kernel, and
-            # the rounding, it has always had.
-            if k:
-                summed = summed[:, basis_multisets(dim, k)[1]]
-            for v in directions:  # contract's products, without its calls
-                summed = summed.reshape(-1, dim) @ v
-            out = summed.reshape(dim) / n
+    if per_datum is None:
+        per_datum = per_datum_tensor(problem, theta, k)[1]
+    want = (n, dim, len(basis_multisets(dim, k)[0]))
+    if per_datum.shape != want:
+        raise ValueError(f"per-datum array of shape {per_datum.shape} is not "
+                         f"the order-{k} array, shape {want}")
+    # (N, D * P), a view.  One product over every row beats gathering the
+    # changed rows (an O(N) scan and a copy) unless D * P >= 32 and fewer
+    # than N / 32 rows change.  Measured on a 2-core Xeon, with the rows last
+    # in a transposed copy: at D * P <= 18 the product won at every N <=
+    # 100 000 and every count of changed rows; at D * P = 288, N = 100 000
+    # and one row the gather took 0.4 ms against 10 ms; near the bound the
+    # worse choice cost at most 2.3 times the better one (13 against 6 us).
+    per = per_datum.reshape(n, -1)
+    if delta_w.ndim == 2:
+        m = len(delta_w)
+        summed = (delta_w @ per).reshape(m, dim, -1)[:, :, basis_multisets(dim, k)[1]]
+        out = np.einsum("bij,bj->bi", summed, direction_products(directions, m)) / n
     else:
-        if delta_w.ndim != 1:
-            raise ValueError("a block of weights needs the per-datum array")
-        rows = np.nonzero(delta_w)[0]
-        if rows.size == 0:
-            return np.zeros(dim)
-        x = nested_input(theta, directions)
-        total = weighted_term_sum(problem, x, delta_w[rows], rows)
-        out = np.array([float(nested_coefficient(tj, k)) / n for tj in total])
+        if per.shape[1] >= 32 and 32 * np.count_nonzero(delta_w) < n:
+            rows = np.flatnonzero(delta_w)
+            summed = delta_w[rows] @ per[rows]
+        else:
+            summed = delta_w @ per
+        summed = summed.reshape(dim, -1)
+        # At order 0 the one multiset is the one tuple.  At order 1 the map
+        # is the identity too, but its gather returns a column-major copy,
+        # which keeps the product below on the BLAS kernel, and the
+        # rounding, it has always had.
+        if k:
+            summed = summed[:, basis_multisets(dim, k)[1]]
+        for v in directions:  # contract's products, without its calls
+            summed = summed.reshape(-1, dim) @ v
+        out = summed.reshape(dim) / n
     if not np.isfinite(out).all():
         raise NonFiniteValueError(
             f"non-finite weight-direction derivative of order {k}"

@@ -106,7 +106,7 @@ def load_dataset(path, fmt: str = "csv", header: bool = False,
                     raise DatasetError(
                         f"row {i + 1} has {len(row)} columns, expected {width}"
                     )
-                rows.append([_parse_cell(tok.strip(), i + 1, j + 1)
+                rows.append([_parse_cell(tok, i + 1, j + 1)
                              for j, tok in enumerate(row)])
             mat = np.array(rows, dtype=float)
         if response:
@@ -278,13 +278,16 @@ class EstimatingProblem:
 
     ``term_fn(n, theta)`` evaluates g_n at theta (a sequence of D
     scalar-likes) for n = 0..N, where n = 0 is the regularization term.
-    ``batch_fn(theta, rows)``, when present, evaluates every g_n for the
-    0-based data rows at once, returning scalar-likes with array leaves;
-    it must agree with term_fn exactly.  It must also broadcast theta
-    leaves of shape (B, 1) against its row arrays, giving (B, rows) leaves
-    that hold g_n at B points, and ``term_fn(0, theta)`` must accept the
-    same leaves: :func:`hoij.expansion.evaluate_g_block` evaluates a block
-    of re-fits this way.  Problems without ``batch_fn`` re-fit per weight.
+    ``batch_fn(theta, rows)`` evaluates every g_n for the 0-based data rows
+    at once, returning scalar-likes with array leaves; it must agree with
+    term_fn exactly.  It must also broadcast theta leaves of shape (B, 1)
+    against its row arrays, giving (B, rows) leaves that hold g_n at B
+    points, and ``term_fn(0, theta)`` must accept the same leaves:
+    :func:`hoij.expansion.evaluate_g_block` evaluates a block of re-fits this
+    way.  Every path reads the data rows through ``batch_fn`` and g_0
+    through ``term_fn(0, theta)``.  A problem given by ``term_fn`` alone gets
+    a ``batch_fn`` that calls it once per row and stacks the rows with
+    :func:`hoij.forward_ad.stack_rows`.
     """
 
     dim_theta: int
@@ -299,6 +302,15 @@ class EstimatingProblem:
             raise ValueError("dim_theta must be >= 1")
         if self.n_terms < 1:
             raise ValueError("n_terms must be >= 1")
+        object.__setattr__(self, "batch_fn", self.batch_fn or _batch_from_terms(self.term_fn))
+
+
+def _batch_from_terms(term_fn: Callable) -> Callable:
+    # The batch_fn of a problem given by term_fn alone: one call per row.
+    def batch_fn(theta, rows):
+        outs = [term_fn(int(r) + 1, theta) for r in rows]
+        return [fad.stack_rows(values) for values in zip(*outs)]
+    return batch_fn
 
 
 def evaluate_g(problem: EstimatingProblem, theta, w) -> np.ndarray:
@@ -308,9 +320,13 @@ def evaluate_g(problem: EstimatingProblem, theta, w) -> np.ndarray:
         raise ValueError(
             f"weight length {weights.shape} does not match {problem.n_terms} terms"
         )
-    out = np.array(
-        [float(v) for v in fad.estimating_fn_scalars(problem, [float(t) for t in theta], weights)]
-    )
+    theta = [float(t) for t in theta]
+    n, total = problem.n_terms, float(weights.sum())
+    g0 = problem.term_fn(0, theta)
+    # a float leaf is the same in every row
+    data = [float(weights @ o) if isinstance(o, np.ndarray) else float(o) * total
+            for o in problem.batch_fn(theta, np.arange(n))]
+    out = np.array([float((g0[j] + data[j]) / n) for j in range(problem.dim_theta)])
     if not np.all(np.isfinite(out)):
         raise fad.NonFiniteValueError(f"non-finite estimating function value: {out}")
     return out

@@ -1,13 +1,20 @@
-"""Shared test oracles: finite differences and seeded problem builders.
+"""Shared test oracles: finite differences, nested dual numbers and seeded
+problem builders.
 
 The finite-difference routines are intentionally independent of the forward
-AD path they check: they only ever call plain float evaluations.  The
-per-tuple derivative loops are the bounds layer's reference: one nested
-forward pass per ordered basis-direction tuple, with no multiset batching.
-The nested multiset pass is the reference for ``per_datum_tensor``'s
-univariate Taylor pass: k nested order-1 levels give each order-k partial
-directly, with no interpolation.  The block-loop tensor, its weighted row
-sum, is the reference for ``g_theta_tensor``.
+AD path they check: they only ever call plain float evaluations.  Nested
+order-1 levels are the oracle for the univariate Taylor pass of
+``hoij.forward_ad``: each level is a dual number whose coefficients may
+themselves be TaylorScalars, and the coefficient of the product of all k
+perturbations is the exact mixed directional derivative, with no
+interpolation involved (``directional_derivative``,
+``nested_g_theta_derivative``, ``nested_g_weight_derivative`` and the
+per-term ``evaluate_term``).  The per-tuple derivative loops are the bounds
+layer's reference: one nested forward pass per ordered basis-direction
+tuple, with no multiset batching.  The nested multiset pass is the
+reference for ``per_datum_tensor``: k nested order-1 levels give each
+order-k partial directly.  The block-loop tensor, its weighted row sum, is
+the reference for ``g_theta_tensor``.
 """
 
 import itertools
@@ -109,6 +116,151 @@ def subprocess_env():
     return env
 
 
+# -- nested order-1 levels -------------------------------------------------------
+
+
+def nested_input(theta0, directions):
+    """Lift a float point through one order-1 level per direction.
+
+    Returns a list of scalar-likes representing
+    theta0 + eps_1 v_1 + ... + eps_k v_k with nilpotent eps_j.
+    """
+    x = [float(t) for t in theta0]
+    for v in directions:
+        if len(v) != len(x):
+            raise ValueError(
+                f"direction length {len(v)} != parameter dimension {len(x)}"
+            )
+        x = [fad.TaylorScalar([xi, float(vi)]) for xi, vi in zip(x, v)]
+    return x
+
+
+def tangent(x):
+    """First Taylor coefficient; constants have tangent zero."""
+    if isinstance(x, fad.TaylorScalar):
+        return x.coeffs[1]
+    return 0.0
+
+
+def nested_coefficient(y, k):
+    """Coefficient of eps_1 * ... * eps_k, i.e. the mixed directional derivative."""
+    for _ in range(k):
+        y = tangent(y)
+    return y
+
+
+def directional_derivative(f, theta0, directions):
+    """Exact mixed directional derivative of f at theta0.
+
+    f maps a sequence of D scalar-likes to a sequence of scalar-likes and
+    must be built from the arithmetic and elementary functions of
+    ``hoij.forward_ad``.  With directions (v_1, ..., v_k) the return value is
+    the order-k derivative tensor of f contracted against v_1 ... v_k.
+    """
+    k = len(directions)
+    if k < 1:
+        raise ValueError("at least one direction is required")
+    fad._check_directions(directions, len(theta0))
+    x = nested_input(theta0, directions)
+    try:
+        y = f(x)
+    except ZeroDivisionError as err:
+        raise fad.NonFiniteValueError(f"division by zero during evaluation: {err}") from None
+    out = np.array([float(nested_coefficient(yi, k)) for yi in y])
+    if not np.all(np.isfinite(out)):
+        raise fad.NonFiniteValueError(
+            f"non-finite directional derivative of order {k}: {out}"
+        )
+    return out
+
+
+def _reduce_leaves(x, coeffs, coeff_total):
+    # Contract the row axis of a scalar-like's array leaves against a
+    # coefficient vector; float leaves are constant across rows.
+    if isinstance(x, fad.TaylorScalar):
+        return fad.TaylorScalar(
+            [_reduce_leaves(c, coeffs, coeff_total) for c in x.coeffs]
+        )
+    if isinstance(x, np.ndarray):
+        return float(coeffs @ x)
+    return float(x) * coeff_total
+
+
+def weighted_term_sum(problem, theta, coeffs, rows):
+    """sum_i coeffs[i] * g_{rows[i]+1}(theta), as a list of D scalar-likes,
+    from one ``batch_fn`` call over the 0-based data rows."""
+    rows = np.asarray(rows, dtype=int)
+    coeffs = np.asarray(coeffs, dtype=float)
+    if rows.size == 0:
+        return [0.0] * problem.dim_theta
+    total = float(coeffs.sum())
+    return [_reduce_leaves(o, coeffs, total) for o in problem.batch_fn(theta, rows)]
+
+
+def estimating_fn_scalars(problem, theta, weights):
+    """G(theta, w) = (1/N)(g_0 + sum_n w_n g_n) in scalar-like arithmetic."""
+    n = problem.n_terms
+    g0 = problem.term_fn(0, theta)
+    data = weighted_term_sum(problem, theta, np.asarray(weights, float), np.arange(n))
+    return [(g0[j] + data[j]) / n for j in range(problem.dim_theta)]
+
+
+def nested_g_theta_derivative(problem, theta, weights, directions):
+    """``forward_ad.g_theta_derivative`` from one nested pass over every row.
+
+    An empty direction tuple returns G itself.
+    """
+    weights = np.asarray(getattr(weights, "values", weights), dtype=float)
+    k = len(directions)
+    fad._check_directions(directions, problem.dim_theta)
+    x = nested_input(theta, directions)
+    g = estimating_fn_scalars(problem, x, weights)
+    out = np.array([float(nested_coefficient(gj, k)) for gj in g])
+    if not np.all(np.isfinite(out)):
+        raise fad.NonFiniteValueError(
+            f"non-finite estimating-function derivative of order {k}"
+        )
+    return out
+
+
+def nested_g_weight_derivative(problem, theta, delta_w, directions):
+    """``forward_ad.g_weight_derivative`` from one nested pass over the rows
+    a length-N delta_w changes."""
+    delta_w = np.asarray(getattr(delta_w, "delta", delta_w), dtype=float)
+    k = len(directions)
+    fad._check_directions(directions, problem.dim_theta)
+    rows = np.nonzero(delta_w)[0]
+    if rows.size == 0:
+        return np.zeros(problem.dim_theta)
+    x = nested_input(theta, directions)
+    total = weighted_term_sum(problem, x, delta_w[rows], rows)
+    return np.array([float(nested_coefficient(tj, k)) / problem.n_terms for tj in total])
+
+
+def evaluate_term(problem, theta_hat, term, dset, delta_w):
+    """One table term's value at the base weights (coefficient NOT applied).
+
+    ``dset`` maps order j to the already computed coefficient vector d_j.
+    Flag 0 contracts the theta-derivative of G at the all-ones weights;
+    flag 1 contracts the weight-direction derivative along delta_w.  Both
+    run a nested pass over the data, where ``expansion.evaluate_dtheta``
+    contracts the arrays cached on the Hessian factor.
+    """
+    try:
+        dirs = tuple(dset[j] for j in term.kset)
+    except KeyError as err:
+        raise KeyError(
+            f"term {term} needs derivative of order {err.args[0]}, "
+            f"but only orders {sorted(dset)} are available"
+        ) from None
+    if term.omega == 0:
+        return nested_g_theta_derivative(problem, theta_hat, np.ones(problem.n_terms), dirs)
+    return nested_g_weight_derivative(problem, theta_hat, delta_w, dirs)
+
+
+# -- per-tuple and multiset references -----------------------------------------------
+
+
 def per_tuple_entries(problem, theta, k):
     """(g_0 entries of length D * D**k, per-datum entries of shape (N, D * D**k)).
 
@@ -120,17 +272,12 @@ def per_tuple_entries(problem, theta, k):
     rows = np.arange(n)
     g0, cols = [], []
     for tup in itertools.product(range(dim), repeat=k):
-        x = fad.nested_input(theta, [eye[d] for d in tup])
-        g0.extend(float(fad.nested_coefficient(gj, k)) for gj in problem.term_fn(0, x))
-        if problem.batch_fn is not None:
-            for out in problem.batch_fn(x, rows):
-                leaf = fad.nested_coefficient(out, k)
-                cols.append(leaf.astype(float) if isinstance(leaf, np.ndarray)
-                            else np.full(n, float(leaf)))
-        else:
-            vals = np.array([[float(fad.nested_coefficient(gj, k))
-                              for gj in problem.term_fn(int(r) + 1, x)] for r in rows])
-            cols.extend(vals.T)
+        x = nested_input(theta, [eye[d] for d in tup])
+        g0.extend(float(nested_coefficient(gj, k)) for gj in problem.term_fn(0, x))
+        for out in problem.batch_fn(x, rows):
+            leaf = nested_coefficient(out, k)
+            cols.append(leaf.astype(float) if isinstance(leaf, np.ndarray)
+                        else np.full(n, float(leaf)))
     return np.array(g0), np.column_stack(cols)
 
 
@@ -173,7 +320,7 @@ def _batched_coefficient(values, k, width):
     # a component with no such leaf has a constant coefficient.
     out = np.empty((len(values), width))
     for i, v in enumerate(values):
-        out[i] = np.reshape(fad.nested_coefficient(v, k), -1)
+        out[i] = np.reshape(nested_coefficient(v, k), -1)
     return out
 
 
@@ -203,13 +350,9 @@ def nested_per_datum_tensor(problem, theta, k, weights=None):
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         part = per[:, :, lo:hi] if weights is None else block[:, :, :hi - lo]
-        if problem.batch_fn is None:
-            for r in range(lo, hi):
-                part[:, :, r - lo] = _batched_coefficient(problem.term_fn(r + 1, x), k, width)
-        else:
-            for j, o in enumerate(problem.batch_fn(x, np.arange(lo, hi))):
-                # leaves are (P, rows), (P, 1), (rows,) or floats
-                part[j] = fad.nested_coefficient(o, k)
+        for j, o in enumerate(problem.batch_fn(x, np.arange(lo, hi))):
+            # leaves are (P, rows), (P, 1), (rows,) or floats
+            part[j] = nested_coefficient(o, k)
         if weights is not None:
             per += part @ weights[lo:hi]
     if weights is None:

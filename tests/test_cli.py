@@ -545,6 +545,26 @@ class TestEntryPoint:
         assert proc.stderr.startswith("error: NonFiniteValueError: ")
         assert len(proc.stderr.splitlines()) == 1
 
+    def test_overflowing_statistic_is_one_error_line(self, tmp_path):
+        """At radius 200 the rows of every sampled point are finite, but
+        their squares overflow: no NaN is written, and the command exits 1
+        with the one error line."""
+        data = GeneratorConfig(n_features=5).generate("exp_loss", 400,
+                                                      np.random.default_rng(41))
+        path = tmp_path / "x.csv"
+        np.savetxt(path, data.features, delimiter=",", fmt="%.17g")
+        out = tmp_path / "out.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "hoij.cli", "bounds", "--model", "exp_loss",
+             "--data", str(path), "--order", "3", "--samples", "8", "--radius", "200",
+             "--out", str(out)],
+            capture_output=True, text=True, env=subprocess_env(),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: NonFiniteValueError: ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert not out.exists()
+
     def test_usage_exit_code(self):
         proc = subprocess.run([sys.executable, "-m", "hoij.cli", "fit"],
                               capture_output=True, text=True, env=subprocess_env())

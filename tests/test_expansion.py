@@ -16,7 +16,6 @@ from hoij import (
     bootstrap_weights,
     evaluate_dtheta,
     evaluate_g,
-    evaluate_term,
     evaluate_theta_ij,
     exact_refit,
     factorize_hessian,
@@ -37,6 +36,7 @@ from helpers import (
     ALL_MODELS,
     block_loop_g_theta_tensor,
     build_problem,
+    evaluate_term,
     fd_nth_scalar,
     max_rel_gap,
     mean_dataset_1236,
@@ -245,11 +245,12 @@ class TestCachedTensorExpansion:
             passes.append((sorted(orders), sorted(summed)))
             return per_datum_tensors(problem, theta, orders, weights, summed)
 
-        def forbidden(*args):
-            raise AssertionError("a nested pass ran for a weight vector")
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a forward pass ran for a weight vector")
 
         monkeypatch.setattr(fad, "per_datum_tensors", counting)
-        monkeypatch.setattr(fad, "weighted_term_sum", forbidden)
+        for name in ("per_datum_tensor", "g_theta_tensor", "g_theta_derivative"):
+            monkeypatch.setattr(fad, name, forbidden)
         table = term_tables(3)
         for w in list(loo_weights(12)) + list(bootstrap_weights(12, 5, seed=1)):
             evaluate_theta_ij(prob, theta_hat, hfac, table, w.delta, 3)
@@ -770,7 +771,8 @@ class TestRefitBlock:
             raise AssertionError("forward pass during the block re-fit")
 
         monkeypatch.setattr(expansion, "evaluate_g_block", counted)
-        for name in ("per_datum_tensor", "g_theta_tensor", "weighted_term_sum"):
+        for name in ("per_datum_tensors", "per_datum_tensor", "g_theta_tensor",
+                     "g_theta_derivative"):
             monkeypatch.setattr(fad, name, forbidden)
         seen = self._recording_fallbacks(monkeypatch)
         got = expansion.refit_block(prob, hfac, weights, starts)
@@ -846,11 +848,18 @@ class TestRefitBlock:
             lambda *args: -real(*args) if bad == "negated" else 0.0 * real(*args))
         self._assert_all_fall_back(monkeypatch, prob, theta_hat, hfac, weights, starts)
 
-    def test_problem_without_batch_fn_falls_back(self, monkeypatch):
-        prob, theta_hat, hfac, weights, starts = self._logistic_block(n=60)
+    def test_term_fn_only_problem_takes_the_chord(self, monkeypatch):
+        """A problem given by term_fn alone re-fits every weight by the chord,
+        through its generated batch_fn, with no exact_refit fallback."""
+        prob, theta_hat, _, weights, starts = self._logistic_block(n=60)
         scalar = EstimatingProblem(prob.dim_theta, prob.n_terms, prob.term_fn)
         hfac = factorize_hessian(scalar, theta_hat)
-        self._assert_all_fall_back(monkeypatch, scalar, theta_hat, hfac, weights, starts)
+        seen = self._recording_fallbacks(monkeypatch)
+        got = expansion.refit_block(scalar, hfac, weights, starts)
+        assert seen == []
+        monkeypatch.undo()
+        for w, root in zip(weights, got):
+            assert np.max(np.abs(root - _polished(scalar, w.values, root))) <= 1e-13
 
     def test_fallback_error_is_returned(self):
         # root exists at unit weights but vanishes when datum 2 is dropped

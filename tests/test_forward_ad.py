@@ -8,21 +8,24 @@ import pytest
 import scipy.linalg
 
 from hoij import forward_ad as fad
-from hoij.forward_ad import TaylorScalar, directional_derivative
+from hoij.forward_ad import TaylorScalar
 
 import itertools
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hoij import EstimatingProblem
+from hoij import EstimatingProblem, evaluate_g
 
 from helpers import (
     ALL_MODELS,
     FD_STEP,
     block_loop_g_theta_tensor,
     build_problem,
+    directional_derivative,
     max_rel_gap,
+    nested_g_theta_derivative,
+    nested_g_weight_derivative,
     nested_per_datum_tensor,
     rel_err,
     richardson_directional,
@@ -258,9 +261,9 @@ class TestEstimatingFunctionDerivatives:
 
 
 def basis_oracle(prob, theta, w, k):
-    """(D, D**k) array from one g_theta_derivative call per ordered basis tuple."""
+    """(D, D**k) array from one nested g_theta_derivative per ordered basis tuple."""
     eye = np.eye(prob.dim_theta)
-    cols = [fad.g_theta_derivative(prob, theta, w, [eye[j] for j in tup])
+    cols = [nested_g_theta_derivative(prob, theta, w, [eye[j] for j in tup])
             for tup in itertools.product(range(prob.dim_theta), repeat=k)]
     return np.column_stack(cols)
 
@@ -617,18 +620,16 @@ class TestUnivariatePass:
         w = rng.uniform(0.2, 1.8, prob.n_terms)
         monkeypatch.setattr(fad, "BLOCK_ELEMENTS", 12)
         sizes = []
-        if prob.batch_fn is not None:
-            batch = prob.batch_fn
+        batch = prob.batch_fn
 
-            def spy(theta_s, rows):
-                sizes.append(len(rows))
-                return batch(theta_s, rows)
+        def spy(theta_s, rows):
+            sizes.append(len(rows))
+            return batch(theta_s, rows)
 
-            prob = EstimatingProblem(prob.dim_theta, prob.n_terms, prob.term_fn, batch_fn=spy)
+        prob = EstimatingProblem(prob.dim_theta, prob.n_terms, prob.term_fn, batch_fn=spy)
         rows = fad.per_datum_tensors(prob, theta, range(4))
         summed = fad.per_datum_tensors(prob, theta, (), w, summed=range(5))
-        if model_id == "exp_loss":
-            assert sizes == [1] * 22
+        assert sizes == [1] * 22
         for k in range(5):
             if k < 4:
                 assert_matches_nested(rows[k], nested_per_datum_tensor(prob, theta, k))
@@ -730,11 +731,63 @@ class TestUnivariatePass:
             fad.per_datum_tensors(prob, [0.0, 0.0], (), np.ones(4), summed=(1,))
 
 
+class TestOneEngine:
+    """g_theta_derivative and g_weight_derivative without cached rows, both
+    read off the univariate pass, against the nested order-1 levels."""
+
+    @pytest.mark.parametrize("dim", [1, 3, 5])
+    @pytest.mark.parametrize("l2", [0.0, 0.3])
+    @pytest.mark.parametrize("model_id", ALL_MODELS)
+    def test_g_theta_derivative_matches_nested(self, model_id, l2, dim):
+        """Orders 1..K_MAX (1..4 at D = 5) along random directions."""
+        top = 4 if dim == 5 else fad.K_MAX
+        rng = np.random.default_rng(71 + dim)
+        prob = build_problem(model_id, rng, n=9, dim=dim, reg={"l2": l2})
+        theta = rng.uniform(-0.5, 0.5, dim)
+        w = rng.uniform(0.2, 1.8, prob.n_terms)
+        for k in range(1, top + 1):
+            dirs = tuple(rng.standard_normal((k, dim)))
+            got = fad.g_theta_derivative(prob, theta, w, dirs)
+            assert got.shape == (dim,)
+            want = nested_g_theta_derivative(prob, theta, w, dirs)
+            assert max_rel_gap(got, want) <= 1e-12, k
+
+    def test_g_theta_derivative_without_directions_is_g(self):
+        rng = np.random.default_rng(70)
+        prob = build_problem("logistic_regression", rng, n=9, dim=3, reg={"l2": 0.3})
+        theta = rng.uniform(-0.5, 0.5, 3)
+        w = rng.uniform(0.2, 1.8, prob.n_terms)
+        assert max_rel_gap(fad.g_theta_derivative(prob, theta, w, ()),
+                           evaluate_g(prob, theta, w)) <= 1e-15
+
+    @pytest.mark.parametrize("model_id", ALL_MODELS + ["term_fn_only"])
+    def test_g_weight_derivative_matches_nested(self, model_id):
+        """Orders 0..K_MAX, on a leave-one-out and a dense weight offset, to
+        1e-12 of the summed magnitude of the rows' contributions: at order 6
+        the one row of the leave-one-out offset contracts to 4e-5 of it."""
+        rng = np.random.default_rng(76)
+        prob = build_problem(model_id if model_id in ALL_MODELS else "exp_loss",
+                             rng, n=23, dim=3, reg={"l2": 0.3})
+        if model_id == "term_fn_only":
+            prob = EstimatingProblem(prob.dim_theta, prob.n_terms, prob.term_fn)
+        theta = rng.uniform(-0.5, 0.5, 3)
+        loo = -np.eye(prob.n_terms)[7]
+        dense = rng.uniform(-1.0, 1.0, prob.n_terms)
+        for k in range(fad.K_MAX + 1):
+            dirs = tuple(rng.standard_normal((k, 3)))
+            for delta_w in (loo, dense):
+                got = fad.g_weight_derivative(prob, theta, delta_w, dirs)
+                want = nested_g_weight_derivative(prob, theta, delta_w, dirs)
+                scale = row_scale(prob, theta, delta_w, dirs)
+                assert np.max(np.abs(got - want)) <= 1e-12 * scale, k
+
+
 def weight_derivative_routes(prob, theta, delta_w, dirs):
-    """(cached, nested) routes of g_weight_derivative for the same arguments."""
+    """g_weight_derivative on cached rows, and its nested oracle, for the same
+    arguments."""
     per = fad.per_datum_tensor(prob, theta, len(dirs))[1]
     return (fad.g_weight_derivative(prob, theta, delta_w, dirs, per),
-            fad.g_weight_derivative(prob, theta, delta_w, dirs))
+            nested_g_weight_derivative(prob, theta, delta_w, dirs))
 
 
 class TestCachedWeightDerivative:
@@ -812,15 +865,24 @@ class TestBlockWeightDerivative:
             assert got.shape == (5, 4)
             for b, dw in enumerate(block):
                 row_dirs = tuple(v[b] for v in dirs)
-                nested = fad.g_weight_derivative(prob, theta, dw, row_dirs)
+                nested = nested_g_weight_derivative(prob, theta, dw, row_dirs)
                 cached = fad.g_weight_derivative(prob, theta, dw, row_dirs, per)
                 assert max_rel_gap(got[b], nested) <= 1e-12, (m, b)
                 assert max_rel_gap(got[b], cached) <= 1e-14, (m, b)
 
-    def test_nested_route_takes_one_weight(self):
-        prob = build_problem("exp_loss", np.random.default_rng(58), n=6, dim=2)
-        with pytest.raises(ValueError, match="per-datum array"):
-            fad.g_weight_derivative(prob, [0.1, -0.2], np.ones((2, 6)), ())
+    def test_block_without_rows_runs_the_pass(self):
+        """Without cached rows a block reads the rows of one pass at theta:
+        the values of the call that is handed them, bit for bit."""
+        rng = np.random.default_rng(58)
+        prob = build_problem("exp_loss", rng, n=6, dim=2)
+        theta = np.array([0.1, -0.2])
+        block = rng.uniform(-1.0, 1.0, (3, 6))
+        for m in range(4):
+            dirs = tuple(rng.standard_normal((m, 3, 2)))
+            per = fad.per_datum_tensor(prob, theta, m)[1]
+            np.testing.assert_array_equal(
+                fad.g_weight_derivative(prob, theta, block, dirs),
+                fad.g_weight_derivative(prob, theta, block, dirs, per))
 
     def test_non_finite_row(self):
         prob = build_problem("exp_loss", np.random.default_rng(59), n=6, dim=2)

@@ -22,8 +22,10 @@ from hoij import (
     loo_weights,
     make_problem,
 )
+from hoij import forward_ad as fad
 from hoij.bounds import array_p_norm, full_derivative_entries, per_datum_derivative_entries
 from hoij.bounds import _g0_derivative_entries
+from hoij.expansion import evaluate_g_block
 from hoij.models import _parse_cell
 
 from helpers import ALL_MODELS, build_problem, mean_dataset_1236
@@ -106,7 +108,7 @@ def cell_by_cell(rows, path):
     for i, row in enumerate(rows):
         if len(row) != len(rows[0]):
             raise DatasetError(f"row {i + 1} has {len(row)} columns, expected {len(rows[0])}")
-        out.append([_parse_cell(tok.strip(), i + 1, j + 1) for j, tok in enumerate(row)])
+        out.append([_parse_cell(tok, i + 1, j + 1) for j, tok in enumerate(row)])
     return np.array(out, dtype=float)
 
 
@@ -350,6 +352,62 @@ class TestArrayNormInequality:
                 # flat-stack form, exact at p = 1
                 assert array_p_norm(g_entries, 1) <= \
                     array_p_norm(stacked, 1) / prob.n_terms + 1e-12
+
+
+def _affine_problem(x, batch=False):
+    # acceptance criterion 5's problem, optionally with a hand-written batch_fn
+    n, dim = x.shape
+
+    def term(i, theta):
+        if i == 0:
+            return [theta[d] for d in range(dim)]
+        return [-x[i - 1, d] for d in range(dim)]
+
+    def batch_fn(theta, rows):
+        return [-x[rows, d] for d in range(dim)]
+
+    return EstimatingProblem(dim, n, term, model_id="affine",
+                             batch_fn=batch_fn if batch else None)
+
+
+class TestGeneratedBatchFn:
+    """A problem given by term_fn alone gets a batch_fn that calls it once
+    per row and stacks the rows: the same bits as a batch_fn written out."""
+
+    @pytest.mark.parametrize("model_id", ALL_MODELS + ["affine"])
+    def test_bit_identical_to_a_written_batch_fn(self, model_id):
+        rng = np.random.default_rng(37)
+        if model_id == "affine":
+            prob = _affine_problem(rng.standard_normal((37, 3)), batch=True)
+        else:
+            prob = build_problem(model_id, rng, n=37, dim=3, reg={"l2": 0.3})
+        scalar = EstimatingProblem(prob.dim_theta, prob.n_terms, prob.term_fn)
+        assert scalar.batch_fn is not None
+        theta = rng.uniform(-0.5, 0.5, 3)
+        w = rng.uniform(0.2, 1.8, 37)
+        thetas = rng.normal(scale=0.5, size=(6, 3))
+        weights = rng.uniform(0.0, 2.0, (6, 37))
+        for args in (((range(5),), {}), (((), w), {"summed": range(5)})):
+            got = fad.per_datum_tensors(scalar, theta, *args[0], **args[1])
+            want = fad.per_datum_tensors(prob, theta, *args[0], **args[1])
+            for k in range(5):
+                for a, b in zip(got[k], want[k]):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), k
+        assert (evaluate_g_block(scalar, thetas, weights).tobytes()
+                == evaluate_g_block(prob, thetas, weights).tobytes())
+        assert evaluate_g(scalar, theta, w).tobytes() == evaluate_g(prob, theta, w).tobytes()
+
+    def test_rows_stack_along_a_trailing_axis(self):
+        """(P, 1) leaves stack to (P, rows) and floats to (rows,); a constant
+        row has zero coefficients past c_0, and a coefficient that is the
+        float 0.0 in every row stays that float."""
+        leaf = np.arange(3.0)[:, None]
+        rows = [fad.TaylorScalar([float(r), r * leaf, 0.0]) for r in range(4)] + [2.5]
+        out = fad.stack_rows(rows)
+        np.testing.assert_array_equal(out.coeffs[0], [0.0, 1.0, 2.0, 3.0, 2.5])
+        np.testing.assert_array_equal(out.coeffs[1], leaf * [0.0, 1.0, 2.0, 3.0, 0.0])
+        assert out.coeffs[2].__class__ is float and out.coeffs[2] == 0.0
+        assert fad.stack_rows([1.0, 0.0]).tolist() == [1.0, 0.0]
 
 
 class TestProblemValidation:
