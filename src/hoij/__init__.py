@@ -54,7 +54,6 @@ from .models import (
     load_dataset,
     loo_weights,
     make_problem,
-    ones_weights,
 )
 from .resampling import (
     CvReport,

@@ -62,35 +62,12 @@ def mean_term_norm_bound(per_term_entries: np.ndarray, p) -> float:
     return float(sum(array_p_norm(row, p) for row in entries)) / n_data
 
 
-def operator_norm_of_inverse(a: np.ndarray, max_dim_direct: int = 200) -> float:
-    """||A^{-1}||_op: direct smallest singular value, power iteration when large.
-
-    Beyond ``max_dim_direct`` the full SVD is skipped; the norm is the square
-    root of the dominant eigenvalue of A^{-T} A^{-1}, found by power
-    iteration on LU solves.
-    """
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if n <= max_dim_direct:
-        smin = float(scipy.linalg.svdvals(a)[-1])
-        if smin <= 0.0:
-            raise np.linalg.LinAlgError("matrix is singular")
-        return 1.0 / smin
-    lu = scipy.linalg.lu_factor(a)
-    v = np.ones(n) + np.arange(n) / n      # deterministic, generic start
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(500):
-        w = scipy.linalg.lu_solve(lu, scipy.linalg.lu_solve(lu, v), trans=1)
-        lam_new = float(np.linalg.norm(w))
-        if not np.isfinite(lam_new):
-            raise np.linalg.LinAlgError("matrix is singular")
-        v = w / lam_new
-        if abs(lam_new - lam) <= 1e-14 * max(lam_new, 1.0):
-            lam = lam_new
-            break
-        lam = lam_new
-    return math.sqrt(lam)
+def operator_norm_of_inverse(a: np.ndarray) -> float:
+    """||A^{-1}||_op, the reciprocal of A's smallest singular value."""
+    smin = float(scipy.linalg.svdvals(np.asarray(a, dtype=float))[-1])
+    if smin <= 0.0:
+        raise np.linalg.LinAlgError("matrix is singular")
+    return 1.0 / smin
 
 
 def perturbed_inverse_bound(c_op: float, r: float) -> float:
@@ -162,11 +139,11 @@ def _g0_derivative_entries(problem: EstimatingProblem, theta, k: int) -> np.ndar
 
 
 def full_derivative_entries(problem: EstimatingProblem, theta, k: int, w=None) -> np.ndarray:
-    """Flattened entries of the order-k derivative array of G(theta, w)."""
-    n = problem.n_terms
-    weights = np.ones(n) if w is None else np.asarray(getattr(w, "values", w), float)
-    g0, per = fad.per_datum_tensor(problem, theta, k)
-    return _tuple_major(g0 + np.tensordot(weights, per, axes=1), k) / n
+    """Flattened entries of the order-k derivative array of G(theta, w), ordered
+    direction tuple major and component minor: :func:`forward_ad.g_theta_tensor`
+    transposed."""
+    weights = np.ones(problem.n_terms) if w is None else w
+    return fad.g_theta_tensor(problem, theta, weights, k).T.ravel()
 
 
 # -- constants ----------------------------------------------------------------

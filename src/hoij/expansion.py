@@ -17,7 +17,7 @@ weights change, so no forward pass runs per weight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,15 +46,19 @@ class SingularHessianError(SolverError):
     """
 
 
+# Each rejected Newton step is scaled by BACKTRACK_RATIO, at most
+# MAX_BACKTRACKS times, before the line search counts as stalled.
+BACKTRACK_RATIO = 0.5
+MAX_BACKTRACKS = 40
+
+
 @dataclass
 class SolveConfig:
-    """Newton solve controls; tol_grad defaults to 1e-10 * sqrt(D)."""
+    """Newton solve controls: the residual tolerance on ||G||_2, by default
+    1e-10 * sqrt(D), and the iteration limit."""
 
     tol_grad: Optional[float] = None
     max_iter: int = 100
-    backtrack_ratio: float = 0.5
-    max_backtracks: int = 40
-    warm_start: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.tol_grad is not None and self.tol_grad <= 0:
@@ -106,14 +110,14 @@ def _damped_newton(problem: EstimatingProblem, weights: np.ndarray, theta: np.nd
             return theta
         step = _newton_step(assemble_jacobian(problem, theta, weights), g, theta, gnorm)
         scale = 1.0
-        for _ in range(cfg.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             cand = theta + scale * step
             g_cand = evaluate_g(problem, cand, weights)
             cand_norm = float(np.linalg.norm(g_cand))
             if cand_norm < gnorm:
                 theta, g, gnorm = cand, g_cand, cand_norm
                 break
-            scale *= cfg.backtrack_ratio
+            scale *= BACKTRACK_RATIO
         else:
             raise SolverError(
                 f"line search stalled at residual {gnorm:.3e}",
@@ -129,12 +133,12 @@ def _damped_newton(problem: EstimatingProblem, weights: np.ndarray, theta: np.nd
 
 def solve_base(problem: EstimatingProblem, w=None,
                cfg: Optional[SolveConfig] = None) -> np.ndarray:
-    """Solve G(theta, w) = 0 by damped Newton with backtracking on ||G||_2."""
+    """Solve G(theta, w) = 0 by damped Newton with backtracking on ||G||_2,
+    from theta = 0."""
     cfg = cfg or SolveConfig()
     n, dim = problem.n_terms, problem.dim_theta
     weights = np.ones(n) if w is None else _as_weights(w, n)
-    theta = (np.zeros(dim) if cfg.warm_start is None
-             else np.asarray(cfg.warm_start, dtype=float).copy())
+    theta = np.zeros(dim)
     return _damped_newton(problem, weights, theta, evaluate_g(problem, theta, weights), cfg)
 
 
@@ -143,7 +147,7 @@ def exact_refit(problem: EstimatingProblem, w, theta_hat,
                 max_start_residual: Optional[float] = None) -> np.ndarray:
     """Re-solve at new weights, from ``start`` or else from the base solution.
 
-    Without ``start`` this is :func:`solve_base` warm-started at theta_hat.
+    Without ``start`` this is :func:`solve_base`'s iteration from theta_hat.
     From a given start, typically the order-K expansion, which is already
     near the root, the first Newton step is taken unconditionally, so the
     result is never the start itself unless that step fails to lower
@@ -155,8 +159,8 @@ def exact_refit(problem: EstimatingProblem, w, theta_hat,
     this for the weights its chord iteration does not settle.
     """
     cfg = cfg or SolveConfig()
+    weights = _as_weights(w, problem.n_terms)
     if start is not None:
-        weights = _as_weights(w, problem.n_terms)
         theta = np.array(start, dtype=float)
         ceiling = math.inf if max_start_residual is None else max_start_residual
         try:
@@ -171,7 +175,8 @@ def exact_refit(problem: EstimatingProblem, w, theta_hat,
             if float(np.linalg.norm(g_cand)) < gnorm:
                 theta, g = cand, g_cand
             return _damped_newton(problem, weights, theta, g, cfg)
-    return solve_base(problem, w, replace(cfg, warm_start=np.asarray(theta_hat, float)))
+    theta = np.array(theta_hat, dtype=float)
+    return _damped_newton(problem, weights, theta, evaluate_g(problem, theta, weights), cfg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,11 +253,6 @@ class HessianFactor:
             else:
                 self.prepare(tensors=(k,))
         return self._tensors[k]
-
-    def contract(self, directions) -> np.ndarray:
-        """The order-len(directions) tensor applied to each direction; (B, D)
-        directions, one row per weight vector of a block, give (B, D)."""
-        return _contract(self.tensor(len(directions)), directions)
 
     def compile(self, order_terms: Sequence[DerivativeTerm]) -> tuple:
         """The entries :func:`evaluate_dtheta` runs for these terms, one per

@@ -14,6 +14,7 @@ every order.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
@@ -181,10 +182,6 @@ class WeightVector:
         return self.values.size
 
 
-def ones_weights(n: int) -> WeightVector:
-    return WeightVector(np.ones(n), label="base")
-
-
 def loo_weights(n: int, subset: Optional[Sequence[int]] = None) -> Iterator[WeightVector]:
     """Leave-one-out weights, one vector per dropped datum.
 
@@ -232,10 +229,11 @@ def leave_kappa_out_weights(n: int, kappa: int, seed: int = 0,
 
 
 def bootstrap_weights(n: int, draws: int, seed: int = 0) -> Iterator[WeightVector]:
-    """Multinomial bootstrap weights: counts of n draws over n equiprobable cells."""
-    blocks = bootstrap_weight_blocks(n, draws, seed, chunk=1)
-    for b, block in enumerate(blocks):
-        yield WeightVector(block[0], label=f"boot:{b + 1}")
+    """Multinomial bootstrap weights: counts of n draws over n equiprobable
+    cells, the rows of :func:`bootstrap_weight_blocks`."""
+    rows = itertools.chain.from_iterable(bootstrap_weight_blocks(n, draws, seed))
+    for b, row in enumerate(rows):
+        yield WeightVector(row, label=f"boot:{b + 1}")
 
 
 # A block of weight vectors holds at most this many entries (weights x data
@@ -243,21 +241,17 @@ def bootstrap_weights(n: int, draws: int, seed: int = 0) -> Iterator[WeightVecto
 WEIGHT_BLOCK_ELEMENTS = 1 << 18
 
 
-def bootstrap_weight_blocks(n: int, draws: int, seed: int = 0,
-                            chunk: Optional[int] = None) -> Iterator[np.ndarray]:
-    """The weights of :func:`bootstrap_weights`, one block of draws at a time.
+def bootstrap_weight_blocks(n: int, draws: int, seed: int = 0) -> Iterator[np.ndarray]:
+    """Multinomial bootstrap weights, one block of draws at a time.
 
     Each block is a fresh (m, n) float array, one multinomial draw of n over
-    n equiprobable cells per row, with m at most ``chunk``, by default
+    n equiprobable cells per row, with m at most
     ``max(1, WEIGHT_BLOCK_ELEMENTS // n)``.  So a block, and the sampler's
     integer counts it is converted from, stay small whatever ``draws`` is.
     One multinomial call of size m draws what m calls of size 1 draw, so
     the rows do not depend on the block size.
     """
-    if chunk is None:
-        chunk = max(1, WEIGHT_BLOCK_ELEMENTS // n)
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
+    chunk = max(1, WEIGHT_BLOCK_ELEMENTS // n)
     rng = np.random.default_rng(seed)
     p = np.full(n, 1.0 / n)
     for lo in range(0, draws, chunk):
@@ -269,7 +263,6 @@ class DomainHint:
     """Suggested sampling region around the base solution (ball of given radius)."""
 
     radius: float
-    center: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True, eq=False)

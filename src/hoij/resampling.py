@@ -29,9 +29,7 @@ from .bounds import (
 from .expansion import (
     REFIT_BLOCK,
     SolveConfig,
-    SolverError,
     evaluate_theta_ij,
-    exact_refit,
     factorize_hessian,
     refit_block,
     solve_base,
@@ -88,9 +86,9 @@ class CvReport:
     bound_per_k: Optional[tuple] = None
     metadata: dict = field(default_factory=dict)
 
-    def to_json_obj(self, include_timings: bool = False) -> dict:
-        # Wall-clock timings are volatile, so they are omitted by default to
-        # keep identically seeded runs byte-identical.
+    def to_json_obj(self) -> dict:
+        """The report as JSON-ready data.  Wall-clock timings are volatile,
+        so they are left out, keeping identically seeded runs byte-identical."""
         records = []
         for o in self.outcomes:
             rec = {
@@ -102,19 +100,14 @@ class CvReport:
             }
             if o.expand_error is not None:
                 rec["expand_error"] = o.expand_error
-            if include_timings:
-                rec["runtime_expand"] = o.runtime_expand
-                rec["runtime_refit"] = o.runtime_refit
             records.append(rec)
-        if not include_timings:
-            records = OutcomeRecords(records, self.outcomes)
         obj = {
             "schema_version": SCHEMA_VERSION,
             "model_id": self.model_id,
             "n_terms": self.n_terms,
             "order": self.order,
             "theta_hat": _floats(self.theta_hat),
-            "outcomes": records,
+            "outcomes": OutcomeRecords(records, self.outcomes),
             "max_error": _floats(self.max_error),
             "mean_error": _floats(self.mean_error),
             "metadata": self.metadata,
@@ -122,11 +115,6 @@ class CvReport:
         if self.bound_per_k is not None:
             obj["bound_per_k"] = _floats(self.bound_per_k)
         return obj
-
-    def csv_rows(self):
-        """Flat rows (label, order, error, bound) for external plotting:
-        :meth:`csv_text` read back."""
-        return list(csv.reader(io.StringIO(self.csv_text(), newline="")))
 
     def csv_text(self) -> str:
         """The CSV file of the errors, one row (label, order, error, bound)
@@ -202,33 +190,20 @@ def _expand_block(problem, theta_hat, hfac, table, block: list, order: int) -> t
     return np.cumsum(terms, axis=1), errors, seconds
 
 
-def _refit_block(problem, theta_hat, hfac, block: list, starts: np.ndarray,
-                 expand_errors: list, cfg: Optional[SolveConfig]) -> tuple:
+def _refit_block(problem, hfac, block: list, starts: np.ndarray,
+                 cfg: Optional[SolveConfig]) -> tuple:
     """Exact roots of the block's weights, as ``(roots, refit_errors, seconds)``.
 
     ``roots`` is (B, D), NaN where a re-fit failed, and ``refit_errors``
-    holds the failure message or None per weight.  Weights with an
-    expansion are re-fitted together from their ``starts`` and share the
-    block's time evenly; a weight whose expansion failed re-fits from
-    theta_hat on its own.
+    holds the failure message or None per weight.  The block is re-fitted
+    by one :func:`~hoij.expansion.refit_block` call from its ``starts``,
+    and its weights share the call's time evenly.  A weight whose expansion
+    failed has a NaN start, so refit_block re-fits it from theta_hat.
     """
-    results, seconds = [None] * len(block), [0.0] * len(block)
-    started = [i for i, e in enumerate(expand_errors) if e is None]
-    if started:
-        t0 = time.perf_counter()
-        found = refit_block(problem, hfac, [block[i] for i in started], starts[started], cfg)
-        share = (time.perf_counter() - t0) / len(started)
-        for i, root in zip(started, found):
-            results[i], seconds[i] = root, share
-    for i, e in enumerate(expand_errors):
-        if e is not None:
-            t0 = time.perf_counter()
-            try:
-                results[i] = exact_refit(problem, block[i], theta_hat, cfg)
-            except (SolverError, NonFiniteValueError) as err:
-                results[i] = err
-            seconds[i] = time.perf_counter() - t0
-    roots = np.full((len(block), theta_hat.size), np.nan)
+    t0 = time.perf_counter()
+    results = refit_block(problem, hfac, block, starts, cfg)
+    seconds = [(time.perf_counter() - t0) / len(block)] * len(block)
+    roots = np.full((len(block), hfac.theta_hat.size), np.nan)
     errors = [str(r) if isinstance(r, Exception) else None for r in results]
     for i, r in enumerate(results):
         if errors[i] is None:
@@ -252,8 +227,7 @@ def _score_block(problem, theta_hat, hfac, table, block: list, order: int,
     that have both an expansion and a root, in stream order."""
     partials, expand_errors, t_expand = _expand_block(problem, theta_hat, hfac, table,
                                                       block, order)
-    roots, refit_errors, t_refit = _refit_block(problem, theta_hat, hfac, block,
-                                                partials[:, -1], expand_errors, cfg)
+    roots, refit_errors, t_refit = _refit_block(problem, hfac, block, partials[:, -1], cfg)
     scored = np.array([e is None and r is None
                        for e, r in zip(expand_errors, refit_errors)], dtype=bool)
     errors = _norms(partials[scored] - roots[scored, None, :])
@@ -284,14 +258,18 @@ def run_cv(problem: EstimatingProblem, weights: Iterable[WeightVector], order: i
     expansions, and each weight's ``runtime_refit`` is an even share of the
     block's time.  The block is scored at once: its partial sums come from
     one cumulative sum and its errors from one stacked norm.  A weight
-    whose expansion failed re-fits from theta_hat.  Unlabelled weights are
-    labelled ``w:{i}`` by their 1-based position in the stream.
+    whose expansion failed re-fits from theta_hat, in the same
+    refit_block call.  Unlabelled weights are labelled ``w:{i}`` by their
+    1-based position in the stream.
     Expansion and re-fit failures are recorded per weight, not fatal, and
     a weight missing either result is left out of the aggregate errors.
     ``with_bounds`` additionally estimates the error-bound ladder and
     attaches the per-order bound column (one uniform bound across the weight
-    set).  ``sampler`` builds the DomainSampler from the base fit theta_hat
-    solved here; None means :func:`default_sampler` with its defaults.
+    set).  The ladder reads the leave-one-out set complexity, so with it
+    every weight must be a leave-one-out weight, one zero among ones, or
+    ValueError is raised.  ``sampler`` builds the DomainSampler from the
+    base fit theta_hat solved here; None means :func:`default_sampler`
+    with its defaults.
     """
     theta_hat = solve_base(problem, cfg=cfg)
     hfac = factorize_hessian(problem, theta_hat)
@@ -300,6 +278,10 @@ def run_cv(problem: EstimatingProblem, weights: Iterable[WeightVector], order: i
     outcomes, errors = [], [np.empty((0, order + 1))]
     while block := list(itertools.islice(stream, REFIT_BLOCK)):
         block = [_labeled(w, len(outcomes) + i) for i, w in enumerate(block)]
+        for w in block if with_bounds else ():
+            if np.count_nonzero(w.delta) != 1 or w.delta.sum() != -1.0:
+                raise ValueError("error bounds hold for leave-one-out weights only, "
+                                 f"and weight {w.label!r} is not one")
         block_outcomes, block_errors = _score_block(problem, theta_hat, hfac, table,
                                                     block, order, cfg)
         outcomes.extend(block_outcomes)
@@ -396,17 +378,16 @@ def linear_covariance(problem: EstimatingProblem, theta_hat, hfac) -> np.ndarray
 
 
 def bootstrap_samples(problem: EstimatingProblem, theta_hat, hfac, draws: int,
-                      order: int = 1, seed: int = 0, chunk: Optional[int] = None) -> tuple:
+                      order: int = 1, seed: int = 0) -> tuple:
     """Sampled approximations under multinomial bootstrap weights.
 
     Returns ``(linear, expanded)``, each of shape (draws, D): the order-1
     approximations, one product and one solve per block since they are
     linear in the weights, and the order-``order`` expansions of the same
     draws (None below order 2), one :func:`evaluate_theta_ij` call per
-    block.  Each block of :func:`~hoij.models.bootstrap_weight_blocks`
-    (``chunk`` draws, by default at most WEIGHT_BLOCK_ELEMENTS entries) is
-    drawn once and feeds both, so beyond the two (draws, D) results memory
-    does not grow with ``draws``.
+    block.  Each block of :func:`~hoij.models.bootstrap_weight_blocks`, at
+    most WEIGHT_BLOCK_ELEMENTS entries, is drawn once and feeds both, so
+    beyond the two (draws, D) results memory does not grow with ``draws``.
     """
     n = problem.n_terms
     j = gn_matrix(theta_hat, hfac)
@@ -415,7 +396,7 @@ def bootstrap_samples(problem: EstimatingProblem, theta_hat, hfac, draws: int,
     linear = np.empty((draws, theta_hat.size))
     expanded = None if table is None else np.empty_like(linear)
     done = 0
-    for delta in bootstrap_weight_blocks(n, draws, seed, chunk):
+    for delta in bootstrap_weight_blocks(n, draws, seed):
         delta -= 1.0
         m = len(delta)
         linear[done:done + m] = theta_hat - hfac.solve((delta @ j / n).T).T
@@ -427,10 +408,9 @@ def bootstrap_samples(problem: EstimatingProblem, theta_hat, hfac, draws: int,
 
 
 def bootstrap_linear_samples(problem: EstimatingProblem, theta_hat, hfac,
-                             draws: int, seed: int = 0,
-                             chunk: Optional[int] = None) -> np.ndarray:
+                             draws: int, seed: int = 0) -> np.ndarray:
     """The order-1 half of :func:`bootstrap_samples`, shape (draws, D)."""
-    return bootstrap_samples(problem, theta_hat, hfac, draws, seed=seed, chunk=chunk)[0]
+    return bootstrap_samples(problem, theta_hat, hfac, draws, seed=seed)[0]
 
 
 # -- N-scaling rate studies -------------------------------------------------------

@@ -21,9 +21,6 @@ from typing import Iterable
 
 from .forward_ad import K_MAX
 
-# Builds abort if a table grows past this many tuples (combinatorial guard).
-DEFAULT_TERM_CAP = 100_000
-
 
 @dataclass(frozen=True)
 class DerivativeTerm:
@@ -99,7 +96,7 @@ class TermTable:
         }
 
 
-def build_term_tables(max_order: int, term_cap: int = DEFAULT_TERM_CAP) -> TermTable:
+def build_term_tables(max_order: int) -> TermTable:
     """Generate the tables for orders 1..max_order.
 
     Order 1 is the single weight-derivative term.  Each next order comes
@@ -119,12 +116,7 @@ def build_term_tables(max_order: int, term_cap: int = DEFAULT_TERM_CAP) -> TermT
         solved = [t for t in merged if t.kset == (k + 1,) and t.omega == 0]
         if len(solved) != 1 or solved[0].coeff != 1:
             raise AssertionError(f"expected exactly one solved-for term at order {k + 1}")
-        table_k = tuple(t for t in merged if t is not solved[0])
-        if len(table_k) > term_cap:
-            raise RuntimeError(
-                f"term table for order {k + 1} exceeds the cap of {term_cap} tuples"
-            )
-        orders.append(table_k)
+        orders.append(tuple(t for t in merged if t is not solved[0]))
     return TermTable(max_order, tuple(orders))
 
 

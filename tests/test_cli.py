@@ -162,6 +162,23 @@ class TestCvCommand:
             assert got[key] == value, key
 
 
+    @pytest.mark.parametrize("scheme, rc", [
+        (["--scheme", "kfold", "--folds", "2"], 2),
+        (["--scheme", "bootstrap"], 2),
+        (["--scheme", "kappa", "--kappa", "2"], 2),
+        (["--scheme", "kappa", "--kappa", "1"], 0),
+    ])
+    def test_with_bounds_needs_loo_weights(self, mean_csv, tmp_path, capsys, scheme, rc):
+        """Bounds from the leave-one-out set complexity do not hold for other
+        weights, so those are a usage error and nothing is written."""
+        out = tmp_path / "cv.json"
+        assert main(["cv", "--model", "mean", "--data", mean_csv, "--with-bounds",
+                     "--samples", "4", *scheme, "--out", str(out)]) == rc
+        err = capsys.readouterr().err
+        if rc:
+            assert err.startswith("usage error: ") and len(err.strip().splitlines()) == 1
+        assert out.exists() == out.with_suffix(".csv").exists() == (rc == 0)
+
     @pytest.mark.parametrize("radius", [[], ["--radius", "0.3"]])
     def test_with_bounds_passes_samples_and_seed(self, linreg_csv, tmp_path, monkeypatch,
                                                  radius):
@@ -174,7 +191,7 @@ class TestCvCommand:
         estimate_constants = resampling.estimate_constants
         monkeypatch.setattr(resampling, "estimate_constants", recording)
         rc = main(["cv", "--model", "linear_regression", "--data", linreg_csv,
-                   "--order", "1", "--scheme", "kfold", "--folds", "2", "--with-bounds",
+                   "--order", "1", "--scheme", "loo", "--with-bounds",
                    "--samples", "8", "--seed", "5", "--out", str(tmp_path / "cv.json"),
                    *radius])
         assert rc == 0

@@ -23,6 +23,7 @@ from hoij import (
     make_problem,
 )
 from hoij import forward_ad as fad
+from hoij import models
 from hoij.bounds import array_p_norm, full_derivative_entries, per_datum_derivative_entries
 from hoij.bounds import _g0_derivative_entries
 from hoij.expansion import evaluate_g_block
@@ -443,5 +444,7 @@ def test_weight_schemes_property(n, seed, data):
     check(leave_kappa_out_weights(n, kappa, seed=seed, count=3), [n - kappa] * 3)
     draws = data.draw(st.integers(1, 12))
     check(bootstrap_weights(n, draws, seed=seed), [n] * draws)
-    blocks = np.vstack(list(bootstrap_weight_blocks(n, draws, seed, chunk=5)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "WEIGHT_BLOCK_ELEMENTS", 5 * n)  # blocks of five draws
+        blocks = np.vstack(list(bootstrap_weight_blocks(n, draws, seed)))
     assert blocks.shape == (draws, n) and np.all(blocks.sum(axis=1) == n)

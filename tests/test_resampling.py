@@ -20,6 +20,7 @@ from hoij import (
     evaluate_g,
     evaluate_theta_ij,
     exact_refit,
+    expansion,
     factorize_hessian,
     ij_linear_covariance,
     linear_covariance,
@@ -89,9 +90,22 @@ class TestRunCv:
         assert report.bound_per_k is not None
         assert all(report.max_error[k] <= report.bound_per_k[k] for k in (0, 1))
 
+    def test_with_bounds_needs_loo_weights(self):
+        """The bound column reads the leave-one-out set complexity, so a weight
+        that is not one zero among ones is refused; k-fold with one row per
+        fold gives leave-one-out weights and is accepted."""
+        from hoij.models import kfold_weights
+        prob = make_problem("mean", mean_dataset_1236())
+        for stream in (kfold_weights(4, 2), [np.array([1.0, 1.0, 0.5, 1.0])],
+                       [np.array([0.0, 1.0, 1.0, 2.0])]):
+            with pytest.raises(ValueError, match="leave-one-out"):
+                run_cv(prob, stream, 1, with_bounds=True)
+        report = run_cv(prob, kfold_weights(4, 4), 1, with_bounds=True)
+        assert report.bound_per_k is not None
+
     def test_csv_rows_shape(self):
         prob = make_problem("mean", mean_dataset_1236())
-        rows = run_cv(prob, loo_weights(4), 1).csv_rows()
+        rows = _csv_rows(run_cv(prob, loo_weights(4), 1))
         assert rows[0] == ["weight", "k", "error", "bound"]
         assert len(rows) == 1 + 4 * 2
 
@@ -205,7 +219,7 @@ class TestRefitFromExpansion:
             starts.append(kwargs.get("start"))
             return exact_refit(*args, **kwargs)
 
-        monkeypatch.setattr(resampling, "exact_refit", recording)
+        monkeypatch.setattr(expansion, "exact_refit", recording)
         return starts
 
     def test_failed_expansion_refits_from_theta_hat(self, monkeypatch):
@@ -220,7 +234,8 @@ class TestRefitFromExpansion:
         starts = self._recording_refit(monkeypatch)
         weights = list(loo_weights(30, [2, 9]))
         report = run_cv(prob, weights, 3)
-        assert starts == [None, None]
+        # refit_block drops each NaN start for theta_hat
+        assert len(starts) == 2 and all(np.isnan(s).all() for s in starts)
         for o, w in zip(report.outcomes, weights):
             assert o.expand_error and o.theta_ij is None
             assert o.theta_exact.tobytes() == exact_refit(prob, w, theta_hat).tobytes()
@@ -241,7 +256,7 @@ class TestRefitFromExpansion:
         starts = self._recording_refit(monkeypatch)
         weights = list(loo_weights(30, [2, 9]))
         report = run_cv(prob, weights, 2)
-        assert all(s is not None for s in starts)
+        assert len(starts) == 2 and all(s is not None for s in starts)
         for o, w in zip(report.outcomes, weights):
             assert o.theta_exact.tobytes() == exact_refit(prob, w, theta_hat).tobytes()
 
@@ -266,6 +281,8 @@ class TestRefitFromExpansion:
             assert np.max(np.abs(o.theta_exact - root)) <= 1e-13
 
     def test_one_failed_expansion_in_a_block(self, monkeypatch):
+        """One refit_block call per block, with every weight of the block:
+        the weight whose expansion failed re-fits inside it, from theta_hat."""
         rng = np.random.default_rng(4)
         prob = build_problem("logistic_regression", rng, n=150)
         theta_hat = solve_base(prob)
@@ -278,8 +295,23 @@ class TestRefitFromExpansion:
                 raise NonFiniteValueError("non-finite contraction")
             return real(problem, theta, hfac, table, delta_w, order)
 
+        block_sizes, refitted = [], []
+
+        def counting_block(problem, hfac, block, *args, **kwargs):
+            block_sizes.append(len(block))
+            return expansion.refit_block(problem, hfac, block, *args, **kwargs)
+
+        def recording_refit(problem, w, *args, **kwargs):
+            refitted.append(w)
+            return exact_refit(problem, w, *args, **kwargs)
+
         monkeypatch.setattr(resampling, "evaluate_theta_ij", failing_once)
+        monkeypatch.setattr(resampling, "REFIT_BLOCK", 8)
+        monkeypatch.setattr(resampling, "refit_block", counting_block)
+        monkeypatch.setattr(expansion, "exact_refit", recording_refit)
         report = run_cv(prob, weights, 3)
+        assert block_sizes == [8, 8, 6]
+        assert sum(w is bad for w in refitted) == 1
         for o, w in zip(report.outcomes, weights):
             if w is bad:
                 assert o.expand_error and o.errors is None
@@ -380,7 +412,11 @@ class TestBootstrapBlocks:
             np.vstack(blocks), [w.values for w in bootstrap_weights(n, draws, seed=6)])
 
 
-def _per_float_json(report, include_timings):
+def _csv_rows(report):
+    return list(csv.reader(io.StringIO(report.csv_text(), newline="")))
+
+
+def _per_float_json(report):
     """CvReport.to_json_obj as it was written float by float."""
     records = []
     for o in report.outcomes:
@@ -395,9 +431,6 @@ def _per_float_json(report, include_timings):
         }
         if o.expand_error is not None:
             rec["expand_error"] = o.expand_error
-        if include_timings:
-            rec["runtime_expand"] = o.runtime_expand
-            rec["runtime_refit"] = o.runtime_refit
         records.append(rec)
     obj = {
         "schema_version": resampling.SCHEMA_VERSION,
@@ -431,7 +464,7 @@ class TestReportSerialization:
     def test_matches_per_float_form(self, with_bounds):
         """Array-built JSON and CSV rows equal the float-by-float ones, byte for
         byte, with a failed expansion, a failed re-fit, both, non-finite
-        errors, labels json escapes and timings; so does the CLI's writer,
+        errors and labels json escapes; so does the CLI's writer,
         which renders the records from the outcomes' arrays."""
         from dataclasses import replace
 
@@ -456,14 +489,13 @@ class TestReportSerialization:
         report = replace(report, outcomes=tuple(outcomes))
         if with_bounds:
             assert report.bound_per_k is not None
-        for timings in (False, True):
-            obj = report.to_json_obj(include_timings=timings)
-            got = json.dumps(obj, indent=2, sort_keys=True)
-            want = json.dumps(_per_float_json(report, timings), indent=2, sort_keys=True)
-            assert got == want
-            assert cli._json_text(obj) == want
-            assert isinstance(obj["outcomes"], resampling.OutcomeRecords) is not timings
-        assert report.csv_rows() == _per_float_csv(report)
+        obj = report.to_json_obj()
+        got = json.dumps(obj, indent=2, sort_keys=True)
+        want = json.dumps(_per_float_json(report), indent=2, sort_keys=True)
+        assert got == want
+        assert cli._json_text(obj) == want
+        assert isinstance(obj["outcomes"], resampling.OutcomeRecords)
+        assert _csv_rows(report) == _per_float_csv(report)
         buf = io.StringIO()
         csv.writer(buf).writerows(_per_float_csv(report))
         assert report.csv_text() == buf.getvalue()
@@ -473,7 +505,7 @@ class TestReportSerialization:
 
         prob = make_problem("mean", mean_dataset_1236())
         report = replace(run_cv(prob, loo_weights(4, [1]), 1), outcomes=())
-        assert report.csv_rows() == [["weight", "k", "error", "bound"]]
+        assert _csv_rows(report) == [["weight", "k", "error", "bound"]]
         assert report.csv_text() == "weight,k,error,bound\r\n"
 
 
@@ -521,14 +553,32 @@ class TestCovarianceIdentity:
             expn = evaluate_theta_ij(prob, theta_hat, hfac, table, w.delta, 1)
             np.testing.assert_allclose(row, expn.theta_ij, atol=1e-12)
 
-    def test_blocks_are_the_single_draws(self):
+    def test_blocks_are_the_single_draws(self, monkeypatch):
+        """The default single block, blocks of four draws and blocks of one
+        give the same weights bit for bit.  The samples of blocks of four
+        are the default's bit for bit; a one-row block's product takes
+        another BLAS route, so those agree to rounding."""
         n, draws = 7, 11
-        blocks = list(bootstrap_weight_blocks(n, draws, seed=5, chunk=4))
-        assert [len(b) for b in blocks] == [4, 4, 3]
-        np.testing.assert_array_equal(
-            np.vstack(blocks), [w.values for w in bootstrap_weights(n, draws, seed=5)])
+        prob = build_problem("logistic_regression", np.random.default_rng(13), n=n, dim=2)
+        theta_hat = solve_base(prob)
+        hfac = factorize_hessian(prob, theta_hat)
+        runs = []
+        for elements, sizes in ((None, [11]), (4 * n, [4, 4, 3]), (n, [1] * 11)):
+            if elements is not None:
+                monkeypatch.setattr(models, "WEIGHT_BLOCK_ELEMENTS", elements)
+            blocks = list(bootstrap_weight_blocks(n, draws, seed=5))
+            assert [len(b) for b in blocks] == sizes
+            vectors = [w.values for w in bootstrap_weights(n, draws, seed=5)]
+            runs.append((np.vstack(blocks), np.array(vectors),
+                         *bootstrap_samples(prob, theta_hat, hfac, draws, order=3, seed=5)))
+        (blocks, vectors, linear, expanded), fours, ones = runs
+        assert blocks.tobytes() == vectors.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(fours, runs[0]))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(ones[:2], runs[0][:2]))
+        assert max_rel_gap(ones[2], linear) <= 1e-13
+        assert max_rel_gap(ones[3], expanded) <= 1e-13
 
-    def test_one_draw_feeds_both_orders(self):
+    def test_one_draw_feeds_both_orders(self, monkeypatch):
         """Across chunk boundaries, both sample sets come from the drawn
         blocks, expanded one block per call, and the linear half is
         bootstrap_linear_samples.  TestBlockExpansion compares a block's
@@ -537,11 +587,11 @@ class TestCovarianceIdentity:
         prob = build_problem("logistic_regression", rng, n=15, dim=2)
         theta_hat = solve_base(prob)
         hfac = factorize_hessian(prob, theta_hat)
-        linear, expanded = bootstrap_samples(prob, theta_hat, hfac, 7, order=3,
-                                             seed=8, chunk=3)
+        monkeypatch.setattr(models, "WEIGHT_BLOCK_ELEMENTS", 3 * 15)  # blocks of three draws
+        linear, expanded = bootstrap_samples(prob, theta_hat, hfac, 7, order=3, seed=8)
         table = term_tables(3)
         want = [evaluate_theta_ij(prob, theta_hat, hfac, table, block - 1.0, 3).theta_ij
-                for block in bootstrap_weight_blocks(15, 7, seed=8, chunk=3)]
+                for block in bootstrap_weight_blocks(15, 7, seed=8)]
         np.testing.assert_array_equal(expanded, np.vstack(want))
         np.testing.assert_allclose(
             linear, bootstrap_linear_samples(prob, theta_hat, hfac, 7, seed=8),

@@ -73,10 +73,6 @@ class TestBuildTables:
         with pytest.raises(ValueError):
             build_term_tables(7)
 
-    def test_term_cap(self):
-        with pytest.raises(RuntimeError, match="cap"):
-            build_term_tables(6, term_cap=3)
-
     def test_cache_returns_same_object(self):
         assert term_tables(4) is term_tables(4)
 
