@@ -323,12 +323,9 @@ def default_sampler(problem: EstimatingProblem, theta_hat, order: int,
     enlarged to twice the resulting worst-case solution drift.  The
     sampler keeps the pilot's statistics for its first point, the base fit,
     so :func:`estimate_constants` at the same order does not measure them
-    again.  A problem's domain hint, or an explicit radius, overrides the
-    default.
+    again.  An explicit radius overrides the default, and no pilot runs.
     """
     theta_hat = np.asarray(theta_hat, dtype=float)
-    if radius is None and problem.domain_hint is not None:
-        radius = problem.domain_hint.radius
     pilot = None
     if radius is None:
         k_hi = _stats_order(order)

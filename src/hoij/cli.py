@@ -255,14 +255,14 @@ def _json_text(obj, indent: str = "\n") -> str:
 _RECORD_FIELDS = ("errors", "expand_error", "label", "refit_error", "theta_exact", "theta_ij")
 
 
-def _array_template(shape: tuple, indent: str) -> str:
-    # the json text of a float array of this shape, one %r per float
+def _array_template(shape: tuple, indent: str, slot: str = "%r") -> str:
+    # the json text of a float array of this shape, one slot per float
     if not shape:
-        return "%r"
+        return slot
     if not shape[0]:
         return "[]"
     inner = indent + "  "
-    return ("[" + inner + ("," + inner).join([_array_template(shape[1:], inner)] * shape[0])
+    return ("[" + inner + ("," + inner).join([_array_template(shape[1:], inner, slot)] * shape[0])
             + indent + "]")
 
 
@@ -273,15 +273,15 @@ def _outcome_records_text(records, indent: str) -> str:
     Records of one shape, which fields are null, strings or float arrays of
     which shapes, share one %-template.  Each shape's floats are stacked
     into one (records, floats) array, and each record fills its template
-    with its row and its quoted strings in one operation.  A record with a
-    non-finite float, or a field of any other type, goes through
-    ``_json_text`` as a dict.
+    with its row, its errors' reprs from the report and its quoted strings
+    in one operation.  A record with a non-finite float, or a field of any
+    other type, goes through ``_json_text`` as a dict.
     """
     if not records:
         return "[]"
     inner = indent + "  "
     field = inner + "  "
-    outcomes = records.outcomes
+    outcomes, error_reprs = records.outcomes, records.error_reprs
     texts = [None] * len(records)
     shapes: dict = {}
     for i, o in enumerate(outcomes):
@@ -303,10 +303,14 @@ def _outcome_records_text(records, indent: str) -> str:
                 parts.append(f'"{name}": %s')
                 segments.append(name)
             else:
+                # the errors' floats are stacked only to test them finite;
+                # their text is the reprs the CSV writer also uses
                 cols = slice(width, width + math.prod(kind))
-                parts.append(f'"{name}": ' + _array_template(kind, field))
+                errors = name == "errors"
+                slot = "%s" if errors else "%r"
+                parts.append(f'"{name}": ' + _array_template(kind, field, slot))
                 columns.append((name, cols))
-                segments.append(cols)
+                segments.append(None if errors else cols)
                 width = cols.stop
         template = "{" + field + ("," + field).join(parts) + inner + "}"
         floats = np.empty((len(rows), width))
@@ -319,7 +323,9 @@ def _outcome_records_text(records, indent: str) -> str:
                 continue
             row, args = values.tolist(), []
             for seg in segments:
-                if type(seg) is str:
+                if seg is None:
+                    args.extend(error_reprs[i])
+                elif type(seg) is str:
                     args.append(_quote(getattr(outcomes[i], seg)))
                 else:
                     args.extend(row[seg])

@@ -75,43 +75,92 @@ def _parse_cell(token: str, row: int, col: int) -> float:
     return value
 
 
+# Bytes of a plain numeric CSV body: ASCII numerals, commas, blanks and line
+# ends.  numpy's reader parses these cells as float() does, but it also
+# strips characters that float() rejects (\x1c-\x1f), so no other byte may
+# take its path.
+_PLAIN_CSV_BYTES = b"0123456789+-.eE, \t\r\n"
+
+
+def _load_plain_csv(path, header: bool) -> Optional[np.ndarray]:
+    """The matrix numpy's C reader makes of a plain numeric CSV file, or
+    None when the file is not plain or cannot be decoded, has no digit, or
+    numpy rejects it or reads a non-finite value, so that the csv module's
+    path words the error.
+    """
+    skip, digit = 0, False
+    try:
+        with open(path, newline="") as fh:
+            if header:
+                # the header is the first line with a character other than a
+                # comma or white space; a quote may make it span lines
+                for line in iter(fh.readline, ""):
+                    skip += 1
+                    if '"' in line:
+                        return None
+                    if line.replace(",", "").strip():
+                        break
+            while chunk := fh.read(1 << 16):
+                if not chunk.isascii() or chunk.encode().translate(None, _PLAIN_CSV_BYTES):
+                    return None
+                digit = digit or any(d in chunk for d in "0123456789")
+    except UnicodeDecodeError:
+        return None
+    if not digit:
+        return None
+    try:
+        mat = np.loadtxt(path, delimiter=",", comments=None, skiprows=skip,
+                         ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    return mat if np.isfinite(mat).all() else None
+
+
+def _load_csv_cells(path, header: bool) -> np.ndarray:
+    """The matrix of a CSV file read by the csv module, one float() call per
+    cell, raising the first error in row order."""
+    with open(path, newline="") as fh:
+        raw = [row for row in csv.reader(fh) if "".join(row).strip()]
+    if header and raw:
+        raw = raw[1:]
+    if not raw:
+        raise DatasetError(f"no rows in {path}")
+    width = len(raw[0])
+    rows = []
+    for i, row in enumerate(raw):
+        if len(row) != width:
+            raise DatasetError(f"row {i + 1} has {len(row)} columns, expected {width}")
+        rows.append([_parse_cell(tok, i + 1, j + 1) for j, tok in enumerate(row)])
+    return np.array(rows, dtype=float)
+
+
 def load_dataset(path, fmt: str = "csv", header: bool = False,
                  response: bool = False) -> Dataset:
     """Load a dataset from CSV or JSON.
 
     CSV rows are all-numeric; with ``response=True`` the last column is split
-    off as the response.  JSON files hold a list of ``{"x": [...], "y": ...}``
-    row objects (``y`` optional, but consistently present or absent).
-    All values are parsed as 64-bit floats and must be finite.
+    off as the response.  Rows whose cells are all blank are skipped, and
+    ``header=True`` drops the first row that is not.  JSON files hold a list
+    of ``{"x": [...], "y": ...}`` row objects (``y`` optional, but
+    consistently present or absent).  All values are parsed as ``float()``
+    parses them and must be finite.
+
+    A CSV file whose rows after the header hold only ASCII digits, ``+``,
+    ``-``, ``.``, ``e``, ``E``, commas, spaces and tabs is read by numpy's C
+    reader (``np.loadtxt``), after one scan of the file for those bytes.
+    Any other file, and any file numpy rejects or reads a non-finite value
+    from, takes the csv module and one ``float()`` call per cell, which also
+    words every error by row and column.  Both give float()'s values, bit
+    for bit.  On 3000 rows of 4 float reprs the first takes about 2 ms
+    and the second about 17 ms; on 20 000 rows of 11 their traced peaks are
+    about 1.2 and 17 times the 1.76 MB matrix.
     """
     if fmt == "csv":
-        with open(path, newline="") as fh:
-            raw = [row for row in csv.reader(fh) if "".join(row).strip()]
-        if header and raw:
-            raw = raw[1:]
-        if not raw:
-            raise DatasetError(f"no rows in {path}")
-        width = len(raw[0])
-        # numpy parses each cell as float() does; the cell-by-cell loop runs
-        # only when that fails, to raise the first error in row order.
-        mat = None
-        if all(len(row) == width for row in raw):
-            try:
-                mat = np.array(raw, dtype=float)
-            except ValueError:
-                pass
-        if mat is None or not np.isfinite(mat).all():
-            rows = []
-            for i, row in enumerate(raw):
-                if len(row) != width:
-                    raise DatasetError(
-                        f"row {i + 1} has {len(row)} columns, expected {width}"
-                    )
-                rows.append([_parse_cell(tok, i + 1, j + 1)
-                             for j, tok in enumerate(row)])
-            mat = np.array(rows, dtype=float)
+        mat = _load_plain_csv(path, header)
+        if mat is None:
+            mat = _load_csv_cells(path, header)
         if response:
-            if width < 2:
+            if mat.shape[1] < 2:
                 raise DatasetError("response requested but rows have a single column")
             return Dataset(mat[:, :-1], mat[:, -1])
         return Dataset(mat)
@@ -258,13 +307,6 @@ def bootstrap_weight_blocks(n: int, draws: int, seed: int = 0) -> Iterator[np.nd
         yield rng.multinomial(n, p, size=min(chunk, draws - lo)).astype(float)
 
 
-@dataclass(frozen=True)
-class DomainHint:
-    """Suggested sampling region around the base solution (ball of given radius)."""
-
-    radius: float
-
-
 @dataclass(frozen=True, eq=False)
 class EstimatingProblem:
     """The functions g_0, g_1..g_N defining G(theta, w).
@@ -287,7 +329,6 @@ class EstimatingProblem:
     n_terms: int
     term_fn: Callable
     model_id: str = "custom"
-    domain_hint: Optional[DomainHint] = None
     batch_fn: Optional[Callable] = None
 
     def __post_init__(self):

@@ -9,6 +9,7 @@ approximates.  Reports are plain data, serialized deterministically.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import math
@@ -64,12 +65,14 @@ class WeightOutcome:
 
 class OutcomeRecords(list):
     """A cv report's outcome records, the list of dicts they are, that also
-    keeps the :class:`WeightOutcome` objects they were made from, so that a
-    writer can render the records from the outcomes' arrays."""
+    keeps the :class:`WeightOutcome` objects they were made from and the
+    reprs of their errors, so that a writer can render the records from the
+    outcomes' arrays."""
 
-    def __init__(self, records: list, outcomes: tuple):
+    def __init__(self, records: list, outcomes: tuple, error_reprs: list):
         super().__init__(records)
         self.outcomes = outcomes
+        self.error_reprs = error_reprs
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +110,7 @@ class CvReport:
             "n_terms": self.n_terms,
             "order": self.order,
             "theta_hat": _floats(self.theta_hat),
-            "outcomes": OutcomeRecords(records, self.outcomes),
+            "outcomes": OutcomeRecords(records, self.outcomes, self.error_reprs),
             "max_error": _floats(self.max_error),
             "mean_error": _floats(self.mean_error),
             "metadata": self.metadata,
@@ -116,25 +119,30 @@ class CvReport:
             obj["bound_per_k"] = _floats(self.bound_per_k)
         return obj
 
+    @functools.cached_property
+    def error_reprs(self) -> list:
+        """``float.__repr__`` of each outcome's errors, None for an outcome
+        without.  The JSON and the CSV writer both render these, so each
+        error is formatted once."""
+        return [None if o.errors is None else list(map(float.__repr__, o.errors.tolist()))
+                for o in self.outcomes]
+
     def csv_text(self) -> str:
         """The CSV file of the errors, one row (label, order, error, bound)
         per weight and order, as ``csv.writer`` writes it.
 
-        One template renders the rows from one (weights, orders, 2) array of
-        label fields and errors; a label that CSV quotes goes through
-        ``csv.writer`` first.
+        One template renders the rows from the label fields and the error
+        reprs; a label that CSV quotes goes through ``csv.writer`` first.
         """
-        ok = [o for o in self.outcomes if o.errors is not None]
+        ok = [(_csv_field(o.label), r)
+              for o, r in zip(self.outcomes, self.error_reprs) if r is not None]
         if not ok:
             return "weight,k,error,bound\r\n"
-        errors = np.array([o.errors for o in ok], dtype=float)
-        bounds = ([""] * errors.shape[1] if self.bound_per_k is None
+        bounds = ([""] * len(ok[0][1]) if self.bound_per_k is None
                   else list(map(repr, _floats(self.bound_per_k))))
-        cells = np.empty((*errors.shape, 2), dtype=object)
-        cells[:, :, 0] = np.array([_csv_field(o.label) for o in ok], dtype=object)[:, None]
-        cells[:, :, 1] = errors
-        row = "".join(f"%s,{k},%r,{b}\r\n" for k, b in enumerate(bounds))
-        return "weight,k,error,bound\r\n" + row * len(ok) % tuple(cells.ravel().tolist())
+        row = "".join(f"%s,{k},%s,{b}\r\n" for k, b in enumerate(bounds))
+        cells = [cell for label, reprs in ok for r in reprs for cell in (label, r)]
+        return "weight,k,error,bound\r\n" + row * len(ok) % tuple(cells)
 
 
 def _csv_field(label: str) -> str:

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -618,6 +619,23 @@ def _assert_usage_error(argv, out):
     assert rc == 2, (argv, err)
     assert err.startswith("usage error: ") and len(err.strip().splitlines()) == 1, err
     assert "Traceback" not in err and not out.exists()
+    return err
+
+
+@pytest.mark.parametrize("text, header", [
+    ("", False), ("\n\n\n", False), ("\r\n\r\n", False), ("   ", False),
+    ("  \n\t\n", False), ("a,b\n", True), ("\n1,2\r\n\n", True),
+])
+def test_csv_without_rows_is_one_line(tmp_path, text, header):
+    """Empty, blank and header-only files give one usage line and no warning."""
+    path = tmp_path / "x.csv"
+    path.write_text(text, newline="")
+    argv = ["fit", "--model", "mean", "--data", str(path)] + ["--header"] * header
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        err = _assert_usage_error(argv, tmp_path / "o.json")
+    assert err == f"usage error: no rows in {path}\n"
+    assert not caught, [str(w.message) for w in caught]
 
 
 @settings(max_examples=150, deadline=None)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,9 +101,11 @@ CELL_TOKENS = st.one_of(
 )
 
 
-def cell_by_cell(rows, path):
+def cell_by_cell(rows, path, header=False):
     """The CSV loader's result on ``rows``, one _parse_cell call per cell."""
     rows = [r for r in rows if r and any(t.strip() for t in r)]
+    if header:
+        rows = rows[1:]
     if not rows:
         raise DatasetError(f"no rows in {path}")
     out = []
@@ -133,6 +136,113 @@ def test_csv_loader_matches_cell_by_cell(tmp_path_factory, ragged, cols, data):
     assert got.shape == want.shape
     # bitwise, so -0.0 and 0.0 differ
     assert got.tobytes() == want.tobytes()
+
+
+def assert_loads_as_cell_by_cell(path, header):
+    """load_dataset reads ``path`` bit for bit as the cell-by-cell oracle
+    reads the csv module's rows of it, or raises the oracle's error."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    try:
+        want = cell_by_cell(rows, path, header)
+    except DatasetError as err:
+        with pytest.raises(DatasetError) as got:
+            load_dataset(path, header=header)
+        assert str(got.value) == str(err)
+        return
+    got = load_dataset(path, header=header).features
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# Files whose layout, not their cells, decides the CSV path: blank,
+# whitespace-only and comma-only lines, every line end, a missing final
+# newline, headers after blank lines, numeric headers, and cells holding
+# characters numpy's reader strips or treats specially.
+LAYOUTS = [
+    ("1,2\n\n3,4\n", False),
+    ("1,2\n \t\n3,4\n", False),
+    ("1,2\n,\n3,4\n", False),
+    ("\n,,\n \n1,2\n", False),
+    ("1,2\r\n3,4\r\n", False),
+    ("1,2\r3,4\r", False),
+    ("1,2\r\r\n3,4", False),
+    ("1,2\n3,4", False),
+    (" 1 ,\t2\t\r\n-0,+.5e1\n", False),
+    ("\n\r\n , \na,b\n1,2\n", True),
+    ("5,6\n1,2\n3,4\n", True),
+    ("\n\n5,6\r\n1,2\r\n", True),
+    ('"a\nb",c\n1,2\n', True),
+    ('" ",\n1,2\n', True),
+    ("a,b\n", True),
+    ("a,b\n\n \n", True),
+    ("1,\x1c2\n", False),
+    ("1,2\x1f\n", False),
+    ("\x1d\n1,2\n", False),
+    ("1,#2\n", False),
+    ("#1,2\n3,4\n", False),
+    ('"1",2\n', False),
+    ('1,"2,3"\n', False),
+    ("1,2,\n3,4,\n", False),
+    ("1,1e400\n", False),
+    ("1,2\n3\n", False),
+    ("1.e5,.5\n+1,1E-3\n", False),
+    ("1 2,3\n", False),
+    (".,e\n", False),
+]
+
+
+@pytest.mark.parametrize("text, header", LAYOUTS)
+def test_csv_layouts_match_cell_by_cell(tmp_path, text, header):
+    path = tmp_path / "d.csv"
+    path.write_text(text, newline="")
+    assert_loads_as_cell_by_cell(path, header)
+
+
+PLAIN_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**25, 10**25).map(str),
+    st.text(alphabet="0123456789+-.eE \t", max_size=6),
+)
+ODD_TOKENS = st.sampled_from(["\x1c3", "3\x1d", "\x1e", "\x1f1", "#", "1#", '"1"', '"',
+                              '"1,2"', "1e400", "nan", "1_0"])
+BLANK_LINES = st.sampled_from(["", " ", "\t", ",", ",,", " , \t"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(header=st.booleans(), ragged=st.booleans(), cols=st.integers(1, 3),
+       final_newline=st.booleans(), data=st.data())
+def test_csv_file_layout_matches_cell_by_cell(tmp_path_factory, header, ragged, cols,
+                                              final_newline, data):
+    """Files with blank lines, mixed line ends and headers load as the
+    cell-by-cell oracle reads them, whichever path the loader takes."""
+    token = st.one_of(PLAIN_TOKENS, PLAIN_TOKENS, PLAIN_TOKENS, ODD_TOKENS)
+    row = st.lists(token, min_size=1 if ragged else cols, max_size=cols).map(",".join)
+    lines = data.draw(st.lists(st.one_of(row, row, BLANK_LINES), max_size=6))
+    ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                              min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if not final_newline and text:
+        text = text[:-len(ends[-1])]
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    path.write_text(text, newline="")
+    assert_loads_as_cell_by_cell(path, header)
+
+
+def test_csv_loader_memory(tmp_path):
+    """Loading a plain 20 000 x 11 CSV file peaks within 3x the matrix."""
+    want = np.random.default_rng(17).standard_normal((20_000, 11))
+    path = tmp_path / "big.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([repr(v) for v in row] for row in want.tolist())
+    tracemalloc.start()
+    try:
+        got = load_dataset(path).features
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak <= 3 * want.nbytes, f"peak {peak} B for a {want.nbytes} B matrix"
 
 
 class TestMakeProblem:
