@@ -12,9 +12,9 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import json
 import math
 import sys
-from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -187,159 +187,14 @@ def _check_outputs(args) -> None:
             raise UsageError(f"output file {str(path)!r} would overwrite the dataset --data")
 
 
-# json spells the non-finite floats as JavaScript names them
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_float(x: float) -> str:
-    text = float.__repr__(x)
-    return _NON_FINITE.get(text, text)
-
-
-def _json_key(key) -> str:
-    # json's conversion of a dict key to a string
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return _json_text(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _json_text(obj, indent: str = "\n") -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, the same text, faster.
-
-    ``indent`` is the newline and indentation before obj's closing bracket.
-    A list of floats, the bulk of a report, is one join over
-    ``float.__repr__``, where json's encoder makes several calls per float.
-    """
-    if isinstance(obj, str):
-        return _quote(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _json_float(obj)
-    if isinstance(obj, resampling.OutcomeRecords):
-        return _outcome_records_text(obj, indent)
-    inner = indent + "  "
-    sep = "," + inner
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        text = None
-        if isinstance(obj[0], float):
-            try:
-                text = sep.join(map(float.__repr__, obj))
-            except TypeError:  # floats mixed with other values
-                pass
-        if text is None:
-            text = sep.join([_json_text(v, inner) for v in obj])
-        elif "n" in text:  # nan, inf or -inf
-            text = sep.join(map(_json_float, obj))
-        return "[" + inner + text + indent + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        return ("{" + inner + sep.join([_quote(_json_key(k)) + ": " + _json_text(v, inner)
-                                        for k, v in sorted(obj.items())]) + indent + "}")
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-# The fields of a cv outcome record, in json's sorted order; expand_error
-# appears only when the expansion failed.
-_RECORD_FIELDS = ("errors", "expand_error", "label", "refit_error", "theta_exact", "theta_ij")
-
-
-def _array_template(shape: tuple, indent: str, slot: str = "%r") -> str:
-    # the json text of a float array of this shape, one slot per float
-    if not shape:
-        return slot
-    if not shape[0]:
-        return "[]"
-    inner = indent + "  "
-    return ("[" + inner + ("," + inner).join([_array_template(shape[1:], inner, slot)] * shape[0])
-            + indent + "]")
-
-
-def _outcome_records_text(records, indent: str) -> str:
-    """``_json_text`` of a cv report's outcome records, rendered from their
-    outcomes' arrays.
-
-    Records of one shape, which fields are null, strings or float arrays of
-    which shapes, share one %-template.  Each shape's floats are stacked
-    into one (records, floats) array, and each record fills its template
-    with its row, its errors' reprs from the report and its quoted strings
-    in one operation.  A record with a non-finite float, or a field of any
-    other type, goes through ``_json_text`` as a dict.
-    """
-    if not records:
-        return "[]"
-    inner = indent + "  "
-    field = inner + "  "
-    outcomes, error_reprs = records.outcomes, records.error_reprs
-    texts = [None] * len(records)
-    shapes: dict = {}
-    for i, o in enumerate(outcomes):
-        # a float array by its shape, anything else by its type
-        shape = tuple(v.shape if type(v) is np.ndarray else type(v)
-                      for v in [getattr(o, name) for name in _RECORD_FIELDS])
-        shapes.setdefault(shape, []).append(i)
-    for shape, rows in shapes.items():
-        if not all(kind in (str, type(None)) or type(kind) is tuple for kind in shape):
-            for i in rows:
-                texts[i] = _json_text(records[i], inner)
-            continue
-        parts, segments, columns, width = [], [], [], 0
-        for name, kind in zip(_RECORD_FIELDS, shape):
-            if kind is type(None):
-                if name != "expand_error":  # absent, not null, when there is none
-                    parts.append(f'"{name}": null')
-            elif kind is str:
-                parts.append(f'"{name}": %s')
-                segments.append(name)
-            else:
-                # the errors' floats are stacked only to test them finite;
-                # their text is the reprs the CSV writer also uses
-                cols = slice(width, width + math.prod(kind))
-                errors = name == "errors"
-                slot = "%s" if errors else "%r"
-                parts.append(f'"{name}": ' + _array_template(kind, field, slot))
-                columns.append((name, cols))
-                segments.append(None if errors else cols)
-                width = cols.stop
-        template = "{" + field + ("," + field).join(parts) + inner + "}"
-        floats = np.empty((len(rows), width))
-        for name, cols in columns:
-            floats[:, cols] = np.array([getattr(outcomes[i], name) for i in rows],
-                                       dtype=float).reshape(len(rows), -1)
-        for i, values, finite in zip(rows, floats, np.isfinite(floats).all(axis=1).tolist()):
-            if not finite:
-                texts[i] = _json_text(records[i], inner)
-                continue
-            row, args = values.tolist(), []
-            for seg in segments:
-                if seg is None:
-                    args.extend(error_reprs[i])
-                elif type(seg) is str:
-                    args.append(_quote(getattr(outcomes[i], seg)))
-                else:
-                    args.extend(row[seg])
-            texts[i] = template % tuple(args)
-    # the brackets join the first and last records, so that the list's text
-    # is built once, not copied again to add them
-    texts[0] = "[" + inner + texts[0]
-    texts[-1] += indent + "]"
-    return ("," + inner).join(texts)
-
-
 def _emit(obj: dict, args, csv_text=None) -> None:
+    """Write ``obj``, with the schema version and the resolved configuration,
+    as ``json.dumps(obj, sort_keys=True)``: one line, sorted keys, through
+    the standard library's C encoder (json's pure-Python encoder runs when
+    ``indent`` is given).  The JSON goes to ``--out``, or to stdout without
+    it; ``csv_text``, if given, to the CSV file next to it."""
     obj = {"schema_version": SCHEMA_VERSION, "config": _resolved_config(args), **obj}
-    text = _json_text(obj)
+    text = json.dumps(obj, sort_keys=True)
     paths = _output_paths(args)
     if paths:
         paths[0].write_text(text + "\n")

@@ -120,7 +120,11 @@ def _load_csv_cells(path, header: bool) -> np.ndarray:
     """The matrix of a CSV file read by the csv module, one float() call per
     cell, raising the first error in row order."""
     with open(path, newline="") as fh:
-        raw = [row for row in csv.reader(fh) if "".join(row).strip()]
+        reader = csv.reader(fh)
+        try:
+            raw = [row for row in reader if "".join(row).strip()]
+        except csv.Error as err:  # such as a cell over the csv module's field limit
+            raise DatasetError(f"cannot read line {reader.line_num} of {path}: {err}") from None
     if header and raw:
         raw = raw[1:]
     if not raw:

@@ -9,11 +9,9 @@ approximates.  Reports are plain data, serialized deterministically.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import itertools
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -57,22 +55,8 @@ class WeightOutcome:
     theta_ij: Optional[np.ndarray]     # (K + 1, D) partial sums, orders 0..K
     theta_exact: Optional[np.ndarray]
     errors: Optional[np.ndarray]       # (K + 1,) ||theta_ij[k] - exact||_2 per order
-    runtime_expand: float
-    runtime_refit: float
     refit_error: Optional[str] = None
     expand_error: Optional[str] = None
-
-
-class OutcomeRecords(list):
-    """A cv report's outcome records, the list of dicts they are, that also
-    keeps the :class:`WeightOutcome` objects they were made from and the
-    reprs of their errors, so that a writer can render the records from the
-    outcomes' arrays."""
-
-    def __init__(self, records: list, outcomes: tuple, error_reprs: list):
-        super().__init__(records)
-        self.outcomes = outcomes
-        self.error_reprs = error_reprs
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,8 +74,9 @@ class CvReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json_obj(self) -> dict:
-        """The report as JSON-ready data.  Wall-clock timings are volatile,
-        so they are left out, keeping identically seeded runs byte-identical."""
+        """The report as JSON-ready data: plain dicts, lists, floats and
+        strings.  Each outcome is one record, in which ``expand_error``
+        appears only when the expansion failed."""
         records = []
         for o in self.outcomes:
             rec = {
@@ -110,7 +95,7 @@ class CvReport:
             "n_terms": self.n_terms,
             "order": self.order,
             "theta_hat": _floats(self.theta_hat),
-            "outcomes": OutcomeRecords(records, self.outcomes, self.error_reprs),
+            "outcomes": records,
             "max_error": _floats(self.max_error),
             "mean_error": _floats(self.mean_error),
             "metadata": self.metadata,
@@ -119,23 +104,16 @@ class CvReport:
             obj["bound_per_k"] = _floats(self.bound_per_k)
         return obj
 
-    @functools.cached_property
-    def error_reprs(self) -> list:
-        """``float.__repr__`` of each outcome's errors, None for an outcome
-        without.  The JSON and the CSV writer both render these, so each
-        error is formatted once."""
-        return [None if o.errors is None else list(map(float.__repr__, o.errors.tolist()))
-                for o in self.outcomes]
-
     def csv_text(self) -> str:
         """The CSV file of the errors, one row (label, order, error, bound)
         per weight and order, as ``csv.writer`` writes it.
 
-        One template renders the rows from the label fields and the error
-        reprs; a label that CSV quotes goes through ``csv.writer`` first.
+        One template renders the rows from the label fields and the reprs
+        of the errors; a label that CSV quotes goes through ``csv.writer``
+        first.  A weight without errors has no rows.
         """
-        ok = [(_csv_field(o.label), r)
-              for o, r in zip(self.outcomes, self.error_reprs) if r is not None]
+        ok = [(_csv_field(o.label), list(map(float.__repr__, o.errors.tolist())))
+              for o in self.outcomes if o.errors is not None]
         if not ok:
             return "weight,k,error,bound\r\n"
         bounds = ([""] * len(ok[0][1]) if self.bound_per_k is None
@@ -175,48 +153,44 @@ def _labeled(w, i: int) -> WeightVector:
 def _expand_block(problem, theta_hat, hfac, table, block: list, order: int) -> tuple:
     """Partial sums of orders 0..order for each weight of the block.
 
-    Returns ``(partials, expand_errors, seconds)``: a (B, order + 1, D)
-    array, NaN from order 1 on for a weight whose expansion failed, the
-    error message or None per weight, and each weight's expansion time.
+    Returns ``(partials, expand_errors)``: a (B, order + 1, D) array, NaN
+    from order 1 on for a weight whose expansion failed, and the error
+    message or None per weight.
     Each weight is expanded on its own; the block's partial sums come from
     one cumulative sum over theta_hat and the d_j / j!, which adds in the
     order :meth:`~hoij.expansion.TaylorExpansion.partial_sum` does.
     """
     terms = np.full((len(block), order + 1, theta_hat.size), np.nan)
     terms[:, 0] = theta_hat
-    errors, seconds = [None] * len(block), []
+    errors = [None] * len(block)
     for b, w in enumerate(block):
-        t0 = time.perf_counter()
         try:
             expn = evaluate_theta_ij(problem, hfac.theta_hat, hfac, table, w.delta, order)
             if order:
                 terms[b, 1:] = expn.dthetas
         except NonFiniteValueError as err:
             errors[b] = str(err)
-        seconds.append(time.perf_counter() - t0)
     terms[:, 1:] /= np.array([math.factorial(j) for j in range(1, order + 1)])[:, None]
-    return np.cumsum(terms, axis=1), errors, seconds
+    return np.cumsum(terms, axis=1), errors
 
 
 def _refit_block(problem, hfac, block: list, starts: np.ndarray,
                  cfg: Optional[SolveConfig]) -> tuple:
-    """Exact roots of the block's weights, as ``(roots, refit_errors, seconds)``.
+    """Exact roots of the block's weights, as ``(roots, refit_errors)``.
 
     ``roots`` is (B, D), NaN where a re-fit failed, and ``refit_errors``
     holds the failure message or None per weight.  The block is re-fitted
-    by one :func:`~hoij.expansion.refit_block` call from its ``starts``,
-    and its weights share the call's time evenly.  A weight whose expansion
-    failed has a NaN start, so refit_block re-fits it from theta_hat.
+    by one :func:`~hoij.expansion.refit_block` call from its ``starts``.  A
+    weight whose expansion failed has a NaN start, so refit_block re-fits
+    it from theta_hat.
     """
-    t0 = time.perf_counter()
     results = refit_block(problem, hfac, block, starts, cfg)
-    seconds = [(time.perf_counter() - t0) / len(block)] * len(block)
     roots = np.full((len(block), hfac.theta_hat.size), np.nan)
     errors = [str(r) if isinstance(r, Exception) else None for r in results]
     for i, r in enumerate(results):
         if errors[i] is None:
             roots[i] = r
-    return roots, errors, seconds
+    return roots, errors
 
 
 def _norms(d: np.ndarray) -> np.ndarray:
@@ -233,9 +207,8 @@ def _score_block(problem, theta_hat, hfac, table, block: list, order: int,
                  cfg: Optional[SolveConfig]) -> tuple:
     """The block's outcomes, and the (M, order + 1) errors of its M weights
     that have both an expansion and a root, in stream order."""
-    partials, expand_errors, t_expand = _expand_block(problem, theta_hat, hfac, table,
-                                                      block, order)
-    roots, refit_errors, t_refit = _refit_block(problem, hfac, block, partials[:, -1], cfg)
+    partials, expand_errors = _expand_block(problem, theta_hat, hfac, table, block, order)
+    roots, refit_errors = _refit_block(problem, hfac, block, partials[:, -1], cfg)
     scored = np.array([e is None and r is None
                        for e, r in zip(expand_errors, refit_errors)], dtype=bool)
     errors = _norms(partials[scored] - roots[scored, None, :])
@@ -245,7 +218,6 @@ def _score_block(problem, theta_hat, hfac, table, block: list, order: int,
         theta_ij=None if expand_errors[b] is not None else partials[b],
         theta_exact=None if refit_errors[b] is not None else roots[b],
         errors=next(rows) if scored[b] else None,
-        runtime_expand=t_expand[b], runtime_refit=t_refit[b],
         refit_error=refit_errors[b], expand_error=expand_errors[b],
     ) for b, w in enumerate(block)]
     return outcomes, errors
@@ -263,8 +235,7 @@ def run_cv(problem: EstimatingProblem, weights: Iterable[WeightVector], order: i
     weight vectors is held, whatever the stream's length.  Each weight is
     expanded on its own; then the block is re-fitted together by
     :func:`~hoij.expansion.refit_block`, starting from the order-``order``
-    expansions, and each weight's ``runtime_refit`` is an even share of the
-    block's time.  The block is scored at once: its partial sums come from
+    expansions.  The block is scored at once: its partial sums come from
     one cumulative sum and its errors from one stacked norm.  A weight
     whose expansion failed re-fits from theta_hat, in the same
     refit_block call.  Unlabelled weights are labelled ``w:{i}`` by their
@@ -465,6 +436,8 @@ class ScalingReport:
     failures: tuple = ()
 
     def to_json_obj(self) -> dict:
+        """The report as JSON-ready data; a slope or stderr that could not
+        be fitted (NaN in :attr:`slopes`) is None, since JSON has no NaN."""
         return {
             "schema_version": SCHEMA_VERSION,
             "model_id": self.model_id,
@@ -472,7 +445,7 @@ class ScalingReport:
             "n_grid": list(self.n_grid),
             "max_errors": {str(k): [float(e) for e in v]
                            for k, v in sorted(self.max_errors.items())},
-            "slopes": {str(k): {"slope": float(s), "stderr": float(se)}
+            "slopes": {str(k): {"slope": _finite_or_none(s), "stderr": _finite_or_none(se)}
                        for k, (s, se) in sorted(self.slopes.items())},
             "seed": self.seed,
             "failures": list(self.failures),
@@ -487,6 +460,11 @@ class ScalingReport:
             for n, e in zip(self.n_grid, self.max_errors[k]):
                 rows.append([str(n), str(k), repr(float(e))])
         return rows
+
+
+def _finite_or_none(x) -> Optional[float]:
+    x = float(x)
+    return x if math.isfinite(x) else None
 
 
 def _fit_slope(log_n, log_err):

@@ -1,24 +1,32 @@
-"""The names the bench's tracer wraps exist in the hoij under test.
+"""The hoij under test meets what the bench reads from it.
 
 ``bench/tracer.py`` wraps each ``(module, attribute)`` of ``TRACED`` and each
 weight generator of ``WEIGHT_GENERATORS`` by name, with ``getattr``, so a
-name removed from ``hoij`` would fail every traced bench run.  The tracer is
-read from the bench directory as it is.
+name removed from ``hoij`` would fail every traced bench run.  The bench
+also checks every output of its workloads (``bench/workloads.py``), so a
+change that fails those checks fails here first.  The bench's modules are
+read from the bench directory as they are.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
+import json
 import sys
 from pathlib import Path
 
+import pytest
+
 import hoij  # noqa: F401  (the tracer wraps names in the loaded hoij modules)
+from hoij.cli import main
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _tracer():
+def _bench_module(name):
     # registered while it runs: its dataclasses look their module up
-    spec = importlib.util.spec_from_file_location("hoij_bench_tracer", TRACER)
+    spec = importlib.util.spec_from_file_location(f"hoij_bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     try:
@@ -29,7 +37,7 @@ def _tracer():
 
 
 def test_traced_names_resolve():
-    tracer = _tracer()
+    tracer = _bench_module("tracer")
     for mod, attr in tracer.TRACED:
         assert callable(getattr(importlib.import_module(mod), attr, None)), (mod, attr)
     models = importlib.import_module("hoij.models")
@@ -38,7 +46,7 @@ def test_traced_names_resolve():
 
 
 def test_tracer_installs_and_restores():
-    tracer = _tracer()
+    tracer = _bench_module("tracer")
     for mod, _ in tracer.TRACED:
         importlib.import_module(mod)
     before = {name: dict(vars(m)) for name, m in sys.modules.items()
@@ -48,3 +56,24 @@ def test_tracer_installs_and_restores():
     for name, attrs in before.items():
         for attr, value in attrs.items():
             assert getattr(sys.modules[name], attr) is value, (name, attr)
+
+
+wl = _bench_module("workloads")
+
+
+@pytest.mark.parametrize("name", sorted(wl.WORKLOADS))
+def test_workload_outputs_pass_the_bench_checks(name, tmp_path):
+    """The full and set-up commands on the reference dataset pass the bench's
+    output checks, and the full output matches the recorded reference."""
+    workload = wl.WORKLOADS[name]
+    data = tmp_path / "data.csv"
+    info = wl.write_dataset(workload, wl.REFERENCE_SEED, data)
+    reference = json.loads((BENCH / "reference.json").read_text())
+    for setup in (False, True):
+        out = tmp_path / ("setup.json" if setup else "out.json")
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(workload.argv(data, out, wl.REFERENCE_SEED, setup)) == 0
+        obj = json.loads(out.read_text())
+        assert wl.check_output(workload, obj, setup) == []
+        if not setup:
+            assert wl.check_reference(workload, obj, reference, info) == []

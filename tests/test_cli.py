@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoij import (
@@ -369,6 +369,17 @@ class TestOtherCommands:
         assert obj["n_grid"] == [30, 60, 120]
         assert (tmp_path / "scale.csv").exists()
 
+    def test_scaling_unfittable_slope_is_null(self, tmp_path):
+        # without noise the max error reaches 0.0 at N=80, so no log-log fit
+        out = tmp_path / "scale.json"
+        rc = main(["scaling", "--model", "linear_regression", "--grid", "20,40,80",
+                   "--order", "2", "--features", "2", "--noise", "0", "--out", str(out)])
+        assert rc == 0
+        assert "NaN" not in out.read_text()
+        slopes = read_json(out)["slopes"]
+        assert sorted(slopes) == ["0", "1", "2"]
+        assert all(s == {"slope": None, "stderr": None} for s in slopes.values()), slopes
+
 
 class TestRemovedFlags:
     @pytest.mark.parametrize("argv", [
@@ -406,8 +417,8 @@ class TestDeterminism:
 
 
 class TestJsonWriter:
-    """Every subcommand writes the text json.dumps(obj, indent=2,
-    sort_keys=True) gives for the object it emits."""
+    """Every subcommand writes json.dumps(obj, sort_keys=True) of the object
+    it emits: one line, sorted keys."""
 
     @pytest.mark.parametrize("argv", [
         ["fit", "--model", "linear_regression", "--data", "{linreg}"],
@@ -426,33 +437,34 @@ class TestJsonWriter:
     def test_subcommand_output_is_json_dumps_text(self, argv, mean_csv, linreg_csv,
                                                   tmp_path, monkeypatch):
         emitted = []
-        writer = cli._json_text
+        dumps = json.dumps
 
-        def recording(obj, *indent):
-            if not indent:  # the whole output, not a nested value
-                emitted.append(obj)
-            return writer(obj, *indent)
+        def recording(obj, **kwargs):
+            emitted.append(obj)
+            return dumps(obj, **kwargs)
 
-        monkeypatch.setattr(cli, "_json_text", recording)
+        monkeypatch.setattr(json, "dumps", recording)
         out = tmp_path / "o.json"
         argv = [a.format(mean=mean_csv, linreg=linreg_csv) for a in argv]
         assert main(argv + ["--out", str(out)]) == 0
         (obj,) = emitted
-        assert out.read_text() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
+        text = out.read_text()
+        assert text == dumps(obj, sort_keys=True) + "\n"
+        assert text.count("\n") == 1
 
     def test_cv_records_of_every_shape(self, mean_csv, tmp_path, monkeypatch):
-        """cv's records, rendered from the outcomes' arrays, give json.dumps's
-        text for complete records, failed expansions, failed re-fits, both,
+        """cv's file holds the report's records as to_json_obj gives them:
+        complete records, failed expansions, failed re-fits, both,
         non-finite errors and labels json escapes."""
         from dataclasses import replace
 
         real = resampling.run_cv
+        reports = []
 
         def mixed(*args, **kwargs):
             report = real(*args, **kwargs)
             o = report.outcomes
-            return replace(report, outcomes=(
+            reports.append(replace(report, outcomes=(
                 replace(o[0], label='drop "1" \\ é\n'),
                 replace(o[1], theta_ij=None, errors=None,
                         expand_error="non-finite contraction for term"),
@@ -461,56 +473,30 @@ class TestJsonWriter:
                 replace(o[0], label="both", theta_ij=None, theta_exact=None, errors=None,
                         expand_error="x", refit_error="y\u2028"),
                 replace(o[1], label=""),
-            ))
+            )))
+            return reports[-1]
 
-        emitted = []
-        writer = cli._json_text
-
-        def recording(obj, *indent):
-            if not indent:
-                emitted.append(obj)
-            return writer(obj, *indent)
+        def nan_as_text(x):
+            # NaN != NaN, so the comparison reads it as a string
+            if isinstance(x, dict):
+                return {k: nan_as_text(v) for k, v in x.items()}
+            if isinstance(x, list):
+                return [nan_as_text(v) for v in x]
+            return "NaN" if isinstance(x, float) and math.isnan(x) else x
 
         monkeypatch.setattr(resampling, "run_cv", mixed)
-        monkeypatch.setattr(cli, "_json_text", recording)
         out = tmp_path / "o.json"
         assert main(["cv", "--model", "mean", "--data", mean_csv, "--order", "3",
                      "--out", str(out)]) == 0
-        (obj,) = emitted
-        assert isinstance(obj["outcomes"], resampling.OutcomeRecords)
-        assert len(obj["outcomes"]) == 6
-        assert out.read_text() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-JSON_KEYS = st.one_of(st.text(max_size=6), st.integers(-10 ** 6, 10 ** 6),
-                      st.floats(allow_nan=False), st.booleans())
-JSON_VALUES = st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(-10 ** 30, 10 ** 30), st.floats(),
-              st.text(max_size=8)),
-    lambda children: st.one_of(
-        st.lists(children, max_size=5),
-        st.lists(children, max_size=3).map(tuple),
-        st.lists(st.floats(), max_size=6),
-        # keys of one kind per dict, since json sorts the keys themselves
-        JSON_KEYS.flatmap(lambda key: st.dictionaries(
-            st.from_type(type(key)) if not isinstance(key, float)
-            else st.floats(allow_nan=False), children, max_size=4))),
-    max_leaves=30)
-
-
-@settings(max_examples=300, deadline=None)
-@given(obj=JSON_VALUES)
-@example(obj={"é\n": [-0.0, math.nan, math.inf, -math.inf], "": [], "a": {}, 2: None})
-@example(obj={2: [True, 1.0], 10: {False: "ü\u2028", True: -0.0}})
-@example(obj={None: [1e300, 5e-324, 0.1]})
-def test_json_writer_matches_json_dumps(obj):
-    try:
-        want = json.dumps(obj, indent=2, sort_keys=True)
-    except TypeError:  # keys json cannot sort, as in {2: ..., "a": ...}
-        with pytest.raises(TypeError):
-            cli._json_text(obj)
-        return
-    assert cli._json_text(obj) == want
+        text = out.read_text()
+        assert text.isascii() and text.count("\n") == 1
+        got = json.loads(text)
+        del got["config"]
+        (report,) = reports
+        want = report.to_json_obj()
+        assert len(got["outcomes"]) == 6
+        assert "expand_error" not in got["outcomes"][0]
+        assert nan_as_text(got) == nan_as_text(want)
 
 
 class TestEntryPoint:
@@ -636,6 +622,16 @@ def test_csv_without_rows_is_one_line(tmp_path, text, header):
         err = _assert_usage_error(argv, tmp_path / "o.json")
     assert err == f"usage error: no rows in {path}\n"
     assert not caught, [str(w.message) for w in caught]
+
+
+def test_csv_cell_over_field_limit_is_one_line(tmp_path):
+    """A quoted cell longer than the csv module's field limit (131072
+    characters) is a usage error that names its line, not a traceback."""
+    path = tmp_path / "x.csv"
+    path.write_text("1\n2\n\"" + "1" * 140_000 + "\"\n")
+    err = _assert_usage_error(["fit", "--model", "mean", "--data", str(path)],
+                              tmp_path / "o.json")
+    assert f"line 3 of {path}" in err and "field limit" in err, err
 
 
 @settings(max_examples=150, deadline=None)
