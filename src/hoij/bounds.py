@@ -422,21 +422,25 @@ class SegmentReport:
         return all(p.ok for p in self.points)
 
 
-def hessian_inverse_norm_check(problem: EstimatingProblem, theta_hat, w,
-                               c_tilde_op: float, n_points: int = 9,
+# Evenly spaced weights, both ends included, that the segment check solves at.
+SEGMENT_POINTS = 9
+
+
+def hessian_inverse_norm_check(problem: EstimatingProblem, theta_hat, w, c_tilde_op: float,
                                cfg: Optional[SolveConfig] = None) -> SegmentReport:
     """Verify ||H(w~)^{-1}||_op <= C_tilde_op along the segment to w.
 
-    Walks interpolated weights from the all-ones vector to w, re-solving at
-    each and measuring the inverse operator norm at the solution.  A
-    violation signals constants estimated on too small a sampling region.
+    Walks SEGMENT_POINTS interpolated weights from the all-ones vector to
+    w, re-solving at each and measuring the inverse operator norm at the
+    solution.  A violation signals constants estimated on too small a
+    sampling region.
     """
     theta_hat = np.asarray(theta_hat, dtype=float)
     values = np.asarray(getattr(w, "values", w), dtype=float)
     ones = np.ones(problem.n_terms)
     points = []
     theta = theta_hat
-    for t in np.linspace(0.0, 1.0, n_points):
+    for t in np.linspace(0.0, 1.0, SEGMENT_POINTS):
         wt = (1.0 - t) * ones + t * values
         theta = exact_refit(problem, wt, theta, cfg)
         h = assemble_jacobian(problem, theta, wt)

@@ -28,7 +28,6 @@ from .expansion import (
     solve_base,
 )
 from .forward_ad import K_MAX, NonFiniteValueError
-from .models import DatasetError
 from .terms import term_tables
 
 SCHEMA_VERSION = resampling.SCHEMA_VERSION
@@ -130,6 +129,8 @@ def _validate_bounds(args):
     # the constants of an order-K bound read derivatives of order K + 1
     if args.order >= K_MAX:
         raise UsageError(f"--order must be in 0..{K_MAX - 1} for error bounds, got {args.order}")
+    if not 0.0 < args.rho < 1.0:
+        raise UsageError(f"--rho must be strictly inside (0, 1), got {args.rho}")
     if args.samples < 1:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
     if args.radius is not None and not 0.0 <= args.radius < math.inf:
@@ -177,8 +178,11 @@ def _output_paths(args) -> list:
 
 
 def _check_outputs(args) -> None:
+    paths = _output_paths(args)
+    if len(paths) == 2 and paths[0] == paths[1]:
+        raise UsageError(f"--out {args.out!r} is also the path of the CSV file it writes")
     data = getattr(args, "data", None)
-    for path in _output_paths(args):
+    for path in paths:
         try:
             same = data is not None and path.samefile(data)
         except OSError:  # a file that does not exist is not the dataset
@@ -237,8 +241,7 @@ def _cmd_expand(args):
         expn = evaluate_theta_ij(problem, theta_hat, hfac, table,
                                  np.array([w.delta for w in block]), args.order)
         dthetas = np.stack(expn.dthetas, axis=1).tolist()
-        partials = np.stack([expn.partial_sum(k) for k in range(args.order + 1)],
-                            axis=1).tolist()
+        partials = expn.partial_sums().tolist()
         records.extend({"label": w.label, "dthetas": d, "theta_ij": p}
                        for w, d, p in zip(block, dthetas, partials))
     _emit({
@@ -369,10 +372,8 @@ def main(argv=None) -> int:
     try:
         _check_outputs(args)
         _COMMANDS[args.command](args)
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 2
-    except (DatasetError, ValueError, FileNotFoundError, IsADirectoryError) as err:
+    except (ValueError, FileNotFoundError, IsADirectoryError) as err:
+        # UsageError and DatasetError are ValueErrors
         print(f"usage error: {err}", file=sys.stderr)
         return 2
     except (SolverError, NonFiniteValueError, np.linalg.LinAlgError,

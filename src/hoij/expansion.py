@@ -50,6 +50,8 @@ class SingularHessianError(SolverError):
 # MAX_BACKTRACKS times, before the line search counts as stalled.
 BACKTRACK_RATIO = 0.5
 MAX_BACKTRACKS = 40
+# A base Jacobian whose reciprocal condition number is below this is singular.
+RCOND_FLOOR = 1e-12
 
 
 @dataclass
@@ -191,8 +193,7 @@ class HessianFactor:
     by row block, so no per-datum array of that order is kept.
     :meth:`prepare` fills several orders from one Taylor pass: the order-K
     expansion's rows of orders 0..K-1 and its order-K tensor from one pass
-    of degree K.  :meth:`plan` compiles a term table against those arrays,
-    once per table and order.
+    of degree K.
     """
 
     matrix: np.ndarray
@@ -202,7 +203,7 @@ class HessianFactor:
     theta_hat: np.ndarray
     _tensors: dict = field(default_factory=dict, repr=False)
     _rows: dict = field(default_factory=dict, repr=False)
-    _plans: dict = field(default_factory=dict, repr=False)
+    _expanded: set = field(default_factory=set, repr=False)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         # LAPACK's getrs, as in scipy.linalg.lu_solve, without the wrapper's
@@ -230,8 +231,10 @@ class HessianFactor:
     def prepare_expansion(self, order: int) -> None:
         """Cache what an order-``order`` expansion reads, from one Taylor pass:
         the rows of every order below it and, from order 2, the summed tensor
-        of its own order."""
-        self.prepare(rows=range(order), tensors=(order,) if order >= 2 else ())
+        of its own order; once per order, as the caches are never emptied."""
+        if order not in self._expanded:
+            self.prepare(rows=range(order), tensors=(order,) if order >= 2 else ())
+            self._expanded.add(order)
 
     def _summed(self, k: int, g0: np.ndarray, summed: np.ndarray) -> np.ndarray:
         # (D, D**k) tensor of G from the multiset row sum of the terms g_n
@@ -254,44 +257,8 @@ class HessianFactor:
                 self.prepare(tensors=(k,))
         return self._tensors[k]
 
-    def compile(self, order_terms: Sequence[DerivativeTerm]) -> tuple:
-        """The entries :func:`evaluate_dtheta` runs for these terms, one per
-        term: ``(is_weight_term, coeff, kset, array)``.  The array is the
-        term's cached derivatives, ``rows(len(kset))[1]`` for a
-        weight-direction term and ``tensor(len(kset))`` for any other."""
-        return tuple((t.omega == 1, t.coeff, t.kset,
-                      self.rows(len(t.kset))[1] if t.omega else self.tensor(len(t.kset)))
-                     for t in order_terms)
 
-    def plan(self, table: TermTable, order: int) -> tuple:
-        """The compiled entries of orders 1..order of ``table``, one tuple
-        per order, built on first use from one Taylor pass
-        (:meth:`prepare_expansion`) and then kept.  They are keyed by the
-        table object and the order: the cache holds the table, so its id
-        is not reused while the plan is kept."""
-        cached = self._plans.get((id(table), order))
-        if cached is None or cached[0] is not table:
-            self.prepare_expansion(order)
-            cached = (table, tuple(self.compile(table.for_order(k))
-                                   for k in range(1, order + 1)))
-            self._plans[id(table), order] = cached
-        return cached[1]
-
-
-def _contract(t: np.ndarray, directions) -> np.ndarray:
-    # A (D, D**k) derivative array applied to k directions: (D,) ones by the
-    # matrix-vector products of :func:`forward_ad.contract`, without its
-    # calls, and (B, D) ones by one product with their row-wise outer
-    # products.
-    if np.ndim(directions[0]) == 2:
-        return fad.direction_products(directions, len(directions[0])) @ t.T
-    for v in directions:
-        t = t.reshape(-1, len(v)) @ v
-    return t
-
-
-def factorize_hessian(problem: EstimatingProblem, theta_hat,
-                      rcond_floor: float = 1e-12) -> HessianFactor:
+def factorize_hessian(problem: EstimatingProblem, theta_hat) -> HessianFactor:
     """Assemble and LU-factorize H at the base fit.
 
     LU with partial pivoting rather than a symmetric factorization: the
@@ -300,10 +267,10 @@ def factorize_hessian(problem: EstimatingProblem, theta_hat,
     h = assemble_jacobian(problem, theta_hat, np.ones(problem.n_terms))
     svals = scipy.linalg.svdvals(h)
     rcond = float(svals[-1] / svals[0]) if svals[0] > 0 else 0.0
-    if rcond < rcond_floor:
+    if rcond < RCOND_FLOOR:
         raise SingularHessianError(
             "base Jacobian is numerically singular "
-            f"(reciprocal condition {rcond:.3e} < {rcond_floor:.0e}); "
+            f"(reciprocal condition {rcond:.3e} < {RCOND_FLOOR:.0e}); "
             "the expansion requires it to be strongly positive definite",
         )
     lu = scipy.linalg.lu_factor(h)
@@ -312,41 +279,31 @@ def factorize_hessian(problem: EstimatingProblem, theta_hat,
 
 
 def evaluate_dtheta(problem: EstimatingProblem, theta_hat, hfac: HessianFactor,
-                    order_terms, dset: dict, delta_w) -> np.ndarray:
-    """One expansion coefficient: -H^{-1} (sum of coefficient-weighted terms).
+                    order_terms: Sequence[DerivativeTerm], dset: dict, delta_w) -> np.ndarray:
+    """One expansion coefficient: -H^{-1} (sum of one order's table terms).
 
-    ``order_terms`` is one order's table terms, or their compiled entries
-    from :meth:`HessianFactor.plan`, as :func:`evaluate_theta_ij` passes
-    them.  Every term contracts the derivative arrays cached on ``hfac``,
-    so ``theta_hat`` must be the point it was built at (``hfac.theta_hat``
-    itself is not compared).  A weight-direction term is one
-    :func:`forward_ad.g_weight_derivative` call on the cached rows, any
-    other term one contraction of the summed tensor.  For a (B, N) block
+    A term with m directions is one :func:`forward_ad.g_weight_derivative`
+    call on ``hfac.rows(m)`` if it is a weight-direction term, else one
+    :func:`forward_ad.contract` of ``hfac.tensor(m)``: arrays cached at the
+    point ``hfac`` was built at, which ``theta_hat`` must be
+    (``hfac.theta_hat`` itself is not compared).  For a (B, N) block
     ``delta_w`` the coefficients in ``dset`` and the result are (B, D), and
     the order ends in one triangular solve with B right-hand sides; a
     non-finite value anywhere in the block raises NonFiniteValueError.
     """
     if theta_hat is not hfac.theta_hat and not np.array_equal(theta_hat, hfac.theta_hat):
         raise ValueError("theta_hat differs from the point the Hessian factor was built at")
-    if order_terms and isinstance(order_terms[0], DerivativeTerm):
-        order_terms = hfac.compile(order_terms)
     d = 0.0
-    for weight_term, coeff, kset, array in order_terms:
-        try:
-            dirs = [dset[j] for j in kset]
-        except KeyError as err:
-            raise KeyError(
-                f"term {DerivativeTerm(coeff, kset, int(weight_term))} needs derivative "
-                f"of order {err.args[0]}, but only orders {sorted(dset)} are available"
-            ) from None
-        if weight_term:
-            value = fad.g_weight_derivative(problem, theta_hat, delta_w, dirs, array)
+    for term in order_terms:
+        dirs = [dset[j] for j in term.kset]
+        if term.omega:
+            value = fad.g_weight_derivative(problem, theta_hat, delta_w, dirs,
+                                            hfac.rows(len(dirs))[1])
         else:
-            value = _contract(array, dirs)
+            value = fad.contract(hfac.tensor(len(dirs)), dirs)
             if not np.isfinite(value).all():
-                raise fad.NonFiniteValueError(
-                    f"non-finite contraction for term {DerivativeTerm(coeff, kset, 0)}")
-        d = d + coeff * value
+                raise fad.NonFiniteValueError(f"non-finite contraction for term {term}")
+        d = d + term.coeff * value
     return -hfac.solve(d.T).T
 
 
@@ -359,18 +316,21 @@ class TaylorExpansion:
     dthetas: tuple
     order: int
 
+    def partial_sums(self) -> np.ndarray:
+        """theta_hat + sum_{j<=k} d_j / j! for k = 0..order: (order + 1, D),
+        or (B, order + 1, D) for a block, from one cumulative sum over j."""
+        terms = [self.theta_hat, *(d / math.factorial(j) for j, d in enumerate(self.dthetas, 1))]
+        return np.cumsum(np.stack(terms, axis=-2), axis=-2)
+
     def partial_sum(self, k: int) -> np.ndarray:
-        """theta_hat + sum_{j<=k} d_j / j!, the order-k approximation."""
+        """The order-k approximation, row k of :meth:`partial_sums`."""
         if not 0 <= k <= self.order:
             raise ValueError(f"order {k} outside 0..{self.order}")
-        out = self.theta_hat.copy()
-        for j in range(1, k + 1):
-            out += self.dthetas[j - 1] / math.factorial(j)
-        return out
+        return self.partial_sums()[..., k, :]
 
     @property
     def theta_ij(self) -> np.ndarray:
-        return self.partial_sum(self.order)
+        return self.partial_sums()[..., -1, :]
 
 
 def evaluate_theta_ij(problem: EstimatingProblem, theta_hat, hfac: HessianFactor,
@@ -380,14 +340,10 @@ def evaluate_theta_ij(problem: EstimatingProblem, theta_hat, hfac: HessianFactor
     ``delta_w`` is one weight offset w - 1 of length N, or a (B, N) block of
     them; the coefficients are then (D,) or (B, D), and for a block the
     expansion's ``theta_hat`` is repeated per row.  Accumulates the
-    derivative set bottom-up; everything reuses the single factorization in
-    ``hfac`` and runs from its :meth:`~HessianFactor.plan` for ``table`` and
-    ``order``, compiled on the first call: one :func:`evaluate_dtheta` call
-    per order.  Weight-direction terms read the per-datum arrays of orders
-    below ``order``, which ``hfac`` keeps, one product with the weights
-    each, and their row sums serve the other terms; the order-``order``
-    array is needed only for its row sum.  All of them come from one
-    forward pass per factor, of degree ``order``.
+    derivative set bottom-up, one :func:`evaluate_dtheta` call per order on
+    that order's table terms.  Their arrays come from one forward pass per
+    factor, of degree ``order`` (:meth:`~HessianFactor.prepare_expansion`):
+    the per-datum arrays of the orders below it and the row sum of its own.
     """
     if order > table.max_order:
         raise ValueError(f"order {order} exceeds table max {table.max_order}")
@@ -395,9 +351,11 @@ def evaluate_theta_ij(problem: EstimatingProblem, theta_hat, hfac: HessianFactor
     theta_hat = np.asarray(theta_hat, dtype=float)
     if theta_hat is not hfac.theta_hat and not np.array_equal(theta_hat, hfac.theta_hat):
         raise ValueError("theta_hat differs from the point the Hessian factor was built at")
+    hfac.prepare_expansion(order)
     dset: dict = {}
-    for k, entries in enumerate(hfac.plan(table, order), 1):
-        dset[k] = evaluate_dtheta(problem, hfac.theta_hat, hfac, entries, dset, delta_w)
+    for k in range(1, order + 1):
+        dset[k] = evaluate_dtheta(problem, hfac.theta_hat, hfac, table.for_order(k),
+                                  dset, delta_w)
     if delta_w.ndim == 2:
         theta_hat = np.broadcast_to(theta_hat, (len(delta_w), theta_hat.size))
     return TaylorExpansion(theta_hat=theta_hat, dthetas=tuple(dset.values()), order=order)

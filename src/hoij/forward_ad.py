@@ -261,14 +261,14 @@ def sigmoid(x):
 
 
 def _check_directions(directions, dim):
-    k = len(directions)
-    if k > K_MAX:
-        raise ValueError(f"derivative order {k} exceeds the maximum {K_MAX}")
+    # The directions as float arrays, each (D,) or (B, D), once checked.
+    if len(directions) > K_MAX:
+        raise ValueError(f"derivative order {len(directions)} exceeds the maximum {K_MAX}")
+    directions = [np.asarray(v, dtype=float) for v in directions]
     for v in directions:
-        if np.shape(v)[-1] != dim:
-            raise ValueError(
-                f"direction length {np.shape(v)[-1]} != parameter dimension {dim}"
-            )
+        if v.shape[-1] != dim:
+            raise ValueError(f"direction length {v.shape[-1]} != parameter dimension {dim}")
+    return directions
 
 
 def stack_rows(values):
@@ -322,12 +322,16 @@ def basis_multisets(dim, k):
 
 
 def contract(tensor, directions):
-    """A (D, D**k) derivative array applied to each of its k directions."""
-    out = tensor
+    """A (D, D**k) derivative array applied to its k directions, (D,) float
+    arrays; or, by one product with the rows' :func:`direction_products`, to
+    (B, D) arrays of one direction per row, for a (B, D) result."""
+    if not len(directions):
+        return tensor.reshape(len(tensor))
+    if directions[0].ndim == 2:
+        return direction_products(directions, len(directions[0])) @ tensor.T
     for v in directions:
-        v = np.asarray(v, dtype=float)
-        out = out.reshape(-1, v.size) @ v
-    return out.reshape(len(tensor))
+        tensor = tensor.reshape(-1, len(v)) @ v
+    return tensor
 
 
 def direction_products(directions, rows):
@@ -517,7 +521,7 @@ def g_theta_derivative(problem, theta, weights, directions):
     The order-k array of :func:`g_theta_tensor` applied to each of its k
     directions; an empty direction tuple returns G itself.
     """
-    _check_directions(directions, problem.dim_theta)
+    directions = _check_directions(directions, problem.dim_theta)
     out = contract(g_theta_tensor(problem, theta, weights, len(directions)), directions)
     if not np.isfinite(out).all():
         raise NonFiniteValueError(
@@ -661,7 +665,7 @@ def g_weight_derivative(problem, theta, delta_w, directions, per_datum=None):
     delta_w = np.asarray(getattr(delta_w, "delta", delta_w), dtype=float)
     k = len(directions)
     dim, n = problem.dim_theta, problem.n_terms
-    _check_directions(directions, dim)
+    directions = _check_directions(directions, dim)
     if per_datum is None:
         per_datum = per_datum_tensor(problem, theta, k)[1]
     want = (n, dim, len(basis_multisets(dim, k)[0]))
@@ -693,9 +697,7 @@ def g_weight_derivative(problem, theta, delta_w, directions, per_datum=None):
         # rounding, it has always had.
         if k:
             summed = summed[:, basis_multisets(dim, k)[1]]
-        for v in directions:  # contract's products, without its calls
-            summed = summed.reshape(-1, dim) @ v
-        out = summed.reshape(dim) / n
+        out = contract(summed, directions) / n
     if not np.isfinite(out).all():
         raise NonFiniteValueError(
             f"non-finite weight-direction derivative of order {k}"

@@ -239,8 +239,11 @@ def loo_weights(n: int, subset: Optional[Sequence[int]] = None) -> Iterator[Weig
     """Leave-one-out weights, one vector per dropped datum.
 
     ``subset`` holds 1-based data indices; the default drops every datum
-    in turn.
+    in turn.  At least two rows are required: with one, the only weight
+    vector leaves every row out, where G is g_0 alone.
     """
+    if n < 2:
+        raise ValueError(f"leave-one-out needs at least 2 rows, got {n}")
     indices = range(1, n + 1) if subset is None else sorted(set(int(i) for i in subset))
     for i in indices:
         if not 1 <= i <= n:

@@ -28,6 +28,7 @@ from .bounds import (
 from .expansion import (
     REFIT_BLOCK,
     SolveConfig,
+    TaylorExpansion,
     evaluate_theta_ij,
     factorize_hessian,
     refit_block,
@@ -155,23 +156,22 @@ def _expand_block(problem, theta_hat, hfac, table, block: list, order: int) -> t
 
     Returns ``(partials, expand_errors)``: a (B, order + 1, D) array, NaN
     from order 1 on for a weight whose expansion failed, and the error
-    message or None per weight.
-    Each weight is expanded on its own; the block's partial sums come from
-    one cumulative sum over theta_hat and the d_j / j!, which adds in the
-    order :meth:`~hoij.expansion.TaylorExpansion.partial_sum` does.
+    message or None per weight.  Each weight is expanded on its own; the
+    block's partial sums come from one
+    :meth:`~hoij.expansion.TaylorExpansion.partial_sums` call.
     """
-    terms = np.full((len(block), order + 1, theta_hat.size), np.nan)
-    terms[:, 0] = theta_hat
+    dthetas = np.full((order, len(block), theta_hat.size), np.nan)
     errors = [None] * len(block)
     for b, w in enumerate(block):
         try:
             expn = evaluate_theta_ij(problem, hfac.theta_hat, hfac, table, w.delta, order)
             if order:
-                terms[b, 1:] = expn.dthetas
+                dthetas[:, b] = expn.dthetas
         except NonFiniteValueError as err:
             errors[b] = str(err)
-    terms[:, 1:] /= np.array([math.factorial(j) for j in range(1, order + 1)])[:, None]
-    return np.cumsum(terms, axis=1), errors
+    stacked = TaylorExpansion(np.broadcast_to(theta_hat, dthetas.shape[1:]), tuple(dthetas),
+                              order)
+    return stacked.partial_sums(), errors
 
 
 def _refit_block(problem, hfac, block: list, starts: np.ndarray,

@@ -222,10 +222,46 @@ class TestStreamValidation:
         assert err.startswith("usage error: ") and len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["cv"], ["expand", "--order", "2"]])
+    def test_one_row_loo_is_degenerate(self, tmp_path, capsys, command):
+        """The only leave-one-out weight of one row is all zeros, where any
+        theta is a root of the mean model: not "exact, error 0"."""
+        data = tmp_path / "one.csv"
+        data.write_text("3\n")
+        out = tmp_path / "o.json"
+        rc = main([*command, "--model", "mean", "--data", str(data), "--scheme", "loo",
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("usage error: ") and len(err.strip().splitlines()) == 1
+        assert "at least 2 rows" in err
+        assert not out.exists() and not out.with_suffix(".csv").exists()
+
+
+class TestBadFlagsBeforeWork:
+    """A flag value that can only fail is refused before the data is read."""
+
+    @pytest.mark.parametrize("command", [["cv", "--with-bounds"], ["bounds"]])
+    @pytest.mark.parametrize("rho", ["2", "1", "0", "-0.5", "nan", "inf"])
+    def test_rho_outside_unit_interval(self, mean_csv, tmp_path, capsys, monkeypatch,
+                                       command, rho):
+        def spy(*args, **kwargs):
+            raise AssertionError("the data was read")
+
+        monkeypatch.setattr(models, "load_dataset", spy)
+        monkeypatch.setattr(resampling, "run_cv", spy)
+        out = tmp_path / "o.json"
+        rc = main([*command, "--model", "mean", "--data", mean_csv, "--rho", rho,
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith("usage error: --rho") and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
 
 class TestOutputsSpareTheDataset:
-    """An output file that would land on --data is a usage error, and
-    nothing is written."""
+    """An output file that would land on --data, or on the command's other
+    output file, is a usage error, and nothing is written."""
 
     def test_cv_csv_sibling(self, tmp_path, capsys):
         data = tmp_path / "runs.csv"
@@ -236,6 +272,23 @@ class TestOutputsSpareTheDataset:
         assert rc == 2
         assert err.startswith("usage error: ") and len(err.strip().splitlines()) == 1
         assert data.read_text() == "1\n2\n3\n6\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["cv", "--model", "mean", "--data", "DATA"],
+        ["scaling", "--model", "mean", "--grid", "20,40"],
+    ])
+    def test_csv_out_would_overwrite_its_json(self, tmp_path, capsys, argv):
+        """cv and scaling write a CSV next to --out with the suffix .csv, so an
+        --out ending in .csv would be written twice, the JSON lost."""
+        data = tmp_path / "x.csv"
+        data.write_text("1\n2\n3\n6\n")
+        out = tmp_path / "r.csv"
+        argv = [str(data) if a == "DATA" else a for a in argv]
+        rc = main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("usage error: ") and len(err.strip().splitlines()) == 1
         assert not out.exists()
 
     def test_fit_json_same_path(self, tmp_path, capsys):

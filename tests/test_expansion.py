@@ -255,6 +255,9 @@ class TestCachedTensorExpansion:
         table = term_tables(3)
         for w in list(loo_weights(12)) + list(bootstrap_weights(12, 5, seed=1)):
             evaluate_theta_ij(prob, theta_hat, hfac, table, w.delta, 3)
+        # another table object and a lower order read the same caches
+        evaluate_theta_ij(prob, theta_hat, hfac, build_term_tables(3), w.delta, 3)
+        evaluate_theta_ij(prob, theta_hat, hfac, table, w.delta, 2)
         # one degree-3 pass: the rows of orders 0..2 and the order-3 sum
         assert passes == [([0, 1, 2], [3])]
         assert sorted(hfac._rows) == [0, 1, 2]
@@ -457,7 +460,7 @@ class TestBlockExpansion:
 
 def nested_oracle_expansion(prob, theta_hat, table, delta_w, order):
     """d_1..d_order from the nested per-datum arrays of the test helpers,
-    with no univariate pass and no plan: a weight-direction term sums the
+    with no univariate pass and no cache: a weight-direction term sums the
     nested rows against delta_w, any other term contracts the block-loop
     tensor, and each order solves against the block-loop Jacobian."""
     dim, n = prob.dim_theta, prob.n_terms
@@ -483,8 +486,8 @@ def nested_oracle_expansion(prob, theta_hat, table, delta_w, order):
 
 
 class TestPlan:
-    """Every expansion runs from the term table compiled once per factor,
-    table and order against the factor's cached arrays."""
+    """Every expansion runs from the term table's terms, each reading its
+    array from the factor's caches."""
 
     @pytest.mark.parametrize("model_id", ALL_MODELS)
     def test_single_weights_match_nested_oracle(self, model_id):
@@ -503,45 +506,6 @@ class TestPlan:
                 for k, (d_got, d_want) in enumerate(zip(got.dthetas, want), 1):
                     assert max_rel_gap(d_got, d_want) <= 1e-12, (order, k, w.label)
 
-    def test_compiled_once_per_table_and_order(self, monkeypatch):
-        n = 20
-        prob = build_problem("logistic_regression", np.random.default_rng(52), n=n, dim=3,
-                             reg={"l2": 0.2})
-        theta_hat = solve_base(prob)
-        hfac = factorize_hessian(prob, theta_hat)
-        compiled, passes = [], []
-        compile_, per_datum_tensors = expansion.HessianFactor.compile, fad.per_datum_tensors
-
-        def counting_compile(self, order_terms):
-            compiled.append(len(order_terms))
-            return compile_(self, order_terms)
-
-        def counting_pass(*args, **kwargs):
-            passes.append(1)
-            return per_datum_tensors(*args, **kwargs)
-
-        monkeypatch.setattr(expansion.HessianFactor, "compile", counting_compile)
-        monkeypatch.setattr(fad, "per_datum_tensors", counting_pass)
-        table = term_tables(3)
-        weights = list(loo_weights(n)) + list(bootstrap_weights(n, 30, seed=1))
-        singles = [evaluate_theta_ij(prob, theta_hat, hfac, table, w.delta, 3)
-                   for w in weights]
-        assert len(weights) == 50
-        assert compiled == [len(table.for_order(k)) for k in (1, 2, 3)]
-        assert len(passes) == 1
-        # a block runs the same plan, and row b is weight b's expansion
-        block = evaluate_theta_ij(prob, theta_hat, hfac, table,
-                                  np.array([w.delta for w in weights]), 3)
-        assert len(compiled) == 3
-        for b, one in enumerate(singles):
-            for k in range(3):
-                assert max_rel_gap(block.dthetas[k][b], one.dthetas[k]) <= 1e-14
-        # another table object, equal or not, and another order each get a plan
-        evaluate_theta_ij(prob, theta_hat, hfac, build_term_tables(3), weights[0].delta, 3)
-        evaluate_theta_ij(prob, theta_hat, hfac, table, weights[0].delta, 2)
-        assert len(compiled) == 3 + 3 + 2
-        assert len(passes) == 1
-
     def test_nan_in_cached_tensor_raises(self):
         n = 20
         prob = build_problem("logistic_regression", np.random.default_rng(53), n=n, dim=3)
@@ -550,7 +514,7 @@ class TestPlan:
         table = term_tables(3)
         dw = next(loo_weights(n, [4])).delta
         evaluate_theta_ij(prob, theta_hat, hfac, table, dw, 3)
-        hfac.tensor(2)[1, 2] = np.nan  # the array the compiled plan holds
+        hfac.tensor(2)[1, 2] = np.nan  # the cached array every later expansion reads
         for delta in (dw, np.array([dw, dw])):
             with pytest.raises(NonFiniteValueError, match="non-finite contraction for term"):
                 evaluate_theta_ij(prob, theta_hat, hfac, table, delta, 3)

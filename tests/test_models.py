@@ -374,6 +374,13 @@ class TestWeightVectors:
         with pytest.raises(ValueError):
             list(loo_weights(3, [4]))
 
+    def test_loo_needs_two_rows(self):
+        """The one leave-one-out weight of one row is all zeros, where G is
+        g_0 alone: refused, as a single fold is."""
+        for subset in (None, [1]):
+            with pytest.raises(ValueError, match="at least 2 rows, got 1"):
+                list(loo_weights(1, subset))
+
     def test_kfold_partition(self):
         vecs = list(kfold_weights(4, 2, seed=5))
         assert len(vecs) == 2
