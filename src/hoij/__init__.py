@@ -59,6 +59,7 @@ from .resampling import (
     CvReport,
     GeneratorConfig,
     ScalingReport,
+    bootstrap_covariances,
     bootstrap_linear_samples,
     bootstrap_samples,
     ij_linear_covariance,

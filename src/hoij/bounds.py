@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import forward_ad as fad
 from .expansion import SolveConfig, assemble_jacobian, exact_refit
@@ -64,7 +63,7 @@ def mean_term_norm_bound(per_term_entries: np.ndarray, p) -> float:
 
 def operator_norm_of_inverse(a: np.ndarray) -> float:
     """||A^{-1}||_op, the reciprocal of A's smallest singular value."""
-    smin = float(scipy.linalg.svdvals(np.asarray(a, dtype=float))[-1])
+    smin = float(np.linalg.svd(np.asarray(a, dtype=float), compute_uv=False)[-1])
     if smin <= 0.0:
         raise np.linalg.LinAlgError("matrix is singular")
     return 1.0 / smin
@@ -454,7 +453,13 @@ def hessian_inverse_norm_check(problem: EstimatingProblem, theta_hat, w, c_tilde
 
 def bounds_report(problem: EstimatingProblem, theta_hat, sampler: DomainSampler,
                   order: int, rho: float = 0.5, epsilon: float = 0.0) -> dict:
-    """JSON-ready bound report: per-order constants plus the global summary."""
+    """JSON-ready bound report: per-order constants plus the global summary.
+
+    The set complexity is that of the leave-one-out weights, so the problem
+    needs two rows: the only leave-one-out weight of one row is all zeros.
+    """
+    if problem.n_terms < 2:
+        raise ValueError(f"leave-one-out bounds need at least 2 rows, got {problem.n_terms}")
     constants = estimate_constants(problem, theta_hat, sampler, order, rho, epsilon)
     check = check_condition(constants, rho)
     per_k = {}

@@ -283,10 +283,8 @@ def _cmd_bootstrap(args):
     hfac.prepare_expansion(args.order)
     sandwich = resampling.sandwich_covariance(problem, theta_hat, hfac)
     linear = resampling.linear_covariance(problem, theta_hat, hfac)
-    samples, expns = resampling.bootstrap_samples(problem, theta_hat, hfac, args.draws,
-                                                  order=args.order, seed=args.seed)
-    empirical = np.cov(samples, rowvar=False, bias=True).reshape(
-        problem.dim_theta, problem.dim_theta)
+    empirical, expanded = resampling.bootstrap_covariances(
+        problem, theta_hat, hfac, args.draws, order=args.order, seed=args.seed)
     obj = {
         "theta_hat": [float(v) for v in theta_hat],
         "draws": args.draws,
@@ -298,10 +296,8 @@ def _cmd_bootstrap(args):
         # identity between the two routes is exact rather than asymptotic
         "covariance_convention": "centered outer products over N^2",
     }
-    if expns is not None:
-        obj["empirical_covariance_order_k"] = np.cov(
-            expns, rowvar=False, bias=True).reshape(
-            problem.dim_theta, problem.dim_theta).tolist()
+    if expanded is not None:
+        obj["empirical_covariance_order_k"] = expanded.tolist()
     _emit(obj, args)
     print(f"bootstrap: identity gap {obj['identity_max_abs_gap']:.3e} over "
           f"{args.draws} draws", file=sys.stderr)

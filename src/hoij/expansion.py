@@ -4,7 +4,8 @@ The expansion around the all-ones weights needs one Newton solve, one
 dense factorization of the Jacobian H = dG/dtheta at the base fit, and the
 per-datum derivative arrays of G there, every order from one forward pass
 on first use.  After that, every weight vector costs only derivative
-contractions and triangular solves: the order-k coefficient solves
+contractions and one product with the inverse Jacobian: the order-k
+coefficient solves
 
     H * d_k = -(sum of table terms of order k),
 
@@ -21,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import forward_ad as fad
 from .models import EstimatingProblem, evaluate_g
@@ -85,21 +85,15 @@ def assemble_jacobian(problem: EstimatingProblem, theta, w) -> np.ndarray:
 
 
 def _newton_step(h: np.ndarray, g: np.ndarray, theta, gnorm: float) -> np.ndarray:
-    """The Newton step -H^{-1} g.
-
-    LAPACK's gesv, as in scipy.linalg.solve, without the wrapper's checks:
-    they cost more than the solve at small D.  H and g come from passes that
-    reject non-finite values.
-    """
-    _, _, x, info = scipy.linalg.lapack.dgesv(h, g)
-    if info > 0:
+    """The Newton step -H^{-1} g, from numpy's LAPACK gesv.  H and g come
+    from passes that reject non-finite values."""
+    try:
+        return -np.linalg.solve(h, g)
+    except np.linalg.LinAlgError:
         raise SingularHessianError(
             f"singular Jacobian during Newton solve at residual {gnorm:.3e}",
             iterate=theta, residual_norm=gnorm,
-        )
-    if info < 0:
-        raise ValueError(f"gesv rejected its argument {-info}")
-    return -x
+        ) from None
 
 
 def _damped_newton(problem: EstimatingProblem, weights: np.ndarray, theta: np.ndarray,
@@ -181,9 +175,16 @@ def exact_refit(problem: EstimatingProblem, w, theta_hat,
     return _damped_newton(problem, weights, theta, evaluate_g(problem, theta, weights), cfg)
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    # np.count_nonzero skips the reduction machinery of .all(): 0.8 against
+    # 1.7 us on a (3,) array with numpy 2.4 on a 2-core Xeon, and every
+    # solve checks twice.
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
 @dataclass(frozen=True, eq=False)
 class HessianFactor:
-    """Dense LU factorization of the base Jacobian for repeated solves.
+    """The inverse of the base Jacobian, for repeated solves.
 
     It also keeps the base fit ``theta_hat`` it was built at, and memoizes
     the derivatives of G there (all-ones weights) on first use: the
@@ -197,7 +198,7 @@ class HessianFactor:
     """
 
     matrix: np.ndarray
-    lu: tuple
+    inverse: np.ndarray
     cond_estimate: float
     problem: EstimatingProblem
     theta_hat: np.ndarray
@@ -206,13 +207,13 @@ class HessianFactor:
     _expanded: set = field(default_factory=set, repr=False)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        # LAPACK's getrs, as in scipy.linalg.lu_solve, without the wrapper's
-        # checks: they cost more than the solve at small D.  One finiteness
-        # check of the result stands in for the wrapper's check of b.
-        x, info = scipy.linalg.lapack.dgetrs(*self.lu, b)
-        if info != 0:
-            raise ValueError(f"getrs rejected its argument {-info}")
-        if not np.isfinite(x).all():
+        """H^{-1} b for a (D,) or (D, B) ``b``, as one product with the
+        inverse.  numpy's product warns on an infinite operand, so b is
+        checked first, and the result, which can overflow, after."""
+        if not _all_finite(b):
+            raise fad.NonFiniteValueError("non-finite right-hand side of the Hessian system")
+        x = self.inverse.dot(b)
+        if not _all_finite(x):
             raise fad.NonFiniteValueError("non-finite solution of the Hessian system")
         return x
 
@@ -259,23 +260,26 @@ class HessianFactor:
 
 
 def factorize_hessian(problem: EstimatingProblem, theta_hat) -> HessianFactor:
-    """Assemble and LU-factorize H at the base fit.
+    """Assemble H at the base fit and invert it through its SVD.
 
-    LU with partial pivoting rather than a symmetric factorization: the
-    estimating equations need not be gradients, so H need not be symmetric.
+    One SVD gives both the reciprocal condition number and the inverse
+    V diag(1/s) U^T; the estimating equations need not be gradients, so H
+    need not be symmetric.  Measured at D = 3 and 8 with one BLAS thread,
+    for one right-hand side and for 64, one product with the inverse, its
+    checks included, is no slower than LAPACK's LU solve (getrs), while the
+    three products V (s^-1 (U^T b)) take 1.5 to 1.7 times as long.
     """
     h = assemble_jacobian(problem, theta_hat, np.ones(problem.n_terms))
-    svals = scipy.linalg.svdvals(h)
-    rcond = float(svals[-1] / svals[0]) if svals[0] > 0 else 0.0
+    u, s, vt = np.linalg.svd(h)
+    rcond = float(s[-1] / s[0]) if s[0] > 0 else 0.0
     if rcond < RCOND_FLOOR:
         raise SingularHessianError(
             "base Jacobian is numerically singular "
             f"(reciprocal condition {rcond:.3e} < {RCOND_FLOOR:.0e}); "
             "the expansion requires it to be strongly positive definite",
         )
-    lu = scipy.linalg.lu_factor(h)
-    return HessianFactor(matrix=h, lu=lu, cond_estimate=rcond, problem=problem,
-                         theta_hat=np.array(theta_hat, dtype=float))
+    return HessianFactor(matrix=h, inverse=(vt.T / s) @ u.T, cond_estimate=rcond,
+                         problem=problem, theta_hat=np.array(theta_hat, dtype=float))
 
 
 def evaluate_dtheta(problem: EstimatingProblem, theta_hat, hfac: HessianFactor,
@@ -288,7 +292,7 @@ def evaluate_dtheta(problem: EstimatingProblem, theta_hat, hfac: HessianFactor,
     point ``hfac`` was built at, which ``theta_hat`` must be
     (``hfac.theta_hat`` itself is not compared).  For a (B, N) block
     ``delta_w`` the coefficients in ``dset`` and the result are (B, D), and
-    the order ends in one triangular solve with B right-hand sides; a
+    the order ends in one solve with B right-hand sides; a
     non-finite value anywhere in the block raises NonFiniteValueError.
     """
     if theta_hat is not hfac.theta_hat and not np.array_equal(theta_hat, hfac.theta_hat):

@@ -42,8 +42,6 @@ import math
 import numbers
 
 import numpy as np
-import scipy.linalg
-from scipy.special import expit
 
 # Hard ceiling on the derivative order (the degree of a pass), hence on
 # expansion order.  Term tables and acceptance targets use K <= 4; 6 leaves
@@ -243,7 +241,7 @@ def log(x):
 
 
 def sigmoid(x):
-    """Logistic sigmoid; the base case uses a numerically stable expit."""
+    """Logistic sigmoid 1 / (1 + exp(-x)), computed without overflow."""
     if isinstance(x, TaylorScalar):
         a = x.coeffs
         y0 = sigmoid(a[0])
@@ -257,7 +255,10 @@ def sigmoid(x):
             if k < len(a) - 1:
                 us.append(_sub(ys[k], _convolution(ys, ys, k, range(k + 1))))
         return TaylorScalar(ys)
-    return expit(x)
+    # e = exp(-|x|) is at most 1, and the sigmoid is 1 / (1 + e) for x >= 0
+    # and e / (1 + e) below.  A float in gives a float out.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _check_directions(directions, dim):
@@ -375,9 +376,8 @@ def _subspace_inverse(dim, degree, k):
     factorials = np.array([math.factorial(j) for j in range(k + 1)])
     multinomial = math.factorial(k) / np.prod(factorials[alphas], axis=1)
     monomials = np.prod(directions[:, basis_multisets(dim, k)[0]], axis=2)
-    # The pseudo-inverse from scipy's SVD, which the Jacobian's condition
-    # checks use too: numpy's first SVD adds about 1 MB of resident memory.
-    u, s, vt = scipy.linalg.svd(monomials * multinomial, full_matrices=False)
+    # The pseudo-inverse from the SVD, which factorize_hessian uses too.
+    u, s, vt = np.linalg.svd(monomials * multinomial, full_matrices=False)
     return math.factorial(k) * (vt.T / s) @ u.T
 
 

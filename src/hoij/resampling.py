@@ -356,34 +356,73 @@ def linear_covariance(problem: EstimatingProblem, theta_hat, hfac) -> np.ndarray
     return hfac.solve(hfac.solve(middle).T).T
 
 
+def _bootstrap_sample_blocks(problem: EstimatingProblem, theta_hat, hfac, draws: int,
+                             order: int, seed: int):
+    # (linear, expanded) for each block of bootstrap_weight_blocks: the
+    # order-1 approximations, one product and one solve since they are
+    # linear in the weights, and the order-``order`` expansions (None below
+    # order 2), one evaluate_theta_ij call.
+    n = problem.n_terms
+    j = gn_matrix(theta_hat, hfac)
+    theta_hat = np.asarray(theta_hat, dtype=float)
+    table = term_tables(order) if order >= 2 else None
+    for delta in bootstrap_weight_blocks(n, draws, seed):
+        delta -= 1.0
+        linear = theta_hat - hfac.solve((delta @ j / n).T).T
+        yield linear, None if table is None else evaluate_theta_ij(
+            problem, theta_hat, hfac, table, delta, order).theta_ij
+
+
 def bootstrap_samples(problem: EstimatingProblem, theta_hat, hfac, draws: int,
                       order: int = 1, seed: int = 0) -> tuple:
     """Sampled approximations under multinomial bootstrap weights.
 
     Returns ``(linear, expanded)``, each of shape (draws, D): the order-1
-    approximations, one product and one solve per block since they are
-    linear in the weights, and the order-``order`` expansions of the same
-    draws (None below order 2), one :func:`evaluate_theta_ij` call per
-    block.  Each block of :func:`~hoij.models.bootstrap_weight_blocks`, at
-    most WEIGHT_BLOCK_ELEMENTS entries, is drawn once and feeds both, so
-    beyond the two (draws, D) results memory does not grow with ``draws``.
+    approximations and the order-``order`` expansions of the same draws
+    (None below order 2).  Each block of
+    :func:`~hoij.models.bootstrap_weight_blocks`, at most
+    WEIGHT_BLOCK_ELEMENTS entries, is drawn once and feeds both, so beyond
+    the two (draws, D) results memory does not grow with ``draws``;
+    :func:`bootstrap_covariances` keeps no samples at all.
     """
-    n = problem.n_terms
-    j = gn_matrix(theta_hat, hfac)
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    table = term_tables(order) if order >= 2 else None
-    linear = np.empty((draws, theta_hat.size))
-    expanded = None if table is None else np.empty_like(linear)
+    linear = np.empty((draws, problem.dim_theta))
+    expanded = None if order < 2 else np.empty_like(linear)
     done = 0
-    for delta in bootstrap_weight_blocks(n, draws, seed):
-        delta -= 1.0
-        m = len(delta)
-        linear[done:done + m] = theta_hat - hfac.solve((delta @ j / n).T).T
-        if table is not None:
-            expanded[done:done + m] = evaluate_theta_ij(problem, theta_hat, hfac, table,
-                                                        delta, order).theta_ij
+    for lin, high in _bootstrap_sample_blocks(problem, theta_hat, hfac, draws, order, seed):
+        m = len(lin)
+        linear[done:done + m] = lin
+        if expanded is not None:
+            expanded[done:done + m] = high
         done += m
     return linear, expanded
+
+
+def _merge_comoments(acc, x: np.ndarray) -> tuple:
+    # (count, mean, centred co-moment sum) of the samples behind ``acc`` and
+    # the rows of ``x`` together, by the pairwise update of Chan, Golub &
+    # LeVeque, "Algorithms for computing the sample variance" (1983).
+    mean = x.mean(axis=0)
+    centred = x - mean
+    block = (len(x), mean, centred.T @ centred)
+    if acc is None:
+        return block
+    (n_a, mean_a, m_a), (n_b, mean_b, m_b) = acc, block
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return n, mean_a + delta * (n_b / n), m_a + m_b + np.outer(delta, delta) * (n_a * n_b / n)
+
+
+def bootstrap_covariances(problem: EstimatingProblem, theta_hat, hfac, draws: int,
+                          order: int = 1, seed: int = 0) -> tuple:
+    """The (D, D) covariances, over ``draws``, of the two sample sets of
+    :func:`bootstrap_samples`: ``(linear, expanded)``, expanded None below
+    order 2, each what ``np.cov(samples, rowvar=False, bias=True)`` gives up
+    to rounding.  The samples are merged one block at a time, so memory is
+    one block plus D^2 whatever ``draws`` is."""
+    acc = [None, None]
+    for blocks in _bootstrap_sample_blocks(problem, theta_hat, hfac, draws, order, seed):
+        acc = [None if x is None else _merge_comoments(a, x) for a, x in zip(acc, blocks)]
+    return tuple(None if a is None else a[2] / a[0] for a in acc)
 
 
 def bootstrap_linear_samples(problem: EstimatingProblem, theta_hat, hfac,

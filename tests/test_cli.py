@@ -237,6 +237,21 @@ class TestStreamValidation:
         assert "at least 2 rows" in err
         assert not out.exists() and not out.with_suffix(".csv").exists()
 
+    def test_one_row_bounds_is_a_usage_error(self, tmp_path, capsys):
+        """bounds takes the leave-one-out maximum over the rows itself, so
+        one row, whose only leave-one-out weight is all zeros, is refused
+        there too, not written as constants."""
+        data = tmp_path / "one.csv"
+        data.write_text("3\n")
+        out = tmp_path / "o.json"
+        rc = main(["bounds", "--model", "mean", "--data", str(data), "--samples", "2",
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("usage error: ") and len(err.strip().splitlines()) == 1
+        assert "at least 2 rows" in err
+        assert not out.exists()
+
 
 class TestBadFlagsBeforeWork:
     """A flag value that can only fail is refused before the data is read."""
@@ -373,10 +388,12 @@ class TestOtherCommands:
         obj = read_json(out)
         assert "empirical_covariance_order_k" in obj
 
-    def test_out_of_memory_is_one_error_line(self, mean_csv, tmp_path, capsys):
-        """10**15 draws of (D,) samples cannot be allocated: the allocation
-        fails at once, without touching memory, and is reported as a
-        run-time error."""
+    def test_out_of_memory_is_one_error_line(self, mean_csv, tmp_path, capsys, monkeypatch):
+        """A block of 10**15 draws cannot be allocated: the allocation fails
+        at once, without touching memory, and is reported as a run-time
+        error.  (The command itself holds one bounded block at a time.)"""
+        monkeypatch.setattr(resampling, "bootstrap_weight_blocks",
+                            lambda n, draws, seed: iter([np.empty((draws, n))]))
         out = tmp_path / "boot.json"
         rc = main(["bootstrap", "--model", "mean", "--data", mean_csv,
                    "--draws", str(10 ** 15), "--out", str(out)])
@@ -562,26 +579,35 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["theta_hat"] == [3.0]
 
-    def test_commands_leave_scipy_sparse_unimported(self, tmp_path):
-        """bounds, cv (with bounds) and bootstrap run in a fresh process
-        without importing scipy.sparse, which would add about 20 ms to the
-        start of every one."""
+    def test_commands_leave_scipy_unimported(self, tmp_path):
+        """Every subcommand runs in one fresh process without importing any
+        scipy module: hoij needs numpy alone, and scipy's linear-algebra
+        stack would add about 25 MB of resident memory and a few tenths of
+        a second to the start of every command."""
         data = GeneratorConfig(n_features=3).generate("exp_loss", 40,
                                                       np.random.default_rng(8))
         path = tmp_path / "x.csv"
         np.savetxt(path, data.features, delimiter=",", fmt="%.17g")
-        common = ["--model", "exp_loss", "--data", str(path), "--order", "2"]
-        runs = [["bounds", *common, "--samples", "2", "--out", str(tmp_path / "b.json")],
-                ["cv", *common, "--with-bounds", "--samples", "2",
+        common = ["--model", "exp_loss", "--data", str(path)]
+        runs = [["fit", *common, "--out", str(tmp_path / "fit.json")],
+                ["expand", *common, "--order", "3", "--out", str(tmp_path / "e.json")],
+                ["cv", *common, "--order", "2", "--with-bounds", "--samples", "2",
                  "--out", str(tmp_path / "cv.json")],
-                ["bootstrap", *common, "--draws", "5", "--out", str(tmp_path / "boot.json")]]
+                ["bootstrap", *common, "--order", "2", "--draws", "5",
+                 "--out", str(tmp_path / "boot.json")],
+                ["bounds", *common, "--order", "2", "--samples", "2",
+                 "--out", str(tmp_path / "b.json")],
+                ["terms", "--max-order", "3", "--out", str(tmp_path / "t.json")],
+                ["scaling", "--model", "logistic_regression", "--grid", "20,40",
+                 "--features", "2", "--out", str(tmp_path / "s.json")]]
         script = ("import sys\nfrom hoij.cli import main\n"
                   f"codes = [main(argv) for argv in {runs!r}]\n"
-                  "print(codes, 'scipy.sparse' in sys.modules)")
+                  "print(codes, sorted(m for m in sys.modules\n"
+                  "                    if m == 'scipy' or m.startswith('scipy.')))")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True, env=subprocess_env())
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0] []"
 
     @pytest.mark.parametrize("command", [["bounds", "--radius", "1000"],
                                          ["cv", "--with-bounds", "--radius", "1000"]])

@@ -71,6 +71,16 @@ class TestSolveBase:
         out = solve_base(prob)
         np.testing.assert_allclose(out, beta, atol=1e-10)
 
+    def test_singular_jacobian_during_newton(self):
+        """G = theta^2 - 1 has a zero Jacobian at the start theta = 0."""
+        def term(i, theta):
+            return [0.0] if i == 0 else [theta[0] * theta[0] - 1.0]
+
+        prob = EstimatingProblem(1, 3, term, model_id="square")
+        with pytest.raises(SingularHessianError, match="during Newton solve") as exc:
+            solve_base(prob)
+        np.testing.assert_array_equal(exc.value.iterate, [0.0])
+
     def test_max_iter_reported(self):
         # nonlinear problem, one iteration from theta = 5, unreachable tolerance
         prob = make_problem("exp_loss", Dataset(np.array([[-1.0], [2.0]])))
@@ -103,6 +113,16 @@ class TestFactorize:
         theta_hat = np.array([0.5, 0.5])
         with pytest.raises(SingularHessianError, match="positive definite"):
             factorize_hessian(prob, theta_hat)
+
+    def test_solve_matches_numpy_solve(self):
+        """One product with the inverse from the SVD agrees with numpy's LU
+        solve, for one right-hand side and for a (D, B) block."""
+        rng = np.random.default_rng(13)
+        for model in ALL_MODELS:
+            prob = build_problem(model, rng, n=40, dim=4)
+            hfac = factorize_hessian(prob, solve_base(prob))
+            for b in (rng.standard_normal(4), rng.standard_normal((4, 7))):
+                assert max_rel_gap(hfac.solve(b), np.linalg.solve(hfac.matrix, b)) <= 1e-13
 
     def test_solve_accuracy(self):
         rng = np.random.default_rng(12)
@@ -359,19 +379,23 @@ class TestEvaluateThetaIJ:
             )
 
     def test_single_factorization(self, mean_setup, monkeypatch):
-        """The expansion loop must not factorize anything new."""
+        """The expansion loop factorizes and inverts nothing new: with the
+        factor's caches warm, it calls none of numpy's svd, solve and inv,
+        while factorize_hessian calls svd once."""
         prob, theta_hat, hfac = mean_setup
-        calls = {"lu": 0, "solve": 0}
-        import scipy.linalg as sla
-        orig_lu, orig_solve = sla.lu_factor, sla.solve
-
-        monkeypatch.setattr(sla, "lu_factor",
-                            lambda *a, **k: calls.__setitem__("lu", calls["lu"] + 1) or orig_lu(*a, **k))
-        monkeypatch.setattr(sla, "solve",
-                            lambda *a, **k: calls.__setitem__("solve", calls["solve"] + 1) or orig_solve(*a, **k))
+        factorize_hessian(prob, theta_hat)
+        hfac.prepare_expansion(4)
+        calls = []
+        for name in ("svd", "solve", "inv"):
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *a, _name=name, _real=getattr(np.linalg, name), **k:
+                                calls.append(_name) or _real(*a, **k))
+        factorize_hessian(prob, theta_hat)
+        assert calls == ["svd"]
+        calls.clear()
         evaluate_theta_ij(prob, theta_hat, hfac, term_tables(4),
                           np.array([0.0, 0.0, 0.0, -1.0]), 4)
-        assert calls == {"lu": 0, "solve": 0}
+        assert calls == []
 
     def test_order_beyond_table(self, mean_setup):
         prob, theta_hat, hfac = mean_setup

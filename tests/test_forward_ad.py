@@ -2,10 +2,10 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from hoij import forward_ad as fad
 from hoij.forward_ad import TaylorScalar
@@ -79,6 +79,23 @@ class TestTaylorArithmetic:
         composed = 1.0 / (1.0 + fad.exp(-a))
         for x, y in zip(direct.coeffs, composed.coeffs):
             assert x == pytest.approx(y, abs=1e-15)
+
+    def test_sigmoid_of_arrays_and_floats(self):
+        """Within 4 ulp of 1 / (1 + exp(-x)) per element by math.exp; exactly
+        0 and 1 at -inf and +inf, NaN through, and no warning at +-1000."""
+        x = np.concatenate([np.linspace(-700.0, 800.0, 30001),
+                            np.random.default_rng(4).uniform(-40.0, 40.0, 3000)])
+        want = np.array([1.0 / (1.0 + math.exp(-v)) for v in x])
+        got = fad.sigmoid(x)
+        assert np.max(np.abs(got - want) / np.spacing(want)) <= 4
+        for v in x[::1001]:
+            y = fad.sigmoid(float(v))
+            assert isinstance(y, float) and y == got[np.flatnonzero(x == v)[0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            edge = fad.sigmoid(np.array([-np.inf, np.inf, np.nan, -1000.0, 1000.0]))
+        assert edge[0] == 0.0 and edge[1] == 1.0 and np.isnan(edge[2])
+        assert edge[3] == 0.0 and edge[4] == 1.0
 
     def test_float_zeros_match_zero_arrays(self):
         """Structural zeros, coefficients that are the float 0.0, are skipped
@@ -535,7 +552,7 @@ class TestInterpolationMatrix:
             factorials = np.array([math.factorial(j) for j in range(k + 1)])
             multinomial = math.factorial(k) / np.prod(factorials[alphas.astype(int)], axis=1)
             monomials = np.prod(directions[:, None, :] ** alphas[None, :, :], axis=2)
-            u, s, vt = scipy.linalg.svd(monomials * multinomial, full_matrices=False)
+            u, s, vt = np.linalg.svd(monomials * multinomial, full_matrices=False)
             return math.factorial(k) * (vt.T / s) @ u.T
 
         for dim, degree in ((8, 6), (5, 4), (3, 6)):

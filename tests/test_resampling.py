@@ -13,6 +13,7 @@ from hoij import (
     GeneratorConfig,
     TaylorExpansion,
     WeightVector,
+    bootstrap_covariances,
     bootstrap_linear_samples,
     bootstrap_samples,
     bootstrap_weight_blocks,
@@ -147,7 +148,6 @@ class TestRunCv:
         assert report.outcomes[0].refit_error
 
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_non_finite_expansion_recorded_not_fatal(self):
         rng = np.random.default_rng(12)
         prob = build_problem("logistic_regression", rng, n=12, dim=2)
@@ -397,6 +397,46 @@ class TestBootstrapBlocks:
             bootstrap_samples(prob, theta_hat, hfac, draws, order=3, seed=1)
             tracemalloc.start()
             bootstrap_samples(prob, theta_hat, hfac, draws, order=3, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0], peaks
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_covariances_match_np_cov_of_the_samples(self, monkeypatch, order):
+        """The co-moments merged block by block give np.cov of the samples
+        of bootstrap_samples, over one block, blocks of ten and of three
+        draws."""
+        n = 50
+        prob = build_problem("logistic_regression", np.random.default_rng(14), n=n, dim=3)
+        theta_hat = solve_base(prob)
+        hfac = factorize_hessian(prob, theta_hat)
+        for elements in (None, 10 * n, 3 * n):
+            if elements is not None:
+                monkeypatch.setattr(models, "WEIGHT_BLOCK_ELEMENTS", elements)
+            samples = bootstrap_samples(prob, theta_hat, hfac, 200, order=order, seed=7)
+            covs = bootstrap_covariances(prob, theta_hat, hfac, 200, order=order, seed=7)
+            assert (covs[1] is None) == (order < 2)
+            for cov, x in zip(covs, samples):
+                if x is not None:
+                    assert cov.shape == (3, 3)
+                    assert max_rel_gap(cov, np.cov(x, rowvar=False, bias=True)) <= 1e-14
+
+    def test_covariances_keep_no_samples(self, monkeypatch):
+        """The peak traced memory of bootstrap_covariances over 40 blocks is
+        within 5% of that over 4 (the (draws, D) samples of bootstrap_samples
+        would add about 30% here)."""
+        n = 200
+        data = GeneratorConfig(n_features=3).generate("logistic_regression", n,
+                                                      np.random.default_rng(4))
+        prob = make_problem("logistic_regression", data)
+        theta_hat = solve_base(prob)
+        hfac = factorize_hessian(prob, theta_hat)
+        monkeypatch.setattr(models, "WEIGHT_BLOCK_ELEMENTS", 10 * n)  # blocks of ten draws
+        peaks = []
+        for blocks in (4, 40):
+            bootstrap_covariances(prob, theta_hat, hfac, 10 * blocks, order=3, seed=1)
+            tracemalloc.start()
+            bootstrap_covariances(prob, theta_hat, hfac, 10 * blocks, order=3, seed=1)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert peaks[1] <= 1.05 * peaks[0], peaks
