@@ -61,7 +61,6 @@ from .resampling import (
     ScalingReport,
     bootstrap_covariances,
     bootstrap_linear_samples,
-    bootstrap_samples,
     ij_linear_covariance,
     linear_covariance,
     run_cv,

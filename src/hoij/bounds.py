@@ -364,10 +364,9 @@ def derivative_norm_bounds(constants: BoundConstants, order: int) -> dict:
     omega contributes a * (delta_{|K|} + (1 - omega) * M_{|K|}) times the
     product of the bounds of the orders it consumes.
     """
-    check = check_condition(constants, constants.rho)
-    if not check.satisfied:
+    if not constants.condition_satisfied:
         raise ConditionNotSatisfiedError(
-            f"condition fails: C_set = {check.c_set:.6g} > rho = {constants.rho}; "
+            f"condition fails: C_set = {constants.c_set:.6g} > rho = {constants.rho}; "
             "norm bounds would be vacuous"
         )
     if order + 1 > constants.order + 1:
@@ -376,7 +375,7 @@ def derivative_norm_bounds(constants: BoundConstants, order: int) -> dict:
             f"cannot bound order {order + 1}"
         )
     table = term_tables(order + 1)
-    c_tilde = check.c_tilde_op
+    c_tilde = constants.c_tilde_op
     bounds: dict = {}
     for k in range(1, order + 2):
         total = 0.0
@@ -461,7 +460,6 @@ def bounds_report(problem: EstimatingProblem, theta_hat, sampler: DomainSampler,
     if problem.n_terms < 2:
         raise ValueError(f"leave-one-out bounds need at least 2 rows, got {problem.n_terms}")
     constants = estimate_constants(problem, theta_hat, sampler, order, rho, epsilon)
-    check = check_condition(constants, rho)
     per_k = {}
     for k in range(order + 2):
         per_k[str(k)] = {
@@ -472,13 +470,13 @@ def bounds_report(problem: EstimatingProblem, theta_hat, sampler: DomainSampler,
         }
     report = {
         "C_op": constants.c_op,
-        "C_tilde_op": check.c_tilde_op,
-        "C_set": check.c_set,
+        "C_tilde_op": constants.c_tilde_op,
+        "C_set": constants.c_set,
         "L_H": constants.l_h,
         "L_H_alternative": constants.l_h_alternative,
         "rho": rho,
         "epsilon": epsilon,
-        "condition_satisfied": check.satisfied,
+        "condition_satisfied": constants.condition_satisfied,
         "sup_estimate": "sampled sup",
         "sampler": {
             "radius": sampler.radius,
@@ -488,7 +486,7 @@ def bounds_report(problem: EstimatingProblem, theta_hat, sampler: DomainSampler,
         "per_k": per_k,
         "theta_difference_bound": theta_difference_bound(constants),
     }
-    if check.satisfied:
+    if constants.condition_satisfied:
         nb = derivative_norm_bounds(constants, order)
         for k in range(1, order + 2):
             per_k[str(k)]["B"] = nb[k]

@@ -183,6 +183,10 @@ def _check_outputs(args) -> None:
         raise UsageError(f"--out {args.out!r} is also the path of the CSV file it writes")
     data = getattr(args, "data", None)
     for path in paths:
+        if path.is_dir():
+            raise UsageError(f"output file {str(path)!r} is a directory")
+        if not path.parent.is_dir():
+            raise UsageError(f"output file {str(path)!r} is not in an existing directory")
         try:
             same = data is not None and path.samefile(data)
         except OSError:  # a file that does not exist is not the dataset
@@ -279,12 +283,10 @@ def _cmd_bootstrap(args):
     problem = _load_problem(args)
     theta_hat = solve_base(problem)
     hfac = factorize_hessian(problem, theta_hat)
-    # the covariances read the order-0 rows, which the expansion's pass gives
-    hfac.prepare_expansion(args.order)
-    sandwich = resampling.sandwich_covariance(problem, theta_hat, hfac)
-    linear = resampling.linear_covariance(problem, theta_hat, hfac)
     empirical, expanded = resampling.bootstrap_covariances(
         problem, theta_hat, hfac, args.draws, order=args.order, seed=args.seed)
+    sandwich = resampling.sandwich_covariance(problem, theta_hat, hfac)
+    linear = resampling.linear_covariance(problem, theta_hat, hfac)
     obj = {
         "theta_hat": [float(v) for v in theta_hat],
         "draws": args.draws,
@@ -368,12 +370,14 @@ def main(argv=None) -> int:
     try:
         _check_outputs(args)
         _COMMANDS[args.command](args)
+    except np.linalg.LinAlgError as err:  # a ValueError, but a computation error
+        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 1
     except (ValueError, FileNotFoundError, IsADirectoryError) as err:
         # UsageError and DatasetError are ValueErrors
         print(f"usage error: {err}", file=sys.stderr)
         return 2
-    except (SolverError, NonFiniteValueError, np.linalg.LinAlgError,
-            OSError, RuntimeError, MemoryError) as err:
+    except (SolverError, NonFiniteValueError, OSError, RuntimeError, MemoryError) as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
     return 0

@@ -273,6 +273,23 @@ class TestBadFlagsBeforeWork:
         assert err.startswith("usage error: --rho") and len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("out", ["DIR", "DIR/missing/r.json", "DIR/csvdir.json"])
+    def test_unwritable_out(self, mean_csv, tmp_path, capsys, monkeypatch, out):
+        """--out naming a directory, a file in a directory that does not
+        exist, or a JSON file whose CSV sibling is a directory."""
+        def spy(*args, **kwargs):
+            raise AssertionError("the data was read")
+
+        monkeypatch.setattr(models, "load_dataset", spy)
+        monkeypatch.setattr(resampling, "run_cv", spy)
+        (tmp_path / "csvdir.csv").mkdir()
+        rc = main(["cv", "--model", "mean", "--data", mean_csv,
+                   "--out", out.replace("DIR", str(tmp_path))])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith("usage error: output file ") and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "csvdir.json").exists()
+
 
 class TestOutputsSpareTheDataset:
     """An output file that would land on --data, or on the command's other
@@ -363,8 +380,10 @@ class TestOtherCommands:
 
     def test_bootstrap_differentiates_the_terms_once(self, linreg_csv, tmp_path,
                                                      monkeypatch):
-        """The sandwich, the linear covariance, the samples and the order-3
-        expansion share one pass at theta_hat."""
+        """The sandwich, the linear covariance and the expansion behind both
+        sample sets share one pass at theta_hat: over the order-0 rows at
+        order 1, and over the rows below order 3 and the order-3 sum at
+        order 3."""
         passes = []
         per_datum_tensors = fad.per_datum_tensors
 
@@ -375,9 +394,28 @@ class TestOtherCommands:
 
         monkeypatch.setattr(fad, "per_datum_tensors", counting)
         out = tmp_path / "b.json"
-        assert main(["bootstrap", "--model", "linear_regression", "--data", linreg_csv,
-                     "--draws", "30", "--order", "3", "--out", str(out)]) == 0
-        assert passes == [([0, 1, 2], [3])]
+        for order, want in ((1, [([0], [])]), (3, [([0, 1, 2], [3])])):
+            passes.clear()
+            assert main(["bootstrap", "--model", "linear_regression", "--data", linreg_csv,
+                         "--draws", "30", "--order", str(order), "--out", str(out)]) == 0
+            assert passes == want, order
+
+    def test_bootstrap_linear_statistics_do_not_depend_on_order(self, linreg_csv, tmp_path):
+        """The order only adds the order-k covariance: the fit, both exact
+        covariances and the linear samples' covariance are the same at
+        orders 0, 1 and 3."""
+        keys = ("theta_hat", "sandwich_covariance", "ij_linear_covariance",
+                "empirical_linear_covariance")
+        objs = []
+        for order in (0, 1, 3):
+            out = tmp_path / f"b{order}.json"
+            assert main(["bootstrap", "--model", "linear_regression", "--data", linreg_csv,
+                         "--draws", "40", "--seed", "2", "--order", str(order),
+                         "--out", str(out)]) == 0
+            objs.append(read_json(out))
+        assert [("empirical_covariance_order_k" in o) for o in objs] == [False, False, True]
+        for obj in objs[1:]:
+            assert {k: obj[k] for k in keys} == {k: objs[0][k] for k in keys}
 
     def test_bootstrap_higher_order_stats(self, mean_csv, tmp_path):
         out = tmp_path / "boot2.json"
@@ -646,6 +684,19 @@ class TestEntryPoint:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: NonFiniteValueError: ")
         assert len(proc.stderr.splitlines()) == 1
+        assert not out.exists()
+
+    def test_singular_jacobian_at_a_sampled_point_is_one_error_line(self, tmp_path, capsys):
+        """The logistic Jacobian vanishes far from theta_hat: a computation
+        error, exit 1, not a usage error."""
+        path = tmp_path / "x.csv"
+        path.write_text("1,0\n-1,1\n2,0\n-2,1\n1.5,1\n-1.5,0\n")
+        out = tmp_path / "out.json"
+        rc = main(["bounds", "--model", "logistic_regression", "--data", str(path),
+                   "--order", "1", "--samples", "16", "--radius", "1000", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert err.startswith("error: SingularSampleError: ") and len(err.strip().splitlines()) == 1
         assert not out.exists()
 
     def test_usage_exit_code(self):

@@ -15,7 +15,6 @@ from hoij import (
     WeightVector,
     bootstrap_covariances,
     bootstrap_linear_samples,
-    bootstrap_samples,
     bootstrap_weight_blocks,
     bootstrap_weights,
     evaluate_g,
@@ -394,17 +393,18 @@ class TestBootstrapBlocks:
         size = models.WEIGHT_BLOCK_ELEMENTS // n
         peaks = []
         for draws in (2 * size, 8 * size):
-            bootstrap_samples(prob, theta_hat, hfac, draws, order=3, seed=1)
+            bootstrap_covariances(prob, theta_hat, hfac, draws, order=3, seed=1)
             tracemalloc.start()
-            bootstrap_samples(prob, theta_hat, hfac, draws, order=3, seed=1)
+            bootstrap_covariances(prob, theta_hat, hfac, draws, order=3, seed=1)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert peaks[1] <= 1.05 * peaks[0], peaks
 
     @pytest.mark.parametrize("order", [1, 3])
     def test_covariances_match_np_cov_of_the_samples(self, monkeypatch, order):
-        """The co-moments merged block by block give np.cov of the samples
-        of bootstrap_samples, over one block, blocks of ten and of three
+        """The co-moments merged block by block give np.cov of the samples,
+        the linear ones of bootstrap_linear_samples and the order-k ones
+        expanded per block, over one block, blocks of ten and of three
         draws."""
         n = 50
         prob = build_problem("logistic_regression", np.random.default_rng(14), n=n, dim=3)
@@ -413,7 +413,9 @@ class TestBootstrapBlocks:
         for elements in (None, 10 * n, 3 * n):
             if elements is not None:
                 monkeypatch.setattr(models, "WEIGHT_BLOCK_ELEMENTS", elements)
-            samples = bootstrap_samples(prob, theta_hat, hfac, 200, order=order, seed=7)
+            samples = (bootstrap_linear_samples(prob, theta_hat, hfac, 200, seed=7),
+                       _expanded_samples(prob, theta_hat, hfac, 200, order, seed=7)
+                       if order >= 2 else None)
             covs = bootstrap_covariances(prob, theta_hat, hfac, 200, order=order, seed=7)
             assert (covs[1] is None) == (order < 2)
             for cov, x in zip(covs, samples):
@@ -423,8 +425,8 @@ class TestBootstrapBlocks:
 
     def test_covariances_keep_no_samples(self, monkeypatch):
         """The peak traced memory of bootstrap_covariances over 40 blocks is
-        within 5% of that over 4 (the (draws, D) samples of bootstrap_samples
-        would add about 30% here)."""
+        within 5% of that over 4 (two (draws, D) sample sets would add about
+        30% here)."""
         n = 200
         data = GeneratorConfig(n_features=3).generate("logistic_regression", n,
                                                       np.random.default_rng(4))
@@ -450,6 +452,15 @@ class TestBootstrapBlocks:
                        for b in blocks[i + 1:])
         np.testing.assert_array_equal(
             np.vstack(blocks), [w.values for w in bootstrap_weights(n, draws, seed=6)])
+
+
+def _expanded_samples(prob, theta_hat, hfac, draws, order, seed):
+    """The order-``order`` expansions of the bootstrap draws, shape (draws, D),
+    one evaluate_theta_ij call per block of bootstrap_weight_blocks."""
+    table = term_tables(order)
+    return np.concatenate([
+        evaluate_theta_ij(prob, theta_hat, hfac, table, block - 1.0, order).theta_ij
+        for block in bootstrap_weight_blocks(prob.n_terms, draws, seed)])
 
 
 def _csv_rows(report):
@@ -605,7 +616,8 @@ class TestCovarianceIdentity:
             assert [len(b) for b in blocks] == sizes
             vectors = [w.values for w in bootstrap_weights(n, draws, seed=5)]
             runs.append((np.vstack(blocks), np.array(vectors),
-                         *bootstrap_samples(prob, theta_hat, hfac, draws, order=3, seed=5)))
+                         bootstrap_linear_samples(prob, theta_hat, hfac, draws, seed=5),
+                         _expanded_samples(prob, theta_hat, hfac, draws, 3, seed=5)))
         (blocks, vectors, linear, expanded), fours, ones = runs
         assert blocks.tobytes() == vectors.tobytes()
         assert all(a.tobytes() == b.tobytes() for a, b in zip(fours, runs[0]))
@@ -614,24 +626,36 @@ class TestCovarianceIdentity:
         assert max_rel_gap(ones[3], expanded) <= 1e-13
 
     def test_one_draw_feeds_both_orders(self, monkeypatch):
-        """Across chunk boundaries, both sample sets come from the drawn
-        blocks, expanded one block per call, and the linear half is
-        bootstrap_linear_samples.  TestBlockExpansion compares a block's
-        expansion with per-draw calls."""
+        """Across chunk boundaries, both covariances come from one expansion
+        of each drawn block: its order-1 partial sums, which are
+        bootstrap_linear_samples, and its order-k ones.  TestBlockExpansion
+        compares a block's expansion with per-draw calls."""
         rng = np.random.default_rng(11)
         prob = build_problem("logistic_regression", rng, n=15, dim=2)
         theta_hat = solve_base(prob)
         hfac = factorize_hessian(prob, theta_hat)
         monkeypatch.setattr(models, "WEIGHT_BLOCK_ELEMENTS", 3 * 15)  # blocks of three draws
-        linear, expanded = bootstrap_samples(prob, theta_hat, hfac, 7, order=3, seed=8)
-        table = term_tables(3)
-        want = [evaluate_theta_ij(prob, theta_hat, hfac, table, block - 1.0, 3).theta_ij
-                for block in bootstrap_weight_blocks(15, 7, seed=8)]
-        np.testing.assert_array_equal(expanded, np.vstack(want))
+        calls = []
+
+        def recording(problem, theta, factor, table, delta, order):
+            expn = evaluate_theta_ij(problem, theta, factor, table, delta, order)
+            calls.append((delta, order, expn.partial_sums()))
+            return expn
+
+        monkeypatch.setattr(resampling, "evaluate_theta_ij", recording)
+        linear, expanded = bootstrap_covariances(prob, theta_hat, hfac, 7, order=3, seed=8)
+        blocks = list(bootstrap_weight_blocks(15, 7, seed=8))
+        assert len(calls) == len(blocks) == 3
+        for (delta, order, _), block in zip(calls, blocks):
+            assert order == 3
+            np.testing.assert_array_equal(delta, block - 1.0)
+        sums = np.concatenate([c[2] for c in calls])
+        assert max_rel_gap(linear, np.cov(sums[:, 1], rowvar=False, bias=True)) <= 1e-14
+        assert max_rel_gap(expanded, np.cov(sums[:, 3], rowvar=False, bias=True)) <= 1e-14
         np.testing.assert_allclose(
-            linear, bootstrap_linear_samples(prob, theta_hat, hfac, 7, seed=8),
+            sums[:, 1], bootstrap_linear_samples(prob, theta_hat, hfac, 7, seed=8),
             rtol=1e-13, atol=0)
-        assert bootstrap_samples(prob, theta_hat, hfac, 7, seed=8)[1] is None
+        assert bootstrap_covariances(prob, theta_hat, hfac, 7, seed=8)[1] is None
 
     def test_terms_come_from_the_cached_rows(self):
         """g_n(theta_hat), which the covariances and the linear samples all
@@ -648,7 +672,8 @@ class TestCovarianceIdentity:
         first = hfac.rows(0)
         sandwich_covariance(prob, theta_hat, hfac)
         linear_covariance(prob, theta_hat, hfac)
-        bootstrap_samples(prob, theta_hat, hfac, 5, order=3, seed=1)
+        bootstrap_covariances(prob, theta_hat, hfac, 5, order=3, seed=1)
+        bootstrap_linear_samples(prob, theta_hat, hfac, 5, seed=1)
         assert hfac.rows(0) is first
         with pytest.raises(ValueError, match="theta_hat differs"):
             resampling.gn_matrix(theta_hat + 1.0, hfac)
