@@ -2,21 +2,33 @@
 
 The expansion around the all-ones weights needs one Newton solve, one
 dense factorization of the Jacobian H = dG/dtheta at the base fit, and the
-per-datum derivative arrays of G there, every order from one forward pass
-on first use.  After that, every weight vector costs only derivative
-contractions and one product with the inverse Jacobian: the order-k
-coefficient solves
+derivatives of G there, every order from one forward pass on first use.
+After that, a weight offset Delta w, or a block of them, costs a univariate
+Taylor recursion (Taylor-mode differentiation of the implicit function;
+Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).  The
+solution theta(t) = theta_hat + u(t), u(t) = sum_j d_j t^j / j!, solves
+G(theta_hat + u(t), 1 + t Delta w) = 0, and the t^k coefficient of G is
+H d_k / k! + c_k with
 
-    H * d_k = -(sum of table terms of order k),
+    c_k = sum_{2 <= |a| <= k} d^a G [u^a]_k / a!
+          + sum_{|a| < k} W_a [u^a]_{k-1} / a!,
 
-where each table term is a G-derivative contracted against lower-order
-coefficients.  Terms without the weight derivative contract the row sums of
-the cached arrays; weight-direction terms contract the cached rows the
-weights change, so no forward pass runs per weight.
+over index multisets a, where d^a G are the cached summed derivatives,
+W_a the same derivatives of the terms weighted by Delta w / N, and [.]_k
+the t^k coefficient.  So d_k = -k! H^{-1} c_k.  Each monomial u^a is its
+parent multiset's times one coordinate, so its coefficients cost one
+product per earlier coefficient; no D**k array is formed and no term table
+is read.  The weights enter through one weighted row sum of the cached
+per-datum arrays per derivative order.
+
+The term-table engine, one contraction per term of the paper's tables, is
+kept as the recursion's oracle for one weight vector
+(:func:`evaluate_dtheta`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -189,12 +201,13 @@ class HessianFactor:
     It also keeps the base fit ``theta_hat`` it was built at, and memoizes
     the derivatives of G there (all-ones weights) on first use: the
     per-datum arrays of :func:`forward_ad.per_datum_tensors` for the orders
-    that :meth:`rows` is asked for, and the summed tensors of :meth:`tensor`,
-    read off cached rows when there are some and otherwise reduced row block
-    by row block, so no per-datum array of that order is kept.
-    :meth:`prepare` fills several orders from one Taylor pass: the order-K
-    expansion's rows of orders 0..K-1 and its order-K tensor from one pass
-    of degree K.
+    that :meth:`rows` is asked for, and the summed derivatives over index
+    multisets of :meth:`sums`, read off cached rows when there are some and
+    otherwise reduced row block by row block, so no per-datum array of that
+    order is kept.  :meth:`tensor` expands a sum to its (D, D**k) array on
+    each call.  :meth:`prepare` fills several orders from one Taylor pass:
+    the order-K expansion's rows of orders 0..K-1 and its order-K sum from
+    one pass of degree K.
     """
 
     matrix: np.ndarray
@@ -202,7 +215,7 @@ class HessianFactor:
     cond_estimate: float
     problem: EstimatingProblem
     theta_hat: np.ndarray
-    _tensors: dict = field(default_factory=dict, repr=False)
+    _sums: dict = field(default_factory=dict, repr=False)
     _rows: dict = field(default_factory=dict, repr=False)
     _expanded: set = field(default_factory=set, repr=False)
 
@@ -217,30 +230,26 @@ class HessianFactor:
             raise fad.NonFiniteValueError("non-finite solution of the Hessian system")
         return x
 
-    def prepare(self, rows=(), tensors=()) -> None:
-        """Cache :meth:`rows` for the orders ``rows`` and :meth:`tensor` for
-        the orders ``tensors``, everything missing from one Taylor pass."""
+    def prepare(self, rows=(), sums=()) -> None:
+        """Cache :meth:`rows` for the orders ``rows`` and :meth:`sums` for
+        the orders ``sums``, everything missing from one Taylor pass."""
         want_rows = [k for k in rows if k not in self._rows]
-        want_sums = [k for k in tensors if k not in self._tensors
+        want_sums = [k for k in sums if k not in self._sums
                      and k not in self._rows and k not in want_rows]
         if want_rows or want_sums:
             out = fad.per_datum_tensors(self.problem, self.theta_hat, want_rows,
                                         summed=want_sums)
             self._rows.update((k, out[k]) for k in want_rows)
-            self._tensors.update((k, self._summed(k, *out[k])) for k in want_sums)
+            self._sums.update((k, (out[k][0] + out[k][1]) / self.problem.n_terms)
+                              for k in want_sums)
 
     def prepare_expansion(self, order: int) -> None:
         """Cache what an order-``order`` expansion reads, from one Taylor pass:
-        the rows of every order below it and, from order 2, the summed tensor
-        of its own order; once per order, as the caches are never emptied."""
+        the rows of every order below it and, from order 2, the sum of its
+        own order; once per order, as the caches are never emptied."""
         if order not in self._expanded:
-            self.prepare(rows=range(order), tensors=(order,) if order >= 2 else ())
+            self.prepare(rows=range(order), sums=(order,) if order >= 2 else ())
             self._expanded.add(order)
-
-    def _summed(self, k: int, g0: np.ndarray, summed: np.ndarray) -> np.ndarray:
-        # (D, D**k) tensor of G from the multiset row sum of the terms g_n
-        inverse = fad.basis_multisets(self.problem.dim_theta, k)[1]
-        return (g0 + summed)[:, inverse] / self.problem.n_terms
 
     def rows(self, k: int) -> tuple:
         """(g0, per): the order-k derivatives of g_0 and of every g_n at theta_hat."""
@@ -248,15 +257,22 @@ class HessianFactor:
             self.prepare(rows=(k,))
         return self._rows[k]
 
-    def tensor(self, k: int) -> np.ndarray:
-        """The order-k derivative array of G at theta_hat, shape (D, D**k)."""
-        if k not in self._tensors:
+    def sums(self, k: int) -> np.ndarray:
+        """The order-k derivatives of G at theta_hat over index multisets,
+        shape (D, P): column p is the mixed partial in the multiset
+        ``forward_ad.basis_multisets(D, k)[0][p]``."""
+        if k not in self._sums:
             if k in self._rows:
                 g0, per = self._rows[k]
-                self._tensors[k] = self._summed(k, g0, per.sum(axis=0))
+                self._sums[k] = (g0 + per.sum(axis=0)) / self.problem.n_terms
             else:
-                self.prepare(tensors=(k,))
-        return self._tensors[k]
+                self.prepare(sums=(k,))
+        return self._sums[k]
+
+    def tensor(self, k: int) -> np.ndarray:
+        """The order-k derivative array of G at theta_hat, shape (D, D**k),
+        expanded from :meth:`sums` on each call."""
+        return self.sums(k)[:, fad.basis_multisets(self.problem.dim_theta, k)[1]]
 
 
 def factorize_hessian(problem: EstimatingProblem, theta_hat) -> HessianFactor:
@@ -284,19 +300,26 @@ def factorize_hessian(problem: EstimatingProblem, theta_hat) -> HessianFactor:
 
 def evaluate_dtheta(problem: EstimatingProblem, theta_hat, hfac: HessianFactor,
                     order_terms: Sequence[DerivativeTerm], dset: dict, delta_w) -> np.ndarray:
-    """One expansion coefficient: -H^{-1} (sum of one order's table terms).
+    """One expansion coefficient of one weight vector from the paper's term
+    table: -H^{-1} (sum of one order's table terms).
 
     A term with m directions is one :func:`forward_ad.g_weight_derivative`
     call on ``hfac.rows(m)`` if it is a weight-direction term, else one
     :func:`forward_ad.contract` of ``hfac.tensor(m)``: arrays cached at the
     point ``hfac`` was built at, which ``theta_hat`` must be
-    (``hfac.theta_hat`` itself is not compared).  For a (B, N) block
-    ``delta_w`` the coefficients in ``dset`` and the result are (B, D), and
-    the order ends in one solve with B right-hand sides; a
-    non-finite value anywhere in the block raises NonFiniteValueError.
+    (``hfac.theta_hat`` itself is not compared).  ``delta_w`` is one weight
+    offset of length N, and ``dset`` maps each order below to its (D,)
+    coefficient.
+
+    This is the term-table engine.  It is public, off the expansion's hot
+    path, and the oracle against which :func:`evaluate_theta_ij`'s
+    recursion is tested; the bench's tracer wraps it by this name.
     """
     if theta_hat is not hfac.theta_hat and not np.array_equal(theta_hat, hfac.theta_hat):
         raise ValueError("theta_hat differs from the point the Hessian factor was built at")
+    delta_w = np.asarray(getattr(delta_w, "delta", delta_w), dtype=float)
+    if delta_w.shape != (problem.n_terms,):
+        raise ValueError(f"weight offset of shape {delta_w.shape} is not ({problem.n_terms},)")
     d = 0.0
     for term in order_terms:
         dirs = [dset[j] for j in term.kset]
@@ -308,7 +331,7 @@ def evaluate_dtheta(problem: EstimatingProblem, theta_hat, hfac: HessianFactor,
             if not np.isfinite(value).all():
                 raise fad.NonFiniteValueError(f"non-finite contraction for term {term}")
         d = d + term.coeff * value
-    return -hfac.solve(d.T).T
+    return -hfac.solve(d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,30 +362,125 @@ class TaylorExpansion:
 
 def evaluate_theta_ij(problem: EstimatingProblem, theta_hat, hfac: HessianFactor,
                       table: TermTable, delta_w, order: int) -> TaylorExpansion:
-    """Run the expansion loop through the requested order.
+    """The expansion through the requested order, by the Taylor recursion.
 
     ``delta_w`` is one weight offset w - 1 of length N, or a (B, N) block of
     them; the coefficients are then (D,) or (B, D), and for a block the
-    expansion's ``theta_hat`` is repeated per row.  Accumulates the
-    derivative set bottom-up, one :func:`evaluate_dtheta` call per order on
-    that order's table terms.  Their arrays come from one forward pass per
-    factor, of degree ``order`` (:meth:`~HessianFactor.prepare_expansion`):
-    the per-datum arrays of the orders below it and the row sum of its own.
+    expansion's ``theta_hat`` is repeated per row.  ``table`` is the term
+    table the expansion would be read from; its ``max_order`` bounds
+    ``order``, and the recursion reads none of its terms.  The arrays come
+    from one forward pass per factor, of degree ``order``
+    (:meth:`~HessianFactor.prepare_expansion`): the per-datum arrays of the
+    orders below it and the row sum of its own.  The weights enter through
+    one :func:`forward_ad.g_weight_derivative` call per derivative order
+    0..order-1: on the whole block, one product, unless every offset of the
+    block changes fewer than N / GATHER_RATIO rows; then once per offset,
+    where the call can gather the rows that offset changes.  A non-finite
+    value anywhere in the block raises NonFiniteValueError.
     """
     if order > table.max_order:
         raise ValueError(f"order {order} exceeds table max {table.max_order}")
     delta_w = np.asarray(getattr(delta_w, "delta", delta_w), dtype=float)
+    if delta_w.ndim not in (1, 2) or delta_w.shape[-1] != problem.n_terms:
+        raise ValueError(f"weight offsets of shape {delta_w.shape} do not match "
+                         f"{problem.n_terms} terms")
     theta_hat = np.asarray(theta_hat, dtype=float)
     if theta_hat is not hfac.theta_hat and not np.array_equal(theta_hat, hfac.theta_hat):
         raise ValueError("theta_hat differs from the point the Hessian factor was built at")
     hfac.prepare_expansion(order)
-    dset: dict = {}
-    for k in range(1, order + 1):
-        dset[k] = evaluate_dtheta(problem, hfac.theta_hat, hfac, table.for_order(k),
-                                  dset, delta_w)
+    dthetas = _taylor_coefficients(problem, hfac, delta_w.reshape(-1, problem.n_terms), order)
     if delta_w.ndim == 2:
         theta_hat = np.broadcast_to(theta_hat, (len(delta_w), theta_hat.size))
-    return TaylorExpansion(theta_hat=theta_hat, dthetas=tuple(dset.values()), order=order)
+    else:
+        dthetas = [d[0] for d in dthetas]
+    return TaylorExpansion(theta_hat=theta_hat, dthetas=tuple(dthetas), order=order)
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial_maps(dim: int, order: int) -> tuple:
+    # The index multisets of orders 0..order >= 1 in D = dim variables, laid end
+    # to end in the order of basis_multisets: (offsets, parent, last,
+    # scale).  The order-m multisets sit at offsets[m]:offsets[m + 1].  For
+    # the multiset a at position offsets[2] + i, parent[i] is the position
+    # of a without its last index and last[i] that of the index alone, so
+    # u^a = u^parent * u_last; scale is 1 / a! at every position.
+    multisets = [tuple(a) for m in range(order + 1)
+                 for a in fad.basis_multisets(dim, m)[0].tolist()]
+    position = {a: q for q, a in enumerate(multisets)}
+    offsets = np.cumsum([0] + [len(fad.basis_multisets(dim, m)[0])
+                               for m in range(order + 1)]).tolist()
+    higher = multisets[offsets[2]:]
+    parent = np.array([position[a[:-1]] for a in higher], dtype=int)
+    last = np.array([position[a[-1:]] for a in higher], dtype=int)
+    scale = np.array([1.0 / math.prod(math.factorial(a.count(i)) for i in set(a))
+                      for a in multisets])
+    return offsets, parent, last, scale
+
+
+def _weight_sums(problem: EstimatingProblem, hfac: HessianFactor, delta_w: np.ndarray,
+                 offsets: list, order: int) -> np.ndarray:
+    # delta_w @ rows(m) / N over the multisets of every order m < order, end
+    # to end as in _monomial_maps, shape (B, D, offsets[order]).  A block
+    # whose every offset changes fewer than N / GATHER_RATIO rows is reduced
+    # one offset per call, where the call can gather the rows its offset
+    # changes; any other block is one product per order.  The rows are
+    # scanned one offset at a time, so a dense block stops at its first: a
+    # scan of a whole (87, 3000) bootstrap block takes about as long as one
+    # product with it.
+    n, b = problem.n_terms, len(delta_w)
+    sparse = b == 1 or all(fad.GATHER_RATIO * np.count_nonzero(dw) < n for dw in delta_w)
+    out = np.empty((b, problem.dim_theta, offsets[order]))
+    for m in range(order):
+        per, cols = hfac.rows(m)[1], slice(offsets[m], offsets[m + 1])
+        if sparse:
+            for i, dw in enumerate(delta_w):
+                out[i, :, cols] = fad.g_weight_derivative(
+                    problem, hfac.theta_hat, dw, (), per).reshape(problem.dim_theta, -1)
+        else:
+            out[:, :, cols] = fad.g_weight_derivative(
+                problem, hfac.theta_hat, delta_w, (), per).reshape(b, problem.dim_theta, -1)
+    return out
+
+
+def _taylor_coefficients(problem: EstimatingProblem, hfac: HessianFactor,
+                         delta_w: np.ndarray, order: int) -> list:
+    # d_1..d_order, each (B, D), for the (B, N) offsets delta_w, by the
+    # recursion of the module docstring.  u[k], k >= 1, holds the t^k
+    # coefficients [u^a]_k of the monomials over the multisets of
+    # _monomial_maps, (B, P): zero at the empty multiset and wherever
+    # |a| > k, and d_k / k! at order 1.
+    if not order:
+        return []
+    b, dim = len(delta_w), problem.dim_theta
+    offsets, parent, last, scale = _monomial_maps(dim, order)
+    # W_a / a! over the orders below ``order``, and d^a G / a! over 2..order;
+    # a! is 1 below order 2
+    weights = _weight_sums(problem, hfac, delta_w, offsets, order)
+    if order >= 3:
+        weights *= scale[:offsets[order]]
+    if order >= 2:
+        tensors = np.concatenate([hfac.sums(m) for m in range(2, order + 1)],
+                                 axis=1).T * scale[offsets[2]:, None]
+    u = [None]
+    dthetas = []
+    # a non-finite value fails the solve below, so numpy's warnings would
+    # only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, order + 1):
+            if k == 1:  # [u^a]_0 is 1 at the empty multiset, 0 elsewhere
+                higher = np.zeros((b, offsets[-1] - offsets[2]))
+                c = weights[:, :, 0]
+            else:
+                higher = u[1][:, last] * u[k - 1][:, parent]
+                for j in range(2, k):
+                    higher += u[j][:, last] * u[k - j][:, parent]
+                c = (weights @ u[k - 1][:, :offsets[order], None])[:, :, 0] + higher @ tensors
+            d = hfac.solve(c.T).T * -math.factorial(k)
+            dthetas.append(d)
+            if k < order:
+                u.append(np.concatenate((np.zeros((b, 1)), d / math.factorial(k), higher),
+                                        axis=1))
+    return dthetas
 
 
 # Weight vectors re-fitted together by :func:`refit_block`.
@@ -414,7 +532,7 @@ def _chord_jacobians(hfac: HessianFactor, weights: np.ndarray, thetas: np.ndarra
     tensor.  What it leaves out is O(|v_b|^3 + |w_b - 1| |v_b|^2 / N).
     """
     n, dim = hfac.problem.n_terms, hfac.problem.dim_theta
-    hfac.prepare(rows=(1, 2), tensors=(3,))
+    hfac.prepare(rows=(1, 2), sums=(3,))
     v = thetas - hfac.theta_hat
     sums = []
     for k in (1, 2):

@@ -25,7 +25,8 @@ carries every data row of an estimating problem:
 row block at a time, and everything else at a fixed point contracts those
 arrays.  :func:`g_theta_tensor` is their weighted row sum,
 :func:`g_theta_derivative` contracts it with directions, and
-:func:`g_weight_derivative` contracts the rows a weight vector changes.
+:func:`g_weight_derivative` is the row sum weighted by a weight offset, or a
+block of them, over the rows it changes.
 
 This pass is the one derivative engine.  Its oracle, nested order-1 dual
 numbers, whose coefficient of the product of all k perturbations is the
@@ -52,6 +53,11 @@ K_MAX = 6
 # most this many elements; more rows are swept in blocks, so the pass's
 # memory does not grow with N.
 BLOCK_ELEMENTS = 4096
+
+# A weight offset is sparse when it changes fewer than N / GATHER_RATIO of
+# the N rows: :func:`g_weight_derivative` may then gather those rows rather
+# than multiply every row.
+GATHER_RATIO = 32
 
 
 class NonFiniteValueError(ArithmeticError):
@@ -262,13 +268,13 @@ def sigmoid(x):
 
 
 def _check_directions(directions, dim):
-    # The directions as float arrays, each (D,) or (B, D), once checked.
+    # The directions as (D,) float arrays, once checked.
     if len(directions) > K_MAX:
         raise ValueError(f"derivative order {len(directions)} exceeds the maximum {K_MAX}")
     directions = [np.asarray(v, dtype=float) for v in directions]
     for v in directions:
-        if v.shape[-1] != dim:
-            raise ValueError(f"direction length {v.shape[-1]} != parameter dimension {dim}")
+        if v.shape != (dim,):
+            raise ValueError(f"direction of shape {v.shape} is not ({dim},)")
     return directions
 
 
@@ -324,29 +330,10 @@ def basis_multisets(dim, k):
 
 def contract(tensor, directions):
     """A (D, D**k) derivative array applied to its k directions, (D,) float
-    arrays; or, by one product with the rows' :func:`direction_products`, to
-    (B, D) arrays of one direction per row, for a (B, D) result."""
-    if not len(directions):
-        return tensor.reshape(len(tensor))
-    if directions[0].ndim == 2:
-        return direction_products(directions, len(directions[0])) @ tensor.T
+    arrays."""
     for v in directions:
         tensor = tensor.reshape(-1, len(v)) @ v
-    return tensor
-
-
-def direction_products(directions, rows):
-    """Row-wise outer products of k (B, D) direction blocks, shape (B, D**k).
-
-    Ordered like a (D, D**k) derivative array's columns, so the product
-    with its transpose applies the array to each row's directions.
-    """
-    if not directions:
-        return np.ones((rows, 1))
-    out = directions[0]
-    for v in directions[1:]:
-        out = (out[:, :, None] * v[:, None, :]).reshape(rows, -1)
-    return out
+    return tensor.reshape(len(tensor))
 
 
 @functools.lru_cache(maxsize=None)
@@ -653,52 +640,61 @@ def g_weight_derivative(problem, theta, delta_w, directions, per_datum=None):
     """Mixed theta-derivative of (1/N) sum_n g_n(theta) delta_w_n.
 
     This is the weight-direction derivative of G: the regularization term
-    g_0 drops out.  With no directions it returns the weighted sum itself.
+    g_0 drops out.  It is public, and it is where the expansion's weights
+    enter: :func:`~hoij.expansion.evaluate_theta_ij` calls it once per
+    derivative order on the per-datum arrays its factor caches.
 
-    delta_w is contracted with the (N, D, P) array of
-    ``per_datum_tensor(problem, theta, len(directions))``: ``per_datum``,
-    when given, must be that array at this same theta, and theta is then
-    not read, so a caller that holds it runs no forward pass.  delta_w may
-    also be a (B, N) block of weight offsets with (B, D) directions, one per
-    row: one product of the block with the rows gives the (B, D) values.
+    delta_w is contracted with a (N, D, P) per-datum array of
+    :func:`per_datum_tensor`: ``per_datum``, when given, which must be at
+    this same theta, and theta is then not read, so a caller that holds it
+    runs no forward pass; otherwise the array of order ``len(directions)``
+    from a pass at theta.  With directions, (D,) arrays as many as the
+    array's order, the result is the weighted row sum applied to them,
+    shape (D,).  With none it is the weighted row sum itself over the
+    array's multisets, (D, P), or (D,) when the array has one column, as
+    at order 0; delta_w may then also be a (B, N) block of weight offsets,
+    for one product of the block with the rows and a (B, D, P) or (B, D)
+    result.
     """
     delta_w = np.asarray(getattr(delta_w, "delta", delta_w), dtype=float)
     k = len(directions)
     dim, n = problem.dim_theta, problem.n_terms
-    directions = _check_directions(directions, dim)
+    if k:
+        directions = _check_directions(directions, dim)
+        if delta_w.ndim != 1:
+            raise ValueError("directions apply to one weight offset of length N, "
+                             f"not to an array of shape {delta_w.shape}")
     if per_datum is None:
         per_datum = per_datum_tensor(problem, theta, k)[1]
-    want = (n, dim, len(basis_multisets(dim, k)[0]))
+    want = (n, dim, len(basis_multisets(dim, k)[0]) if k else per_datum.shape[-1])
     if per_datum.shape != want:
-        raise ValueError(f"per-datum array of shape {per_datum.shape} is not "
-                         f"the order-{k} array, shape {want}")
+        what = f"the order-{k} array, shape {want}" if k else f"of shape ({n}, {dim}, P)"
+        raise ValueError(f"per-datum array of shape {per_datum.shape} is not {what}")
     # (N, D * P), a view.  One product over every row beats gathering the
     # changed rows (an O(N) scan and a copy) unless D * P >= 32 and fewer
-    # than N / 32 rows change.  Measured on a 2-core Xeon, with the rows last
-    # in a transposed copy: at D * P <= 18 the product won at every N <=
-    # 100 000 and every count of changed rows; at D * P = 288, N = 100 000
-    # and one row the gather took 0.4 ms against 10 ms; near the bound the
-    # worse choice cost at most 2.3 times the better one (13 against 6 us).
+    # than N / GATHER_RATIO rows change.  Measured on a 2-core Xeon, with
+    # the rows last in a transposed copy: at D * P <= 18 the product won at
+    # every N <= 100 000 and every count of changed rows; at D * P = 288,
+    # N = 100 000 and one row the gather took 0.4 ms against 10 ms; near
+    # the bound the worse choice cost at most 2.3 times the better one (13
+    # against 6 us).
     per = per_datum.reshape(n, -1)
-    if delta_w.ndim == 2:
-        m = len(delta_w)
-        summed = (delta_w @ per).reshape(m, dim, -1)[:, :, basis_multisets(dim, k)[1]]
-        out = np.einsum("bij,bj->bi", summed, direction_products(directions, m)) / n
+    if (delta_w.ndim == 1 and per.shape[1] >= 32
+            and GATHER_RATIO * np.count_nonzero(delta_w) < n):
+        rows = np.flatnonzero(delta_w)
+        summed = delta_w[rows] @ per[rows]
     else:
-        if per.shape[1] >= 32 and 32 * np.count_nonzero(delta_w) < n:
-            rows = np.flatnonzero(delta_w)
-            summed = delta_w[rows] @ per[rows]
-        else:
-            summed = delta_w @ per
-        summed = summed.reshape(dim, -1)
-        # At order 0 the one multiset is the one tuple.  At order 1 the map
-        # is the identity too, but its gather returns a column-major copy,
-        # which keeps the product below on the BLAS kernel, and the
-        # rounding, it has always had.
-        if k:
-            summed = summed[:, basis_multisets(dim, k)[1]]
-        out = contract(summed, directions) / n
-    if not np.isfinite(out).all():
+        summed = delta_w @ per
+    if k:
+        # At order 1 the map is the identity, but its gather returns a
+        # column-major copy, which keeps the product below on the BLAS
+        # kernel, and the rounding, it has always had.
+        out = contract(summed.reshape(dim, -1)[:, basis_multisets(dim, k)[1]], directions) / n
+    else:
+        out = summed.reshape(*delta_w.shape[:-1], dim, -1) / n
+        if out.shape[-1] == 1:
+            out = out[..., 0]
+    if np.count_nonzero(np.isfinite(out)) != out.size:
         raise NonFiniteValueError(
             f"non-finite weight-direction derivative of order {k}"
         )

@@ -76,7 +76,9 @@ class CvReport:
     def to_json_obj(self) -> dict:
         """The report as JSON-ready data: plain dicts, lists, floats and
         strings.  Each outcome is one record, in which ``expand_error``
-        appears only when the expansion failed."""
+        appears only when the expansion failed.  An aggregate error that is
+        not finite, as the NaN of an order no weight was scored at, is None,
+        since JSON has no NaN."""
         records = []
         for o in self.outcomes:
             rec = {
@@ -96,8 +98,8 @@ class CvReport:
             "order": self.order,
             "theta_hat": _floats(self.theta_hat),
             "outcomes": records,
-            "max_error": _floats(self.max_error),
-            "mean_error": _floats(self.mean_error),
+            "max_error": [_finite_or_none(e) for e in self.max_error],
+            "mean_error": [_finite_or_none(e) for e in self.mean_error],
             "metadata": self.metadata,
         }
         if self.bound_per_k is not None:
@@ -155,15 +157,22 @@ def _expand_block(problem, theta_hat, hfac, table, block: list, order: int) -> t
 
     Returns ``(partials, expand_errors)``: a (B, order + 1, D) array, NaN
     from order 1 on for a weight whose expansion failed, and the error
-    message or None per weight.  Each weight is expanded on its own; the
-    block's partial sums come from one
-    :meth:`~hoij.expansion.TaylorExpansion.partial_sums` call.
+    message or None per weight.  The block is expanded by one
+    :func:`~hoij.expansion.evaluate_theta_ij` call.  If that call raises
+    NonFiniteValueError, each weight is expanded on its own, so only the
+    weights that fail get an error.
     """
+    deltas = np.array([w.delta for w in block])
+    try:
+        expn = evaluate_theta_ij(problem, hfac.theta_hat, hfac, table, deltas, order)
+        return expn.partial_sums(), [None] * len(block)
+    except NonFiniteValueError:
+        pass
     dthetas = np.full((order, len(block), theta_hat.size), np.nan)
     errors = [None] * len(block)
-    for b, w in enumerate(block):
+    for b, delta in enumerate(deltas):
         try:
-            expn = evaluate_theta_ij(problem, hfac.theta_hat, hfac, table, w.delta, order)
+            expn = evaluate_theta_ij(problem, hfac.theta_hat, hfac, table, delta, order)
             if order:
                 dthetas[:, b] = expn.dthetas
         except NonFiniteValueError as err:
@@ -197,8 +206,10 @@ def _norms(d: np.ndarray) -> np.ndarray:
 
     Bit for bit what np.linalg.norm gives each vector, the square root of
     its dot product with itself, here as one stacked (1, D) @ (D, 1)
-    product; einsum and norm(axis=-1) round differently.
+    product of a C-ordered copy; einsum and norm(axis=-1) round
+    differently, and so does the product on a strided stack.
     """
+    d = np.ascontiguousarray(d)
     return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
 
 
@@ -231,8 +242,9 @@ def run_cv(problem: EstimatingProblem, weights: Iterable[WeightVector], order: i
     """Approximate every weight in the stream and compare with exact re-fits.
 
     The stream is read REFIT_BLOCK weights at a time, so only one block of
-    weight vectors is held, whatever the stream's length.  Each weight is
-    expanded on its own; then the block is re-fitted together by
+    weight vectors is held, whatever the stream's length.  Each block is
+    expanded by one call, and one weight at a time only when that call
+    fails; then the block is re-fitted together by
     :func:`~hoij.expansion.refit_block`, starting from the order-``order``
     expansions.  The block is scored at once: its partial sums come from
     one cumulative sum and its errors from one stacked norm.  A weight

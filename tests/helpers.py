@@ -14,12 +14,16 @@ layer's reference: one nested forward pass per ordered basis-direction
 tuple, with no multiset batching.  The nested multiset pass is the
 reference for ``per_datum_tensor``: k nested order-1 levels give each
 order-k partial directly.  The block-loop tensor, its weighted row sum, is
-the reference for ``g_theta_tensor``.
+the reference for ``g_theta_tensor``.  ``bench_module`` loads a module of
+the bench directory, for the tests that hold the program to what the bench
+reads from it.
 """
 
+import importlib.util
 import itertools
 import math
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +118,22 @@ def subprocess_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_module(name):
+    """A module of the bench directory, read from its file as it is."""
+    # registered while it runs: its dataclasses look their module up
+    spec = importlib.util.spec_from_file_location(f"hoij_bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 # -- nested order-1 levels -------------------------------------------------------

@@ -10,34 +10,20 @@ read from the bench directory as they are.
 
 import contextlib
 import importlib
-import importlib.util
 import io
 import json
 import sys
-from pathlib import Path
 
 import pytest
 
 import hoij  # noqa: F401  (the tracer wraps names in the loaded hoij modules)
 from hoij.cli import main
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-
-
-def _bench_module(name):
-    # registered while it runs: its dataclasses look their module up
-    spec = importlib.util.spec_from_file_location(f"hoij_bench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
+from helpers import BENCH, bench_module
 
 
 def test_traced_names_resolve():
-    tracer = _bench_module("tracer")
+    tracer = bench_module("tracer")
     for mod, attr in tracer.TRACED:
         assert callable(getattr(importlib.import_module(mod), attr, None)), (mod, attr)
     models = importlib.import_module("hoij.models")
@@ -46,7 +32,7 @@ def test_traced_names_resolve():
 
 
 def test_tracer_installs_and_restores():
-    tracer = _bench_module("tracer")
+    tracer = bench_module("tracer")
     for mod, _ in tracer.TRACED:
         importlib.import_module(mod)
     before = {name: dict(vars(m)) for name, m in sys.modules.items()
@@ -58,7 +44,7 @@ def test_tracer_installs_and_restores():
             assert getattr(sys.modules[name], attr) is value, (name, attr)
 
 
-wl = _bench_module("workloads")
+wl = bench_module("workloads")
 
 
 @pytest.mark.parametrize("name", sorted(wl.WORKLOADS))

@@ -124,6 +124,30 @@ class TestCvCommand:
         assert csv_lines[0] == "weight,k,error,bound"
         assert len(csv_lines) == 1 + 4 * 3
 
+    def test_no_scored_weight_writes_null_errors(self, tmp_path):
+        """Each leave-9-out weight of a 10-row logistic problem keeps one
+        row, where the Jacobian is singular and the re-fit fails.  With no
+        weight scored, max_error and mean_error are null at every order, not
+        NaN, which JSON does not have."""
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0.0, 1.0, (10, 2))
+        x[:, 0] = 1.0
+        y = (rng.random(10) < 0.5).astype(float)
+        data = tmp_path / "logistic.csv"
+        rows = zip(x.tolist(), y.tolist())
+        data.write_text("".join(f"{a!r},{b!r},{c!r}\n" for (a, b), c in rows))
+        out = tmp_path / "cv.json"
+        assert main(["cv", "--model", "logistic_regression", "--data", str(data),
+                     "--scheme", "kappa", "--kappa", "9", "--draws", "2", "--order", "3",
+                     "--out", str(out)]) == 0
+
+        def no_constant(name):
+            raise AssertionError(f"{name} written into the JSON file")
+
+        obj = json.loads(out.read_text(), parse_constant=no_constant)
+        assert all(o["refit_error"] and o["errors"] is None for o in obj["outcomes"])
+        assert obj["max_error"] == obj["mean_error"] == [None] * 4
+
     def test_order_over_cap_usage_error(self, mean_csv):
         assert main(["cv", "--model", "mean", "--data", mean_csv, "--order", "99"]) == 2
 

@@ -1,5 +1,6 @@
 """Newton solves, the factorization, and the expansion recursion."""
 
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -34,6 +35,7 @@ from hoij.terms import build_term_tables
 
 from helpers import (
     ALL_MODELS,
+    bench_module,
     block_loop_g_theta_tensor,
     build_problem,
     evaluate_term,
@@ -288,10 +290,10 @@ class TestCachedTensorExpansion:
         hfac = factorize_hessian(prob, theta_hat)
         evaluate_theta_ij(prob, theta_hat, hfac, term_tables(1),
                           -np.eye(prob.n_terms)[0], 1)
-        assert hfac._tensors == {}
+        assert hfac._sums == {}
         evaluate_theta_ij(prob, theta_hat, hfac, term_tables(3),
                           -np.eye(prob.n_terms)[0], 3)
-        assert sorted(hfac._tensors) == [2, 3]
+        assert sorted(hfac._sums) == [2, 3]
 
     def test_non_finite_weight_term_raises(self):
         prob = build_problem("exp_loss", np.random.default_rng(47))
@@ -482,6 +484,110 @@ class TestBlockExpansion:
             evaluate_theta_ij(prob, theta_hat + 1e-9, hfac, term_tables(1), np.zeros(4), 1)
 
 
+def table_coefficients(prob, theta_hat, hfac, table, delta_w, order):
+    """d_1..d_order of one weight offset from evaluate_dtheta, the term-table
+    engine, reading the same cached arrays as the recursion."""
+    dset = {}
+    for k in range(1, order + 1):
+        dset[k] = evaluate_dtheta(prob, theta_hat, hfac, table.for_order(k), dset, delta_w)
+    return [dset[k] for k in range(1, order + 1)]
+
+
+def scheme_blocks(n):
+    """LOO, k-fold, leave-kappa-out and bootstrap blocks of offsets w - 1."""
+    streams = {"loo": loo_weights(n, [2, 9, n]), "kfold": kfold_weights(n, 4, seed=1),
+               "kappa": leave_kappa_out_weights(n, 3, seed=4, count=3),
+               "bootstrap": bootstrap_weights(n, 3, seed=2)}
+    return {name: np.array([w.delta for w in ws]) for name, ws in streams.items()}
+
+
+class TestRecursionAgainstTermTables:
+    """The Taylor recursion of evaluate_theta_ij against evaluate_dtheta, to
+    1e-12 of each order's largest entry.  Each order K gets a freshly
+    prepared factor: caches filled by passes of other degrees differ in
+    their last bits, and the top coefficients amplify that."""
+
+    @pytest.mark.parametrize("model_id", ALL_MODELS + ["term_fn_only"])
+    def test_every_order_scheme_and_block(self, model_id):
+        n = 20
+        prob = build_problem(model_id if model_id in ALL_MODELS else "logistic_regression",
+                             np.random.default_rng(61), n=n, dim=3, reg={"l2": 0.2})
+        if model_id == "term_fn_only":
+            prob = EstimatingProblem(prob.dim_theta, prob.n_terms, prob.term_fn)
+        theta_hat = solve_base(prob)
+        for order in range(1, fad.K_MAX + 1):
+            table = term_tables(order)
+            hfac = factorize_hessian(prob, theta_hat)
+            hfac.prepare_expansion(order)
+            for scheme, block in scheme_blocks(n).items():
+                got = evaluate_theta_ij(prob, theta_hat, hfac, table, block, order)
+                for b, dw in enumerate(block):
+                    one = evaluate_theta_ij(prob, theta_hat, hfac, table, dw, order)
+                    want = table_coefficients(prob, theta_hat, hfac, table, dw, order)
+                    for k in range(order):
+                        where = (scheme, order, k + 1, b)
+                        assert max_rel_gap(got.dthetas[k][b], want[k]) <= 1e-12, where
+                        assert max_rel_gap(one.dthetas[k], want[k]) <= 1e-12, where
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_reduction_routes_agree(self, dim, monkeypatch):
+        """A block reduced one offset per call and the same block reduced by
+        one product per order give the same coefficients, to 1e-13 of each
+        order's largest entry.  GATHER_RATIO = 0 makes every block take the
+        first route and a ratio above N the second, and the calls to
+        g_weight_derivative show which ran.  At D = 4, the sparse offsets'
+        own calls gather their rows from order 2."""
+        n = 70
+        prob = build_problem("logistic_regression", np.random.default_rng(62), n=n, dim=dim,
+                             reg={"l2": 0.2})
+        theta_hat = solve_base(prob)
+        hfac = factorize_hessian(prob, theta_hat)
+        table = term_tables(5)
+        shapes = []
+        real = fad.g_weight_derivative
+
+        def recording(problem, theta, delta_w, directions, per_datum=None):
+            shapes.append(np.shape(delta_w))
+            return real(problem, theta, delta_w, directions, per_datum)
+
+        monkeypatch.setattr(fad, "g_weight_derivative", recording)
+        for scheme, block in scheme_blocks(n).items():
+            routes = {}
+            for ratio, want in ((0, [(n,)] * len(block)), (n + 1, [block.shape])):
+                monkeypatch.setattr(fad, "GATHER_RATIO", ratio)
+                shapes.clear()
+                routes[ratio] = evaluate_theta_ij(prob, theta_hat, hfac, table, block, 5)
+                assert shapes == want * 5, scheme
+            for k, (a, b) in enumerate(zip(routes[0].dthetas, routes[n + 1].dthetas), 1):
+                for row_a, row_b in zip(a, b):
+                    assert max_rel_gap(row_a, row_b) <= 1e-13, (scheme, k)
+
+    def test_sparse_blocks_take_one_call_per_offset(self, monkeypatch):
+        """At the default ratio, a block whose every offset changes fewer
+        than N / GATHER_RATIO rows is reduced one offset per call; a block
+        with one denser offset is one product per order."""
+        n = 100
+        prob = build_problem("logistic_regression", np.random.default_rng(63), n=n, dim=2)
+        theta_hat = solve_base(prob)
+        hfac = factorize_hessian(prob, theta_hat)
+        shapes = []
+        real = fad.g_weight_derivative
+
+        def recording(problem, theta, delta_w, directions, per_datum=None):
+            shapes.append(np.shape(delta_w))
+            return real(problem, theta, delta_w, directions, per_datum)
+
+        monkeypatch.setattr(fad, "g_weight_derivative", recording)
+        sparse = -np.eye(n)[[3, 50]]
+        sparse[1, 51:53] = -1.0  # three rows, fewer than 100 / 32
+        evaluate_theta_ij(prob, theta_hat, hfac, term_tables(3), sparse, 3)
+        assert shapes == [(n,)] * 6
+        shapes.clear()
+        sparse[1, 60] = -1.0  # four rows, not fewer than 100 / 32
+        evaluate_theta_ij(prob, theta_hat, hfac, term_tables(3), sparse, 3)
+        assert shapes == [(2, n)] * 3
+
+
 def nested_oracle_expansion(prob, theta_hat, table, delta_w, order):
     """d_1..d_order from the nested per-datum arrays of the test helpers,
     with no univariate pass and no cache: a weight-direction term sums the
@@ -510,8 +616,8 @@ def nested_oracle_expansion(prob, theta_hat, table, delta_w, order):
 
 
 class TestPlan:
-    """Every expansion runs from the term table's terms, each reading its
-    array from the factor's caches."""
+    """The recursion against the nested oracle, its failure on a non-finite
+    cached array, and the calls the bench's traced run checks."""
 
     @pytest.mark.parametrize("model_id", ALL_MODELS)
     def test_single_weights_match_nested_oracle(self, model_id):
@@ -531,60 +637,87 @@ class TestPlan:
                     assert max_rel_gap(d_got, d_want) <= 1e-12, (order, k, w.label)
 
     def test_nan_in_cached_tensor_raises(self):
+        """A NaN in the cached order-2 sum fails the recursion's solve, for
+        one weight and for a block, and the term-table oracle, which expands
+        the same sum, at its contraction."""
         n = 20
         prob = build_problem("logistic_regression", np.random.default_rng(53), n=n, dim=3)
         theta_hat = solve_base(prob)
         hfac = factorize_hessian(prob, theta_hat)
         table = term_tables(3)
         dw = next(loo_weights(n, [4])).delta
-        evaluate_theta_ij(prob, theta_hat, hfac, table, dw, 3)
-        hfac.tensor(2)[1, 2] = np.nan  # the cached array every later expansion reads
+        d1, d2, _ = evaluate_theta_ij(prob, theta_hat, hfac, table, dw, 3).dthetas
+        hfac.sums(2)[1, 2] = np.nan  # the cached array every later expansion reads
         for delta in (dw, np.array([dw, dw])):
-            with pytest.raises(NonFiniteValueError, match="non-finite contraction for term"):
+            with pytest.raises(NonFiniteValueError, match="Hessian system"):
                 evaluate_theta_ij(prob, theta_hat, hfac, table, delta, 3)
+        with pytest.raises(NonFiniteValueError, match="non-finite contraction for term"):
+            evaluate_dtheta(prob, theta_hat, hfac, table.for_order(3), {1: d1, 2: d2}, dw)
 
     def test_nan_in_cached_tensor_is_the_cv_expand_error(self, monkeypatch):
+        """The block's one expansion fails, and so does each weight's own
+        expansion after it: every weight gets its own expand_error, and a
+        finite re-fit from theta_hat."""
         n = 20
         prob = build_problem("logistic_regression", np.random.default_rng(53), n=n, dim=3)
         factorize = resampling.factorize_hessian
+        calls = []
+        expand = resampling.evaluate_theta_ij
 
         def planted(problem, theta_hat):
             hfac = factorize(problem, theta_hat)
             hfac.prepare_expansion(3)
-            hfac.tensor(2)[1, 2] = np.nan
+            hfac.sums(2)[1, 2] = np.nan
             return hfac
 
+        def recording(problem, theta_hat, hfac, table, delta_w, order):
+            calls.append(np.shape(delta_w))
+            return expand(problem, theta_hat, hfac, table, delta_w, order)
+
         monkeypatch.setattr(resampling, "factorize_hessian", planted)
+        monkeypatch.setattr(resampling, "evaluate_theta_ij", recording)
         report = resampling.run_cv(prob, loo_weights(n, [4, 9]), 3)
+        assert calls == [(2, n), (n,), (n,)]
         for o in report.outcomes:
-            assert o.expand_error.startswith("non-finite contraction for term")
+            assert o.expand_error == "non-finite right-hand side of the Hessian system"
             assert o.theta_ij is None and o.errors is None
             assert o.refit_error is None and np.isfinite(o.theta_exact).all()
 
-    def test_one_loo_weight_makes_the_traced_calls(self, monkeypatch):
-        """The calls the bench's traced loo_cv run checks, made by ``run_cv``
-        for one LOO weight at order 3: four ``g_weight_derivative`` calls,
-        each with one nonzero in delta_w (its third positional argument),
-        and one ``evaluate_dtheta`` call per order, whose fifth positional
-        argument, the derivative set, holds the orders below it."""
-        nonzeros, orders = [], []
-        weight_derivative, dtheta = fad.g_weight_derivative, expansion.evaluate_dtheta
+    @staticmethod
+    def _traced_cv(labels, order):
+        """``run_cv`` on LOO weights of a 40-row problem under the bench's
+        own tracer: the spans of its traced calls.  N = 40 makes one changed
+        row fewer than N / GATHER_RATIO, so each weight of a block is
+        reduced by its own call."""
+        tracer = bench_module("tracer")
+        for mod, _ in tracer.TRACED:
+            importlib.import_module(mod)
+        prob = build_problem("logistic_regression", np.random.default_rng(54), n=40, dim=3)
+        with tracer.Tracer() as t:
+            report = resampling.run_cv(prob, loo_weights(40, labels), order)
+        assert all(o.expand_error is None for o in report.outcomes)
+        return t.spans
 
-        def counting_weight_derivative(*args, **kwargs):
-            nonzeros.append(int(np.count_nonzero(args[2])))
-            return weight_derivative(*args, **kwargs)
+    def test_one_loo_weight_makes_the_traced_calls(self):
+        """The calls the bench's traced loo_cv run checks, for one LOO weight
+        at order 3: three ``g_weight_derivative`` calls, for the orders
+        0..2, each reading one changed row (its ``rows`` counter), and no
+        ``evaluate_dtheta`` call."""
+        spans = self._traced_cv([7], 3)
+        rows = [s.counters["rows"] for s in spans if s.name == "forward_ad.g_weight_derivative"]
+        assert set(rows) == {1}
+        assert len(rows) == 3
+        assert not [s for s in spans if s.name == "expansion.evaluate_dtheta"]
 
-        def counting_dtheta(*args, **kwargs):
-            orders.append(len(args[4]) + 1)
-            return dtheta(*args, **kwargs)
-
-        monkeypatch.setattr(fad, "g_weight_derivative", counting_weight_derivative)
-        monkeypatch.setattr(expansion, "evaluate_dtheta", counting_dtheta)
-        prob = build_problem("logistic_regression", np.random.default_rng(54), n=30, dim=3)
-        report = resampling.run_cv(prob, loo_weights(30, [7]), 3)
-        assert report.outcomes[0].expand_error is None
-        assert nonzeros == [1, 1, 1, 1]
-        assert orders == [1, 2, 3]
+    @pytest.mark.parametrize("order", [1, 3, 5])
+    def test_loo_blocks_make_the_traced_calls(self, order):
+        """A block of three LOO weights: one call per weight and order, each
+        reading one changed row."""
+        spans = self._traced_cv([7, 19, 33], order)
+        rows = [s.counters["rows"] for s in spans if s.name == "forward_ad.g_weight_derivative"]
+        assert set(rows) == {1}
+        assert len(rows) == 3 * order
+        assert not [s for s in spans if s.name == "expansion.evaluate_dtheta"]
 
 
 class TestExactRefit:

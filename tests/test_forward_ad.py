@@ -865,9 +865,13 @@ class TestCachedWeightDerivative:
 
 
 class TestBlockWeightDerivative:
-    """The cached route with a (B, N) block and (B, D) directions, row by row."""
+    """The cached route without directions: the weighted row sum over
+    multisets, for one weight offset and for a (B, N) block, row by row."""
 
     def test_rows_match_one_weight_routes(self):
+        """Each row of the block's sum equals the one-offset sum to 1e-14,
+        and applied to directions, the one-offset call with them to 1e-14
+        and the nested pass to 1e-12."""
         rng = np.random.default_rng(57)
         prob = build_problem("logistic_regression", rng, n=70, dim=4, reg={"l2": 0.3})
         theta = rng.uniform(-0.5, 0.5, 4)
@@ -877,37 +881,50 @@ class TestBlockWeightDerivative:
         block[2, 10:] = 0.0
         for m in range(5):
             per = fad.per_datum_tensor(prob, theta, m)[1]
-            dirs = tuple(rng.standard_normal((m, 5, 4)))
-            got = fad.g_weight_derivative(prob, theta, block, dirs, per)
-            assert got.shape == (5, 4)
+            inverse = fad.basis_multisets(4, m)[1]
+            got = fad.g_weight_derivative(prob, theta, block, (), per)
+            assert got.shape == ((5, 4) if m == 0 else (5, 4, per.shape[2]))
             for b, dw in enumerate(block):
-                row_dirs = tuple(v[b] for v in dirs)
-                nested = nested_g_weight_derivative(prob, theta, dw, row_dirs)
-                cached = fad.g_weight_derivative(prob, theta, dw, row_dirs, per)
-                assert max_rel_gap(got[b], nested) <= 1e-12, (m, b)
-                assert max_rel_gap(got[b], cached) <= 1e-14, (m, b)
+                one = fad.g_weight_derivative(prob, theta, dw, (), per)
+                assert one.shape == got[b].shape
+                assert max_rel_gap(got[b], one) <= 1e-14, (m, b)
+                dirs = tuple(rng.standard_normal((m, 4)))
+                applied = fad.contract(got[b].reshape(4, -1)[:, inverse], dirs)
+                cached = fad.g_weight_derivative(prob, theta, dw, dirs, per)
+                nested = nested_g_weight_derivative(prob, theta, dw, dirs)
+                assert max_rel_gap(applied, cached) <= 1e-14, (m, b)
+                assert max_rel_gap(applied, nested) <= 1e-12, (m, b)
 
     def test_block_without_rows_runs_the_pass(self):
-        """Without cached rows a block reads the rows of one pass at theta:
-        the values of the call that is handed them, bit for bit."""
+        """Without cached rows a block reads the order-0 rows of one pass at
+        theta: the values of the call that is handed them, bit for bit."""
         rng = np.random.default_rng(58)
         prob = build_problem("exp_loss", rng, n=6, dim=2)
         theta = np.array([0.1, -0.2])
         block = rng.uniform(-1.0, 1.0, (3, 6))
-        for m in range(4):
-            dirs = tuple(rng.standard_normal((m, 3, 2)))
-            per = fad.per_datum_tensor(prob, theta, m)[1]
-            np.testing.assert_array_equal(
-                fad.g_weight_derivative(prob, theta, block, dirs),
-                fad.g_weight_derivative(prob, theta, block, dirs, per))
+        per = fad.per_datum_tensor(prob, theta, 0)[1]
+        np.testing.assert_array_equal(
+            fad.g_weight_derivative(prob, theta, block, ()),
+            fad.g_weight_derivative(prob, theta, block, (), per))
 
     def test_non_finite_row(self):
         prob = build_problem("exp_loss", np.random.default_rng(59), n=6, dim=2)
         per = fad.per_datum_tensor(prob, [0.1, -0.2], 1)[1]
-        dirs = (np.array([[1.0, 0.0], [1e308, 1e308]]),)
+        block = np.ones((2, 6))
+        block[1, 3] = np.inf
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(fad.NonFiniteValueError, match="weight-direction"):
-            fad.g_weight_derivative(prob, [0.1, -0.2], np.ones((2, 6)), dirs, per)
+            fad.g_weight_derivative(prob, [0.1, -0.2], block, (), per)
+
+    def test_directions_take_one_offset(self):
+        """Directions apply to one weight offset; a block with them, or a
+        direction that is not a (D,) array, is refused."""
+        prob = build_problem("exp_loss", np.random.default_rng(60), n=6, dim=2)
+        per = fad.per_datum_tensor(prob, [0.1, -0.2], 1)[1]
+        with pytest.raises(ValueError, match="one weight offset"):
+            fad.g_weight_derivative(prob, [0.1, -0.2], np.ones((2, 6)), (np.ones(2),), per)
+        with pytest.raises(ValueError, match=r"is not \(2,\)"):
+            fad.g_weight_derivative(prob, [0.1, -0.2], np.ones(6), (np.ones((2, 2)),), per)
 
 
 PROPERTY_PROBLEM = build_problem("logistic_regression", np.random.default_rng(54),

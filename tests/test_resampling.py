@@ -280,17 +280,21 @@ class TestRefitFromExpansion:
             assert np.max(np.abs(o.theta_exact - root)) <= 1e-13
 
     def test_one_failed_expansion_in_a_block(self, monkeypatch):
-        """One refit_block call per block, with every weight of the block:
-        the weight whose expansion failed re-fits inside it, from theta_hat."""
+        """One expansion call per block: where it fails, each weight of the
+        block is expanded on its own, so only the weight that fails alone
+        loses its expansion.  One refit_block call per block, with every
+        weight of the block: that weight re-fits inside it, from theta_hat."""
         rng = np.random.default_rng(4)
         prob = build_problem("logistic_regression", rng, n=150)
         theta_hat = solve_base(prob)
         real = resampling.evaluate_theta_ij
         weights = list(loo_weights(150, range(1, 150, 7)))
         bad = weights[3]
+        calls = []
 
         def failing_once(problem, theta, hfac, table, delta_w, order):
-            if delta_w is bad.delta:
+            calls.append(np.shape(delta_w))
+            if any(np.array_equal(row, bad.delta) for row in np.atleast_2d(delta_w)):
                 raise NonFiniteValueError("non-finite contraction")
             return real(problem, theta, hfac, table, delta_w, order)
 
@@ -309,8 +313,11 @@ class TestRefitFromExpansion:
         monkeypatch.setattr(resampling, "refit_block", counting_block)
         monkeypatch.setattr(expansion, "exact_refit", recording_refit)
         report = run_cv(prob, weights, 3)
+        assert calls == [(8, 150)] + [(150,)] * 8 + [(8, 150), (6, 150)]
         assert block_sizes == [8, 8, 6]
         assert sum(w is bad for w in refitted) == 1
+        assert [o.expand_error is not None for o in report.outcomes] == [
+            w is bad for w in weights]
         for o, w in zip(report.outcomes, weights):
             if w is bad:
                 assert o.expand_error and o.errors is None
@@ -321,8 +328,9 @@ class TestRefitFromExpansion:
 
 
 class TestBlockScoring:
-    """run_cv scores a block at once: the same partial sums, errors and
-    aggregates, bit for bit, as per-weight partial_sum and np.linalg.norm."""
+    """run_cv scores a block at once: the partial sums of one expansion call
+    per block, and errors and aggregates, bit for bit, as per-weight
+    partial_sum and np.linalg.norm give them."""
 
     @pytest.mark.parametrize("model_id, dim, order", [
         ("logistic_regression", 3, 3), ("exp_loss", 2, 0), ("linear_regression", 5, 4),
@@ -337,11 +345,14 @@ class TestBlockScoring:
         theta_hat = solve_base(prob)
         hfac = factorize_hessian(prob, theta_hat)
         table = term_tables(max(order, 1))
-        for o, w in zip(report.outcomes, weights):
-            expn = evaluate_theta_ij(prob, theta_hat, hfac, table, w.delta, order)
-            for k in range(order + 1):
-                assert o.theta_ij[k].tobytes() == expn.partial_sum(k).tobytes(), (o.label, k)
-                assert o.errors[k] == np.linalg.norm(expn.partial_sum(k) - o.theta_exact)
+        for lo in range(0, len(weights), 4):
+            block = np.array([w.delta for w in weights[lo:lo + 4]])
+            expn = evaluate_theta_ij(prob, theta_hat, hfac, table, block, order)
+            for b, o in enumerate(report.outcomes[lo:lo + 4]):
+                for k in range(order + 1):
+                    want = expn.partial_sum(k)[b]
+                    assert o.theta_ij[k].tobytes() == want.tobytes(), (o.label, k)
+                    assert o.errors[k] == np.linalg.norm(want - o.theta_exact)
         errors = np.array([o.errors for o in report.outcomes])
         assert report.max_error == tuple(errors.max(axis=0).tolist())
         assert report.mean_error == tuple(errors.mean(axis=0).tolist())
@@ -350,9 +361,9 @@ class TestBlockScoring:
     def test_stacked_norms_are_numpys(self, dim):
         rng = np.random.default_rng(dim)
         d = rng.normal(size=(50, 4, dim)) * 10.0 ** rng.integers(-17, 3, size=(50, 4, 1))
-        got = resampling._norms(d)
         want = [[np.linalg.norm(v) for v in block] for block in d]
-        assert got.tobytes() == np.array(want).tobytes()
+        for layout in (d, np.asfortranarray(d)):
+            assert resampling._norms(layout).tobytes() == np.array(want).tobytes()
 
 
 class TestWeightStream:
