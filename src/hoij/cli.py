@@ -43,13 +43,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(p, data=True):
-    if data:
-        p.add_argument("--model", required=True, help="registered model id")
-        p.add_argument("--data", required=True, help="path to the dataset")
-        p.add_argument("--format", default="csv", choices=["csv", "json"])
-        p.add_argument("--header", action="store_true",
-                       help="first CSV row is a header")
+def _add_common(p):
+    p.add_argument("--model", required=True, help="registered model id")
+    p.add_argument("--data", required=True, help="path to the dataset")
+    p.add_argument("--format", default="csv", choices=["csv", "json"])
+    p.add_argument("--header", action="store_true", help="first CSV row is a header")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output path (JSON; cv/scaling also write CSV)")
 
@@ -165,10 +163,6 @@ def _weight_stream(args, n):
     return models.bootstrap_weights(n, args.draws, seed=args.seed)
 
 
-def _resolved_config(args) -> dict:
-    return {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-
-
 def _output_paths(args) -> list:
     """The JSON file ``--out`` names, then the CSV file cv and scaling add."""
     if not args.out:
@@ -201,7 +195,7 @@ def _emit(obj: dict, args, csv_text=None) -> None:
     the standard library's C encoder (json's pure-Python encoder runs when
     ``indent`` is given).  The JSON goes to ``--out``, or to stdout without
     it; ``csv_text``, if given, to the CSV file next to it."""
-    obj = {"schema_version": SCHEMA_VERSION, "config": _resolved_config(args), **obj}
+    obj = {"schema_version": SCHEMA_VERSION, "config": vars(args), **obj}
     text = json.dumps(obj, sort_keys=True)
     paths = _output_paths(args)
     if paths:

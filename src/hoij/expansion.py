@@ -303,11 +303,12 @@ def evaluate_dtheta(problem: EstimatingProblem, theta_hat, hfac: HessianFactor,
     """One expansion coefficient of one weight vector from the paper's term
     table: -H^{-1} (sum of one order's table terms).
 
-    A term with m directions is one :func:`forward_ad.g_weight_derivative`
-    call on ``hfac.rows(m)`` if it is a weight-direction term, else one
-    :func:`forward_ad.contract` of ``hfac.tensor(m)``: arrays cached at the
-    point ``hfac`` was built at, which ``theta_hat`` must be
-    (``hfac.theta_hat`` itself is not compared).  ``delta_w`` is one weight
+    A term with m directions is one :func:`forward_ad.contract` of a
+    (D, D**m) array cached at the point ``hfac`` was built at, which
+    ``theta_hat`` must be (``hfac.theta_hat`` itself is not compared): for
+    a weight-direction term the :func:`forward_ad.g_weight_derivative` row
+    sum of ``hfac.rows(m)``, expanded from multisets to ordered tuples, and
+    for any other ``hfac.tensor(m)``.  ``delta_w`` is one weight
     offset of length N, and ``dset`` maps each order below to its (D,)
     coefficient.
 
@@ -323,13 +324,16 @@ def evaluate_dtheta(problem: EstimatingProblem, theta_hat, hfac: HessianFactor,
     d = 0.0
     for term in order_terms:
         dirs = [dset[j] for j in term.kset]
+        m = len(dirs)
         if term.omega:
-            value = fad.g_weight_derivative(problem, theta_hat, delta_w, dirs,
-                                            hfac.rows(len(dirs))[1])
+            summed = fad.g_weight_derivative(problem, theta_hat, delta_w, hfac.rows(m)[1])
+            tensor = summed[:, fad.basis_multisets(problem.dim_theta, m)[1]]
         else:
-            value = fad.contract(hfac.tensor(len(dirs)), dirs)
-            if not np.isfinite(value).all():
-                raise fad.NonFiniteValueError(f"non-finite contraction for term {term}")
+            tensor = hfac.tensor(m)
+        value = fad.contract(tensor, dirs)
+        if not np.isfinite(value).all():
+            kind = "weight-direction contraction" if term.omega else "contraction"
+            raise fad.NonFiniteValueError(f"non-finite {kind} for term {term}")
         d = d + term.coeff * value
     return -hfac.solve(d)
 
@@ -434,11 +438,9 @@ def _weight_sums(problem: EstimatingProblem, hfac: HessianFactor, delta_w: np.nd
         per, cols = hfac.rows(m)[1], slice(offsets[m], offsets[m + 1])
         if sparse:
             for i, dw in enumerate(delta_w):
-                out[i, :, cols] = fad.g_weight_derivative(
-                    problem, hfac.theta_hat, dw, (), per).reshape(problem.dim_theta, -1)
+                out[i, :, cols] = fad.g_weight_derivative(problem, hfac.theta_hat, dw, per)
         else:
-            out[:, :, cols] = fad.g_weight_derivative(
-                problem, hfac.theta_hat, delta_w, (), per).reshape(b, problem.dim_theta, -1)
+            out[:, :, cols] = fad.g_weight_derivative(problem, hfac.theta_hat, delta_w, per)
     return out
 
 

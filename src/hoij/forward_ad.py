@@ -25,8 +25,9 @@ carries every data row of an estimating problem:
 row block at a time, and everything else at a fixed point contracts those
 arrays.  :func:`g_theta_tensor` is their weighted row sum,
 :func:`g_theta_derivative` contracts it with directions, and
-:func:`g_weight_derivative` is the row sum weighted by a weight offset, or a
-block of them, over the rows it changes.
+:func:`g_weight_derivative` is the row sum of one cached per-datum array
+weighted by a weight offset, or a block of them, over index multisets; it
+runs no pass and takes no directions.
 
 This pass is the one derivative engine.  Its oracle, nested order-1 dual
 numbers, whose coefficient of the product of all k perturbations is the
@@ -636,40 +637,27 @@ def per_datum_tensor(problem, theta, k, weights=None):
     return per_datum_tensors(problem, theta, (), weights, summed=(k,))[k]
 
 
-def g_weight_derivative(problem, theta, delta_w, directions, per_datum=None):
-    """Mixed theta-derivative of (1/N) sum_n g_n(theta) delta_w_n.
+def g_weight_derivative(problem, theta, delta_w, per_datum):
+    """Theta-derivatives of (1/N) sum_n g_n(theta) delta_w_n over index
+    multisets: the row sum delta_w @ per_datum / N.
 
     This is the weight-direction derivative of G: the regularization term
     g_0 drops out.  It is public, and it is where the expansion's weights
     enter: :func:`~hoij.expansion.evaluate_theta_ij` calls it once per
     derivative order on the per-datum arrays its factor caches.
 
-    delta_w is contracted with a (N, D, P) per-datum array of
-    :func:`per_datum_tensor`: ``per_datum``, when given, which must be at
-    this same theta, and theta is then not read, so a caller that holds it
-    runs no forward pass; otherwise the array of order ``len(directions)``
-    from a pass at theta.  With directions, (D,) arrays as many as the
-    array's order, the result is the weighted row sum applied to them,
-    shape (D,).  With none it is the weighted row sum itself over the
-    array's multisets, (D, P), or (D,) when the array has one column, as
-    at order 0; delta_w may then also be a (B, N) block of weight offsets,
-    for one product of the block with the rows and a (B, D, P) or (B, D)
-    result.
+    ``per_datum`` is an (N, D, P) per-datum array of
+    :func:`per_datum_tensor` at theta, which is not read; column p of the
+    result is the mixed partial in the multiset ``basis_multisets(D, k)[0][p]``
+    of that array's order k.  ``delta_w`` is one weight offset of length N,
+    giving shape (D, P), or a (B, N) block of them, giving (B, D, P) from
+    one product of the block with the rows.
     """
     delta_w = np.asarray(getattr(delta_w, "delta", delta_w), dtype=float)
-    k = len(directions)
     dim, n = problem.dim_theta, problem.n_terms
-    if k:
-        directions = _check_directions(directions, dim)
-        if delta_w.ndim != 1:
-            raise ValueError("directions apply to one weight offset of length N, "
-                             f"not to an array of shape {delta_w.shape}")
-    if per_datum is None:
-        per_datum = per_datum_tensor(problem, theta, k)[1]
-    want = (n, dim, len(basis_multisets(dim, k)[0]) if k else per_datum.shape[-1])
-    if per_datum.shape != want:
-        what = f"the order-{k} array, shape {want}" if k else f"of shape ({n}, {dim}, P)"
-        raise ValueError(f"per-datum array of shape {per_datum.shape} is not {what}")
+    if per_datum.shape != (n, dim, per_datum.shape[-1]):
+        raise ValueError(f"per-datum array of shape {per_datum.shape} is not of shape "
+                         f"({n}, {dim}, P)")
     # (N, D * P), a view.  One product over every row beats gathering the
     # changed rows (an O(N) scan and a copy) unless D * P >= 32 and fewer
     # than N / GATHER_RATIO rows change.  Measured on a 2-core Xeon, with
@@ -685,17 +673,7 @@ def g_weight_derivative(problem, theta, delta_w, directions, per_datum=None):
         summed = delta_w[rows] @ per[rows]
     else:
         summed = delta_w @ per
-    if k:
-        # At order 1 the map is the identity, but its gather returns a
-        # column-major copy, which keeps the product below on the BLAS
-        # kernel, and the rounding, it has always had.
-        out = contract(summed.reshape(dim, -1)[:, basis_multisets(dim, k)[1]], directions) / n
-    else:
-        out = summed.reshape(*delta_w.shape[:-1], dim, -1) / n
-        if out.shape[-1] == 1:
-            out = out[..., 0]
+    out = summed.reshape(*delta_w.shape[:-1], dim, -1) / n
     if np.count_nonzero(np.isfinite(out)) != out.size:
-        raise NonFiniteValueError(
-            f"non-finite weight-direction derivative of order {k}"
-        )
+        raise NonFiniteValueError("non-finite weight-direction derivative")
     return out

@@ -388,19 +388,16 @@ def register_model(model_id: str):
 def make_problem(model_id: str, dataset: Dataset, reg: Optional[dict] = None) -> EstimatingProblem:
     """Build a registered model's estimating problem for a dataset.
 
-    ``reg`` options: ``l2`` (ridge strength lam, giving g_0 = lam * theta)
-    and ``expected_features`` (dimension check against the dataset).
+    The one ``reg`` option is ``l2``, the ridge strength lam, which gives
+    g_0 = lam * theta.  ``mean`` has g_n = theta - x_n; the index models
+    ``linear_regression``, ``logistic_regression`` and ``exp_loss`` come
+    from one builder of g_n = r(theta . x_n, y_n) x_n, with the residual r
+    = z - y, sigmoid(z) - y and exp(z) of the index z = theta . x_n.
     """
     if model_id not in MODEL_REGISTRY:
         known = ", ".join(sorted(MODEL_REGISTRY))
         raise ValueError(f"unknown model {model_id!r} (registered: {known})")
-    reg = dict(reg or {})
-    expected = reg.pop("expected_features", None)
-    if expected is not None and expected != dataset.n_features:
-        raise ValueError(
-            f"model {model_id!r} expected {expected} features, dataset has {dataset.n_features}"
-        )
-    return MODEL_REGISTRY[model_id](dataset, reg)
+    return MODEL_REGISTRY[model_id](dataset, reg or {})
 
 
 def _g0_builder(lam: float, dim: int):
@@ -443,74 +440,35 @@ def _build_mean(dataset: Dataset, reg: dict) -> EstimatingProblem:
     return EstimatingProblem(dim, n, term, model_id="mean", batch_fn=batch)
 
 
-@register_model("linear_regression")
-def _build_linear_regression(dataset: Dataset, reg: dict) -> EstimatingProblem:
-    # g_n(theta) = (theta . x_n - y_n) x_n: least-squares normal equations.
-    x = dataset.features
-    y = _require_response(dataset, "linear_regression")
-    n, dim = x.shape
-    xt = _columns(x)
-    g0 = _g0_builder(float(reg.get("l2", 0.0)), dim)
+def _register_index_model(model_id: str, residual: Callable, response: bool = True) -> None:
+    # g_n(theta) = r(theta . x_n, y_n) x_n for a residual r of the linear
+    # index z = theta . x_n; a model without a response reads y_n = 0.
+    def build(dataset: Dataset, reg: dict) -> EstimatingProblem:
+        x = dataset.features
+        n, dim = x.shape
+        y = _require_response(dataset, model_id) if response else np.zeros(n)
+        xt = _columns(x)
+        g0 = _g0_builder(float(reg.get("l2", 0.0)), dim)
 
-    def term(i, theta):
-        if i == 0:
-            return g0(theta)
-        xi, yi = x[i - 1], y[i - 1]
-        r = sum(theta[d] * xi[d] for d in range(dim)) - yi
-        return [r * xi[d] for d in range(dim)]
+        def term(i, theta):
+            if i == 0:
+                return g0(theta)
+            xi = x[i - 1]
+            r = residual(sum(theta[d] * xi[d] for d in range(dim)), y[i - 1])
+            return [r * xi[d] for d in range(dim)]
 
-    def batch(theta, rows):
-        xr, yr = xt.take(rows, axis=1), y[rows]
-        r = sum(theta[d] * xr[d] for d in range(dim)) - yr
-        return [r * xr[d] for d in range(dim)]
+        def batch(theta, rows):
+            xr = xt.take(rows, axis=1)
+            r = residual(sum(theta[d] * xr[d] for d in range(dim)), y[rows])
+            return [r * xr[d] for d in range(dim)]
 
-    return EstimatingProblem(dim, n, term, model_id="linear_regression", batch_fn=batch)
+        return EstimatingProblem(dim, n, term, model_id=model_id, batch_fn=batch)
 
-
-@register_model("logistic_regression")
-def _build_logistic_regression(dataset: Dataset, reg: dict) -> EstimatingProblem:
-    # g_n(theta) = (sigmoid(theta . x_n) - y_n) x_n for labels y_n in {0, 1}.
-    x = dataset.features
-    y = _require_response(dataset, "logistic_regression")
-    n, dim = x.shape
-    xt = _columns(x)
-    g0 = _g0_builder(float(reg.get("l2", 0.0)), dim)
-
-    def term(i, theta):
-        if i == 0:
-            return g0(theta)
-        xi, yi = x[i - 1], y[i - 1]
-        z = sum(theta[d] * xi[d] for d in range(dim))
-        r = fad.sigmoid(z) - yi
-        return [r * xi[d] for d in range(dim)]
-
-    def batch(theta, rows):
-        xr, yr = xt.take(rows, axis=1), y[rows]
-        z = sum(theta[d] * xr[d] for d in range(dim))
-        r = fad.sigmoid(z) - yr
-        return [r * xr[d] for d in range(dim)]
-
-    return EstimatingProblem(dim, n, term, model_id="logistic_regression", batch_fn=batch)
+    register_model(model_id)(build)
 
 
-@register_model("exp_loss")
-def _build_exp_loss(dataset: Dataset, reg: dict) -> EstimatingProblem:
-    # g_n(theta) = exp(theta . x_n) x_n, the gradient of exp(theta . x_n).
-    x = dataset.features
-    n, dim = x.shape
-    xt = _columns(x)
-    g0 = _g0_builder(float(reg.get("l2", 0.0)), dim)
-
-    def term(i, theta):
-        if i == 0:
-            return g0(theta)
-        xi = x[i - 1]
-        s = fad.exp(sum(theta[d] * xi[d] for d in range(dim)))
-        return [s * xi[d] for d in range(dim)]
-
-    def batch(theta, rows):
-        xr = xt.take(rows, axis=1)
-        s = fad.exp(sum(theta[d] * xr[d] for d in range(dim)))
-        return [s * xr[d] for d in range(dim)]
-
-    return EstimatingProblem(dim, n, term, model_id="exp_loss", batch_fn=batch)
+# least-squares normal equations; logistic regression for labels y_n in
+# {0, 1}; the gradient of exp(theta . x_n)
+_register_index_model("linear_regression", lambda z, y: z - y)
+_register_index_model("logistic_regression", lambda z, y: fad.sigmoid(z) - y)
+_register_index_model("exp_loss", lambda z, y: fad.exp(z), response=False)

@@ -9,7 +9,9 @@ themselves be TaylorScalars, and the coefficient of the product of all k
 perturbations is the exact mixed directional derivative, with no
 interpolation involved (``directional_derivative``,
 ``nested_g_theta_derivative``, ``nested_g_weight_derivative`` and the
-per-term ``evaluate_term``).  The per-tuple derivative loops are the bounds
+per-term ``evaluate_term``); ``contracted_g_weight_derivative`` applies the
+weighted row sum of ``forward_ad.g_weight_derivative`` to the same
+directions.  The per-tuple derivative loops are the bounds
 layer's reference: one nested forward pass per ordered basis-direction
 tuple, with no multiset batching.  The nested multiset pass is the
 reference for ``per_datum_tensor``: k nested order-1 levels give each
@@ -244,8 +246,8 @@ def nested_g_theta_derivative(problem, theta, weights, directions):
 
 
 def nested_g_weight_derivative(problem, theta, delta_w, directions):
-    """``forward_ad.g_weight_derivative`` from one nested pass over the rows
-    a length-N delta_w changes."""
+    """``forward_ad.g_weight_derivative`` applied to directions, shape (D,),
+    from one nested pass over the rows a length-N delta_w changes."""
     delta_w = np.asarray(getattr(delta_w, "delta", delta_w), dtype=float)
     k = len(directions)
     fad._check_directions(directions, problem.dim_theta)
@@ -255,6 +257,20 @@ def nested_g_weight_derivative(problem, theta, delta_w, directions):
     x = nested_input(theta, directions)
     total = weighted_term_sum(problem, x, delta_w[rows], rows)
     return np.array([float(nested_coefficient(tj, k)) / problem.n_terms for tj in total])
+
+
+def contracted_g_weight_derivative(problem, theta, delta_w, directions, per_datum=None):
+    """``forward_ad.g_weight_derivative`` applied to its directions, shape
+    (D,), as ``expansion.evaluate_dtheta`` applies it: the weighted row sum
+    of ``per_datum``, by default the rows of order len(directions) from a
+    pass at theta, expanded to ordered tuples and contracted with
+    ``forward_ad.contract``.  ``nested_g_weight_derivative`` is its oracle."""
+    directions = fad._check_directions(directions, problem.dim_theta)
+    k = len(directions)
+    if per_datum is None:
+        per_datum = fad.per_datum_tensor(problem, theta, k)[1]
+    summed = fad.g_weight_derivative(problem, theta, delta_w, per_datum)
+    return fad.contract(summed[:, fad.basis_multisets(problem.dim_theta, k)[1]], directions)
 
 
 def evaluate_term(problem, theta_hat, term, dset, delta_w):

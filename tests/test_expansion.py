@@ -546,9 +546,9 @@ class TestRecursionAgainstTermTables:
         shapes = []
         real = fad.g_weight_derivative
 
-        def recording(problem, theta, delta_w, directions, per_datum=None):
+        def recording(problem, theta, delta_w, per_datum):
             shapes.append(np.shape(delta_w))
-            return real(problem, theta, delta_w, directions, per_datum)
+            return real(problem, theta, delta_w, per_datum)
 
         monkeypatch.setattr(fad, "g_weight_derivative", recording)
         for scheme, block in scheme_blocks(n).items():
@@ -573,9 +573,9 @@ class TestRecursionAgainstTermTables:
         shapes = []
         real = fad.g_weight_derivative
 
-        def recording(problem, theta, delta_w, directions, per_datum=None):
+        def recording(problem, theta, delta_w, per_datum):
             shapes.append(np.shape(delta_w))
-            return real(problem, theta, delta_w, directions, per_datum)
+            return real(problem, theta, delta_w, per_datum)
 
         monkeypatch.setattr(fad, "g_weight_derivative", recording)
         sparse = -np.eye(n)[[3, 50]]

@@ -22,6 +22,7 @@ from helpers import (
     FD_STEP,
     block_loop_g_theta_tensor,
     build_problem,
+    contracted_g_weight_derivative,
     directional_derivative,
     max_rel_gap,
     nested_g_theta_derivative,
@@ -208,17 +209,17 @@ class TestEstimatingFunctionDerivatives:
         from hoij import make_problem
         prob = make_problem("mean", mean_dataset_1236())
         dw = np.array([0.0, 0.0, 0.0, -1.0])
-        k0 = fad.g_weight_derivative(prob, [3.0], dw, ())
+        k0 = contracted_g_weight_derivative(prob, [3.0], dw, ())
         assert k0[0] == pytest.approx(0.75, abs=1e-15)
-        k1 = fad.g_weight_derivative(prob, [3.0], dw, ([1.0],))
+        k1 = contracted_g_weight_derivative(prob, [3.0], dw, ([1.0],))
         assert k1[0] == pytest.approx(-0.25, abs=1e-15)
 
     def test_zero_delta_gives_zero(self):
         rng = np.random.default_rng(9)
         prob = build_problem("exp_loss", rng)
         for k in range(3):
-            out = fad.g_weight_derivative(prob, [0.1, -0.2], np.zeros(prob.n_terms),
-                                          tuple([1.0, 0.5] for _ in range(k)))
+            out = contracted_g_weight_derivative(prob, [0.1, -0.2], np.zeros(prob.n_terms),
+                                                 tuple([1.0, 0.5] for _ in range(k)))
             np.testing.assert_array_equal(out, 0.0)
 
     def test_weight_derivative_is_weighted_minus_base(self):
@@ -230,7 +231,7 @@ class TestEstimatingFunctionDerivatives:
             theta = rng.uniform(-0.5, 0.5, prob.dim_theta)
             for k in range(0, 3):
                 dirs = tuple(rng.uniform(-1, 1, prob.dim_theta) for _ in range(k))
-                lhs = fad.g_weight_derivative(prob, theta, w - 1.0, dirs)
+                lhs = contracted_g_weight_derivative(prob, theta, w - 1.0, dirs)
                 rhs = fad.g_theta_derivative(prob, theta, w, dirs) \
                     - fad.g_theta_derivative(prob, theta, np.ones(prob.n_terms), dirs)
                 assert rel_err(lhs, rhs, floor=1e-10) < 1e-12
@@ -749,8 +750,9 @@ class TestUnivariatePass:
 
 
 class TestOneEngine:
-    """g_theta_derivative and g_weight_derivative without cached rows, both
-    read off the univariate pass, against the nested order-1 levels."""
+    """g_theta_derivative, and g_weight_derivative on the rows of a fresh
+    pass, both read off the univariate pass, against the nested order-1
+    levels."""
 
     @pytest.mark.parametrize("dim", [1, 3, 5])
     @pytest.mark.parametrize("l2", [0.0, 0.3])
@@ -777,6 +779,11 @@ class TestOneEngine:
         assert max_rel_gap(fad.g_theta_derivative(prob, theta, w, ()),
                            evaluate_g(prob, theta, w)) <= 1e-15
 
+    def test_g_theta_derivative_refuses_a_direction_not_of_shape_d(self):
+        prob = build_problem("exp_loss", np.random.default_rng(60), n=6, dim=2)
+        with pytest.raises(ValueError, match=r"is not \(2,\)"):
+            fad.g_theta_derivative(prob, [0.1, -0.2], np.ones(6), (np.ones((2, 2)),))
+
     @pytest.mark.parametrize("model_id", ALL_MODELS + ["term_fn_only"])
     def test_g_weight_derivative_matches_nested(self, model_id):
         """Orders 0..K_MAX, on a leave-one-out and a dense weight offset, to
@@ -793,7 +800,7 @@ class TestOneEngine:
         for k in range(fad.K_MAX + 1):
             dirs = tuple(rng.standard_normal((k, 3)))
             for delta_w in (loo, dense):
-                got = fad.g_weight_derivative(prob, theta, delta_w, dirs)
+                got = contracted_g_weight_derivative(prob, theta, delta_w, dirs)
                 want = nested_g_weight_derivative(prob, theta, delta_w, dirs)
                 scale = row_scale(prob, theta, delta_w, dirs)
                 assert np.max(np.abs(got - want)) <= 1e-12 * scale, k
@@ -803,12 +810,13 @@ def weight_derivative_routes(prob, theta, delta_w, dirs):
     """g_weight_derivative on cached rows, and its nested oracle, for the same
     arguments."""
     per = fad.per_datum_tensor(prob, theta, len(dirs))[1]
-    return (fad.g_weight_derivative(prob, theta, delta_w, dirs, per),
+    return (contracted_g_weight_derivative(prob, theta, delta_w, dirs, per),
             nested_g_weight_derivative(prob, theta, delta_w, dirs))
 
 
 class TestCachedWeightDerivative:
-    """The contraction of cached per-datum arrays against the nested pass."""
+    """The weighted row sum of cached per-datum arrays, applied to
+    directions, against the nested pass."""
 
     @pytest.mark.parametrize("model_id", ALL_MODELS + ["term_fn_only"])
     def test_sparse_and_dense_weights(self, model_id):
@@ -840,38 +848,33 @@ class TestCachedWeightDerivative:
                                                  tuple(rng.standard_normal((j, 2))))
             assert max_rel_gap(got, want) <= 1e-12
 
-    def test_wrong_order_rejected(self):
-        rng = np.random.default_rng(55)
-        prob = build_problem("exp_loss", rng, n=6, dim=2)
-        theta = np.array([0.1, -0.2])
-        per2 = fad.per_datum_tensor(prob, theta, 2)[1]
-        with pytest.raises(ValueError, match="order-1 array"):
-            fad.g_weight_derivative(prob, theta, np.eye(6)[1], (np.ones(2),), per2)
-        with pytest.raises(ValueError, match="order-3 array"):
-            fad.g_weight_derivative(prob, theta, np.eye(6)[1], (np.ones(2),) * 3, per2)
-
     def test_zero_delta_and_non_finite(self):
         rng = np.random.default_rng(53)
         prob = build_problem("exp_loss", rng, n=6, dim=2)
         theta = np.array([0.1, -0.2])
         per = fad.per_datum_tensor(prob, theta, 2)[1]
-        dirs = (np.ones(2), np.ones(2))
         np.testing.assert_array_equal(
-            fad.g_weight_derivative(prob, theta, np.zeros(6), dirs, per), [0.0, 0.0])
+            fad.g_weight_derivative(prob, theta, np.zeros(6), per), np.zeros((2, 3)))
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(fad.NonFiniteValueError, match="weight-direction"):
-            fad.g_weight_derivative(prob, theta, np.eye(6)[2],
-                                    (np.full(2, 1e200), np.full(2, 1e200)), per)
+            fad.g_weight_derivative(prob, theta, np.eye(6)[2] * np.inf, per)
+
+    def test_wrong_shape_rejected(self):
+        prob = build_problem("exp_loss", np.random.default_rng(55), n=6, dim=2)
+        per = fad.per_datum_tensor(prob, [0.1, -0.2], 2)[1]
+        for bad in (per[1:], per[:, :1], per.reshape(6, -1)):
+            with pytest.raises(ValueError, match=r"is not of shape \(6, 2, P\)"):
+                fad.g_weight_derivative(prob, [0.1, -0.2], np.eye(6)[1], bad)
 
 
 class TestBlockWeightDerivative:
-    """The cached route without directions: the weighted row sum over
-    multisets, for one weight offset and for a (B, N) block, row by row."""
+    """The weighted row sum over multisets, for one weight offset and for a
+    (B, N) block, row by row."""
 
     def test_rows_match_one_weight_routes(self):
         """Each row of the block's sum equals the one-offset sum to 1e-14,
-        and applied to directions, the one-offset call with them to 1e-14
-        and the nested pass to 1e-12."""
+        and applied to directions, the helper's contraction of the
+        one-offset sum to 1e-14 and the nested pass to 1e-12."""
         rng = np.random.default_rng(57)
         prob = build_problem("logistic_regression", rng, n=70, dim=4, reg={"l2": 0.3})
         theta = rng.uniform(-0.5, 0.5, 4)
@@ -882,30 +885,18 @@ class TestBlockWeightDerivative:
         for m in range(5):
             per = fad.per_datum_tensor(prob, theta, m)[1]
             inverse = fad.basis_multisets(4, m)[1]
-            got = fad.g_weight_derivative(prob, theta, block, (), per)
-            assert got.shape == ((5, 4) if m == 0 else (5, 4, per.shape[2]))
+            got = fad.g_weight_derivative(prob, theta, block, per)
+            assert got.shape == (5, 4, per.shape[2])
             for b, dw in enumerate(block):
-                one = fad.g_weight_derivative(prob, theta, dw, (), per)
+                one = fad.g_weight_derivative(prob, theta, dw, per)
                 assert one.shape == got[b].shape
                 assert max_rel_gap(got[b], one) <= 1e-14, (m, b)
                 dirs = tuple(rng.standard_normal((m, 4)))
-                applied = fad.contract(got[b].reshape(4, -1)[:, inverse], dirs)
-                cached = fad.g_weight_derivative(prob, theta, dw, dirs, per)
+                applied = fad.contract(got[b][:, inverse], dirs)
+                cached = contracted_g_weight_derivative(prob, theta, dw, dirs, per)
                 nested = nested_g_weight_derivative(prob, theta, dw, dirs)
                 assert max_rel_gap(applied, cached) <= 1e-14, (m, b)
                 assert max_rel_gap(applied, nested) <= 1e-12, (m, b)
-
-    def test_block_without_rows_runs_the_pass(self):
-        """Without cached rows a block reads the order-0 rows of one pass at
-        theta: the values of the call that is handed them, bit for bit."""
-        rng = np.random.default_rng(58)
-        prob = build_problem("exp_loss", rng, n=6, dim=2)
-        theta = np.array([0.1, -0.2])
-        block = rng.uniform(-1.0, 1.0, (3, 6))
-        per = fad.per_datum_tensor(prob, theta, 0)[1]
-        np.testing.assert_array_equal(
-            fad.g_weight_derivative(prob, theta, block, ()),
-            fad.g_weight_derivative(prob, theta, block, (), per))
 
     def test_non_finite_row(self):
         prob = build_problem("exp_loss", np.random.default_rng(59), n=6, dim=2)
@@ -914,17 +905,7 @@ class TestBlockWeightDerivative:
         block[1, 3] = np.inf
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(fad.NonFiniteValueError, match="weight-direction"):
-            fad.g_weight_derivative(prob, [0.1, -0.2], block, (), per)
-
-    def test_directions_take_one_offset(self):
-        """Directions apply to one weight offset; a block with them, or a
-        direction that is not a (D,) array, is refused."""
-        prob = build_problem("exp_loss", np.random.default_rng(60), n=6, dim=2)
-        per = fad.per_datum_tensor(prob, [0.1, -0.2], 1)[1]
-        with pytest.raises(ValueError, match="one weight offset"):
-            fad.g_weight_derivative(prob, [0.1, -0.2], np.ones((2, 6)), (np.ones(2),), per)
-        with pytest.raises(ValueError, match=r"is not \(2,\)"):
-            fad.g_weight_derivative(prob, [0.1, -0.2], np.ones(6), (np.ones((2, 2)),), per)
+            fad.g_weight_derivative(prob, [0.1, -0.2], block, per)
 
 
 PROPERTY_PROBLEM = build_problem("logistic_regression", np.random.default_rng(54),

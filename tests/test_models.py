@@ -30,7 +30,7 @@ from hoij.bounds import _g0_derivative_entries
 from hoij.expansion import evaluate_g_block
 from hoij.models import _parse_cell
 
-from helpers import ALL_MODELS, build_problem, mean_dataset_1236
+from helpers import ALL_MODELS, build_problem, max_rel_gap, mean_dataset_1236
 
 
 class TestLoadDataset:
@@ -263,18 +263,47 @@ class TestMakeProblem:
         with pytest.raises(ValueError, match="unknown model"):
             make_problem("ridge", mean_dataset_1236())
 
-    def test_dimension_mismatch(self):
-        data = Dataset(np.ones((3, 2)), np.ones(3))
-        with pytest.raises(ValueError, match="expected 3 features"):
-            make_problem("linear_regression", data, reg={"expected_features": 3})
-
     def test_missing_response(self):
-        with pytest.raises(ValueError, match="requires a response"):
-            make_problem("linear_regression", Dataset(np.ones((3, 2))))
+        for model_id in ("linear_regression", "logistic_regression"):
+            with pytest.raises(ValueError,
+                               match=f"model '{model_id}' requires a response column"):
+                make_problem(model_id, Dataset(np.ones((3, 2))))
+        assert make_problem("exp_loss", Dataset(np.ones((3, 2)))).n_terms == 3
+
+    def test_registry_holds_the_four_models(self):
+        assert sorted(models.MODEL_REGISTRY) == sorted(ALL_MODELS)
 
     def test_l2_regularizer_in_g0(self):
         prob = make_problem("mean", mean_dataset_1236(), reg={"l2": 0.5})
         assert prob.term_fn(0, [2.0])[0] == 1.0
+
+
+class TestIndexModels:
+    """The three models of the one index-model builder against plain numpy
+    g_n = r(x_n . theta, y_n) x_n, with g_0 = l2 * theta."""
+
+    RESIDUALS = {
+        "linear_regression": lambda z, y: z - y,
+        "logistic_regression": lambda z, y: 1.0 / (1.0 + np.exp(-z)) - y,
+        "exp_loss": lambda z, y: np.exp(z),
+    }
+
+    @pytest.mark.parametrize("l2", [0.0, 0.3])
+    @pytest.mark.parametrize("model_id", sorted(RESIDUALS))
+    def test_closed_form(self, model_id, l2):
+        rng = np.random.default_rng(83)
+        x = rng.uniform(-1.0, 1.0, (9, 3))
+        y = (rng.random(9) < 0.5).astype(float)
+        prob = make_problem(model_id, Dataset(x, y), reg={"l2": l2})
+        theta = rng.uniform(-0.8, 0.8, 3)
+        want = self.RESIDUALS[model_id](x @ theta, y)[:, None] * x
+        terms = np.array([[float(v) for v in prob.term_fn(n, theta)] for n in range(1, 10)])
+        assert max_rel_gap(terms, want) <= 1e-15
+        rows = np.array([7, 2, 5])
+        batch = np.array(prob.batch_fn(list(theta), rows)).T
+        assert batch.shape == (3, 3)
+        assert max_rel_gap(batch, want[rows]) <= 1e-15
+        np.testing.assert_array_equal([float(v) for v in prob.term_fn(0, theta)], l2 * theta)
 
 
 class TestEvaluateG:
