@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import sys
@@ -233,15 +232,13 @@ def _cmd_expand(args):
     hfac = factorize_hessian(problem, theta_hat)
     table = term_tables(args.order)
     records = []
-    weights = iter(weights)
     size = max(1, models.WEIGHT_BLOCK_ELEMENTS // problem.n_terms)
-    while block := list(itertools.islice(weights, size)):
-        expn = evaluate_theta_ij(problem, theta_hat, hfac, table,
-                                 np.array([w.delta for w in block]), args.order)
+    for labels, values in resampling.weight_blocks(weights, problem.n_terms, size):
+        expn = evaluate_theta_ij(problem, theta_hat, hfac, table, values - 1.0, args.order)
         dthetas = np.stack(expn.dthetas, axis=1).tolist()
         partials = expn.partial_sums().tolist()
-        records.extend({"label": w.label, "dthetas": d, "theta_ij": p}
-                       for w, d, p in zip(block, dthetas, partials))
+        records.extend({"label": label, "dthetas": d, "theta_ij": p}
+                       for label, d, p in zip(labels, dthetas, partials))
     _emit({
         "theta_hat": [float(v) for v in theta_hat],
         "order": args.order,

@@ -372,16 +372,18 @@ def evaluate_theta_ij(problem: EstimatingProblem, theta_hat, hfac: HessianFactor
     them; the coefficients are then (D,) or (B, D), and for a block the
     expansion's ``theta_hat`` is repeated per row.  ``table`` is the term
     table the expansion would be read from; its ``max_order`` bounds
-    ``order``, and the recursion reads none of its terms.  The arrays come
-    from one forward pass per factor, of degree ``order``
-    (:meth:`~HessianFactor.prepare_expansion`): the per-datum arrays of the
-    orders below it and the row sum of its own.  The weights enter through
+    ``order``, which must be at least 0, and the recursion reads none of its
+    terms.  The arrays come from one forward pass per factor, of degree
+    ``order`` (:meth:`~HessianFactor.prepare_expansion`): the per-datum
+    arrays of the orders below it and the row sum of its own.  The weights enter through
     one :func:`forward_ad.g_weight_derivative` call per derivative order
     0..order-1: on the whole block, one product, unless every offset of the
     block changes fewer than N / GATHER_RATIO rows; then once per offset,
     where the call can gather the rows that offset changes.  A non-finite
     value anywhere in the block raises NonFiniteValueError.
     """
+    if order < 0:
+        raise ValueError(f"order {order} is below 0")
     if order > table.max_order:
         raise ValueError(f"order {order} exceeds table max {table.max_order}")
     delta_w = np.asarray(getattr(delta_w, "delta", delta_w), dtype=float)
@@ -552,9 +554,10 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", a, a))
 
 
-def refit_block(problem: EstimatingProblem, hfac: HessianFactor, weights, starts,
-                cfg: Optional[SolveConfig] = None) -> list:
-    """Exact re-fits of a block of weight vectors, each from its own start.
+def refit_block(hfac: HessianFactor, values, starts,
+                cfg: Optional[SolveConfig] = None) -> tuple:
+    """Exact re-fits of a block of weight vectors, each from its own start,
+    for the problem ``hfac`` was built for.
 
     A chord (simplified Newton) iteration theta <- theta - Ĥ_b^{-1}
     G(theta, w_b), with Ĥ_b from :func:`_chord_jacobians` (Kelley, *Iterative
@@ -566,11 +569,11 @@ def refit_block(problem: EstimatingProblem, hfac: HessianFactor, weights, starts
     (CHORD_ROUNDING): the rounding floor.  From an order-K expansion,
     O(N^-(K+1)) from the root, that mostly takes one step.
 
-    ``weights`` holds B weight vectors, or is a (B, N) array of them.  They
-    are stacked into one (B, N) array, once: the ceilings ||G(theta_hat,
-    w_b)|| are one product of it with the cached order-0 rows, the weighted
-    row sums in Ĥ_b one product per order, and every G evaluation reads
-    views of its rows.
+    ``values`` is a (B, N) array, one weight vector per row, and ``starts``
+    holds the B starts, (B, D).  The ceilings ||G(theta_hat, w_b)|| are one
+    product of ``values`` with the cached order-0 rows, the weighted row
+    sums in Ĥ_b one product per order, and every G evaluation reads views of
+    its rows; a ``values`` not of shape (B, N) raises ValueError.
 
     A weight falls back to :func:`exact_refit` from its start, with
     ``max_start_residual`` = ||G(theta_hat, w)||, when its start is not
@@ -578,12 +581,15 @@ def refit_block(problem: EstimatingProblem, hfac: HessianFactor, weights, starts
     exempt: its residual is the ceiling), G there is not finite, it has
     not stopped within CHORD_STEPS steps or stopped above
     ``cfg.resolved_tol(D)``, or a Ĥ_b of the block is singular.  Returns
-    one entry per weight: the root, or the :class:`SolverError` or
+    ``(roots, errors)``: the (B, D) roots, NaN where the fallback failed,
+    and per weight None or the message of the :class:`SolverError` or
     :class:`~hoij.forward_ad.NonFiniteValueError` its fallback raised.
     """
-    cfg = cfg or SolveConfig()
+    problem, cfg = hfac.problem, cfg or SolveConfig()
     n = problem.n_terms
-    values = np.array([_as_weights(w, n) for w in weights]).reshape(len(weights), n)
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[1] != n:
+        raise ValueError(f"weights of shape {values.shape} are not (B, {n})")
     thetas = np.array(starts, dtype=float).reshape(len(values), problem.dim_theta)
     g0, per = hfac.rows(0)
     ceilings = _row_norms((g0[:, 0] + values @ per[:, :, 0]) / n)
@@ -618,14 +624,11 @@ def refit_block(problem: EstimatingProblem, hfac: HessianFactor, weights, starts
             active = active[better]
         done[chord] = gnorms[chord] <= cfg.resolved_tol(problem.dim_theta)
         done[chord[active]] = False  # still moving after CHORD_STEPS steps
-    out = []
-    for i, w in enumerate(weights):
-        if done[i]:
-            out.append(thetas[i])
-            continue
+    errors = [None] * len(values)
+    for i in np.flatnonzero(~done):
         try:
-            out.append(exact_refit(problem, w, hfac.theta_hat, cfg, start=starts[i],
-                                   max_start_residual=float(ceilings[i])))
+            thetas[i] = exact_refit(problem, values[i], hfac.theta_hat, cfg, start=starts[i],
+                                    max_start_residual=float(ceilings[i]))
         except (SolverError, fad.NonFiniteValueError) as err:
-            out.append(err)
-    return out
+            thetas[i], errors[i] = np.nan, str(err)
+    return thetas, errors

@@ -389,14 +389,18 @@ def make_problem(model_id: str, dataset: Dataset, reg: Optional[dict] = None) ->
     """Build a registered model's estimating problem for a dataset.
 
     The one ``reg`` option is ``l2``, the ridge strength lam, which gives
-    g_0 = lam * theta.  ``mean`` has g_n = theta - x_n; the index models
-    ``linear_regression``, ``logistic_regression`` and ``exp_loss`` come
-    from one builder of g_n = r(theta . x_n, y_n) x_n, with the residual r
-    = z - y, sigmoid(z) - y and exp(z) of the index z = theta . x_n.
+    g_0 = lam * theta; any other key raises ValueError.  ``mean`` has g_n =
+    theta - x_n; the index models ``linear_regression``,
+    ``logistic_regression`` and ``exp_loss`` come from one builder of g_n =
+    r(theta . x_n, y_n) x_n, with the residual r = z - y, sigmoid(z) - y
+    and exp(z) of the index z = theta . x_n.
     """
     if model_id not in MODEL_REGISTRY:
         known = ", ".join(sorted(MODEL_REGISTRY))
         raise ValueError(f"unknown model {model_id!r} (registered: {known})")
+    unknown = sorted(set(reg or ()) - {"l2"})
+    if unknown:
+        raise ValueError(f"unknown reg option {unknown[0]!r} (the one option is 'l2')")
     return MODEL_REGISTRY[model_id](dataset, reg or {})
 
 

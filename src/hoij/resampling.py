@@ -13,7 +13,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -145,15 +145,35 @@ def _floats(values) -> Optional[list]:
     return None if values is None else np.asarray(values, dtype=float).tolist()
 
 
-def _labeled(w, i: int) -> WeightVector:
-    """The stream's i-th weight vector (from 0), labelled ``w:{i + 1}`` if it has no label."""
-    if not isinstance(w, WeightVector):
-        return WeightVector(np.asarray(w, float), label=f"w:{i + 1}")
-    return w if w.label else WeightVector(w.values, label=f"w:{i + 1}")
+def weight_blocks(weights: Iterable, n: int, size: int) -> Iterator[tuple]:
+    """The stream's weights ``size`` at a time, as ``(labels, values)``: the
+    B labels of a block and its (B, N) weights, stacked once.
+
+    An item is a :class:`~hoij.models.WeightVector` or an array of N
+    weights; one without a label is labelled ``w:{i}`` by its 1-based
+    position in the stream.  A weight not of shape (N,), or one that is not
+    finite, raises ValueError naming it, as WeightVector refuses it.
+    """
+    stream = enumerate(weights, 1)
+    while block := list(itertools.islice(stream, size)):
+        labels = [getattr(w, "label", "") or f"w:{i}" for i, w in block]
+        rows = [np.asarray(getattr(w, "values", w), dtype=float) for _, w in block]
+        for label, row in zip(labels, rows):
+            if row.shape != (n,):
+                raise ValueError(f"weight {label!r} of shape {row.shape} does not match {n} terms")
+        values = np.array(rows)
+        del block, rows  # hold no weight vector while the block is in use
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            bad = labels[np.argmin(finite)]
+            raise ValueError(f"weights must be finite, and weight {bad!r} is not")
+        yield labels, values
 
 
-def _expand_block(problem, theta_hat, hfac, table, block: list, order: int) -> tuple:
-    """Partial sums of orders 0..order for each weight of the block.
+def _expand_block(hfac, table, values: np.ndarray, order: int) -> tuple:
+    """Partial sums of orders 0..order for each row of the (B, N) weights
+    ``values``, expanded about the problem and base fit of ``hfac`` with
+    the offsets ``values - 1.0``.
 
     Returns ``(partials, expand_errors)``: a (B, order + 1, D) array, NaN
     from order 1 on for a weight whose expansion failed, and the error
@@ -162,43 +182,24 @@ def _expand_block(problem, theta_hat, hfac, table, block: list, order: int) -> t
     NonFiniteValueError, each weight is expanded on its own, so only the
     weights that fail get an error.
     """
-    deltas = np.array([w.delta for w in block])
+    problem, theta_hat = hfac.problem, hfac.theta_hat
+    deltas = values - 1.0
     try:
-        expn = evaluate_theta_ij(problem, hfac.theta_hat, hfac, table, deltas, order)
-        return expn.partial_sums(), [None] * len(block)
+        expn = evaluate_theta_ij(problem, theta_hat, hfac, table, deltas, order)
+        return expn.partial_sums(), [None] * len(deltas)
     except NonFiniteValueError:
         pass
-    dthetas = np.full((order, len(block), theta_hat.size), np.nan)
-    errors = [None] * len(block)
+    dthetas = np.full((order, len(deltas), theta_hat.size), np.nan)
+    errors = [None] * len(deltas)
     for b, delta in enumerate(deltas):
         try:
-            expn = evaluate_theta_ij(problem, hfac.theta_hat, hfac, table, delta, order)
+            expn = evaluate_theta_ij(problem, theta_hat, hfac, table, delta, order)
             if order:
                 dthetas[:, b] = expn.dthetas
         except NonFiniteValueError as err:
             errors[b] = str(err)
-    stacked = TaylorExpansion(np.broadcast_to(theta_hat, dthetas.shape[1:]), tuple(dthetas),
-                              order)
-    return stacked.partial_sums(), errors
-
-
-def _refit_block(problem, hfac, block: list, starts: np.ndarray,
-                 cfg: Optional[SolveConfig]) -> tuple:
-    """Exact roots of the block's weights, as ``(roots, refit_errors)``.
-
-    ``roots`` is (B, D), NaN where a re-fit failed, and ``refit_errors``
-    holds the failure message or None per weight.  The block is re-fitted
-    by one :func:`~hoij.expansion.refit_block` call from its ``starts``.  A
-    weight whose expansion failed has a NaN start, so refit_block re-fits
-    it from theta_hat.
-    """
-    results = refit_block(problem, hfac, block, starts, cfg)
-    roots = np.full((len(block), hfac.theta_hat.size), np.nan)
-    errors = [str(r) if isinstance(r, Exception) else None for r in results]
-    for i, r in enumerate(results):
-        if errors[i] is None:
-            roots[i] = r
-    return roots, errors
+    theta_hats = np.broadcast_to(theta_hat, dthetas.shape[1:])
+    return TaylorExpansion(theta_hats, tuple(dthetas), order).partial_sums(), errors
 
 
 def _norms(d: np.ndarray) -> np.ndarray:
@@ -213,26 +214,6 @@ def _norms(d: np.ndarray) -> np.ndarray:
     return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
 
 
-def _score_block(problem, theta_hat, hfac, table, block: list, order: int,
-                 cfg: Optional[SolveConfig]) -> tuple:
-    """The block's outcomes, and the (M, order + 1) errors of its M weights
-    that have both an expansion and a root, in stream order."""
-    partials, expand_errors = _expand_block(problem, theta_hat, hfac, table, block, order)
-    roots, refit_errors = _refit_block(problem, hfac, block, partials[:, -1], cfg)
-    scored = np.array([e is None and r is None
-                       for e, r in zip(expand_errors, refit_errors)], dtype=bool)
-    errors = _norms(partials[scored] - roots[scored, None, :])
-    rows = iter(errors)
-    outcomes = [WeightOutcome(
-        label=w.label,
-        theta_ij=None if expand_errors[b] is not None else partials[b],
-        theta_exact=None if refit_errors[b] is not None else roots[b],
-        errors=next(rows) if scored[b] else None,
-        refit_error=refit_errors[b], expand_error=expand_errors[b],
-    ) for b, w in enumerate(block)]
-    return outcomes, errors
-
-
 def run_cv(problem: EstimatingProblem, weights: Iterable[WeightVector], order: int,
            with_bounds: bool = False, cfg: Optional[SolveConfig] = None,
            rho: float = 0.5,
@@ -241,18 +222,20 @@ def run_cv(problem: EstimatingProblem, weights: Iterable[WeightVector], order: i
            metadata: Optional[dict] = None) -> CvReport:
     """Approximate every weight in the stream and compare with exact re-fits.
 
-    The stream is read REFIT_BLOCK weights at a time, so only one block of
-    weight vectors is held, whatever the stream's length.  Each block is
-    expanded by one call, and one weight at a time only when that call
-    fails; then the block is re-fitted together by
+    The stream is read by :func:`weight_blocks` REFIT_BLOCK weights at a
+    time, so one block is held whatever the stream's length: one (B, N)
+    array, stacked once.  An item is a WeightVector or an array of N
+    weights; an unlabelled one is labelled ``w:{i}`` by its 1-based position
+    in the stream.  Each block is expanded by one call, and one weight at a
+    time only when that call fails; then it is re-fitted together by
     :func:`~hoij.expansion.refit_block`, starting from the order-``order``
-    expansions.  The block is scored at once: its partial sums come from
-    one cumulative sum and its errors from one stacked norm.  A weight
-    whose expansion failed re-fits from theta_hat, in the same
-    refit_block call.  Unlabelled weights are labelled ``w:{i}`` by their
-    1-based position in the stream.
+    expansions, and scored at once: its partial sums come from one
+    cumulative sum and its errors from one stacked norm.  A weight whose
+    expansion failed re-fits from theta_hat, in the same refit_block call.
     Expansion and re-fit failures are recorded per weight, not fatal, and
     a weight missing either result is left out of the aggregate errors.
+    A weight that is not finite or not of length N, or an ``order`` below
+    0, raises ValueError.
     ``with_bounds`` additionally estimates the error-bound ladder and
     attaches the per-order bound column (one uniform bound across the weight
     set).  The ladder reads the leave-one-out set complexity, so with it
@@ -264,18 +247,27 @@ def run_cv(problem: EstimatingProblem, weights: Iterable[WeightVector], order: i
     theta_hat = solve_base(problem, cfg=cfg)
     hfac = factorize_hessian(problem, theta_hat)
     table = term_tables(max(order, 1))
-    stream = iter(weights)
     outcomes, errors = [], [np.empty((0, order + 1))]
-    while block := list(itertools.islice(stream, REFIT_BLOCK)):
-        block = [_labeled(w, len(outcomes) + i) for i, w in enumerate(block)]
-        for w in block if with_bounds else ():
-            if np.count_nonzero(w.delta) != 1 or w.delta.sum() != -1.0:
+    for labels, values in weight_blocks(weights, problem.n_terms, REFIT_BLOCK):
+        if with_bounds:
+            deltas = values - 1.0
+            loo = (np.count_nonzero(deltas, axis=1) == 1) & (deltas.sum(axis=1) == -1.0)
+            if not loo.all():
                 raise ValueError("error bounds hold for leave-one-out weights only, "
-                                 f"and weight {w.label!r} is not one")
-        block_outcomes, block_errors = _score_block(problem, theta_hat, hfac, table,
-                                                    block, order, cfg)
-        outcomes.extend(block_outcomes)
-        errors.append(block_errors)
+                                 f"and weight {labels[np.argmin(loo)]!r} is not one")
+        partials, expand_errors = _expand_block(hfac, table, values, order)
+        roots, refit_errors = refit_block(hfac, values, partials[:, -1], cfg)
+        scored = np.array([e is None and r is None
+                           for e, r in zip(expand_errors, refit_errors)], dtype=bool)
+        errors.append(_norms(partials[scored] - roots[scored, None, :]))
+        rows = iter(errors[-1])
+        outcomes.extend(WeightOutcome(
+            label=label,
+            theta_ij=None if expand_errors[b] is not None else partials[b],
+            theta_exact=None if refit_errors[b] is not None else roots[b],
+            errors=next(rows) if scored[b] else None,
+            refit_error=refit_errors[b], expand_error=expand_errors[b],
+        ) for b, label in enumerate(labels))
 
     err = np.concatenate(errors)
     if len(err):
@@ -405,7 +397,9 @@ def bootstrap_covariances(problem: EstimatingProblem, theta_hat, hfac, draws: in
     are partial sums of one expansion per block of
     :func:`~hoij.models.bootstrap_weight_blocks`, and the samples are merged
     one block at a time, so memory is one block plus D^2 whatever ``draws``
-    is."""
+    is.  ``draws`` below 1 or ``order`` below 0 raises ValueError."""
+    if draws < 1 or order < 0:
+        raise ValueError(f"draws={draws}, order={order}: bootstrap needs draws >= 1, order >= 0")
     acc = [None, None]
     for sums in _bootstrap_sample_blocks(problem, theta_hat, hfac, draws, order, seed):
         acc = [_merge_comoments(acc[0], sums[:, 1]),

@@ -178,6 +178,14 @@ class TestEvaluateDTheta:
                              {1: np.array([-0.75])}, dw)
         assert d2[0] == pytest.approx(-0.375, abs=1e-15)
 
+    def test_negative_order_rejected(self, mean_setup):
+        """order < 0 is a ValueError, for one weight and through run_cv."""
+        prob, theta_hat, hfac = mean_setup
+        with pytest.raises(ValueError, match="order -1 is below 0"):
+            evaluate_theta_ij(prob, theta_hat, hfac, term_tables(1), np.zeros(4), -1)
+        with pytest.raises(ValueError, match="order -1 is below 0"):
+            resampling.run_cv(prob, loo_weights(4), -1)
+
     def test_zero_delta_all_orders(self, mean_setup):
         prob, theta_hat, hfac = mean_setup
         table = term_tables(3)
@@ -825,15 +833,21 @@ class TestRefitBlock:
 
     @staticmethod
     def _recording_fallbacks(monkeypatch):
+        # the bytes of each weight vector that falls back to exact_refit
         seen = []
         real = expansion.exact_refit
 
         def recording(prob, w, *args, **kwargs):
-            seen.append(id(w))
+            seen.append(np.asarray(w).tobytes())
             return real(prob, w, *args, **kwargs)
 
         monkeypatch.setattr(expansion, "exact_refit", recording)
         return seen
+
+    @staticmethod
+    def _stacked(weights):
+        # the (B, N) array refit_block takes
+        return np.array([getattr(w, "values", w) for w in weights])
 
     @staticmethod
     def _weights(n):
@@ -859,11 +873,12 @@ class TestRefitBlock:
             starts = [evaluate_theta_ij(prob, theta_hat, hfac, term_tables(max(order, 1)),
                                         w.delta, order).theta_ij for w in weights]
             seen.clear()
-            got = expansion.refit_block(prob, hfac, weights, starts)
+            got, errors = expansion.refit_block(hfac, self._stacked(weights), starts)
+            assert errors == [None] * len(weights)
             for w, start, root in zip(weights, starts, got):
                 want = exact_refit(prob, w, theta_hat, start=start,
                                    max_start_residual=_ceiling(prob, theta_hat, w))
-                if id(w) in seen:
+                if w.values.tobytes() in seen:
                     assert root.tobytes() == want.tobytes(), (order, w.label)
                 else:
                     chord += 1
@@ -897,8 +912,9 @@ class TestRefitBlock:
                      "g_theta_derivative"):
             monkeypatch.setattr(fad, name, forbidden)
         seen = self._recording_fallbacks(monkeypatch)
-        got = expansion.refit_block(prob, hfac, weights, starts)
-        assert seen == [] and calls[:2] == [len(weights)] * 2
+        got, errors = expansion.refit_block(hfac, self._stacked(weights), starts)
+        assert seen == [] and errors == [None] * len(weights)
+        assert calls[:2] == [len(weights)] * 2
         assert sum(calls[2:]) <= len(weights) // 2, calls
         monkeypatch.undo()
         for w, root in zip(weights, got):
@@ -914,8 +930,9 @@ class TestRefitBlock:
         hfac = factorize_hessian(prob, theta_hat)
         weights = list(loo_weights(400))
         seen = self._recording_fallbacks(monkeypatch)
-        got = expansion.refit_block(prob, hfac, weights, [theta_hat] * len(weights))
-        assert seen == []
+        got, errors = expansion.refit_block(hfac, self._stacked(weights),
+                                            [theta_hat] * len(weights))
+        assert seen == [] and errors == [None] * len(weights)
         monkeypatch.undo()
         polish = SolveConfig(tol_grad=1e-15)
         for w, root in zip(weights, got):
@@ -932,9 +949,11 @@ class TestRefitBlock:
         return prob, theta_hat, hfac, weights, starts
 
     def _assert_all_fall_back(self, monkeypatch, prob, theta_hat, hfac, weights, starts):
+        values = self._stacked(weights)
         seen = self._recording_fallbacks(monkeypatch)
-        got = expansion.refit_block(prob, hfac, weights, starts)
-        assert seen == [id(w) for w in weights]
+        got, errors = expansion.refit_block(hfac, values, starts)
+        assert seen == [row.tobytes() for row in values]
+        assert errors == [None] * len(weights)
         for w, start, root in zip(weights, starts, got):
             want = exact_refit(prob, w, theta_hat, start=start,
                                max_start_residual=_ceiling(prob, theta_hat, w))
@@ -949,7 +968,7 @@ class TestRefitBlock:
                             lambda *args: calls.append(1) or real(*args))
         self._assert_all_fall_back(monkeypatch, prob, theta_hat, hfac, weights, far)
         assert calls == [1]  # the starts' residuals, and no chord step
-        for w, root in zip(weights, expansion.refit_block(prob, hfac, weights, far)):
+        for w, root in zip(weights, expansion.refit_block(hfac, self._stacked(weights), far)[0]):
             assert root.tobytes() == exact_refit(prob, w, theta_hat).tobytes()
 
     def test_non_finite_start_falls_back(self, monkeypatch):
@@ -977,8 +996,8 @@ class TestRefitBlock:
         scalar = EstimatingProblem(prob.dim_theta, prob.n_terms, prob.term_fn)
         hfac = factorize_hessian(scalar, theta_hat)
         seen = self._recording_fallbacks(monkeypatch)
-        got = expansion.refit_block(scalar, hfac, weights, starts)
-        assert seen == []
+        got, errors = expansion.refit_block(hfac, self._stacked(weights), starts)
+        assert seen == [] and errors == [None] * len(weights)
         monkeypatch.undo()
         for w, root in zip(weights, got):
             assert np.max(np.abs(root - _polished(scalar, w.values, root))) <= 1e-13
@@ -999,9 +1018,21 @@ class TestRefitBlock:
         prob = EstimatingProblem(1, 2, term, batch_fn=batch)
         theta_hat = solve_base(prob)
         hfac = factorize_hessian(prob, theta_hat)
-        (got,) = expansion.refit_block(prob, hfac, [np.array([1.0, 0.0])], [theta_hat],
-                                       SolveConfig(max_iter=12))
-        assert isinstance(got, SolverError)
+        w, cfg = np.array([1.0, 0.0]), SolveConfig(max_iter=12)
+        with pytest.raises(SolverError) as want:
+            exact_refit(prob, w, theta_hat, cfg, start=theta_hat,
+                        max_start_residual=_ceiling(prob, theta_hat, w))
+        roots, errors = expansion.refit_block(hfac, w[None], [theta_hat], cfg)
+        assert np.isnan(roots).all() and roots.shape == (1, 1)
+        assert errors == [str(want.value)]
+
+    def test_weights_not_b_by_n_rejected(self):
+        """One input form: a (B, N) array, one weight vector per row."""
+        _, _, hfac, weights, starts = self._logistic_block()
+        values = self._stacked(weights)
+        for bad in (values[0], values[:, 1:], values[None]):
+            with pytest.raises(ValueError, match=r"are not \(B, 200\)"):
+                expansion.refit_block(hfac, bad, starts)
 
     def test_g_block_memory_flat_in_n(self):
         """One block's G evaluation peaks alike at N = 2 000 and 32 000."""

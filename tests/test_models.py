@@ -263,6 +263,15 @@ class TestMakeProblem:
         with pytest.raises(ValueError, match="unknown model"):
             make_problem("ridge", mean_dataset_1236())
 
+    def test_unknown_reg_option(self):
+        """l2 is the one reg option; any other key, as a misspelt one, is
+        refused by name, where it built an unregularized problem."""
+        for reg in ({"lambda": 0.5}, {"expected_features": 7}, {"l2": 0.5, "l1": 0.1}):
+            (key,) = set(reg) - {"l2"}
+            with pytest.raises(ValueError, match=f"unknown reg option '{key}'"):
+                make_problem("mean", mean_dataset_1236(), reg)
+        assert make_problem("mean", mean_dataset_1236(), {"l2": 0.5}).term_fn(0, [2.0]) == [1.0]
+
     def test_missing_response(self):
         for model_id in ("linear_regression", "logistic_regression"):
             with pytest.raises(ValueError,

@@ -92,8 +92,8 @@ class TestRunCv:
 
     def test_with_bounds_needs_loo_weights(self):
         """The bound column reads the leave-one-out set complexity, so a weight
-        that is not one zero among ones is refused; k-fold with one row per
-        fold gives leave-one-out weights and is accepted."""
+        that is not one zero among ones is refused, by its label; k-fold with
+        one row per fold gives leave-one-out weights and is accepted."""
         from hoij.models import kfold_weights
         prob = make_problem("mean", mean_dataset_1236())
         for stream in (kfold_weights(4, 2), [np.array([1.0, 1.0, 0.5, 1.0])],
@@ -102,6 +102,13 @@ class TestRunCv:
                 run_cv(prob, stream, 1, with_bounds=True)
         report = run_cv(prob, kfold_weights(4, 4), 1, with_bounds=True)
         assert report.bound_per_k is not None
+        # raw arrays over two blocks of 64, whose first weight that is not
+        # leave-one-out is the 70th: the message names it by its position
+        loo = [w.values for w in loo_weights(4)]
+        stream = [loo[i % 4] for i in range(69)] + [np.array([1.0, 0.0, 0.0, 1.0]),
+                                                    np.array([0.5, 1.0, 1.0, 1.0])]
+        with pytest.raises(ValueError, match=r"weight 'w:70' is not one"):
+            run_cv(prob, stream, 1, with_bounds=True)
 
     def test_csv_rows_shape(self):
         prob = make_problem("mean", mean_dataset_1236())
@@ -300,9 +307,9 @@ class TestRefitFromExpansion:
 
         block_sizes, refitted = [], []
 
-        def counting_block(problem, hfac, block, *args, **kwargs):
-            block_sizes.append(len(block))
-            return expansion.refit_block(problem, hfac, block, *args, **kwargs)
+        def counting_block(hfac, values, *args, **kwargs):
+            block_sizes.append(len(values))
+            return expansion.refit_block(hfac, values, *args, **kwargs)
 
         def recording_refit(problem, w, *args, **kwargs):
             refitted.append(w)
@@ -315,7 +322,7 @@ class TestRefitFromExpansion:
         report = run_cv(prob, weights, 3)
         assert calls == [(8, 150)] + [(150,)] * 8 + [(8, 150), (6, 150)]
         assert block_sizes == [8, 8, 6]
-        assert sum(w is bad for w in refitted) == 1
+        assert sum(np.array_equal(w, bad.values) for w in refitted) == 1
         assert [o.expand_error is not None for o in report.outcomes] == [
             w is bad for w in weights]
         for o, w in zip(report.outcomes, weights):
@@ -390,9 +397,34 @@ class TestWeightStream:
         assert [o.label for o in report.outcomes] == ["w:1", "w:2", "w:3", "w:4", "kept",
                                                       "w:6", "w:7"]
 
+    @pytest.mark.parametrize("bad, message", [
+        (np.array([1.0, np.nan, 1.0, 1.0]), r"weights must be finite, and weight 'w:5' is not"),
+        (np.ones(5), r"weight 'w:5' of shape \(5,\) does not match 4 terms"),
+        (np.ones((1, 4)), r"weight 'w:5' of shape \(1, 4\) does not match 4 terms"),
+    ])
+    def test_bad_raw_weight_rejected(self, monkeypatch, bad, message):
+        """A raw array that is not finite, or not of length N, is a ValueError
+        naming it, in whichever block it comes."""
+        monkeypatch.setattr(resampling, "REFIT_BLOCK", 3)
+        prob = make_problem("mean", mean_dataset_1236())
+        stream = [np.ones(4) - 0.1 * i for i in range(4)] + [bad]
+        with pytest.raises(ValueError, match=message):
+            run_cv(prob, stream, 1)
+
 
 class TestBootstrapBlocks:
     """The bootstrap draws its weights in blocks of bounded size."""
+
+    @pytest.mark.parametrize("draws, order", [(0, 1), (-2, 3), (5, -1), (5, -3)])
+    def test_bad_draws_or_order_rejected(self, monkeypatch, draws, order):
+        """draws < 1 or order < 0 is a ValueError before the first block,
+        where draws=0 returned (None, None) and order=-3 ran as order 1."""
+        prob = make_problem("mean", mean_dataset_1236())
+        theta_hat = solve_base(prob)
+        hfac = factorize_hessian(prob, theta_hat)
+        monkeypatch.setattr(resampling, "bootstrap_weight_blocks", None)  # never reached
+        with pytest.raises(ValueError, match=f"draws={draws}, order={order}"):
+            bootstrap_covariances(prob, theta_hat, hfac, draws, order=order)
 
     def test_memory_does_not_grow_with_draws(self):
         n = 3000
