@@ -17,7 +17,7 @@ approximation is the order-(K+1) norm bound divided by K!.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -84,21 +84,25 @@ class DomainSampler:
     """Seeded uniform sampling in a ball around the base fit.
 
     The first point is always the center, so a radius of zero reduces every
-    sampled supremum to an evaluation at the base fit.
+    sampled supremum to an evaluation at the base fit.  A radius of None is
+    the default 2 * C_op * delta_0, which :func:`estimate_constants` measures
+    at the center before it draws the other points; ``points`` refuses it.
+    Any other radius must be a number >= 0 when the sampler is built.
     """
 
     center: np.ndarray
-    radius: float
+    radius: Optional[float] = None
     n_samples: int = 256
     seed: int = 0
-    # Statistics at the center by (problem, derivative order), measured by
-    # default_sampler's pilot, so the first point is not differentiated twice.
-    _center_stats: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.radius is not None and not self.radius >= 0:
+            raise ValueError(f"radius must be a number >= 0, got {self.radius}")
 
     def points(self) -> np.ndarray:
         center = np.asarray(self.center, dtype=float)
-        if self.radius < 0:
-            raise ValueError("radius must be >= 0")
+        if self.radius is None:
+            raise ValueError("radius must be a number >= 0, got None")
         if self.radius == 0.0 or self.n_samples <= 1:
             return center[None, :]
         rng = np.random.default_rng(self.seed)
@@ -156,7 +160,7 @@ class BoundConstants:
     0..K+1 (``m`` additionally includes order 0 for the epsilon correction,
     although only orders >= 1 enter any bound).  ``delta_exact`` is the
     series the bounds consume: the exact leave-one-out maximum plus any
-    epsilon term.
+    epsilon term.  ``radius`` is the ball the constants were sampled in.
     """
 
     c_op: float
@@ -172,6 +176,7 @@ class BoundConstants:
     c_tilde_op: float
     c_set: float
     order: int
+    radius: float
     epsilon: float = 0.0
 
     @property
@@ -193,24 +198,20 @@ class _SampledStats:
     loo_exact: dict
 
 
-def _point_stats(problem: EstimatingProblem, theta, k_hi: int,
-                 buffers: Optional[dict] = None) -> _SampledStats:
-    # The statistics at one point, from one Taylor pass of degree k_hi.
-    # Entry norms weight each multiset column by the number of ordered
-    # tuples it stands for, so they equal the norms of the full D**(k+1)
-    # arrays.  Each order's rows are read in the pass's contiguous (D, P, N)
-    # layout, one sweep per statistic, with no (N, D, P) temporaries.
-    # ``buffers``, when given, holds the per-row arrays of an earlier pass of
-    # the same degree, which this pass overwrites; left empty, it receives
-    # this pass's arrays.  Finite rows can still overflow when summed or
+def _point_stats(problem: EstimatingProblem, theta, k_hi: int, out=None):
+    # The statistics at one point, from one Taylor pass of degree k_hi, and
+    # the pass's per-row arrays, written into ``out``, those of an earlier
+    # pass of the same degree, when given.  Entry norms weight each multiset
+    # column by the number of ordered tuples it stands for, so they equal the
+    # norms of the full D**(k+1) arrays.  Each order's rows are read in the
+    # pass's contiguous (D, P, N) layout, one sweep per statistic, with no
+    # (N, D, P) temporaries.  Finite rows can still overflow when summed or
     # squared, so a statistic that is not finite raises NonFiniteValueError,
     # and numpy's warnings, which would only repeat it, are off.
     n, dim = problem.n_terms, problem.dim_theta
     c_op = 0.0
     m, v, t, loo = {}, {}, {}, {}
-    tensors = fad.per_datum_tensors(problem, theta, range(k_hi + 1), out=buffers or None)
-    if buffers is not None:
-        buffers.update(tensors)
+    tensors = fad.per_datum_tensors(problem, theta, range(k_hi + 1), out=out)
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (g0, per) in tensors.items():
             mult = np.bincount(fad.basis_multisets(dim, k)[1])
@@ -234,25 +235,27 @@ def _point_stats(problem: EstimatingProblem, theta, k_hi: int,
     if not np.isfinite([c_op, *m.values(), *v.values(), *t.values(), *loo.values()]).all():
         raise fad.NonFiniteValueError("non-finite bound statistic at sampled point "
                                       f"{np.asarray(theta).tolist()}")
-    return _SampledStats(c_op=c_op, m=m, v=v, t=t, loo_exact=loo)
+    return _SampledStats(c_op=c_op, m=m, v=v, t=t, loo_exact=loo), tensors
 
 
-def _sample_stats(problem: EstimatingProblem, sampler: DomainSampler,
-                  k_hi: int) -> _SampledStats:
-    # The largest of each statistic over the sampled points.  The first
-    # point is the centre, whose statistics the sampler may already hold
-    # from default_sampler's pilot.  Every pass writes its per-row arrays
-    # into those of the first, so the points share one set.
-    stats, buffers = [], {}
-    for i, theta in enumerate(sampler.points()):
-        known = sampler._center_stats.get((problem, k_hi)) if i == 0 else None
-        stats.append(_point_stats(problem, theta, k_hi, buffers) if known is None else known)
+def _sample_stats(problem: EstimatingProblem, sampler: DomainSampler, k_hi: int):
+    # The largest of each statistic over the sampled points, and the radius
+    # they were drawn in.  The centre is measured first, and a radius of
+    # None resolves to 2 * C_op * delta_0 there; its pass allocates the
+    # per-row arrays that every later point overwrites.
+    centre, rows = _point_stats(problem, np.asarray(sampler.center, dtype=float), k_hi)
+    radius = (2.0 * centre.c_op * centre.loo_exact[0] if sampler.radius is None
+              else sampler.radius)
+    stats = [centre]
+    for theta in replace(sampler, radius=radius).points()[1:]:
+        point, rows = _point_stats(problem, theta, k_hi, rows)
+        stats.append(point)
 
     def sup(field):
         return {k: max(getattr(s, field)[k] for s in stats) for k in range(k_hi + 1)}
 
     return _SampledStats(c_op=max(s.c_op for s in stats), m=sup("m"), v=sup("v"),
-                         t=sup("t"), loo_exact=sup("loo_exact"))
+                         t=sup("t"), loo_exact=sup("loo_exact")), float(radius)
 
 
 class SingularSampleError(np.linalg.LinAlgError):
@@ -279,14 +282,16 @@ def estimate_constants(problem: EstimatingProblem, theta_hat, sampler: DomainSam
     The delta series defaults to the exact LOO maximum (epsilon correction
     optional); the Jacobian Lipschitz level is the second-derivative norm
     bound.  rho fixes the slack in the invertibility condition.  The
-    sampler must be centred on ``theta_hat``.
+    sampler must be centred on ``theta_hat``, which is measured first: a
+    radius of None resolves there to 2 * C_op * delta_0, the result's
+    ``radius``, before the other points are drawn.
     """
     if not np.array_equal(np.asarray(sampler.center, dtype=float),
                           np.asarray(theta_hat, dtype=float)):
         raise ValueError("the sampler is not centred on theta_hat")
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must be strictly inside (0, 1), got {rho}")
-    stats = _sample_stats(problem, sampler, _stats_order(order))
+    stats, radius = _sample_stats(problem, sampler, _stats_order(order))
     n = problem.n_terms
     ks = range(order + 2)
     eps_term = {k: epsilon * stats.m[k] for k in ks}
@@ -309,31 +314,16 @@ def estimate_constants(problem: EstimatingProblem, theta_hat, sampler: DomainSam
         c_tilde_op=stats.c_op / (1.0 - rho),
         c_set=c_set,
         order=order,
+        radius=radius,
         epsilon=epsilon,
     )
 
 
-def default_sampler(problem: EstimatingProblem, theta_hat, order: int,
-                    n_samples: int = 256, seed: int = 0,
+def default_sampler(theta_hat, n_samples: int = 256, seed: int = 0,
                     radius: Optional[float] = None) -> DomainSampler:
-    """Sampler with the self-consistent default radius 2 * C_op * delta_0.
-
-    A pilot measures C_op and delta_0 at the base fit, and the region is
-    enlarged to twice the resulting worst-case solution drift.  The
-    sampler keeps the pilot's statistics for its first point, the base fit,
-    so :func:`estimate_constants` at the same order does not measure them
-    again.  An explicit radius overrides the default, and no pilot runs.
-    """
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    pilot = None
-    if radius is None:
-        k_hi = _stats_order(order)
-        pilot = _point_stats(problem, theta_hat, k_hi)
-        radius = 2.0 * pilot.c_op * pilot.loo_exact[0]
-    sampler = DomainSampler(theta_hat, float(radius), n_samples=n_samples, seed=seed)
-    if pilot is not None:
-        sampler._center_stats[(problem, k_hi)] = pilot
-    return sampler
+    """``DomainSampler(theta_hat, radius, n_samples, seed)``; a radius of None
+    is resolved by :func:`estimate_constants` at the base fit, the first point."""
+    return DomainSampler(theta_hat, radius, n_samples=n_samples, seed=seed)
 
 
 # -- the bound ladder ----------------------------------------------------------
@@ -456,6 +446,7 @@ def bounds_report(problem: EstimatingProblem, theta_hat, sampler: DomainSampler,
 
     The set complexity is that of the leave-one-out weights, so the problem
     needs two rows: the only leave-one-out weight of one row is all zeros.
+    The report's ``sampler.radius`` is the radius the constants resolved.
     """
     if problem.n_terms < 2:
         raise ValueError(f"leave-one-out bounds need at least 2 rows, got {problem.n_terms}")
@@ -479,7 +470,7 @@ def bounds_report(problem: EstimatingProblem, theta_hat, sampler: DomainSampler,
         "condition_satisfied": constants.condition_satisfied,
         "sup_estimate": "sampled sup",
         "sampler": {
-            "radius": sampler.radius,
+            "radius": constants.radius,
             "n_samples": sampler.n_samples,
             "seed": sampler.seed,
         },

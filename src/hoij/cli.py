@@ -232,8 +232,7 @@ def _cmd_expand(args):
     hfac = factorize_hessian(problem, theta_hat)
     table = term_tables(args.order)
     records = []
-    size = max(1, models.WEIGHT_BLOCK_ELEMENTS // problem.n_terms)
-    for labels, values in resampling.weight_blocks(weights, problem.n_terms, size):
+    for labels, values in resampling.weight_blocks(weights, problem.n_terms):
         expn = evaluate_theta_ij(problem, theta_hat, hfac, table, values - 1.0, args.order)
         dthetas = np.stack(expn.dthetas, axis=1).tolist()
         partials = expn.partial_sums().tolist()
@@ -254,9 +253,8 @@ def _cmd_cv(args):
     problem = _load_problem(args)
     weights = _weight_stream(args, problem.n_terms)
     # centred on the base fit that run_cv solves
-    sampler = functools.partial(bnd.default_sampler, problem, order=args.order,
-                                n_samples=args.samples, seed=args.seed,
-                                radius=args.radius)
+    sampler = functools.partial(bnd.default_sampler, n_samples=args.samples,
+                                seed=args.seed, radius=args.radius)
     report = resampling.run_cv(
         problem, weights, args.order,
         with_bounds=args.with_bounds, rho=args.rho, sampler=sampler,
@@ -301,8 +299,8 @@ def _cmd_bounds(args):
     _validate_bounds(args)
     problem = _load_problem(args)
     theta_hat = solve_base(problem)
-    sampler = bnd.default_sampler(problem, theta_hat, args.order, n_samples=args.samples,
-                                  seed=args.seed, radius=args.radius)
+    sampler = bnd.default_sampler(theta_hat, n_samples=args.samples, seed=args.seed,
+                                  radius=args.radius)
     report = bnd.bounds_report(problem, theta_hat, sampler, args.order,
                                rho=args.rho, epsilon=args.epsilon_term)
     _emit(report, args)

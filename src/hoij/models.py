@@ -13,6 +13,7 @@ every order.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import itertools
 import json
@@ -75,42 +76,47 @@ def _parse_cell(token: str, row: int, col: int) -> float:
     return value
 
 
-# Bytes of a plain numeric CSV body: ASCII numerals, commas, blanks and line
-# ends.  numpy's reader parses these cells as float() does, but it also
-# strips characters that float() rejects (\x1c-\x1f), so no other byte may
-# take its path.
-_PLAIN_CSV_BYTES = b"0123456789+-.eE, \t\r\n"
+# Bytes of a plain numeric CSV body: ASCII numerals, commas, blanks, line
+# ends and quotes.  numpy's reader parses these cells as the csv module and
+# float() do, and rejects what they reject, but it also strips characters
+# that float() rejects (\x1c-\x1f), so no other byte may take its path.
+_PLAIN_CSV_BYTES = b'0123456789+-.eE, \t\r\n"'
 
 
 def _load_plain_csv(path, header: bool) -> Optional[np.ndarray]:
     """The matrix numpy's C reader makes of a plain numeric CSV file, or
-    None when the file is not plain or cannot be decoded, has no digit, or
-    numpy rejects it or reads a non-finite value, so that the csv module's
-    path words the error.
+    None when the file is not plain, has no digit, or numpy rejects it or
+    reads a non-finite value, so that the csv module's path words the error.
     """
-    skip, digit = 0, False
-    try:
-        with open(path, newline="") as fh:
-            if header:
-                # the header is the first line with a character other than a
-                # comma or white space; a quote may make it span lines
+    skip, offset = 0, 0
+    if header:
+        # the header is the first line with a character other than a comma
+        # or white space; a quote may make it span lines
+        try:
+            with open(path, encoding="utf-8-sig", newline="") as fh:
                 for line in iter(fh.readline, ""):
                     skip += 1
+                    offset += len(line.encode())
                     if '"' in line:
                         return None
                     if line.replace(",", "").strip():
                         break
-            while chunk := fh.read(1 << 16):
-                if not chunk.isascii() or chunk.encode().translate(None, _PLAIN_CSV_BYTES):
-                    return None
-                digit = digit or any(d in chunk for d in "0123456789")
-    except UnicodeDecodeError:
-        return None
+        except UnicodeDecodeError:
+            return None
+    digit = False
+    with open(path, "rb") as fh:
+        if fh.read(len(codecs.BOM_UTF8)) == codecs.BOM_UTF8:
+            offset += len(codecs.BOM_UTF8)
+        fh.seek(offset)
+        while chunk := fh.read(1 << 16):
+            if chunk.translate(None, _PLAIN_CSV_BYTES):
+                return None
+            digit = digit or any(d in chunk for d in b"0123456789")
     if not digit:
         return None
     try:
-        mat = np.loadtxt(path, delimiter=",", comments=None, skiprows=skip,
-                         ndmin=2, dtype=float)
+        mat = np.loadtxt(path, delimiter=",", comments=None, skiprows=skip, ndmin=2,
+                         dtype=float, quotechar='"', encoding="utf-8-sig")
     except ValueError:
         return None
     return mat if np.isfinite(mat).all() else None
@@ -119,7 +125,7 @@ def _load_plain_csv(path, header: bool) -> Optional[np.ndarray]:
 def _load_csv_cells(path, header: bool) -> np.ndarray:
     """The matrix of a CSV file read by the csv module, one float() call per
     cell, raising the first error in row order."""
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             raw = [row for row in reader if "".join(row).strip()]
@@ -140,7 +146,8 @@ def _load_csv_cells(path, header: bool) -> np.ndarray:
 
 def load_dataset(path, fmt: str = "csv", header: bool = False,
                  response: bool = False) -> Dataset:
-    """Load a dataset from CSV or JSON.
+    """Load a dataset from CSV or JSON, read as UTF-8 after an optional
+    byte-order mark (spreadsheets' "CSV UTF-8" exports write one).
 
     CSV rows are all-numeric; with ``response=True`` the last column is split
     off as the response.  Rows whose cells are all blank are skipped, and
@@ -150,14 +157,15 @@ def load_dataset(path, fmt: str = "csv", header: bool = False,
     parses them and must be finite.
 
     A CSV file whose rows after the header hold only ASCII digits, ``+``,
-    ``-``, ``.``, ``e``, ``E``, commas, spaces and tabs is read by numpy's C
-    reader (``np.loadtxt``), after one scan of the file for those bytes.
-    Any other file, and any file numpy rejects or reads a non-finite value
-    from, takes the csv module and one ``float()`` call per cell, which also
-    words every error by row and column.  Both give float()'s values, bit
-    for bit.  On 3000 rows of 4 float reprs the first takes about 2 ms
-    and the second about 17 ms; on 20 000 rows of 11 their traced peaks are
-    about 1.2 and 17 times the 1.76 MB matrix.
+    ``-``, ``.``, ``e``, ``E``, commas, spaces, tabs and quotes is read by
+    numpy's C reader (``np.loadtxt``, quoting with ``"`` when a row holds
+    one), after one scan of its bytes.  Any other file, and any file numpy
+    rejects or reads a non-finite value from, takes the csv module and one
+    ``float()`` call per cell, which also words every error by row and
+    column.  Both give float()'s values, bit for bit.  On 3000 rows of 4
+    float reprs the first takes about 2 ms and the second about 17 ms; on
+    20 000 rows of 11 their traced peaks are about 1.2 and 17 times the
+    1.76 MB matrix.
     """
     if fmt == "csv":
         mat = _load_plain_csv(path, header)
@@ -169,7 +177,7 @@ def load_dataset(path, fmt: str = "csv", header: bool = False,
             return Dataset(mat[:, :-1], mat[:, -1])
         return Dataset(mat)
     if fmt == "json":
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             try:
                 records = json.load(fh)
             except json.JSONDecodeError as err:

@@ -34,6 +34,7 @@ from .expansion import (
     solve_base,
 )
 from .forward_ad import NonFiniteValueError
+from . import models
 from .models import (
     Dataset,
     EstimatingProblem,
@@ -145,15 +146,17 @@ def _floats(values) -> Optional[list]:
     return None if values is None else np.asarray(values, dtype=float).tolist()
 
 
-def weight_blocks(weights: Iterable, n: int, size: int) -> Iterator[tuple]:
-    """The stream's weights ``size`` at a time, as ``(labels, values)``: the
-    B labels of a block and its (B, N) weights, stacked once.
+def weight_blocks(weights: Iterable, n: int, cap: float = math.inf) -> Iterator[tuple]:
+    """The stream's weights as ``(labels, values)``: the B labels of a block
+    and its (B, N) weights, stacked once, with B = ``min(cap, max(1,
+    WEIGHT_BLOCK_ELEMENTS // n))``, so at most WEIGHT_BLOCK_ELEMENTS entries.
 
     An item is a :class:`~hoij.models.WeightVector` or an array of N
     weights; one without a label is labelled ``w:{i}`` by its 1-based
     position in the stream.  A weight not of shape (N,), or one that is not
     finite, raises ValueError naming it, as WeightVector refuses it.
     """
+    size = min(cap, max(1, models.WEIGHT_BLOCK_ELEMENTS // n))
     stream = enumerate(weights, 1)
     while block := list(itertools.islice(stream, size)):
         labels = [getattr(w, "label", "") or f"w:{i}" for i, w in block]
@@ -222,11 +225,12 @@ def run_cv(problem: EstimatingProblem, weights: Iterable[WeightVector], order: i
            metadata: Optional[dict] = None) -> CvReport:
     """Approximate every weight in the stream and compare with exact re-fits.
 
-    The stream is read by :func:`weight_blocks` REFIT_BLOCK weights at a
-    time, so one block is held whatever the stream's length: one (B, N)
-    array, stacked once.  An item is a WeightVector or an array of N
-    weights; an unlabelled one is labelled ``w:{i}`` by its 1-based position
-    in the stream.  Each block is expanded by one call, and one weight at a
+    The stream is read by :func:`weight_blocks` in blocks of REFIT_BLOCK
+    weights, fewer when N is large, so that a block holds at most
+    WEIGHT_BLOCK_ELEMENTS weights x rows: one (B, N) array, stacked once,
+    and one block is held whatever the stream's length.  An item is a
+    WeightVector or an array of N weights; an unlabelled one is labelled
+    ``w:{i}`` by its 1-based position in the stream.  Each block is expanded by one call, and one weight at a
     time only when that call fails; then it is re-fitted together by
     :func:`~hoij.expansion.refit_block`, starting from the order-``order``
     expansions, and scored at once: its partial sums come from one
@@ -242,7 +246,7 @@ def run_cv(problem: EstimatingProblem, weights: Iterable[WeightVector], order: i
     every weight must be a leave-one-out weight, one zero among ones, or
     ValueError is raised.  ``sampler`` builds the DomainSampler from the
     base fit theta_hat solved here; None means :func:`default_sampler`
-    with its defaults.
+    with its defaults, whose radius is resolved at theta_hat.
     """
     theta_hat = solve_base(problem, cfg=cfg)
     hfac = factorize_hessian(problem, theta_hat)
@@ -279,10 +283,7 @@ def run_cv(problem: EstimatingProblem, weights: Iterable[WeightVector], order: i
     bound_per_k = None
     meta = dict(metadata or {})
     if with_bounds:
-        if sampler is None:
-            domain = default_sampler(problem, theta_hat, order)
-        else:
-            domain = sampler(theta_hat)
+        domain = (sampler or default_sampler)(theta_hat)
         constants = estimate_constants(problem, theta_hat, domain, order, rho, epsilon)
         meta["condition_satisfied"] = constants.condition_satisfied
         meta["c_set"] = constants.c_set

@@ -318,7 +318,8 @@ def per_tuple_entries(problem, theta, k):
 
 
 def per_tuple_sample_stats(problem, sampler, k_hi):
-    """Sampled statistics of the bounds layer, from the per-tuple entries."""
+    """Sampled statistics of the bounds layer, from the per-tuple entries,
+    and the sampler's radius, which must be a number."""
     n = problem.n_terms
     c_op = 0.0
     m, v, t, loo = ({k: 0.0 for k in range(k_hi + 1)} for _ in range(4))
@@ -335,7 +336,7 @@ def per_tuple_sample_stats(problem, sampler, k_hi):
             v[k] = max(v[k], float(sq.mean()))
             t[k] = max(t[k], float(np.max(np.abs(entries))))
             loo[k] = max(loo[k], math.sqrt(sq.max()) / n)
-    return _SampledStats(c_op=c_op, m=m, v=v, t=t, loo_exact=loo)
+    return _SampledStats(c_op=c_op, m=m, v=v, t=t, loo_exact=loo), float(sampler.radius)
 
 
 def _multiset_input(theta, dim, multisets):

@@ -126,7 +126,8 @@ class TestPointStats:
         n, k_hi = prob.n_terms, 4
         points = list(DomainSampler(theta_hat, 0.05, n_samples=3, seed=1).points())
         for theta in points:
-            got = bounds._point_stats(prob, theta, k_hi)
+            got, rows = bounds._point_stats(prob, theta, k_hi)
+            assert sorted(rows) == list(range(k_hi + 1))
             for k, (g0, per) in fad.per_datum_tensors(prob, theta, range(k_hi + 1)).items():
                 mult = np.bincount(fad.basis_multisets(5, k)[1])
                 summed = (g0 + per.sum(axis=0)) / n
@@ -140,8 +141,8 @@ class TestPointStats:
 
 
 class TestCentreReuse:
-    """default_sampler's pilot and the sampler's first point are the same
-    base fit at the same order, differentiated once."""
+    """The default radius is measured at the sampler's first point, the base
+    fit, which is differentiated once."""
 
     @pytest.fixture
     def exp_csv(self, tmp_path):
@@ -180,21 +181,81 @@ class TestCentreReuse:
 
     @pytest.mark.parametrize("model_id", ALL_MODELS)
     def test_same_constants_as_without_reuse(self, model_id):
+        """One default sampler resolves its radius anew for each problem and
+        order, and gives the constants of a sampler built with that radius."""
         rng = np.random.default_rng(71)
         prob = build_problem(model_id, rng, n=40, dim=3, reg={"l2": 0.2})
         theta_hat = solve_base(prob)
-        sampler = bounds.default_sampler(prob, theta_hat, 2, n_samples=5, seed=3)
-        pilot = estimate_constants(prob, theta_hat, DomainSampler(theta_hat, 0.0), 2)
-        assert sampler.radius == 2.0 * pilot.c_op * pilot.delta_exact[0]
-        fresh = DomainSampler(theta_hat, sampler.radius, n_samples=5, seed=3)
-        assert (estimate_constants(prob, theta_hat, sampler, 2)
-                == estimate_constants(prob, theta_hat, fresh, 2))
-        # the kept statistics belong to that problem and order only
+        sampler = bounds.default_sampler(theta_hat, n_samples=5, seed=3)
         other = build_problem(model_id, rng, n=40, dim=3)
-        assert (estimate_constants(other, theta_hat, sampler, 2)
-                == estimate_constants(other, theta_hat, fresh, 2))
-        assert (estimate_constants(prob, theta_hat, sampler, 3)
-                == estimate_constants(prob, theta_hat, fresh, 3))
+        for problem, order in ((prob, 2), (other, 2), (prob, 3)):
+            got = estimate_constants(problem, theta_hat, sampler, order)
+            centre = estimate_constants(problem, theta_hat, DomainSampler(theta_hat, 0.0),
+                                        order)
+            assert got.radius == 2.0 * centre.c_op * centre.delta_exact[0]
+            fresh = DomainSampler(theta_hat, got.radius, n_samples=5, seed=3)
+            assert got == estimate_constants(problem, theta_hat, fresh, order)
+        assert sampler.radius is None
+
+
+class TestDefaultRadius:
+    """A radius of None is resolved by estimate_constants, from the pass at
+    the centre, to 2 * C_op * delta_0; the constants carry the radius they
+    were sampled in."""
+
+    def test_points_refuse_an_unresolved_radius(self):
+        with pytest.raises(ValueError, match="radius must be a number >= 0, got None"):
+            DomainSampler(np.zeros(2), None).points()
+        with pytest.raises(ValueError, match="radius must be a number >= 0, got None"):
+            bounds.default_sampler(np.zeros(2), n_samples=1).points()
+        with pytest.raises(ValueError, match="radius must be a number >= 0, got None"):
+            DomainSampler(np.zeros(2)).points()  # the default radius
+
+    @pytest.mark.parametrize("radius", [-1.0, -1e-300, float("nan")])
+    def test_bad_radius_refused_before_any_pass(self, monkeypatch, radius):
+        prob = build_problem("exp_loss", np.random.default_rng(78), n=40, dim=3)
+        theta_hat = solve_base(prob)
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a derivative pass ran")
+
+        monkeypatch.setattr(fad, "per_datum_tensors", no_pass)
+        for build in (lambda: DomainSampler(theta_hat, radius),
+                      lambda: bounds.default_sampler(theta_hat, radius=radius)):
+            with pytest.raises(ValueError, match="radius must be a number >= 0, got"):
+                estimate_constants(prob, theta_hat, build(), 1)
+
+    @pytest.mark.parametrize("model_id", ALL_MODELS)
+    def test_default_radius_is_measured_at_the_centre(self, model_id):
+        rng = np.random.default_rng(75)
+        prob = build_problem(model_id, rng, n=40, dim=3, reg={"l2": 0.2})
+        theta_hat = solve_base(prob)
+        got = estimate_constants(prob, theta_hat,
+                                 bounds.default_sampler(theta_hat, n_samples=5, seed=3), 2)
+        centre, _ = bounds._point_stats(prob, theta_hat, 3)
+        assert got.radius == 2.0 * centre.c_op * centre.loo_exact[0] > 0.0
+        want = estimate_constants(prob, theta_hat, DomainSampler(theta_hat, got.radius, 5, 3), 2)
+        for field in dataclasses.fields(want):
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
+
+    @pytest.mark.parametrize("radius", [0.0, 0.3, 7])
+    def test_explicit_radius_reaches_the_constants(self, radius):
+        prob = build_problem("exp_loss", np.random.default_rng(76), n=40, dim=3)
+        theta_hat = solve_base(prob)
+        for sampler in (DomainSampler(theta_hat, radius, n_samples=4, seed=1),
+                        bounds.default_sampler(theta_hat, n_samples=4, seed=1, radius=radius)):
+            assert estimate_constants(prob, theta_hat, sampler, 1).radius == radius
+            report = bounds_report(prob, theta_hat, sampler, 1)
+            assert report["sampler"] == {"radius": radius, "n_samples": 4, "seed": 1}
+
+    def test_report_writes_the_resolved_radius(self):
+        prob = build_problem("exp_loss", np.random.default_rng(77), n=40, dim=3)
+        theta_hat = solve_base(prob)
+        sampler = bounds.default_sampler(theta_hat, n_samples=4, seed=1)
+        report = bounds_report(prob, theta_hat, sampler, 1)
+        c = estimate_constants(prob, theta_hat, sampler, 1)
+        assert report["sampler"]["radius"] == c.radius > 0.0
+        assert sampler.radius is None
 
 
 class TestSharedRows:
@@ -238,20 +299,17 @@ class TestSharedRows:
     @pytest.mark.parametrize("model_id", ALL_MODELS)
     def test_same_constants_as_fresh_arrays(self, model_id, monkeypatch):
         """Constants at orders 1..3 equal, bit for bit, those of a run where
-        every pass allocates its own arrays and the centre is measured
-        again."""
+        every pass allocates its own arrays."""
         rng = np.random.default_rng(73)
         prob = build_problem(model_id, rng, n=40, dim=3, reg={"l2": 0.2})
         theta_hat = solve_base(prob)
-        shared = []
-        for order in (1, 2, 3):
-            sampler = bounds.default_sampler(prob, theta_hat, order, n_samples=6, seed=4)
-            shared.append((sampler.radius, estimate_constants(prob, theta_hat, sampler, order)))
+        sampler = bounds.default_sampler(theta_hat, n_samples=6, seed=4)
+        shared = [estimate_constants(prob, theta_hat, sampler, order) for order in (1, 2, 3)]
         per_datum_tensors = fad.per_datum_tensors
         monkeypatch.setattr(fad, "per_datum_tensors",
                             lambda *args, out=None, **kwargs: per_datum_tensors(*args, **kwargs))
-        for (radius, constants), order in zip(shared, (1, 2, 3)):
-            fresh = DomainSampler(theta_hat, radius, n_samples=6, seed=4)
+        for constants, order in zip(shared, (1, 2, 3)):
+            fresh = DomainSampler(theta_hat, constants.radius, n_samples=6, seed=4)
             assert constants == estimate_constants(prob, theta_hat, fresh, order)
 
     def test_non_finite_second_point_raises(self, monkeypatch):

@@ -83,6 +83,22 @@ class TestFitCommand:
         assert obj["theta_hat"] == [3.0]
         assert obj["config"]["model"] == "mean"
 
+    @pytest.mark.parametrize("fmt, text", [
+        ("csv", "1,2\n3,4\n5,7\n"),
+        ("json", json.dumps([{"x": [1.0, 2.0]}, {"x": [3.0, 4.0]}, {"x": [5.0, 7.0]}])),
+    ])
+    def test_byte_order_mark_fits_as_unmarked(self, tmp_path, fmt, text):
+        """A spreadsheet's "CSV UTF-8" export starts with a UTF-8 byte-order
+        mark; the fit is that of the same file without it."""
+        fits = []
+        for mark in ("", "\ufeff"):
+            data, out = tmp_path / f"d{len(mark)}.{fmt}", tmp_path / f"fit{len(mark)}.json"
+            data.write_bytes((mark + text).encode())
+            assert main(["fit", "--model", "mean", "--data", str(data), "--format", fmt,
+                         "--out", str(out)]) == 0
+            fits.append(read_json(out)["theta_hat"])
+        assert fits[0] == fits[1] == [3.0, 13 / 3]
+
     def test_unknown_model_is_usage_error(self, mean_csv):
         assert main(["fit", "--model", "nope", "--data", mean_csv]) == 2
 

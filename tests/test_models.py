@@ -189,6 +189,23 @@ LAYOUTS = [
     ("1.e5,.5\n+1,1E-3\n", False),
     ("1 2,3\n", False),
     (".,e\n", False),
+    ('"1.5" ,2\n', False),
+    ('"1.5"2,3\n', False),
+    ('"1\n",2\n"3\r\n",4\r\n', False),
+    ('"1","2"\r"3","4"\r', False),
+    ('" 1.5",\t"-0"\n', False),
+    ('"1,5"\n', False),
+    ('""\n1\n', False),
+    ('"",1\n2,3\n', False),
+    (' "1.5",2\n', False),
+    ('1"5",2\n', False),
+    ('"1""5",2\n', False),
+    ('"1" "2",3\n', False),
+    ('"1\n2",3\n', False),
+    ('"1e400",2\n', False),
+    ('a,b\n"1","2"\n', True),
+    ('"a","b"\n"1","2"\n', True),
+    ('\n\n"1",2\n3,"4"\n', True),
 ]
 
 
@@ -206,6 +223,12 @@ PLAIN_TOKENS = st.one_of(
 )
 ODD_TOKENS = st.sampled_from(["\x1c3", "3\x1d", "\x1e", "\x1f1", "#", "1#", '"1"', '"',
                               '"1,2"', "1e400", "nan", "1_0"])
+QUOTED_TOKENS = st.one_of(
+    PLAIN_TOKENS.map(lambda t: f'"{t}"'),
+    st.tuples(PLAIN_TOKENS, st.sampled_from(["\n", "\r\n", "\r", '""', ",", " "]),
+              PLAIN_TOKENS).map(lambda t: f'"{t[0]}{t[1]}{t[2]}"'),
+    st.tuples(PLAIN_TOKENS, PLAIN_TOKENS).map(lambda t: f'"{t[0]}"{t[1]}'),
+)
 BLANK_LINES = st.sampled_from(["", " ", "\t", ",", ",,", " , \t"])
 
 
@@ -216,7 +239,7 @@ def test_csv_file_layout_matches_cell_by_cell(tmp_path_factory, header, ragged, 
                                               final_newline, data):
     """Files with blank lines, mixed line ends and headers load as the
     cell-by-cell oracle reads them, whichever path the loader takes."""
-    token = st.one_of(PLAIN_TOKENS, PLAIN_TOKENS, PLAIN_TOKENS, ODD_TOKENS)
+    token = st.one_of(PLAIN_TOKENS, PLAIN_TOKENS, PLAIN_TOKENS, QUOTED_TOKENS, ODD_TOKENS)
     row = st.lists(token, min_size=1 if ragged else cols, max_size=cols).map(",".join)
     lines = data.draw(st.lists(st.one_of(row, row, BLANK_LINES), max_size=6))
     ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
@@ -227,6 +250,71 @@ def test_csv_file_layout_matches_cell_by_cell(tmp_path_factory, header, ragged, 
     path = tmp_path_factory.mktemp("csv") / "d.csv"
     path.write_text(text, newline="")
     assert_loads_as_cell_by_cell(path, header)
+
+
+def test_quoted_csv_takes_numpys_reader(tmp_path, monkeypatch):
+    """A file with every cell quoted, as csv.QUOTE_ALL writes it, is read by
+    numpy's reader, bit for bit as float() reads its cells: the csv
+    module's path is not taken."""
+    want = np.random.default_rng(18).standard_normal((300, 4))
+    want[0, 0] = -0.0
+    path = tmp_path / "quoted.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write("a,b,c,d\r\n")
+        csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(
+            [repr(v) for v in row] for row in want.tolist())
+
+    def refused(*args):
+        raise AssertionError("the csv module's path was taken")
+
+    monkeypatch.setattr(models, "_load_csv_cells", refused)
+    got = load_dataset(path, header=True).features
+    assert got.tobytes() == want.tobytes()
+
+
+BOM = "\ufeff"
+
+
+@pytest.mark.parametrize("text, header, plain_path", [
+    ("1,2\n3,4\n5,7\n", False, True),
+    ('"1",2\r\n3,"4"\r\n', False, True),
+    ("\n1_0,2\n3,4\n", False, False),
+    (" 1,\u00a02\n", False, False),
+    ("a,b\n1,2\n3,4\n", True, True),
+    ("\n,\nx,y\n1,2\n", True, True),
+    ("1,2\n3,4\n", True, True),
+    ("a,\u00e9\u00e9\u00e9\r\n1,2\r\n", True, True),
+    ('"a",b\n1,2\n', True, False),
+])
+def test_csv_byte_order_mark(tmp_path, monkeypatch, text, header, plain_path):
+    """A UTF-8 byte-order mark is not part of the first cell or the header:
+    a marked file loads bit for bit as the unmarked one, on the path the
+    unmarked one takes."""
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8", newline="")
+    marked.write_text(BOM + text, encoding="utf-8", newline="")
+    want = load_dataset(plain, header=header).features
+    if plain_path:
+        monkeypatch.setattr(models, "_load_csv_cells", None)
+    assert load_dataset(marked, header=header).features.tobytes() == want.tobytes()
+
+
+def test_csv_byte_order_mark_error_names_the_cell(tmp_path):
+    path = tmp_path / "marked.csv"
+    path.write_text(BOM + "x,2\n", encoding="utf-8")
+    with pytest.raises(DatasetError) as err:
+        load_dataset(path)
+    assert str(err.value) == "cannot parse 'x' as a number at row 1, column 1"
+
+
+def test_json_byte_order_mark(tmp_path):
+    text = json.dumps([{"x": [1.5, -0.0], "y": 3.0}, {"x": [4.0, 5.0], "y": 6.0}])
+    plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(BOM + text, encoding="utf-8")
+    want, got = (load_dataset(p, fmt="json") for p in (plain, marked))
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.response.tobytes() == want.response.tobytes()
 
 
 def test_csv_loader_memory(tmp_path):

@@ -388,6 +388,24 @@ class TestWeightStream:
             tracemalloc.stop()
         assert peaks[1] <= 1.05 * peaks[0], peaks
 
+    @pytest.mark.parametrize("n, size", [(800, 64), (8192, 32), (20_000, 13)])
+    def test_blocks_hold_at_most_the_weight_block_elements(self, monkeypatch, n, size):
+        """A block holds REFIT_BLOCK weights, or fewer at large N, so that it
+        holds at most WEIGHT_BLOCK_ELEMENTS weights x rows."""
+        prob = make_problem("mean", Dataset(np.random.default_rng(8).random((n, 1))))
+        shapes = []
+
+        def counting_block(hfac, values, *args, **kwargs):
+            shapes.append(values.shape)
+            return expansion.refit_block(hfac, values, *args, **kwargs)
+
+        monkeypatch.setattr(resampling, "refit_block", counting_block)
+        report = run_cv(prob, loo_weights(n, range(1, 71)), 1)
+        assert shapes == [(size, n)] * (70 // size) + [(70 % size, n)]
+        assert size * n <= models.WEIGHT_BLOCK_ELEMENTS or size == resampling.REFIT_BLOCK
+        assert len(report.outcomes) == 70 and all(o.errors is not None
+                                                  for o in report.outcomes)
+
     def test_unlabelled_weights_numbered_across_blocks(self, monkeypatch):
         monkeypatch.setattr(resampling, "REFIT_BLOCK", 3)
         prob = make_problem("mean", mean_dataset_1236())
