@@ -87,7 +87,8 @@ class DomainSampler:
     sampled supremum to an evaluation at the base fit.  A radius of None is
     the default 2 * C_op * delta_0, which :func:`estimate_constants` measures
     at the center before it draws the other points; ``points`` refuses it.
-    Any other radius must be a number >= 0 when the sampler is built.
+    Any other radius must be a number >= 0 when the sampler is built, as
+    ``n_samples`` must be >= 1 and ``seed`` >= 0.
     """
 
     center: np.ndarray
@@ -98,6 +99,9 @@ class DomainSampler:
     def __post_init__(self):
         if self.radius is not None and not self.radius >= 0:
             raise ValueError(f"radius must be a number >= 0, got {self.radius}")
+        if self.n_samples < 1 or self.seed < 0:
+            raise ValueError(f"n_samples must be >= 1 and seed >= 0, got {self.n_samples} "
+                             f"and {self.seed}")
 
     def points(self) -> np.ndarray:
         center = np.asarray(self.center, dtype=float)
@@ -119,8 +123,8 @@ class DomainSampler:
 def _tuple_major(multiset_array, k: int) -> np.ndarray:
     # (..., D, P) multiset columns -> (..., D**k * D) entries, ordered tuple
     # major and component minor, in C order (at k = 0 the reshape alone
-    # would leave per_datum_tensor's column-major rows, and BLAS sums those
-    # in a different order).
+    # would leave the column-major rows of per_datum_tensors, and BLAS sums
+    # those in a different order).
     dim = multiset_array.shape[-2]
     full = multiset_array[..., fad.basis_multisets(dim, k)[1]]
     return np.ascontiguousarray(
@@ -132,13 +136,13 @@ def per_datum_derivative_entries(problem: EstimatingProblem, theta, k: int) -> n
 
     Returns shape (N, D * D**k): row n flattens the order-k derivative array
     of g_n, ordered direction tuple major and component minor.  A layout
-    view of :func:`forward_ad.per_datum_tensor`.
+    view of the rows of a :func:`forward_ad.per_datum_tensors` pass.
     """
-    return _tuple_major(fad.per_datum_tensor(problem, theta, k)[1], k)
+    return _tuple_major(fad.per_datum_tensors(problem, theta, (k,))[k][1], k)
 
 
 def _g0_derivative_entries(problem: EstimatingProblem, theta, k: int) -> np.ndarray:
-    return _tuple_major(fad.per_datum_tensor(problem, theta, k)[0], k)
+    return _tuple_major(fad.per_datum_tensors(problem, theta, (k,))[k][0], k)
 
 
 def full_derivative_entries(problem: EstimatingProblem, theta, k: int, w=None) -> np.ndarray:
@@ -279,18 +283,21 @@ def estimate_constants(problem: EstimatingProblem, theta_hat, sampler: DomainSam
                        epsilon: float = 0.0) -> BoundConstants:
     """Measure every constant the bound ladder needs, for a given order.
 
-    The delta series defaults to the exact LOO maximum (epsilon correction
-    optional); the Jacobian Lipschitz level is the second-derivative norm
-    bound.  rho fixes the slack in the invertibility condition.  The
-    sampler must be centred on ``theta_hat``, which is measured first: a
-    radius of None resolves there to 2 * C_op * delta_0, the result's
-    ``radius``, before the other points are drawn.
+    The delta series defaults to the exact LOO maximum (an epsilon
+    correction, finite and >= 0, is optional); the Jacobian Lipschitz level
+    is the second-derivative norm bound.  rho fixes the slack in the
+    invertibility condition.  The sampler must be centred on
+    ``theta_hat``, which is measured first: a radius of None resolves there
+    to 2 * C_op * delta_0, the result's ``radius``, before the other points
+    are drawn.
     """
     if not np.array_equal(np.asarray(sampler.center, dtype=float),
                           np.asarray(theta_hat, dtype=float)):
         raise ValueError("the sampler is not centred on theta_hat")
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must be strictly inside (0, 1), got {rho}")
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     stats, radius = _sample_stats(problem, sampler, _stats_order(order))
     n = problem.n_terms
     ks = range(order + 2)

@@ -357,6 +357,8 @@ def main(argv=None) -> int:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
     try:
+        if getattr(args, "seed", 0) < 0:  # before any work, and naming the flag
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         _check_outputs(args)
         _COMMANDS[args.command](args)
     except np.linalg.LinAlgError as err:  # a ValueError, but a computation error

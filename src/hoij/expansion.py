@@ -199,15 +199,11 @@ class HessianFactor:
     """The inverse of the base Jacobian, for repeated solves.
 
     It also keeps the base fit ``theta_hat`` it was built at, and memoizes
-    the derivatives of G there (all-ones weights) on first use: the
-    per-datum arrays of :func:`forward_ad.per_datum_tensors` for the orders
-    that :meth:`rows` is asked for, and the summed derivatives over index
-    multisets of :meth:`sums`, read off cached rows when there are some and
-    otherwise reduced row block by row block, so no per-datum array of that
-    order is kept.  :meth:`tensor` expands a sum to its (D, D**k) array on
-    each call.  :meth:`prepare` fills several orders from one Taylor pass:
-    the order-K expansion's rows of orders 0..K-1 and its order-K sum from
-    one pass of degree K.
+    the derivatives of G there (all-ones weights), filled only by
+    :meth:`prepare_expansion`: per-datum arrays (:meth:`rows`) and summed
+    derivatives over index multisets (:meth:`sums`), a sum read off cached
+    rows when there are some.  :meth:`tensor` expands a sum to its
+    (D, D**k) array on each call.
     """
 
     matrix: np.ndarray
@@ -230,43 +226,39 @@ class HessianFactor:
             raise fad.NonFiniteValueError("non-finite solution of the Hessian system")
         return x
 
-    def prepare(self, rows=(), sums=()) -> None:
-        """Cache :meth:`rows` for the orders ``rows`` and :meth:`sums` for
-        the orders ``sums``, everything missing from one Taylor pass."""
-        want_rows = [k for k in rows if k not in self._rows]
-        want_sums = [k for k in sums if k not in self._sums
-                     and k not in self._rows and k not in want_rows]
-        if want_rows or want_sums:
-            out = fad.per_datum_tensors(self.problem, self.theta_hat, want_rows,
-                                        summed=want_sums)
-            self._rows.update((k, out[k]) for k in want_rows)
-            self._sums.update((k, (out[k][0] + out[k][1]) / self.problem.n_terms)
-                              for k in want_sums)
-
     def prepare_expansion(self, order: int) -> None:
-        """Cache what an order-``order`` expansion reads, from one Taylor pass:
+        """Cache what an order-``order`` expansion reads and is not cached,
+        from one :func:`forward_ad.per_datum_tensors` pass of degree ``order``:
         the rows of every order below it and, from order 2, the sum of its
-        own order; once per order, as the caches are never emptied."""
+        own order, reduced in row blocks; once per order."""
         if order not in self._expanded:
-            self.prepare(rows=range(order), sums=(order,) if order >= 2 else ())
+            rows = [k for k in range(order) if k not in self._rows]
+            sums = [k for k in (order,) if k >= 2 and k not in self._sums and k not in self._rows]
+            if rows or sums:
+                out = fad.per_datum_tensors(self.problem, self.theta_hat, rows, summed=sums)
+                self._rows.update((k, out[k]) for k in rows)
+                self._sums.update((k, (out[k][0] + out[k][1]) / self.problem.n_terms)
+                                  for k in sums)
             self._expanded.add(order)
 
     def rows(self, k: int) -> tuple:
-        """(g0, per): the order-k derivatives of g_0 and of every g_n at theta_hat."""
+        """(g0, per): the order-k derivatives of g_0 and of every g_n at
+        theta_hat, k < K_MAX; on a miss from ``prepare_expansion(k + 1)``."""
         if k not in self._rows:
-            self.prepare(rows=(k,))
+            self.prepare_expansion(k + 1)
         return self._rows[k]
 
     def sums(self, k: int) -> np.ndarray:
         """The order-k derivatives of G at theta_hat over index multisets,
         shape (D, P): column p is the mixed partial in the multiset
-        ``forward_ad.basis_multisets(D, k)[0][p]``."""
+        ``forward_ad.basis_multisets(D, k)[0][p]``.  A miss sums cached rows,
+        as it always does below order 2, or else ``prepare_expansion(k)``."""
         if k not in self._sums:
-            if k in self._rows:
-                g0, per = self._rows[k]
+            if k < 2 or k in self._rows:
+                g0, per = self.rows(k)
                 self._sums[k] = (g0 + per.sum(axis=0)) / self.problem.n_terms
             else:
-                self.prepare(sums=(k,))
+                self.prepare_expansion(k)
         return self._sums[k]
 
     def tensor(self, k: int) -> np.ndarray:
@@ -530,13 +522,12 @@ def _chord_jacobians(hfac: HessianFactor, weights: np.ndarray, thetas: np.ndarra
     """The Jacobian at (theta_b, w_b) to second order in v_b = theta_b - theta_hat.
 
     J(theta_hat, w_b) + J'(theta_hat, w_b)[v_b] + tensor(3)[v_b, v_b] / 2,
-    shape (B, D, D), for the rows w_b of the (B, N) ``weights``, read off the
-    derivatives cached at theta_hat: the weighted row sums of the order-1
-    and order-2 rows, one product with the block each, and the order-3
-    tensor.  What it leaves out is O(|v_b|^3 + |w_b - 1| |v_b|^2 / N).
+    shape (B, D, D), for the rows w_b of the (B, N) ``weights``, read off
+    what ``hfac.prepare_expansion(3)`` caches: the weighted row sums of the
+    order-1 and order-2 rows, one product with the block each, and the
+    order-3 tensor.  What it leaves out is O(|v_b|^3 + |w_b - 1| |v_b|^2 / N).
     """
     n, dim = hfac.problem.n_terms, hfac.problem.dim_theta
-    hfac.prepare(rows=(1, 2), sums=(3,))
     v = thetas - hfac.theta_hat
     sums = []
     for k in (1, 2):
@@ -570,10 +561,11 @@ def refit_block(hfac: HessianFactor, values, starts,
     O(N^-(K+1)) from the root, that mostly takes one step.
 
     ``values`` is a (B, N) array, one weight vector per row, and ``starts``
-    holds the B starts, (B, D).  The ceilings ||G(theta_hat, w_b)|| are one
-    product of ``values`` with the cached order-0 rows, the weighted row
-    sums in Ĥ_b one product per order, and every G evaluation reads views of
-    its rows; a ``values`` not of shape (B, N) raises ValueError.
+    holds the B starts, (B, D).  What it reads at theta_hat comes from
+    ``hfac.prepare_expansion(3)``: the ceilings ||G(theta_hat, w_b)||, one
+    product of ``values`` with the order-0 rows, and the weighted row sums
+    in Ĥ_b, one product per order.  Every G evaluation reads views of its
+    rows; a ``values`` not of shape (B, N) raises ValueError.
 
     A weight falls back to :func:`exact_refit` from its start, with
     ``max_start_residual`` = ||G(theta_hat, w)||, when its start is not
@@ -591,6 +583,7 @@ def refit_block(hfac: HessianFactor, values, starts,
     if values.ndim != 2 or values.shape[1] != n:
         raise ValueError(f"weights of shape {values.shape} are not (B, {n})")
     thetas = np.array(starts, dtype=float).reshape(len(values), problem.dim_theta)
+    hfac.prepare_expansion(3)
     g0, per = hfac.rows(0)
     ceilings = _row_norms((g0[:, 0] + values @ per[:, :, 0]) / n)
     done = np.zeros(len(values), dtype=bool)

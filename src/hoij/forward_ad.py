@@ -488,13 +488,13 @@ def g_theta_tensor(problem, theta, weights, k):
 
     Entry [i, j_1 D**(k-1) + ... + j_k] is the mixed partial of G_i in
     theta_{j_1} .. theta_{j_k}: the weighted row sum (g_0 + w @ per) / N of
-    :func:`per_datum_tensor`, expanded from multisets to ordered tuples.  At
-    k = 0 it is G itself, shape (D, 1).
+    a :func:`per_datum_tensors` pass of degree k, expanded from multisets to
+    ordered tuples.  At k = 0 it is G itself, shape (D, 1).
     """
     if not 0 <= k <= K_MAX:
         raise ValueError(f"derivative order {k} outside 0..{K_MAX}")
     weights = np.asarray(getattr(weights, "values", weights), dtype=float)
-    g0, summed = per_datum_tensor(problem, theta, k, weights)
+    g0, summed = per_datum_tensors(problem, theta, (), weights, summed=(k,))[k]
     out = (g0 + summed)[:, basis_multisets(problem.dim_theta, k)[1]] / problem.n_terms
     if not np.all(np.isfinite(out)):
         raise NonFiniteValueError(
@@ -625,18 +625,6 @@ def _reused_rows(out, k, dim, n):
     return rows.transpose(1, 2, 0)
 
 
-def per_datum_tensor(problem, theta, k, weights=None):
-    """Order-k derivatives of g_0 and of every g_n at theta, over multisets.
-
-    ``(g0, per)`` of :func:`per_datum_tensors` for the one order k, from a
-    pass of degree k; with ``weights`` (length N), per is the weighted row
-    sum, shape (D, P).
-    """
-    if weights is None:
-        return per_datum_tensors(problem, theta, (k,))[k]
-    return per_datum_tensors(problem, theta, (), weights, summed=(k,))[k]
-
-
 def g_weight_derivative(problem, theta, delta_w, per_datum):
     """Theta-derivatives of (1/N) sum_n g_n(theta) delta_w_n over index
     multisets: the row sum delta_w @ per_datum / N.
@@ -646,8 +634,8 @@ def g_weight_derivative(problem, theta, delta_w, per_datum):
     enter: :func:`~hoij.expansion.evaluate_theta_ij` calls it once per
     derivative order on the per-datum arrays its factor caches.
 
-    ``per_datum`` is an (N, D, P) per-datum array of
-    :func:`per_datum_tensor` at theta, which is not read; column p of the
+    ``per_datum`` is an (N, D, P) per-row array of
+    :func:`per_datum_tensors` at theta, which is not read; column p of the
     result is the mixed partial in the multiset ``basis_multisets(D, k)[0][p]``
     of that array's order k.  ``delta_w`` is one weight offset of length N,
     giving shape (D, P), or a (B, N) block of them, giving (B, D, P) from

@@ -122,6 +122,21 @@ def _load_plain_csv(path, header: bool) -> Optional[np.ndarray]:
     return mat if np.isfinite(mat).all() else None
 
 
+def _not_utf8(path) -> DatasetError:
+    # The error for a file a text reader could not decode: the 1-based line
+    # of its first byte that is not UTF-8, counted on the raw bytes, since a
+    # decoder's position counts from the start of its chunk.
+    with open(path, "rb") as fh:
+        data = fh.read()  # a byte-order mark is valid UTF-8, with no line break
+    try:
+        data.decode()
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        return DatasetError(f"cannot read line {line} of {path}: "
+                            f"byte 0x{data[err.start]:02x} is not UTF-8")
+    return DatasetError(f"cannot read {path} as UTF-8")
+
+
 def _load_csv_cells(path, header: bool) -> np.ndarray:
     """The matrix of a CSV file read by the csv module, one float() call per
     cell, raising the first error in row order."""
@@ -131,6 +146,8 @@ def _load_csv_cells(path, header: bool) -> np.ndarray:
             raw = [row for row in reader if "".join(row).strip()]
         except csv.Error as err:  # such as a cell over the csv module's field limit
             raise DatasetError(f"cannot read line {reader.line_num} of {path}: {err}") from None
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
     if header and raw:
         raw = raw[1:]
     if not raw:
@@ -147,7 +164,8 @@ def _load_csv_cells(path, header: bool) -> np.ndarray:
 def load_dataset(path, fmt: str = "csv", header: bool = False,
                  response: bool = False) -> Dataset:
     """Load a dataset from CSV or JSON, read as UTF-8 after an optional
-    byte-order mark (spreadsheets' "CSV UTF-8" exports write one).
+    byte-order mark (spreadsheets' "CSV UTF-8" exports write one); a byte
+    that is not UTF-8 is a DatasetError naming its line.
 
     CSV rows are all-numeric; with ``response=True`` the last column is split
     off as the response.  Rows whose cells are all blank are skipped, and
@@ -182,6 +200,8 @@ def load_dataset(path, fmt: str = "csv", header: bool = False,
                 records = json.load(fh)
             except json.JSONDecodeError as err:
                 raise DatasetError(f"invalid JSON in {path}: {err}") from None
+            except UnicodeDecodeError:
+                raise _not_utf8(path) from None
         if not isinstance(records, list) or not records:
             raise DatasetError(f"no rows in {path}")
         feats, resp = [], []

@@ -230,8 +230,9 @@ def run_cv(problem: EstimatingProblem, weights: Iterable[WeightVector], order: i
     WEIGHT_BLOCK_ELEMENTS weights x rows: one (B, N) array, stacked once,
     and one block is held whatever the stream's length.  An item is a
     WeightVector or an array of N weights; an unlabelled one is labelled
-    ``w:{i}`` by its 1-based position in the stream.  Each block is expanded by one call, and one weight at a
-    time only when that call fails; then it is re-fitted together by
+    ``w:{i}`` by its 1-based position in the stream.  Each block is
+    expanded by one call, and one weight at a time only when that call
+    fails; then it is re-fitted together by
     :func:`~hoij.expansion.refit_block`, starting from the order-``order``
     expansions, and scored at once: its partial sums come from one
     cumulative sum and its errors from one stacked norm.  A weight whose

@@ -14,7 +14,7 @@ weighted row sum of ``forward_ad.g_weight_derivative`` to the same
 directions.  The per-tuple derivative loops are the bounds
 layer's reference: one nested forward pass per ordered basis-direction
 tuple, with no multiset batching.  The nested multiset pass is the
-reference for ``per_datum_tensor``: k nested order-1 levels give each
+reference for ``per_datum_tensors``: k nested order-1 levels give each
 order-k partial directly.  The block-loop tensor, its weighted row sum, is
 the reference for ``g_theta_tensor``.  ``bench_module`` loads a module of
 the bench directory, for the tests that hold the program to what the bench
@@ -268,7 +268,7 @@ def contracted_g_weight_derivative(problem, theta, delta_w, directions, per_datu
     directions = fad._check_directions(directions, problem.dim_theta)
     k = len(directions)
     if per_datum is None:
-        per_datum = fad.per_datum_tensor(problem, theta, k)[1]
+        per_datum = fad.per_datum_tensors(problem, theta, (k,))[k][1]
     summed = fad.g_weight_derivative(problem, theta, delta_w, per_datum)
     return fad.contract(summed[:, fad.basis_multisets(problem.dim_theta, k)[1]], directions)
 
@@ -362,7 +362,8 @@ def _batched_coefficient(values, k, width):
 
 
 def nested_per_datum_tensor(problem, theta, k, weights=None):
-    """``forward_ad.per_datum_tensor`` from one nested pass of k order-1 levels.
+    """Order k of ``forward_ad.per_datum_tensors`` from one nested pass of k
+    order-1 levels: ``(g0, per)``, per row, or with ``weights`` summed.
 
     Every level carries all C(D+k-1, k) basis-direction multisets along a
     leading leaf axis, and the mixed coefficient of all k levels is the

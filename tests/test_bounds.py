@@ -258,6 +258,49 @@ class TestDefaultRadius:
         assert sampler.radius is None
 
 
+class TestSamplerAndEpsilonChecks:
+    """The bound inputs are checked where the library takes them, before
+    any derivative pass, as the CLI checks its flags."""
+
+    @pytest.fixture
+    def mean_fit(self, monkeypatch):
+        # the mean model's base fit, with every later derivative pass refused
+        prob = make_problem("mean", mean_dataset_1236())
+        theta_hat = solve_base(prob)
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a derivative pass ran")
+
+        monkeypatch.setattr(fad, "per_datum_tensors", no_pass)
+        return prob, theta_hat
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_samples": -3}, "n_samples must be >= 1"),
+        ({"n_samples": 0}, "n_samples must be >= 1"),
+        ({"seed": -1}, "seed >= 0"),
+    ])
+    def test_bad_count_or_seed_refused(self, mean_fit, kwargs, message):
+        """A sampler of no points or with a negative seed is refused where
+        it is built, not by numpy inside points() after the centre's pass,
+        so no report echoes it."""
+        prob, theta_hat = mean_fit
+        for build in (lambda: DomainSampler(theta_hat, 0.1, **kwargs),
+                      lambda: bounds.default_sampler(theta_hat, radius=0.1, **kwargs)):
+            with pytest.raises(ValueError, match=message):
+                bounds_report(prob, theta_hat, build(), 1)
+
+    @pytest.mark.parametrize("epsilon", [-1.0, -1e-300, float("nan"), float("inf")])
+    def test_bad_epsilon_refused(self, mean_fit, epsilon):
+        """A negative epsilon would let the condition hold with C_set < 0
+        and give a negative error bound; a NaN one would fail it silently."""
+        prob, theta_hat = mean_fit
+        sampler = DomainSampler(theta_hat, 0.0)
+        with pytest.raises(ValueError, match="epsilon must be finite and >= 0, got"):
+            estimate_constants(prob, theta_hat, sampler, 1, epsilon=epsilon)
+        with pytest.raises(ValueError, match="epsilon must be finite and >= 0, got"):
+            bounds_report(prob, theta_hat, sampler, 1, epsilon=epsilon)
+
+
 class TestSharedRows:
     """The sampled points of one _sample_stats call share one set of
     per-row arrays: the first pass allocates them, every later pass

@@ -804,6 +804,45 @@ def test_csv_cell_over_field_limit_is_one_line(tmp_path):
     assert f"line 3 of {path}" in err and "field limit" in err, err
 
 
+@pytest.mark.parametrize("raw, fmt, header, line, byte", [
+    (b"1,2\n3,\xe9\n", "csv", False, 2, "e9"),
+    (b"a,b\n1,2\n3,\xe9\n", "csv", True, 3, "e9"),
+    (b"\xef\xbb\xbf1,2\r\n3,4\r\n\x80,5\r\n", "csv", False, 3, "80"),
+    (b"1,2\n" * 5000 + b"3,\xe9\n", "csv", False, 5001, "e9"),  # past the decoder's chunk
+    (b"x,y\n" + b"1,2\n" * 5000 + b"3,\xc3", "csv", True, 5002, "c3"),
+    (b"\xff\xfe[{\"x\": [1.0]}]", "json", False, 1, "ff"),
+    (b'[{"x": [1.0]},\n {"x": [2.0], "y": "\xe9"}]', "json", False, 2, "e9"),
+], ids=["csv", "header", "marked-crlf", "past-8k", "header-past-8k-cut", "json-utf16",
+        "json"])
+def test_data_not_utf8_names_the_line(tmp_path, raw, fmt, header, line, byte):
+    """A byte that is not UTF-8 is one usage line naming the file and the
+    line of the first such byte, counted on the file's bytes."""
+    path = tmp_path / f"x.{fmt}"
+    path.write_bytes(raw)
+    argv = ["fit", "--model", "mean", "--data", str(path), "--format", fmt]
+    err = _assert_usage_error(argv + ["--header"] * header, tmp_path / "o.json")
+    assert err == f"usage error: cannot read line {line} of {path}: byte 0x{byte} is not UTF-8\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit"], ["expand", "--scheme", "loo"], ["cv", "--scheme", "loo"],
+    ["cv", "--scheme", "kfold"], ["cv", "--with-bounds"], ["bootstrap"], ["bounds"],
+])
+def test_negative_seed_refused_before_any_work(tmp_path, argv):
+    """Before the data is read: the path given does not exist."""
+    data = tmp_path / "missing.csv"
+    err = _assert_usage_error([*argv, "--model", "mean", "--data", str(data), "--seed", "-1"],
+                              tmp_path / "o.json")
+    assert err == "usage error: --seed must be >= 0, got -1\n"
+
+
+def test_negative_seed_refused_by_scaling(tmp_path, monkeypatch):
+    monkeypatch.setattr(resampling, "scaling_study", None)  # no study runs
+    err = _assert_usage_error(["scaling", "--model", "mean", "--seed", "-7"],
+                              tmp_path / "o.json")
+    assert err == "usage error: --seed must be >= 0, got -7\n"
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), rows=st.integers(1, 5), cols=st.integers(1, 3),
        flaw=st.sampled_from(["cell", "ragged", "blank"]))

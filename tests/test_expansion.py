@@ -280,7 +280,7 @@ class TestCachedTensorExpansion:
             raise AssertionError("a forward pass ran for a weight vector")
 
         monkeypatch.setattr(fad, "per_datum_tensors", counting)
-        for name in ("per_datum_tensor", "g_theta_tensor", "g_theta_derivative"):
+        for name in ("g_theta_tensor", "g_theta_derivative"):
             monkeypatch.setattr(fad, name, forbidden)
         table = term_tables(3)
         for w in list(loo_weights(12)) + list(bootstrap_weights(12, 5, seed=1)):
@@ -355,6 +355,101 @@ class TestCachedTensorExpansion:
         with pytest.raises(ValueError, match="Hessian factor"):
             evaluate_dtheta(prob, theta_hat + 1e-9, hfac, term_tables(1).for_order(1),
                             {}, np.zeros(prob.n_terms))
+
+
+def _counted_passes(monkeypatch):
+    # (orders, summed) of every pass that fills a factor; the Jacobian
+    # passes of the solves and of the factorization, which are given
+    # weights, are left out
+    passes = []
+    per_datum_tensors = fad.per_datum_tensors
+
+    def counting(problem, theta, orders, weights=None, summed=()):
+        if weights is None:
+            passes.append((sorted(orders), sorted(summed)))
+        return per_datum_tensors(problem, theta, orders, weights, summed)
+
+    monkeypatch.setattr(fad, "per_datum_tensors", counting)
+    return passes
+
+
+class TestFill:
+    """prepare_expansion(K) is the factor's one fill: one pass of degree K
+    for the rows below K and the order-K sum."""
+
+    # the passes of run_cv at each order: the expansion's, then the chord's
+    # order-3 request for what the expansion did not cache
+    RUN_CV_PASSES = {
+        0: [([0, 1, 2], [3])],
+        1: [([0], []), ([1, 2], [3])],
+        2: [([0, 1], [2]), ([2], [3])],
+        3: [([0, 1, 2], [3])],
+        4: [([0, 1, 2, 3], [4])],
+        5: [([0, 1, 2, 3, 4], [5])],
+    }
+
+    @pytest.mark.parametrize("order", sorted(RUN_CV_PASSES))
+    def test_run_cv_passes_at_theta_hat(self, order, monkeypatch):
+        """At order 0 one degree-3 pass gives the ceilings' order-0 rows and
+        the chord's rows and sum."""
+        data = GeneratorConfig(n_features=3).generate(
+            "logistic_regression", 200, np.random.default_rng(8))
+        prob = make_problem("logistic_regression", data)
+        passes = _counted_passes(monkeypatch)
+        report = resampling.run_cv(prob, loo_weights(200, range(1, 200, 7)), order)
+        assert passes == self.RUN_CV_PASSES[order]
+        assert all(o.refit_error is None for o in report.outcomes)
+
+    @pytest.mark.parametrize("top", range(6))
+    def test_prepared_orders_run_no_pass(self, top, monkeypatch):
+        """After prepare_expansion(K), every order up to K, the rows and sums
+        an order-K expansion reads and, from K = 3, a block re-fit run no
+        pass."""
+        prob = build_problem("exp_loss", np.random.default_rng(47), n=30, dim=3,
+                             reg={"l2": 0.2})
+        theta_hat = solve_base(prob)
+        hfac = factorize_hessian(prob, theta_hat)
+        passes = _counted_passes(monkeypatch)
+        hfac.prepare_expansion(top)
+        assert passes == ([(list(range(top)), [top] if top >= 2 else [])] if top else [])
+        passes.clear()
+        for k in range(top + 1):
+            hfac.prepare_expansion(k)
+        for k in range(top):
+            hfac.rows(k)
+        for k in range(2, top + 1):
+            hfac.sums(k)
+        if top >= 3:
+            weights = np.array([w.values for w in loo_weights(30, [3, 11])])
+            expansion.refit_block(hfac, weights, [theta_hat] * 2)
+        assert passes == []
+
+    @pytest.mark.parametrize("model_id", ALL_MODELS)
+    def test_fresh_factor_rows_and_sums(self, model_id, monkeypatch):
+        """On a fresh factor rows(k) fills through prepare_expansion(k + 1)
+        and sums(k) through prepare_expansion(k) from order 2, through
+        rows(k) below; both match the nested pass to 1e-12."""
+        prob = build_problem(model_id, np.random.default_rng(48), n=13, dim=3,
+                             reg={"l2": 0.3})
+        theta_hat = solve_base(prob)
+        passes = _counted_passes(monkeypatch)
+        for k in range(4):
+            g0, per = nested_per_datum_tensor(prob, theta_hat, k)
+            want = (g0 + per.sum(axis=0)) / prob.n_terms
+            hfac = factorize_hessian(prob, theta_hat)
+            passes.clear()
+            got = hfac.rows(k)
+            assert passes == [(list(range(k + 1)), [k + 1] if k >= 1 else [])]
+            assert max_rel_gap(got[0], g0) <= 1e-12
+            for row, want_row in zip(got[1], per):
+                assert max_rel_gap(row, want_row) <= 1e-12
+            hfac = factorize_hessian(prob, theta_hat)
+            passes.clear()
+            assert max_rel_gap(hfac.sums(k), want) <= 1e-12
+            if k >= 2:
+                assert passes == [(list(range(k)), [k])] and k not in hfac._rows
+            else:
+                assert passes == [(list(range(k + 1)), [k + 1] if k else [])]
 
 
 class TestEvaluateThetaIJ:
@@ -908,8 +1003,7 @@ class TestRefitBlock:
             raise AssertionError("forward pass during the block re-fit")
 
         monkeypatch.setattr(expansion, "evaluate_g_block", counted)
-        for name in ("per_datum_tensors", "per_datum_tensor", "g_theta_tensor",
-                     "g_theta_derivative"):
+        for name in ("per_datum_tensors", "g_theta_tensor", "g_theta_derivative"):
             monkeypatch.setattr(fad, name, forbidden)
         seen = self._recording_fallbacks(monkeypatch)
         got, errors = expansion.refit_block(hfac, self._stacked(weights), starts)

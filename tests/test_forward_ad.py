@@ -407,7 +407,7 @@ def term_oracle(prob, n, theta, k):
 
 
 def assert_matches_term_oracle(prob, theta, k, rows):
-    g0, per = fad.per_datum_tensor(prob, theta, k)
+    g0, per = fad.per_datum_tensors(prob, theta, (k,))[k]
     width = math.comb(prob.dim_theta + k - 1, k)
     assert g0.shape == (prob.dim_theta, width)
     assert per.shape == (prob.n_terms, prob.dim_theta, width)
@@ -419,7 +419,7 @@ def assert_matches_term_oracle(prob, theta, k, rows):
 
 
 class TestPerDatumTensor:
-    """per_datum_tensor against per-row, per-tuple directional derivatives."""
+    """per_datum_tensors against per-row, per-tuple directional derivatives."""
 
     @pytest.mark.parametrize("model_id", ALL_MODELS)
     def test_models_with_l2_term(self, model_id):
@@ -436,7 +436,7 @@ class TestPerDatumTensor:
         theta = rng.uniform(-0.5, 0.5, 2)
         for k in range(5):
             _, per = assert_matches_term_oracle(prob, theta, k, rows=range(7))
-            np.testing.assert_allclose(per, fad.per_datum_tensor(full, theta, k)[1],
+            np.testing.assert_allclose(per, fad.per_datum_tensors(full, theta, (k,))[k][1],
                                        rtol=1e-12, atol=0)
 
     def test_rows_in_several_blocks(self, monkeypatch):
@@ -462,7 +462,7 @@ class TestPerDatumTensor:
         theta = rng.uniform(-0.5, 0.5, 3)
         w = rng.uniform(0.2, 1.8, prob.n_terms)
         for k in range(1, 5):
-            g0, per = fad.per_datum_tensor(prob, theta, k)
+            g0, per = fad.per_datum_tensors(prob, theta, (k,))[k]
             summed = (g0 + np.tensordot(w, per, axes=1)) / prob.n_terms
             inverse = fad.basis_multisets(3, k)[1]
             assert max_rel_gap(summed[:, inverse],
@@ -480,13 +480,13 @@ class TestPerDatumTensor:
         for k in (0, 2, 3, 4):
             with np.errstate(over="ignore", invalid="ignore"), \
                     pytest.raises(fad.NonFiniteValueError):
-                fad.per_datum_tensor(prob, [900.0, 900.0], k)
+                fad.per_datum_tensors(prob, [900.0, 900.0], (k,))[k]
             for p in (log_prob, EstimatingProblem(2, 5, log_prob.term_fn)):
                 with np.errstate(divide="ignore", invalid="ignore"), \
                         pytest.raises(fad.NonFiniteValueError):
                     fad.per_datum_tensors(p, [0.0, 0.3], range(k + 1))
         with pytest.raises(ValueError, match="order"):
-            fad.per_datum_tensor(prob, [0.0, 0.0], fad.K_MAX + 1)
+            fad.per_datum_tensors(prob, [0.0, 0.0], (fad.K_MAX + 1,))
 
 
 def monomial_matrix(dim, degree, k):
@@ -686,9 +686,9 @@ class TestUnivariatePass:
                 got = fad.per_datum_tensors(prob, theta, {0, degree})[0]
                 np.testing.assert_array_equal(got[0], g0)
                 np.testing.assert_array_equal(got[1], per)
-            for got, want in ((fad.per_datum_tensor(prob, theta, 1),
+            for got, want in ((fad.per_datum_tensors(prob, theta, (1,))[1],
                                nested_per_datum_tensor(prob, theta, 1)),
-                              (fad.per_datum_tensor(prob, theta, 1, w),
+                              (fad.per_datum_tensors(prob, theta, (), w, summed=(1,))[1],
                                nested_per_datum_tensor(prob, theta, 1, w))):
                 np.testing.assert_array_equal(got[0], want[0])
                 np.testing.assert_array_equal(got[1], want[1])
@@ -809,7 +809,8 @@ class TestOneEngine:
 def weight_derivative_routes(prob, theta, delta_w, dirs):
     """g_weight_derivative on cached rows, and its nested oracle, for the same
     arguments."""
-    per = fad.per_datum_tensor(prob, theta, len(dirs))[1]
+    k = len(dirs)
+    per = fad.per_datum_tensors(prob, theta, (k,))[k][1]
     return (contracted_g_weight_derivative(prob, theta, delta_w, dirs, per),
             nested_g_weight_derivative(prob, theta, delta_w, dirs))
 
@@ -852,7 +853,7 @@ class TestCachedWeightDerivative:
         rng = np.random.default_rng(53)
         prob = build_problem("exp_loss", rng, n=6, dim=2)
         theta = np.array([0.1, -0.2])
-        per = fad.per_datum_tensor(prob, theta, 2)[1]
+        per = fad.per_datum_tensors(prob, theta, (2,))[2][1]
         np.testing.assert_array_equal(
             fad.g_weight_derivative(prob, theta, np.zeros(6), per), np.zeros((2, 3)))
         with np.errstate(over="ignore", invalid="ignore"), \
@@ -861,7 +862,7 @@ class TestCachedWeightDerivative:
 
     def test_wrong_shape_rejected(self):
         prob = build_problem("exp_loss", np.random.default_rng(55), n=6, dim=2)
-        per = fad.per_datum_tensor(prob, [0.1, -0.2], 2)[1]
+        per = fad.per_datum_tensors(prob, [0.1, -0.2], (2,))[2][1]
         for bad in (per[1:], per[:, :1], per.reshape(6, -1)):
             with pytest.raises(ValueError, match=r"is not of shape \(6, 2, P\)"):
                 fad.g_weight_derivative(prob, [0.1, -0.2], np.eye(6)[1], bad)
@@ -883,7 +884,7 @@ class TestBlockWeightDerivative:
         block[1] = np.eye(70)[3]
         block[2, 10:] = 0.0
         for m in range(5):
-            per = fad.per_datum_tensor(prob, theta, m)[1]
+            per = fad.per_datum_tensors(prob, theta, (m,))[m][1]
             inverse = fad.basis_multisets(4, m)[1]
             got = fad.g_weight_derivative(prob, theta, block, per)
             assert got.shape == (5, 4, per.shape[2])
@@ -900,7 +901,7 @@ class TestBlockWeightDerivative:
 
     def test_non_finite_row(self):
         prob = build_problem("exp_loss", np.random.default_rng(59), n=6, dim=2)
-        per = fad.per_datum_tensor(prob, [0.1, -0.2], 1)[1]
+        per = fad.per_datum_tensors(prob, [0.1, -0.2], (1,))[1][1]
         block = np.ones((2, 6))
         block[1, 3] = np.inf
         with np.errstate(over="ignore", invalid="ignore"), \
@@ -921,8 +922,9 @@ def row_scale(prob, theta, delta_w, dirs):
 
     A row's contracted value can cancel, so its magnitude may understate
     the terms rounded while it is summed."""
-    per = fad.per_datum_tensor(prob, theta, len(dirs))[1]
-    inverse = fad.basis_multisets(prob.dim_theta, len(dirs))[1]
+    k = len(dirs)
+    per = fad.per_datum_tensors(prob, theta, (k,))[k][1]
+    inverse = fad.basis_multisets(prob.dim_theta, k)[1]
     abs_dirs = [np.abs(v) for v in dirs]
     rows = [abs(c) * fad.contract(np.abs(p[:, inverse]), abs_dirs)
             for c, p in zip(delta_w, per)]
