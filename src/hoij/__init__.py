@@ -45,6 +45,7 @@ from .models import (
     Dataset,
     DatasetError,
     EstimatingProblem,
+    LinearIndex,
     WeightVector,
     bootstrap_weight_blocks,
     bootstrap_weights,

@@ -28,7 +28,6 @@ kept as the recursion's oracle for one weight vector
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -394,31 +393,10 @@ def evaluate_theta_ij(problem: EstimatingProblem, theta_hat, hfac: HessianFactor
     return TaylorExpansion(theta_hat=theta_hat, dthetas=tuple(dthetas), order=order)
 
 
-@functools.lru_cache(maxsize=None)
-def _monomial_maps(dim: int, order: int) -> tuple:
-    # The index multisets of orders 0..order >= 1 in D = dim variables, laid end
-    # to end in the order of basis_multisets: (offsets, parent, last,
-    # scale).  The order-m multisets sit at offsets[m]:offsets[m + 1].  For
-    # the multiset a at position offsets[2] + i, parent[i] is the position
-    # of a without its last index and last[i] that of the index alone, so
-    # u^a = u^parent * u_last; scale is 1 / a! at every position.
-    multisets = [tuple(a) for m in range(order + 1)
-                 for a in fad.basis_multisets(dim, m)[0].tolist()]
-    position = {a: q for q, a in enumerate(multisets)}
-    offsets = np.cumsum([0] + [len(fad.basis_multisets(dim, m)[0])
-                               for m in range(order + 1)]).tolist()
-    higher = multisets[offsets[2]:]
-    parent = np.array([position[a[:-1]] for a in higher], dtype=int)
-    last = np.array([position[a[-1:]] for a in higher], dtype=int)
-    scale = np.array([1.0 / math.prod(math.factorial(a.count(i)) for i in set(a))
-                      for a in multisets])
-    return offsets, parent, last, scale
-
-
 def _weight_sums(problem: EstimatingProblem, hfac: HessianFactor, delta_w: np.ndarray,
                  offsets: list, order: int) -> np.ndarray:
     # delta_w @ rows(m) / N over the multisets of every order m < order, end
-    # to end as in _monomial_maps, shape (B, D, offsets[order]).  A block
+    # to end as in monomial_maps, shape (B, D, offsets[order]).  A block
     # whose every offset changes fewer than N / GATHER_RATIO rows is reduced
     # one offset per call, where the call can gather the rows its offset
     # changes; any other block is one product per order.  The rows are
@@ -443,12 +421,12 @@ def _taylor_coefficients(problem: EstimatingProblem, hfac: HessianFactor,
     # d_1..d_order, each (B, D), for the (B, N) offsets delta_w, by the
     # recursion of the module docstring.  u[k], k >= 1, holds the t^k
     # coefficients [u^a]_k of the monomials over the multisets of
-    # _monomial_maps, (B, P): zero at the empty multiset and wherever
+    # monomial_maps, (B, P): zero at the empty multiset and wherever
     # |a| > k, and d_k / k! at order 1.
     if not order:
         return []
     b, dim = len(delta_w), problem.dim_theta
-    offsets, parent, last, scale = _monomial_maps(dim, order)
+    offsets, parent, last, scale = fad.monomial_maps(dim, order)
     # W_a / a! over the orders below ``order``, and d^a G / a! over 2..order;
     # a! is 1 below order 2
     weights = _weight_sums(problem, hfac, delta_w, offsets, order)

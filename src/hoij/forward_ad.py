@@ -29,10 +29,18 @@ arrays.  :func:`g_theta_tensor` is their weighted row sum,
 weighted by a weight offset, or a block of them, over index multisets; it
 runs no pass and takes no directions.
 
-This pass is the one derivative engine.  Its oracle, nested order-1 dual
-numbers, whose coefficient of the product of all k perturbations is the
-exact mixed directional derivative with no interpolation involved, lives
-with the tests (``tests/helpers.py``); TaylorScalar coefficients may be
+This pass is the one general derivative engine.  A problem whose g_n all
+have the linear-index form r(theta . x_n, y_n) x_n, as the index models
+declare through ``EstimatingProblem.index``, has rank-one derivatives,
+d^a g_n = r^(|a|)(z_n) x_n x_n^a, so :func:`per_datum_tensors` takes its
+orders 2 and up from one scalar Taylor pass of r in the index z instead,
+with the monomials x_n^a built from :func:`monomial_maps` (the rank-one
+structure Rad & Maleki's ALO also uses for GLMs).  Degrees 0 and 1 keep
+the lattice pass, which is also the index pass's oracle in the tests.
+The lattice pass's own oracle, nested order-1 dual numbers, whose
+coefficient of the product of all k perturbations is the exact mixed
+directional derivative with no interpolation involved, lives with the
+tests (``tests/helpers.py``); TaylorScalar coefficients may be
 TaylorScalars for that reason.
 """
 
@@ -329,6 +337,31 @@ def basis_multisets(dim, k):
     return multisets, inverse
 
 
+@functools.lru_cache(maxsize=None)
+def monomial_maps(dim, order):
+    """The index multisets of orders 0..order >= 1 in D = dim variables,
+    laid end to end in the order of :func:`basis_multisets`, as
+    ``(offsets, parent, last, scale)``.
+
+    The order-m multisets sit at offsets[m]:offsets[m + 1].  For the
+    multiset a at position offsets[2] + i, parent[i] is the position of a
+    without its last index and last[i] that of the index alone, so u^a =
+    u^parent * u_last builds every monomial from one of the order below;
+    scale is 1 / a! at every position.  Cached.
+    """
+    multisets = [tuple(a) for m in range(order + 1)
+                 for a in basis_multisets(dim, m)[0].tolist()]
+    position = {a: q for q, a in enumerate(multisets)}
+    offsets = np.cumsum([0] + [len(basis_multisets(dim, m)[0])
+                               for m in range(order + 1)]).tolist()
+    higher = multisets[offsets[2]:]
+    parent = np.array([position[a[:-1]] for a in higher], dtype=int)
+    last = np.array([position[a[-1:]] for a in higher], dtype=int)
+    scale = np.array([1.0 / math.prod(math.factorial(a.count(i)) for i in set(a))
+                      for a in multisets])
+    return offsets, parent, last, scale
+
+
 def contract(tensor, directions):
     """A (D, D**k) derivative array applied to its k directions, (D,) float
     arrays."""
@@ -529,15 +562,31 @@ def per_datum_tensors(problem, theta, orders, weights=None, summed=(), out=None)
     weighted row sum ``weights @ per``, shape (D, P), with all-ones weights
     by default, reduced block by block, so memory does not grow with N.
 
-    One univariate Taylor pass of degree d, the largest order asked for,
-    seeds theta along the :func:`lattice_directions` of degree d as (P_d, 1)
-    leaves and gives every order 0..d (Griewank, Utke & Walther 2000).
-    Order 0 is the pass's primal leaf.  Order k >= 1 is its k-th coefficient
-    mapped by :func:`interpolation_matrix`, after the row sum for the summed
-    orders; at degree 1 the directions are the basis vectors and the map is
-    the identity, so it is skipped.  The rows go in blocks that keep each
-    leaf within BLOCK_ELEMENTS entries.  The pass runs with numpy's
-    floating-point warnings off: a non-finite result raises
+    The rows take one of two routes; d is the largest order asked for.
+
+    - The lattice pass, the one general engine: one univariate Taylor pass
+      of degree d seeds theta along the :func:`lattice_directions` of
+      degree d as (P_d, 1) leaves, evaluates ``batch_fn`` on them and gives
+      every order 0..d (Griewank, Utke & Walther 2000).  Order 0 is the
+      pass's primal leaf.  Order k >= 1 is its k-th coefficient mapped by
+      :func:`interpolation_matrix`, after the row sum for the summed
+      orders; at degree 1 the directions are the basis vectors and the map
+      is the identity, so it is skipped.  The rows go in blocks that keep
+      each leaf within BLOCK_ELEMENTS entries.
+    - The index pass, for a problem with an ``index`` and d >= 2: g_n =
+      r(theta . x_n, y_n) x_n, so d^a g_n = r^(|a|)(z_n) x_n x_n^a.  One
+      scalar Taylor pass of the residual in the index z gives r^(k) for
+      every k <= d, and the monomials x_n^a are built order by order from
+      :func:`monomial_maps`, with no lattice and no ``batch_fn`` call.  z
+      is summed as ``batch_fn`` sums it, so order 0 has the lattice pass's
+      bits; higher orders agree with it to rounding.  The summed orders go
+      in row blocks whose monomials of the top summed order hold at most
+      BLOCK_ELEMENTS entries.
+
+    Degrees 0 and 1, the base solve's Newton steps and Jacobians, always
+    take the lattice pass.  g_0 comes from ``term_fn(0, ...)`` on the
+    lattice pass's input, which has no rows.  Either route runs with
+    numpy's floating-point warnings off: a non-finite result raises
     NonFiniteValueError instead.
 
     ``out``, when given, is the dict an earlier call returned for the same
@@ -564,54 +613,123 @@ def per_datum_tensors(problem, theta, orders, weights=None, summed=(), out=None)
             raise ValueError(f"weight length {weights.shape} does not match {n} terms")
     degree = max(orders + summed)
     x = _taylor_input(theta, dim, degree)
-    width = len(lattice_directions(dim, degree))
-
-    def mapped(k, coeffs):
-        # the (D, P_k) partials of (D, width) order-k coefficients
-        if k == 0 or degree == 1:
-            return coeffs
-        out = np.empty((dim, len(basis_multisets(dim, k)[0]), 1))
-        _interpolate(coeffs[:, :, None], dim, degree, k, out)
-        return out[:, :, 0]
-
-    step = max(1, BLOCK_ELEMENTS // width)
     per = {k: np.empty((dim, len(basis_multisets(dim, k)[0]), n)) if out is None
            else _reused_rows(out, k, dim, n) for k in orders}
+    result = {}
+    # a non-finite value raises below, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if problem.index is not None and degree >= 2:
+            sums = _index_rows(problem.index, [v.coeffs[0] for v in x], degree, per, summed,
+                                weights)
+        else:
+            sums = _lattice_rows(problem, x, degree, per, summed, weights)
+        values = problem.term_fn(0, x)
+        for k in orders + summed:
+            g0 = np.empty((dim, 1 if k == 0 else len(lattice_directions(dim, degree))))
+            _fill(g0[:, :, None], values, k)
+            g0 = _mapped(g0, dim, degree, k)
+            rows = per[k].transpose(2, 0, 1) if k in per else sums[k]
+            if not (np.all(np.isfinite(g0)) and np.all(np.isfinite(rows))):
+                raise NonFiniteValueError(f"non-finite per-datum derivative of order {k}")
+            result[k] = (g0, rows)
+    return result
+
+
+def _mapped(coeffs, dim, degree, k):
+    # the (D, P_k) partials of (D, P_degree) order-k lattice coefficients
+    if k == 0 or degree == 1:
+        return coeffs
+    out = np.empty((dim, len(basis_multisets(dim, k)[0]), 1))
+    _interpolate(coeffs[:, :, None], dim, degree, k, out)
+    return out[:, :, 0]
+
+
+def _lattice_rows(problem, x, degree, per, summed, weights):
+    # The lattice pass of per_datum_tensors: writes each per-row order into
+    # its (D, P, N) array in ``per`` and returns the summed orders' (D, P)
+    # row sums.
+    dim, n = problem.dim_theta, problem.n_terms
+    width = len(lattice_directions(dim, degree))
+    step = max(1, BLOCK_ELEMENTS // width)
     sums = {k: np.zeros((dim, 1 if k == 0 else width)) for k in summed}
     # reused row block by row block: each order's coefficients as
     # (D, width, rows), which its interpolation maps into the per-row array;
     # for the grouped maps, a view of (width, D, rows), so that each gather
     # reads whole directions
     block = np.empty((dim, width, min(step, n)))
-    result = {}
-    # a non-finite value raises below, so numpy's warnings would only repeat it
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            outs = problem.batch_fn(x, np.arange(lo, hi))
-            for k in orders + summed:
-                if k in sums:
-                    part = block[:, :1 if k == 0 else width, :hi - lo]
-                    _fill(part, outs, k)
-                    sums[k] += part @ weights[lo:hi]
-                elif k == 0 or degree == 1:
-                    _fill(per[k][:, :, lo:hi], outs, k)
-                else:
-                    part = block[:, :, :hi - lo]
-                    if width > DENSE_DIRECTIONS:
-                        part = block.reshape(-1)[:part.size].reshape(width, dim, -1).transpose(1, 0, 2)
-                    _fill(part, outs, k)
-                    _interpolate(part, dim, degree, k, per[k][:, :, lo:hi])
-        values = problem.term_fn(0, x)
-        for k in orders + summed:
-            g0 = np.empty((dim, 1 if k == 0 else width))
-            _fill(g0[:, :, None], values, k)
-            g0 = mapped(k, g0)
-            rows = per[k].transpose(2, 0, 1) if k in per else mapped(k, sums[k])
-            if not (np.all(np.isfinite(g0)) and np.all(np.isfinite(rows))):
-                raise NonFiniteValueError(f"non-finite per-datum derivative of order {k}")
-            result[k] = (g0, rows)
-    return result
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        outs = problem.batch_fn(x, np.arange(lo, hi))
+        for k in per:
+            if k == 0 or degree == 1:
+                _fill(per[k][:, :, lo:hi], outs, k)
+            else:
+                part = block[:, :, :hi - lo]
+                if width > DENSE_DIRECTIONS:
+                    part = block.reshape(-1)[:part.size].reshape(width, dim, -1).transpose(1, 0, 2)
+                _fill(part, outs, k)
+                _interpolate(part, dim, degree, k, per[k][:, :, lo:hi])
+        for k in summed:
+            part = block[:, :1 if k == 0 else width, :hi - lo]
+            _fill(part, outs, k)
+            sums[k] += part @ weights[lo:hi]
+    return {k: _mapped(s, dim, degree, k) for k, s in sums.items()}
+
+
+def _index_rows(index, theta, degree, per, summed, weights):
+    # The index pass of per_datum_tensors at the float point ``theta``:
+    # writes each per-row order into its (D, P, N) array in ``per`` and
+    # returns the summed orders' (D, P) row sums, from
+    # d^a g_n = r^(|a|)(z_n) x_n x_n^a.
+    columns = index.columns
+    dim, n = columns.shape
+    maps = monomial_maps(dim, degree)
+    offsets = maps[0]
+    sums = {k: np.zeros((dim, offsets[k + 1] - offsets[k])) for k in summed}
+    # The residual's degree + 1 coefficients over a span of rows hold at
+    # most BLOCK_ELEMENTS entries.  The per-row orders take the monomials of
+    # a whole span; the summed orders reduce it in sub-blocks whose top
+    # monomials hold at most BLOCK_ELEMENTS entries.  So memory beyond the
+    # per-row arrays does not grow with N.
+    span = max(1, BLOCK_ELEMENTS // (degree + 1))
+    top = max(summed, default=0)
+    step = max(1, BLOCK_ELEMENTS // (offsets[top + 1] - offsets[top]))
+    for lo in range(0, n, span):
+        hi = min(lo + span, n)
+        x = columns[:, lo:hi]
+        z = sum(theta[d] * x[d] for d in range(dim))
+        series = index.residual(TaylorScalar([z, 1.0] + [0.0] * (degree - 1)),
+                                index.response[lo:hi])
+        r = [math.factorial(k) * _coefficient(series, k) for k in range(degree + 1)]
+        if per:
+            mono = _monomials(x, max(per), maps)
+            for k, rows in per.items():
+                np.multiply(x[:, None, :], r[k] * mono[offsets[k]:offsets[k + 1]],
+                            out=rows[:, :, lo:hi])
+        if summed:
+            scaled = {k: weights[lo:hi] * r[k] for k in summed}
+            for a in range(0, hi - lo, step):
+                mono = _monomials(x[:, a:a + step], top, maps)
+                for k in summed:
+                    sums[k] += ((x[:, a:a + step] * scaled[k][a:a + step])
+                                @ mono[offsets[k]:offsets[k + 1]].T)
+    return sums
+
+
+def _monomials(x, top, maps):
+    # x^a over the multisets a of orders 0..top, end to end as in the
+    # monomial_maps ``maps`` of a degree >= top, for (D, rows) columns x:
+    # shape (offsets[top + 1], rows)
+    offsets, parent, last, _ = maps
+    out = np.empty((offsets[top + 1], x.shape[1]))
+    out[0] = 1.0
+    if top:
+        out[1:offsets[2]] = x
+    for m in range(2, top + 1):
+        at = slice(offsets[m] - offsets[2], offsets[m + 1] - offsets[2])
+        np.multiply(out.take(parent[at], axis=0), out.take(last[at], axis=0),
+                    out=out[offsets[m]:offsets[m + 1]])
+    return out
 
 
 def _reused_rows(out, k, dim, n):

@@ -343,6 +343,21 @@ def bootstrap_weight_blocks(n: int, draws: int, seed: int = 0) -> Iterator[np.nd
 
 
 @dataclass(frozen=True, eq=False)
+class LinearIndex:
+    """The linear-index form g_n(theta) = residual(theta . x_n, y_n) x_n.
+
+    ``columns`` holds the features x_n as the columns of a (D, N) array,
+    ``response`` the length-N y_n, and ``residual(z, y)`` is evaluated on
+    the AD scalar types with z's leaves over a block of rows and y the
+    matching slice of ``response``.
+    """
+
+    columns: np.ndarray
+    response: np.ndarray
+    residual: Callable
+
+
+@dataclass(frozen=True, eq=False)
 class EstimatingProblem:
     """The functions g_0, g_1..g_N defining G(theta, w).
 
@@ -358,6 +373,12 @@ class EstimatingProblem:
     through ``term_fn(0, theta)``.  A problem given by ``term_fn`` alone gets
     a ``batch_fn`` that calls it once per row and stacks the rows with
     :func:`hoij.forward_ad.stack_rows`.
+
+    ``index``, when set, states that every g_n has the :class:`LinearIndex`
+    form, and it must agree with ``batch_fn`` exactly, as ``batch_fn`` must
+    agree with ``term_fn``: :func:`hoij.forward_ad.per_datum_tensors` then
+    takes its derivatives of order 2 and up from one scalar Taylor pass of
+    the residual, with no ``batch_fn`` call.  The index models set it.
     """
 
     dim_theta: int
@@ -365,12 +386,18 @@ class EstimatingProblem:
     term_fn: Callable
     model_id: str = "custom"
     batch_fn: Optional[Callable] = None
+    index: Optional[LinearIndex] = None
 
     def __post_init__(self):
         if self.dim_theta < 1:
             raise ValueError("dim_theta must be >= 1")
         if self.n_terms < 1:
             raise ValueError("n_terms must be >= 1")
+        if self.index is not None and (
+                self.index.columns.shape != (self.dim_theta, self.n_terms)
+                or self.index.response.shape != (self.n_terms,)):
+            raise ValueError("index columns or response do not match "
+                             f"{self.dim_theta} parameters and {self.n_terms} terms")
         object.__setattr__(self, "batch_fn", self.batch_fn or _batch_from_terms(self.term_fn))
 
 
@@ -421,7 +448,8 @@ def make_problem(model_id: str, dataset: Dataset, reg: Optional[dict] = None) ->
     theta - x_n; the index models ``linear_regression``,
     ``logistic_regression`` and ``exp_loss`` come from one builder of g_n =
     r(theta . x_n, y_n) x_n, with the residual r = z - y, sigmoid(z) - y
-    and exp(z) of the index z = theta . x_n.
+    and exp(z) of the index z = theta . x_n.  Their problems carry that
+    structure as ``index``, which agrees with their ``batch_fn`` exactly.
     """
     if model_id not in MODEL_REGISTRY:
         known = ", ".join(sorted(MODEL_REGISTRY))
@@ -494,7 +522,8 @@ def _register_index_model(model_id: str, residual: Callable, response: bool = Tr
             r = residual(sum(theta[d] * xr[d] for d in range(dim)), y[rows])
             return [r * xr[d] for d in range(dim)]
 
-        return EstimatingProblem(dim, n, term, model_id=model_id, batch_fn=batch)
+        return EstimatingProblem(dim, n, term, model_id=model_id, batch_fn=batch,
+                                 index=LinearIndex(xt, y, residual))
 
     register_model(model_id)(build)
 

@@ -10,6 +10,7 @@ import pytest
 from hoij import forward_ad as fad
 from hoij.forward_ad import TaylorScalar
 
+import dataclasses
 import itertools
 
 from hypothesis import example, given, settings
@@ -747,6 +748,107 @@ class TestUnivariatePass:
             fad.per_datum_tensors(prob, [0.0, 0.0], (fad.K_MAX + 1,))
         with pytest.raises(ValueError, match="weight length"):
             fad.per_datum_tensors(prob, [0.0, 0.0], (), np.ones(4), summed=(1,))
+
+
+INDEX_MODELS = [m for m in ALL_MODELS if m != "mean"]
+
+
+def spied_batch_fn(prob, calls):
+    """``prob`` with a batch_fn that appends the length of each row block
+    it is called on to ``calls``; its index, if any, is kept."""
+    batch = prob.batch_fn
+
+    def spy(theta, rows):
+        calls.append(len(rows))
+        return batch(theta, rows)
+    return dataclasses.replace(prob, batch_fn=spy)
+
+
+class TestIndexPass:
+    """The index models' passes of degree >= 2 run on one scalar Taylor
+    pass of the residual, with no batch_fn call: against the lattice pass
+    of the same problem with its index dropped."""
+
+    @pytest.mark.parametrize("dim", [1, 3, 5, 8])
+    @pytest.mark.parametrize("l2", [0.0, 0.3])
+    @pytest.mark.parametrize("model_id", INDEX_MODELS)
+    def test_matches_the_lattice_pass(self, model_id, l2, dim):
+        """Per row, into ``out``, summed with all-ones and with random
+        weights, and rows below the degree with the degree's sum, as
+        prepare_expansion asks; order 0 bit for bit."""
+        rng = np.random.default_rng(71 + dim)
+        prob = build_problem(model_id, rng, n=9, dim=dim, reg={"l2": l2})
+        lattice = dataclasses.replace(prob, index=None)
+        theta = rng.uniform(-0.5, 0.5, dim)
+        w = rng.uniform(-1.0, 2.0, prob.n_terms)
+        for degree in range(2, fad.K_MAX + 1):
+            orders = range(degree + 1)
+            first = fad.per_datum_tensors(prob, rng.uniform(-0.5, 0.5, dim), orders)
+            for rows, summed, weights, out in ((orders, (), None, None),
+                                               (orders, (), None, first),
+                                               ((), orders, None, None),
+                                               ((), orders, w, None),
+                                               (range(degree), (degree,), w, None)):
+                got = fad.per_datum_tensors(prob, theta, rows, weights, summed, out)
+                want = fad.per_datum_tensors(lattice, theta, rows, weights, summed)
+                assert sorted(got) == sorted(want)
+                for k in got:
+                    for a, b in zip(got[k], want[k]):
+                        assert a.shape == b.shape
+                        assert max_rel_gap(a, b) <= 1e-13, (degree, k)
+                if 0 in rows:
+                    assert got[0][1].tobytes() == want[0][1].tobytes()
+                if out is not None:
+                    assert all(np.shares_memory(got[k][1], out[k][1]) for k in rows)
+
+    @pytest.mark.parametrize("model_id", INDEX_MODELS)
+    def test_summed_orders_in_row_blocks(self, model_id, monkeypatch):
+        """With BLOCK_ELEMENTS at 12 the summed orders are reduced over many
+        spans and sub-blocks of rows, and still match the lattice pass."""
+        rng = np.random.default_rng(75)
+        prob = build_problem(model_id, rng, n=40, dim=3, reg={"l2": 0.2})
+        theta = rng.uniform(-0.5, 0.5, 3)
+        w = rng.uniform(0.2, 1.8, prob.n_terms)
+        want = fad.per_datum_tensors(dataclasses.replace(prob, index=None), theta, (0, 1), w,
+                                     summed=(2, 3, 4))
+        monkeypatch.setattr(fad, "BLOCK_ELEMENTS", 12)
+        got = fad.per_datum_tensors(prob, theta, (0, 1), w, summed=(2, 3, 4))
+        for k in want:
+            for a, b in zip(got[k], want[k]):
+                assert max_rel_gap(a, b) <= 1e-13, k
+
+    def test_no_batch_fn_call(self):
+        """An index model's pass calls batch_fn only at degrees 0 and 1;
+        mean and a problem given by term_fn alone call it at every degree."""
+        rng = np.random.default_rng(76)
+        for model_id in ALL_MODELS + ["term_fn_only"]:
+            prob = build_problem("logistic_regression" if model_id == "term_fn_only"
+                                 else model_id, rng, n=10, dim=3)
+            if model_id == "term_fn_only":
+                prob = EstimatingProblem(prob.dim_theta, prob.n_terms, prob.term_fn)
+            theta = rng.uniform(-0.5, 0.5, 3)
+            for degree in range(fad.K_MAX + 1):
+                calls = []
+                spied = spied_batch_fn(prob, calls)
+                fad.per_datum_tensors(spied, theta, range(degree + 1))
+                fad.per_datum_tensors(spied, theta, (), summed=(degree,))
+                fad.g_theta_tensor(spied, theta, np.ones(10), degree)
+                indexed = prob.index is not None and degree >= 2
+                assert (calls == []) is indexed, (model_id, degree)
+
+    def test_overflow_raises(self):
+        """exp_loss overflows at a large index: per row and summed, every
+        degree raises NonFiniteValueError, and the index pass calls no
+        batch_fn on the way."""
+        rng = np.random.default_rng(77)
+        calls = []
+        prob = spied_batch_fn(build_problem("exp_loss", rng, n=6, dim=2), calls)
+        for degree in range(2, fad.K_MAX + 1):
+            for args, kwargs in (((range(degree + 1),), {}), (((),), {"summed": (degree,)}),
+                                 ((range(degree),), {"summed": (degree,)})):
+                with pytest.raises(fad.NonFiniteValueError):
+                    fad.per_datum_tensors(prob, [2000.0, 2000.0], *args, **kwargs)
+        assert calls == []
 
 
 class TestOneEngine:

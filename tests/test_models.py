@@ -1,6 +1,7 @@
 """Datasets, the model registry, weight schemes, and G evaluation."""
 
 import csv
+import dataclasses
 import json
 import tracemalloc
 
@@ -616,7 +617,9 @@ def _affine_problem(x, batch=False):
 
 class TestGeneratedBatchFn:
     """A problem given by term_fn alone gets a batch_fn that calls it once
-    per row and stacks the rows: the same bits as a batch_fn written out."""
+    per row and stacks the rows: the same bits as a batch_fn written out.
+    The built-ins' passes are compared with their ``index`` dropped, so that
+    both sides take the lattice pass through their ``batch_fn``."""
 
     @pytest.mark.parametrize("model_id", ALL_MODELS + ["affine"])
     def test_bit_identical_to_a_written_batch_fn(self, model_id):
@@ -633,7 +636,8 @@ class TestGeneratedBatchFn:
         weights = rng.uniform(0.0, 2.0, (6, 37))
         for args in (((range(5),), {}), (((), w), {"summed": range(5)})):
             got = fad.per_datum_tensors(scalar, theta, *args[0], **args[1])
-            want = fad.per_datum_tensors(prob, theta, *args[0], **args[1])
+            want = fad.per_datum_tensors(dataclasses.replace(prob, index=None), theta,
+                                         *args[0], **args[1])
             for k in range(5):
                 for a, b in zip(got[k], want[k]):
                     assert a.shape == b.shape and a.tobytes() == b.tobytes(), k
@@ -660,6 +664,19 @@ class TestProblemValidation:
             EstimatingProblem(0, 3, lambda n, t: [0.0])
         with pytest.raises(ValueError):
             EstimatingProblem(1, 0, lambda n, t: [0.0])
+
+    def test_index_must_match_the_problem(self):
+        """The index models carry their (D, N) columns, response and
+        residual; an index of another shape is refused."""
+        x = np.arange(8.0).reshape(4, 2)
+        prob = make_problem("exp_loss", Dataset(x))
+        index = prob.index
+        np.testing.assert_array_equal(index.columns, x.T)
+        assert make_problem("mean", Dataset(x)).index is None
+        for bad in (dataclasses.replace(index, columns=x),
+                    dataclasses.replace(index, response=np.zeros(3))):
+            with pytest.raises(ValueError, match="index"):
+                dataclasses.replace(prob, index=bad)
 
     def test_dataset_validation(self):
         with pytest.raises(DatasetError):
