@@ -26,7 +26,6 @@ from .expansion import (
     SolverError,
     TaylorExpansion,
     evaluate_dtheta,
-    evaluate_g_block,
     evaluate_theta_ij,
     exact_refit,
     factorize_hessian,
@@ -50,6 +49,7 @@ from .models import (
     bootstrap_weight_blocks,
     bootstrap_weights,
     evaluate_g,
+    evaluate_g_block,
     kfold_weights,
     leave_kappa_out_weights,
     load_dataset,

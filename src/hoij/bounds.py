@@ -175,7 +175,6 @@ class BoundConstants:
     delta_exact: dict
     delta_v: dict
     delta_t: dict
-    delta_max: float
     rho: float
     c_tilde_op: float
     c_set: float
@@ -316,7 +315,6 @@ def estimate_constants(problem: EstimatingProblem, theta_hat, sampler: DomainSam
         delta_exact=delta_exact,
         delta_v=delta_v,
         delta_t=delta_t,
-        delta_max=max(delta_exact.values()),
         rho=rho,
         c_tilde_op=stats.c_op / (1.0 - rho),
         c_set=c_set,

@@ -227,12 +227,12 @@ def _cmd_expand(args):
     if args.order < 1:
         raise UsageError("--order must be >= 1 for expand")
     problem = _load_problem(args)
-    weights = _weight_stream(args, problem.n_terms)
+    blocks = resampling.weight_blocks(_weight_stream(args, problem.n_terms), problem.n_terms)
     theta_hat = solve_base(problem)
     hfac = factorize_hessian(problem, theta_hat)
     table = term_tables(args.order)
     records = []
-    for labels, values in resampling.weight_blocks(weights, problem.n_terms):
+    for labels, values in blocks:
         expn = evaluate_theta_ij(problem, theta_hat, hfac, table, values - 1.0, args.order)
         dthetas = np.stack(expn.dthetas, axis=1).tolist()
         partials = expn.partial_sums().tolist()

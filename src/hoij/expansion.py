@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import forward_ad as fad
-from .models import EstimatingProblem, evaluate_g
+from .models import EstimatingProblem, _as_weights, evaluate_g, evaluate_g_block
 from .terms import DerivativeTerm, TermTable
 
 
@@ -81,13 +81,6 @@ class SolveConfig:
 
     def resolved_tol(self, dim: int) -> float:
         return self.tol_grad if self.tol_grad is not None else 1e-10 * math.sqrt(dim)
-
-
-def _as_weights(w, n: int) -> np.ndarray:
-    values = np.asarray(getattr(w, "values", w), dtype=float)
-    if values.shape != (n,):
-        raise ValueError(f"weight length {values.shape} does not match {n} terms")
-    return values
 
 
 def assemble_jacobian(problem: EstimatingProblem, theta, w) -> np.ndarray:
@@ -143,9 +136,8 @@ def solve_base(problem: EstimatingProblem, w=None,
     """Solve G(theta, w) = 0 by damped Newton with backtracking on ||G||_2,
     from theta = 0."""
     cfg = cfg or SolveConfig()
-    n, dim = problem.n_terms, problem.dim_theta
-    weights = np.ones(n) if w is None else _as_weights(w, n)
-    theta = np.zeros(dim)
+    weights = np.ones(problem.n_terms) if w is None else _as_weights(w, problem.n_terms)
+    theta = np.zeros(problem.dim_theta)
     return _damped_newton(problem, weights, theta, evaluate_g(problem, theta, weights), cfg)
 
 
@@ -162,8 +154,9 @@ def exact_refit(problem: EstimatingProblem, w, theta_hat,
     iteration then runs as in :func:`solve_base`.  A start where G is not
     finite, or whose residual ||G(start, w)|| is not below
     ``max_start_residual`` (the residual at theta_hat, say), is dropped for
-    theta_hat.  :func:`refit_block` re-fits many weights at once and calls
-    this for the weights its chord iteration does not settle.
+    theta_hat.  G comes from :func:`~hoij.models.evaluate_g` and ||G|| from
+    np.linalg.norm.  :func:`refit_block` re-fits many weights at once and
+    calls this for the weights its chord iteration does not settle.
     """
     cfg = cfg or SolveConfig()
     weights = _as_weights(w, problem.n_terms)
@@ -459,41 +452,12 @@ def _taylor_coefficients(problem: EstimatingProblem, hfac: HessianFactor,
 
 # Weight vectors re-fitted together by :func:`refit_block`.
 REFIT_BLOCK = 64
-# Leaves of a block's G evaluation, (weights, rows), hold at most this many
-# entries; more rows are swept in blocks, so memory does not grow with N.
-REFIT_LEAF_ELEMENTS = 2 * fad.BLOCK_ELEMENTS
 # Chord steps a weight may take before it must have stopped at the floor.
 CHORD_STEPS = 8
 # A chord step shorter than this, relative to ||theta||, is taken for
 # rounding and stops the weight without a G evaluation.  Steps at the floor
 # measured 0.3-4.4 eps (logistic, D = 3 and 8).
 CHORD_ROUNDING = 4 * np.finfo(float).eps
-
-
-def evaluate_g_block(problem: EstimatingProblem, thetas, weights) -> np.ndarray:
-    """G(thetas[b], weights[b]) for each of B points, shape (B, D).
-
-    ``weights`` is a (B, N) array, one weight vector per row.  One
-    ``batch_fn`` call per row block, with theta leaves of shape (B, 1) that
-    the problem broadcasts against its rows; each block's (B, rows) leaves,
-    and the view of the weights they multiply, hold at most
-    REFIT_LEAF_ELEMENTS entries, so memory does not grow with N.  Rows where
-    G is not finite are returned as they are, for the caller to judge.
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    m, n = weights.shape
-    x = [thetas[:, d, None] for d in range(problem.dim_theta)]
-    out = np.empty((m, problem.dim_theta))
-    step = max(1, REFIT_LEAF_ELEMENTS // m)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for d, v in enumerate(problem.term_fn(0, x)):
-            out[:, d:d + 1] = v  # a (B, 1) leaf or a constant
-        for lo in range(0, n, step):
-            w = weights[:, lo:lo + step]
-            for d, o in enumerate(problem.batch_fn(x, np.arange(lo, lo + w.shape[1]))):
-                out[:, d] += (w * o).sum(axis=1)
-    return out / n
 
 
 def _chord_jacobians(hfac: HessianFactor, weights: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -517,10 +481,14 @@ def _chord_jacobians(hfac: HessianFactor, weights: np.ndarray, thetas: np.ndarra
             + 0.5 * np.einsum("ijkb,bk->bij", t3, v))
 
 
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    # NaN for a row that is not finite, which compares as no lower than any
-    # residual and as above any ceiling or tolerance.
-    return np.sqrt(np.einsum("ij,ij->i", a, a))
+def _norms(d: np.ndarray) -> np.ndarray:
+    """||v||_2 of every vector v along the last axis of ``d``, bit for bit
+    np.linalg.norm's: one stacked (1, D) @ (D, 1) product of a C-ordered
+    copy (einsum, norm(axis=-1) and a strided stack round differently).  A
+    vector that is not finite gets a NaN or infinite norm, below no ceiling.
+    """
+    d = np.ascontiguousarray(d)
+    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
 
 
 def refit_block(hfac: HessianFactor, values, starts,
@@ -542,8 +510,10 @@ def refit_block(hfac: HessianFactor, values, starts,
     holds the B starts, (B, D).  What it reads at theta_hat comes from
     ``hfac.prepare_expansion(3)``: the ceilings ||G(theta_hat, w_b)||, one
     product of ``values`` with the order-0 rows, and the weighted row sums
-    in Ĥ_b, one product per order.  Every G evaluation reads views of its
-    rows; a ``values`` not of shape (B, N) raises ValueError.
+    in Ĥ_b, one product per order.  Every G evaluation is one
+    :func:`~hoij.models.evaluate_g_block` call on views of its rows, and
+    every norm is :func:`_norms`, bit for bit the fallback's np.linalg.norm;
+    a ``values`` not of shape (B, N) raises ValueError.
 
     A weight falls back to :func:`exact_refit` from its start, with
     ``max_start_residual`` = ||G(theta_hat, w)||, when its start is not
@@ -563,11 +533,11 @@ def refit_block(hfac: HessianFactor, values, starts,
     thetas = np.array(starts, dtype=float).reshape(len(values), problem.dim_theta)
     hfac.prepare_expansion(3)
     g0, per = hfac.rows(0)
-    ceilings = _row_norms((g0[:, 0] + values @ per[:, :, 0]) / n)
+    ceilings = _norms((g0[:, 0] + values @ per[:, :, 0]) / n)
     done = np.zeros(len(values), dtype=bool)
     if len(values):
         g = evaluate_g_block(problem, thetas, values)
-        gnorms = _row_norms(g)
+        gnorms = _norms(g)
         # At theta_hat the ceiling is the start's own residual, rounded
         # another way, so comparing the two would decide by rounding.
         at_base = (thetas == hfac.theta_hat).all(axis=1) & np.isfinite(gnorms)
@@ -582,13 +552,13 @@ def refit_block(hfac: HessianFactor, values, starts,
                 break
             idx = chord[active]
             step = np.einsum("bij,bj->bi", inverses[active], g[idx])
-            moves = _row_norms(step) > CHORD_ROUNDING * _row_norms(thetas[idx])
+            moves = _norms(step) > CHORD_ROUNDING * _norms(thetas[idx])
             active, idx, step = active[moves], idx[moves], step[moves]
             if not active.size:
                 break
             cand = thetas[idx] - step
             g_cand = evaluate_g_block(problem, cand, values[idx])
-            cand_norms = _row_norms(g_cand)
+            cand_norms = _norms(g_cand)
             better = cand_norms < gnorms[idx]
             kept = idx[better]
             thetas[kept], g[kept], gnorms[kept] = cand[better], g_cand[better], cand_norms[better]

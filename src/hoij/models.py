@@ -368,9 +368,10 @@ class EstimatingProblem:
     term_fn exactly.  It must also broadcast theta leaves of shape (B, 1)
     against its row arrays, giving (B, rows) leaves that hold g_n at B
     points, and ``term_fn(0, theta)`` must accept the same leaves:
-    :func:`hoij.expansion.evaluate_g_block` evaluates a block of re-fits this
-    way.  Every path reads the data rows through ``batch_fn`` and g_0
-    through ``term_fn(0, theta)``.  A problem given by ``term_fn`` alone gets
+    :func:`evaluate_g_block` sums G this way, at one point for
+    :func:`evaluate_g` and at a block of re-fits for the chord steps.  Every
+    path reads the data rows through ``batch_fn`` and g_0 through
+    ``term_fn(0, theta)``.  A problem given by ``term_fn`` alone gets
     a ``batch_fn`` that calls it once per row and stacks the rows with
     :func:`hoij.forward_ad.stack_rows`.
 
@@ -409,20 +410,50 @@ def _batch_from_terms(term_fn: Callable) -> Callable:
     return batch_fn
 
 
+def _as_weights(w, n: int) -> np.ndarray:
+    values = np.asarray(getattr(w, "values", w), dtype=float)
+    if values.shape != (n,):
+        raise ValueError(f"weight length {values.shape} does not match {n} terms")
+    return values
+
+
+# Leaves of a block's G evaluation, (points, rows), hold at most this many
+# entries; more rows are swept in blocks, so memory does not grow with N.
+REFIT_LEAF_ELEMENTS = 2 * fad.BLOCK_ELEMENTS
+
+
+def evaluate_g_block(problem: EstimatingProblem, thetas, weights) -> np.ndarray:
+    """G(thetas[b], weights[b]) for each of B points, shape (B, D).
+
+    ``weights`` is a (B, N) array, one weight vector per row.  One
+    ``batch_fn`` call per row block, with theta leaves of shape (B, 1) that
+    the problem broadcasts against its rows; each block's (B, rows) leaves,
+    and the view of the weights they multiply, hold at most
+    REFIT_LEAF_ELEMENTS entries, so memory does not grow with N.  Every
+    G is summed here; :func:`evaluate_g` is the one-point case.  Rows where
+    G is not finite are returned as they are, for the caller to judge.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    m, n = weights.shape
+    x = [thetas[:, d, None] for d in range(problem.dim_theta)]
+    out = np.empty((m, problem.dim_theta))
+    step = max(1, REFIT_LEAF_ELEMENTS // m)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for d, v in enumerate(problem.term_fn(0, x)):
+            out[:, d:d + 1] = v  # a (B, 1) leaf or a constant
+        for lo in range(0, n, step):
+            w = weights[:, lo:lo + step]
+            for d, o in enumerate(problem.batch_fn(x, np.arange(lo, lo + w.shape[1]))):
+                out[:, d] += (w * o).sum(axis=1)
+    return out / n
+
+
 def evaluate_g(problem: EstimatingProblem, theta, w) -> np.ndarray:
-    """G(theta, w) as a length-D float vector."""
-    weights = np.asarray(getattr(w, "values", w), dtype=float)
-    if weights.shape != (problem.n_terms,):
-        raise ValueError(
-            f"weight length {weights.shape} does not match {problem.n_terms} terms"
-        )
-    theta = [float(t) for t in theta]
-    n, total = problem.n_terms, float(weights.sum())
-    g0 = problem.term_fn(0, theta)
-    # a float leaf is the same in every row
-    data = [float(weights @ o) if isinstance(o, np.ndarray) else float(o) * total
-            for o in problem.batch_fn(theta, np.arange(n))]
-    out = np.array([float((g0[j] + data[j]) / n) for j in range(problem.dim_theta)])
+    """G(theta, w) as a length-D float vector, :func:`evaluate_g_block` at
+    one point; a G that is not finite raises NonFiniteValueError."""
+    weights = _as_weights(w, problem.n_terms)
+    out = evaluate_g_block(problem, np.asarray(theta, dtype=float)[None], weights[None])[0]
     if not np.all(np.isfinite(out)):
         raise fad.NonFiniteValueError(f"non-finite estimating function value: {out}")
     return out

@@ -28,6 +28,7 @@ from .expansion import (
     REFIT_BLOCK,
     SolveConfig,
     TaylorExpansion,
+    _norms,
     evaluate_theta_ij,
     factorize_hessian,
     refit_block,
@@ -154,23 +155,32 @@ def weight_blocks(weights: Iterable, n: int, cap: float = math.inf) -> Iterator[
     An item is a :class:`~hoij.models.WeightVector` or an array of N
     weights; one without a label is labelled ``w:{i}`` by its 1-based
     position in the stream.  A weight not of shape (N,), or one that is not
-    finite, raises ValueError naming it, as WeightVector refuses it.
+    finite, raises ValueError naming it, as WeightVector refuses it.  The
+    call reads the first block, so these checks, and a weight generator's
+    argument checks, fire before the caller does any work.
     """
     size = min(cap, max(1, models.WEIGHT_BLOCK_ELEMENTS // n))
     stream = enumerate(weights, 1)
-    while block := list(itertools.islice(stream, size)):
-        labels = [getattr(w, "label", "") or f"w:{i}" for i, w in block]
-        rows = [np.asarray(getattr(w, "values", w), dtype=float) for _, w in block]
-        for label, row in zip(labels, rows):
-            if row.shape != (n,):
-                raise ValueError(f"weight {label!r} of shape {row.shape} does not match {n} terms")
-        values = np.array(rows)
-        del block, rows  # hold no weight vector while the block is in use
-        finite = np.isfinite(values).all(axis=1)
-        if not finite.all():
-            bad = labels[np.argmin(finite)]
-            raise ValueError(f"weights must be finite, and weight {bad!r} is not")
-        yield labels, values
+    head = [_next_block(stream, n, size)]  # read now; popped, so not held once handed out
+    return iter(lambda: head.pop() if head else _next_block(stream, n, size), None)
+
+
+def _next_block(stream, n: int, size: int) -> Optional[tuple]:
+    block = list(itertools.islice(stream, size))
+    if not block:
+        return None
+    labels = [getattr(w, "label", "") or f"w:{i}" for i, w in block]
+    rows = [np.asarray(getattr(w, "values", w), dtype=float) for _, w in block]
+    for label, row in zip(labels, rows):
+        if row.shape != (n,):
+            raise ValueError(f"weight {label!r} of shape {row.shape} does not match {n} terms")
+    values = np.array(rows)
+    del block, rows  # hold no weight vector while the block is in use
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        bad = labels[np.argmin(finite)]
+        raise ValueError(f"weights must be finite, and weight {bad!r} is not")
+    return labels, values
 
 
 def _expand_block(hfac, table, values: np.ndarray, order: int) -> tuple:
@@ -205,18 +215,6 @@ def _expand_block(hfac, table, values: np.ndarray, order: int) -> tuple:
     return TaylorExpansion(theta_hats, tuple(dthetas), order).partial_sums(), errors
 
 
-def _norms(d: np.ndarray) -> np.ndarray:
-    """||v||_2 of every vector v along the last axis of ``d``.
-
-    Bit for bit what np.linalg.norm gives each vector, the square root of
-    its dot product with itself, here as one stacked (1, D) @ (D, 1)
-    product of a C-ordered copy; einsum and norm(axis=-1) round
-    differently, and so does the product on a strided stack.
-    """
-    d = np.ascontiguousarray(d)
-    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
-
-
 def run_cv(problem: EstimatingProblem, weights: Iterable[WeightVector], order: int,
            with_bounds: bool = False, cfg: Optional[SolveConfig] = None,
            rho: float = 0.5,
@@ -240,7 +238,8 @@ def run_cv(problem: EstimatingProblem, weights: Iterable[WeightVector], order: i
     Expansion and re-fit failures are recorded per weight, not fatal, and
     a weight missing either result is left out of the aggregate errors.
     A weight that is not finite or not of length N, or an ``order`` below
-    0, raises ValueError.
+    0, raises ValueError; the first block is read before the base solve,
+    so a stream that fails on its first read fails before any work.
     ``with_bounds`` additionally estimates the error-bound ladder and
     attaches the per-order bound column (one uniform bound across the weight
     set).  The ladder reads the leave-one-out set complexity, so with it
@@ -249,11 +248,12 @@ def run_cv(problem: EstimatingProblem, weights: Iterable[WeightVector], order: i
     base fit theta_hat solved here; None means :func:`default_sampler`
     with its defaults, whose radius is resolved at theta_hat.
     """
+    blocks = weight_blocks(weights, problem.n_terms, REFIT_BLOCK)
     theta_hat = solve_base(problem, cfg=cfg)
     hfac = factorize_hessian(problem, theta_hat)
     table = term_tables(max(order, 1))
     outcomes, errors = [], [np.empty((0, order + 1))]
-    for labels, values in weight_blocks(weights, problem.n_terms, REFIT_BLOCK):
+    for labels, values in blocks:
         if with_bounds:
             deltas = values - 1.0
             loo = (np.count_nonzero(deltas, axis=1) == 1) & (deltas.sum(axis=1) == -1.0)

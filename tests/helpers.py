@@ -15,12 +15,15 @@ directions.  The per-tuple derivative loops are the bounds
 layer's reference: one nested forward pass per ordered basis-direction
 tuple, with no multiset batching.  The nested multiset pass is the
 reference for ``per_datum_tensors``: k nested order-1 levels give each
-order-k partial directly.  The block-loop tensor, its weighted row sum, is
+order-k partial directly.  ``batch_fn_calls`` counts the row blocks a G
+evaluation sweeps, so a test that shrinks the row budget can check that
+it took effect.  The block-loop tensor, its weighted row sum, is
 the reference for ``g_theta_tensor``.  ``bench_module`` loads a module of
 the bench directory, for the tests that hold the program to what the bench
 reads from it.
 """
 
+import dataclasses
 import importlib.util
 import itertools
 import math
@@ -31,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 import hoij
-from hoij import Dataset, make_problem
+from hoij import Dataset, make_problem, models
 from hoij import forward_ad as fad
 from hoij.bounds import SingularSampleError, _SampledStats, operator_norm_of_inverse
 from hoij.expansion import assemble_jacobian
@@ -99,6 +102,19 @@ def build_problem(model_id, rng, n=12, dim=2, reg=None):
         y = (rng.random(n) < 0.5).astype(float)
         return make_problem(model_id, Dataset(x, y), reg)
     return make_problem(model_id, Dataset(x), reg)
+
+
+def batch_fn_calls(problem, thetas, weights):
+    """How many ``batch_fn`` calls, one per row block, one
+    ``models.evaluate_g_block`` call makes at the current row budget."""
+    calls = []
+
+    def counted(theta, rows):
+        calls.append(rows)
+        return problem.batch_fn(theta, rows)
+
+    models.evaluate_g_block(dataclasses.replace(problem, batch_fn=counted), thetas, weights)
+    return len(calls)
 
 
 def max_rel_gap(got, want):

@@ -486,7 +486,7 @@ class TestNormBounds:
     def test_zero_delta_gives_zero_bounds(self, mean_constants):
         _, _, c = mean_constants
         zeroed = dataclasses.replace(
-            c, delta_exact={k: 0.0 for k in c.delta_exact}, c_set=0.0, delta_max=0.0
+            c, delta_exact={k: 0.0 for k in c.delta_exact}, c_set=0.0
         )
         nb = derivative_norm_bounds(zeroed, 2)
         assert all(b == 0.0 for b in nb.values())

@@ -331,6 +331,34 @@ class TestBadFlagsBeforeWork:
         assert not (tmp_path / "csvdir.json").exists()
 
 
+class TestSchemeArgumentsBeforeWork:
+    """A weight scheme's arguments, which its generator checks on first
+    read, are refused before the base solve."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["cv", "--scheme", "kfold", "--folds", "1"], "fold count 1 outside 2..800"),
+        (["cv", "--scheme", "kappa", "--kappa", "0"], "kappa 0 outside 1..799"),
+        (["expand", "--scheme", "kfold", "--folds", "900"], "fold count 900 outside 2..800"),
+        (["cv", "--scheme", "loo"], "leave-one-out needs at least 2 rows, got 1"),
+    ])
+    def test_refused_before_the_base_solve(self, tmp_path, monkeypatch, argv, message):
+        rows = 1 if "loo" in argv else 800
+        data = GeneratorConfig(n_features=3).generate(
+            "logistic_regression", rows, np.random.default_rng(41))
+        path = tmp_path / "xy.csv"
+        path.write_text("".join(",".join(repr(float(v)) for v in (*x, y)) + "\n"
+                                for x, y in zip(data.features, data.response)))
+
+        def spy(*args, **kwargs):
+            raise AssertionError("the base solve ran")
+
+        monkeypatch.setattr(cli, "solve_base", spy)
+        monkeypatch.setattr(resampling, "solve_base", spy)
+        err = _assert_usage_error([*argv, "--model", "logistic_regression",
+                                   "--data", str(path)], tmp_path / "o.json")
+        assert err == f"usage error: {message}\n"
+
+
 class TestOutputsSpareTheDataset:
     """An output file that would land on --data, or on the command's other
     output file, is a usage error, and nothing is written."""

@@ -28,13 +28,14 @@ from hoij import (
     term_tables,
 )
 
-from hoij import expansion, resampling
+from hoij import expansion, models, resampling
 from hoij import forward_ad as fad
 from hoij.forward_ad import NonFiniteValueError
 from hoij.terms import build_term_tables
 
 from helpers import (
     ALL_MODELS,
+    batch_fn_calls,
     bench_module,
     block_loop_g_theta_tensor,
     build_problem,
@@ -1146,11 +1147,13 @@ class TestRefitBlock:
 
     @pytest.mark.parametrize("model_id", ALL_MODELS)
     def test_g_block_matches_evaluate_g(self, model_id, monkeypatch):
-        monkeypatch.setattr(expansion, "REFIT_LEAF_ELEMENTS", 7)
         rng = np.random.default_rng(4)
         prob = build_problem(model_id, rng, n=23, dim=3, reg={"l2": 0.2})
         thetas = rng.normal(scale=0.5, size=(5, 3))
         weights = rng.uniform(0.0, 2.0, (5, 23))
+        default_calls = batch_fn_calls(prob, thetas, weights)
+        monkeypatch.setattr(models, "REFIT_LEAF_ELEMENTS", 7)
+        assert batch_fn_calls(prob, thetas, weights) > default_calls
         got = expansion.evaluate_g_block(prob, thetas, weights)
         for t, w, g in zip(thetas, weights, got):
             want = evaluate_g(prob, t, w)

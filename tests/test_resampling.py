@@ -39,7 +39,7 @@ from hoij.bounds import per_datum_derivative_entries
 from hoij.expansion import assemble_jacobian
 from hoij.forward_ad import NonFiniteValueError
 
-from helpers import ALL_MODELS, build_problem, max_rel_gap, mean_dataset_1236
+from helpers import ALL_MODELS, batch_fn_calls, build_problem, max_rel_gap, mean_dataset_1236
 
 
 class TestRunCv:
@@ -268,17 +268,19 @@ class TestRefitFromExpansion:
 
 
     def test_small_blocks_and_leaves(self, monkeypatch):
-        """A stream of 23 weights in blocks of 5, with 7-entry leaves: the same
-        expansions bit for bit, and the same roots."""
-        from hoij import expansion
-
+        """A stream of 23 weights in blocks of 5 against blocks of 64, both
+        with 7-entry leaves: the same expansions bit for bit, and the same
+        roots."""
         data = GeneratorConfig(n_features=3).generate(
             "logistic_regression", 200, np.random.default_rng(6))
         prob = make_problem("logistic_regression", data)
         weights = list(loo_weights(200, range(1, 200, 9)))
+        point = (np.zeros((1, 3)), np.ones((1, 200)))
+        default_calls = batch_fn_calls(prob, *point)
+        monkeypatch.setattr(models, "REFIT_LEAF_ELEMENTS", 7)
+        assert batch_fn_calls(prob, *point) > default_calls
         want = run_cv(prob, weights, 3)
         monkeypatch.setattr(resampling, "REFIT_BLOCK", 5)
-        monkeypatch.setattr(expansion, "REFIT_LEAF_ELEMENTS", 7)
         got = run_cv(prob, weights, 3)
         for o, ref, w in zip(got.outcomes, want.outcomes, weights):
             assert all(a.tobytes() == b.tobytes() for a, b in zip(o.theta_ij, ref.theta_ij))
